@@ -9,6 +9,7 @@ repr, which round-trips exactly through float().
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -42,6 +43,22 @@ class IngestError(ValueError):
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and inf; callers add path:line."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    return value
+
+
+def _vertex_id(text: str, n: int) -> int:
+    """int(text), rejecting ids outside 0..n-1; callers add path:line."""
+    i = int(text)
+    if not 0 <= i < n:
+        raise ValueError(f"vertex id {i} outside 0..{n - 1}")
+    return i
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -88,9 +105,9 @@ def read_points_csv(path: str):
             )
         try:
             ident = int(parts[0])
-            x = float(parts[1])
-            y = float(parts[2])
-            value = float(parts[3]) if has_value else None
+            x = _finite(parts[1])
+            y = _finite(parts[2])
+            value = _finite(parts[3]) if has_value else None
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
         rows.append((ident, x, y, value))
@@ -146,8 +163,8 @@ def read_edges_csv(path: str, n: int | None = None):
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-        if i >= j:
-            raise IngestError(f"{path}:{lineno}: edges must satisfy i < j")
+        if not 0 <= i < j:
+            raise IngestError(f"{path}:{lineno}: edges must satisfy 0 <= i < j")
         edges.append((i, j))
     if n is None:
         n = max(max(e) for e in edges) + 1 if edges else 0
@@ -188,7 +205,8 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
         if len(parts) != 3:
             raise IngestError(f"{path}:{lineno}: expected 3 fields")
         try:
-            entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            entries.append((_vertex_id(parts[0], n), _vertex_id(parts[1], n),
+                            _finite(parts[2])))
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
     h = GraphFilter.from_entries(graph, entries)
@@ -225,10 +243,12 @@ def read_signal_csv(path: str, graph: Graph) -> Signal:
         if len(parts) != 2:
             raise IngestError(f"{path}:{lineno}: expected 2 fields")
         try:
-            i = int(parts[0])
-            values[i] = float(parts[1])
-        except (ValueError, IndexError) as exc:
+            i = _vertex_id(parts[0], graph.n)
+            values[i] = _finite(parts[1])
+        except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
+        if i in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate vertex id {i}")
         seen.add(i)
     if len(seen) != graph.n:
         raise IngestError(f"{path}: expected {graph.n} rows, got {len(seen)}")

@@ -47,7 +47,9 @@ from .sdn import SdnNetwork, run_time_varying as sdn_run_time_varying
 from .solvers import (
     METHODS,
     MethodParams,
+    NumericError,
     SolverConfig,
+    _snr_db,
     direct_solve_oracle,
     iteration_matrix,
     prepare_params,
@@ -260,36 +262,148 @@ def generate_run_graph(n: int, radius: float, master_seed: int) -> Graph:
     )
 
 
+def _rgg_info(graph: Graph) -> dict:
+    return {
+        "n": graph.n,
+        "edges": graph.num_edges(),
+        "generator_seed": list(graph.generator_seed),
+    }
+
+
 def iterations_to_threshold(curve, threshold: float):
     """Smallest index m with curve[m] <= threshold, or None."""
-    for m, v in enumerate(curve):
-        if v <= threshold:
-            return m
-    return None
+    return next((m for m, v in enumerate(curve) if v <= threshold), None)
 
 
-def _mean_curves(per_method_curves: dict) -> dict:
-    out = {}
-    for method, rows in per_method_curves.items():
-        if rows:
-            out[method] = np.mean(np.array(rows), axis=0).tolist()
+def _relative_error(ref: np.ndarray):
+    """Metric x_m -> ||x_m - ref|| / ||ref|| (plain ||x_m|| for ref = 0)."""
+    ref_norm = np.linalg.norm(ref) or 1.0
+    return lambda xm: float(np.linalg.norm(xm - ref) / ref_norm)
+
+
+def _snr(clean: np.ndarray):
+    """Metric x_m -> SNR in dB of x_m against the clean values."""
+    rel = _relative_error(clean)
+    return lambda xm: _snr_db(rel(xm))
+
+
+def _simulate(cfg: ScenarioConfig, graph: Graph, h: GraphFilter, y: Signal,
+              solver_cfg: SolverConfig):
+    """Route one solve through the vertex-level simulator from the zero
+    initial. Returns (iterates, status, network). The gathered iterates
+    equal solve's bit for bit, and the run stops where solve stops: a
+    residual above divergence_factor times the initial one is "diverged",
+    a NaN residual raises NumericError."""
+    method = solver_cfg.method
+    net = SdnNetwork(graph, h, y, comm_range=cfg.comm_range,
+                     log_messages=cfg.roundlog)
+    if method == "pgda":
+        net.distributed_preconditioner()
+        stepper = net.run_pgda
+    else:
+        net.spgda_setup()
+        stepper = net.run_spgda
+    x = np.zeros(graph.n)
+    iterates = [x]
+    resid0 = np.linalg.norm(h.matvec(x) - y.values)
+    if resid0 == 0.0:
+        return iterates, "converged", net
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, solver_cfg.max_iter + 1):
+            x = stepper(1).values
+            iterates.append(x)
+            resid = np.linalg.norm(h.matvec(x) - y.values)
+            if np.isnan(resid):
+                raise NumericError(method, m)
+            if resid > solver_cfg.divergence_factor * resid0:
+                return iterates, "diverged", net
+    return iterates, "max_iter", net
+
+
+class _MethodRuns:
+    """Per-method results of one fig1, denoise or custom run.
+
+    Each trial solves H x = y once per method, through `solve` or, for a
+    distributed config, through the simulator, and maps every iterate to
+    the scenario's metric. A diverged solve adds to `diverged` instead of
+    to the curves.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.trials = 0
+        self.curves = {m: [] for m in cfg.methods}
+        self.radii = {m: [] for m in cfg.methods}
+        self.diverged = {m: 0 for m in cfg.methods}
+        self.messages = {m: 0 for m in cfg.methods}
+        self.rounds = []
+
+    def prepare(self, h: GraphFilter) -> MethodParams:
+        """Prepare every method for h and record the spectral radius of its
+        iteration matrix."""
+        params = MethodParams()
+        for m in self.cfg.methods:
+            prepare_params(h, m, params)
+            op = iteration_matrix(h, m, params)
+            self.radii[m].append(power_spectral_radius(op, tol=1e-9, max_iter=3000).value)
+        return params
+
+    def trial(self, graph: Graph, h: GraphFilter, y: Signal,
+              params: MethodParams, metric) -> None:
+        self.trials += 1
+        for m in self.cfg.methods:
+            curve = self._curve(graph, h, y, m, params, metric)
+            if curve is None:
+                self.diverged[m] += 1
+            else:
+                self.curves[m].append(curve)
+
+    def _curve(self, graph, h, y, method, params, metric):
+        """Metric curve of one solve, or None if it diverged. The iterates
+        die with this call, so only one method's are held at a time."""
+        solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations,
+                                  keep_iterates=True)
+        if self.cfg.distributed:
+            iterates, status, net = _simulate(self.cfg, graph, h, y, solver_cfg)
+            self.messages[method] += net.total_messages()
+            if self.cfg.roundlog:
+                self.rounds.extend(net.rounds)
         else:
-            out[method] = []
-    return out
+            _, trace = solve(h, y, solver_cfg, params=params)
+            iterates, status = trace.iterates, trace.status
+        if status == "diverged":
+            return None
+        return [metric(xm) for xm in iterates]
 
-
-def _spectral_radius_of(h: GraphFilter, method: str, params: MethodParams) -> float:
-    op = iteration_matrix(h, method, params)
-    return power_spectral_radius(op, tol=1e-9, max_iter=3000).value
-
-
-def _snr_curve(iterates, clean: np.ndarray) -> list[float]:
-    norm = np.linalg.norm(clean)
-    out = []
-    for xm in iterates:
-        rel = np.linalg.norm(xm - clean) / norm
-        out.append(300.0 if rel <= 0.0 else float(min(-20.0 * np.log10(rel), 300.0)))
-    return out
+    def aggregate(self, scenario: str, metric_name: str, graph_info: dict,
+                  **extra) -> TrialAggregate:
+        """Cross-trial means, plus iterations to 5% for error curves or to
+        the limit-SNR plateau for SNR curves."""
+        cfg = self.cfg
+        agg = TrialAggregate(
+            scenario=scenario,
+            methods=cfg.methods,
+            metric_name=metric_name,
+            trials=self.trials,
+            master_seed=cfg.master_seed,
+            curves={m: np.mean(np.array(rows), axis=0).tolist() if rows else []
+                    for m, rows in self.curves.items()},
+            mean_spectral_radius={m: float(np.mean(r)) for m, r in self.radii.items()},
+            diverged=self.diverged,
+            graph_info=graph_info,
+            message_totals=self.messages,
+            rounds=self.rounds if cfg.roundlog else None,
+            config_echo=cfg.echo(),
+            **extra,
+        )
+        for m, curve in agg.curves.items():
+            if metric_name == "snr":
+                gaps = [abs(v - agg.limit_snr) for v in curve]
+                agg.iterations_to_plateau[m] = iterations_to_threshold(gaps, PLATEAU_DB)
+            else:
+                agg.iterations_to_5pct[m] = iterations_to_threshold(
+                    curve, FIVE_PCT_THRESHOLD)
+        return agg
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +414,14 @@ def _snr_curve(iterates, clean: np.ndarray) -> list[float]:
 def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
     graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base_signal = blockwise_polynomial(graph)
-
-    per_curves = {m: [] for m in cfg.methods}
-    radii = {m: [] for m in cfg.methods}
-    diverged = {m: 0 for m in cfg.methods}
+    runs = _MethodRuns(cfg)
     kappas = []
-    message_totals = {m: 0 for m in cfg.methods}
-    kept_rounds = []
 
     for trial in range(cfg.trials):
         h = build_fig1_filter(
             graph, cfg.gamma, _stream_seed(cfg.master_seed, trial, _STREAM_FILTER)
         )
-        params = MethodParams()
-        for m in cfg.methods:
-            prepare_params(h, m, params)
-            radii[m].append(_spectral_radius_of(h, m, params))
+        params = runs.prepare(h)
         sv = params.singular_values or extreme_singular_values(h)
         kappas.append(float(sv.sigma_max / sv.sigma_min))
 
@@ -324,80 +430,10 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
         )
         y = apply(h, x)
         direct_solve_oracle(h, y)  # residual gate before any error curve
+        runs.trial(graph, h, y, params, _relative_error(x.values))
 
-        for m in cfg.methods:
-            if cfg.distributed:
-                curve, messages, rounds = _distributed_error_curve(
-                    graph, h, y, x, m, cfg
-                )
-                per_curves[m].append(curve)
-                message_totals[m] += messages
-                if cfg.roundlog:
-                    kept_rounds.extend(rounds)
-            else:
-                _, trace = solve(
-                    h, y, SolverConfig(method=m, max_iter=cfg.iterations),
-                    reference=x, params=params,
-                )
-                if trace.status == "diverged":
-                    diverged[m] += 1
-                else:
-                    per_curves[m].append(trace.relative_errors)
-
-    agg = TrialAggregate(
-        scenario="fig1",
-        methods=cfg.methods,
-        metric_name="rel_error",
-        trials=cfg.trials,
-        master_seed=cfg.master_seed,
-        curves=_mean_curves(per_curves),
-        mean_spectral_radius={m: float(np.mean(radii[m])) for m in cfg.methods},
-        diverged=diverged,
-        condition_numbers=kappas,
-        graph_info={
-            "n": graph.n,
-            "edges": graph.num_edges(),
-            "generator_seed": list(graph.generator_seed),
-        },
-        message_totals=message_totals,
-        rounds=kept_rounds if cfg.roundlog else None,
-        config_echo=cfg.echo(),
-    )
-    for m in cfg.methods:
-        agg.iterations_to_5pct[m] = iterations_to_threshold(
-            agg.curves[m], FIVE_PCT_THRESHOLD
-        )
-    return agg
-
-
-def _distributed_iterates(graph, h, y, method, cfg):
-    """Route one solve through the simulator, gathering the iterate after
-    every iteration. Returns (iterates incl. the zero initial, messages,
-    rounds). Bit-identical to the centralized iterates by construction."""
-    net = SdnNetwork(
-        graph, h, y,
-        comm_range=cfg.comm_range if cfg.comm_range is not None else h.width,
-        log_messages=cfg.roundlog, epoch=0,
-    )
-    if method == "pgda":
-        net.distributed_preconditioner()
-        stepper = net.run_pgda
-    else:
-        net.spgda_setup()
-        stepper = net.run_spgda
-    iterates = [np.zeros(graph.n)]
-    for _ in range(cfg.iterations):
-        iterates.append(stepper(1).values.copy())
-    return iterates, net.total_messages(), net.rounds
-
-
-def _distributed_error_curve(graph, h, y, reference, method, cfg):
-    """Relative-error curve of a simulator-routed solve."""
-    iterates, messages, rounds = _distributed_iterates(graph, h, y, method, cfg)
-    ref = reference.values
-    ref_norm = np.linalg.norm(ref)
-    curve = [float(np.linalg.norm(xm - ref) / ref_norm) for xm in iterates]
-    return curve, messages, rounds
+    return runs.aggregate("fig1", "rel_error", _rgg_info(graph),
+                          condition_numbers=kappas)
 
 
 # ---------------------------------------------------------------------------
@@ -414,72 +450,22 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     graph = knn_graph(coords, cfg.k)
     h = build_denoise_filter(graph, cfg.alpha)
     clean = Signal(graph, values)
-
-    params = MethodParams()
-    radii = {}
-    for m in cfg.methods:
-        prepare_params(h, m, params)
-        radii[m] = _spectral_radius_of(h, m, params)
-
-    per_curves = {m: [] for m in cfg.methods}
-    diverged = {m: 0 for m in cfg.methods}
+    snr = _snr(values)
+    runs = _MethodRuns(cfg)
+    params = runs.prepare(h)
     limit_snrs = []
-    clean_norm = np.linalg.norm(values)
-    message_totals = {m: 0 for m in cfg.methods}
-    kept_rounds = []
 
     for trial in range(cfg.trials):
         b = add_uniform_noise(
             clean, cfg.eta, _stream_seed(cfg.master_seed, trial, _STREAM_OBS)
         )
-        x_tilde = direct_solve_oracle(h, b)
-        rel_limit = np.linalg.norm(x_tilde.values - values) / clean_norm
-        limit_snrs.append(
-            300.0 if rel_limit <= 0 else float(min(-20.0 * np.log10(rel_limit), 300.0))
-        )
-        for m in cfg.methods:
-            if cfg.distributed:
-                iterates, messages, rounds = _distributed_iterates(
-                    graph, h, b, m, cfg
-                )
-                per_curves[m].append(_snr_curve(iterates, values))
-                message_totals[m] += messages
-                if cfg.roundlog:
-                    kept_rounds.extend(rounds)
-            else:
-                _, trace = solve(
-                    h, b,
-                    SolverConfig(method=m, max_iter=cfg.iterations,
-                                 keep_iterates=True),
-                    reference=x_tilde, params=params,
-                )
-                if trace.status == "diverged":
-                    diverged[m] += 1
-                else:
-                    per_curves[m].append(_snr_curve(trace.iterates, values))
+        limit_snrs.append(snr(direct_solve_oracle(h, b).values))
+        runs.trial(graph, h, b, params, snr)
 
-    agg = TrialAggregate(
-        scenario="denoise",
-        methods=cfg.methods,
-        metric_name="snr",
-        trials=cfg.trials,
-        master_seed=cfg.master_seed,
-        curves=_mean_curves(per_curves),
-        mean_spectral_radius={m: float(radii[m]) for m in cfg.methods},
+    return runs.aggregate(
+        "denoise", "snr", {"n": graph.n, "edges": graph.num_edges(), "k": cfg.k},
         limit_snr=float(np.mean(limit_snrs)),
-        diverged=diverged,
-        graph_info={"n": graph.n, "edges": graph.num_edges(), "k": cfg.k},
-        message_totals=message_totals,
-        rounds=kept_rounds if cfg.roundlog else None,
-        config_echo=cfg.echo(),
     )
-    for m in cfg.methods:
-        curve = agg.curves[m]
-        agg.iterations_to_plateau[m] = next(
-            (i for i, v in enumerate(curve) if abs(v - agg.limit_snr) <= PLATEAU_DB),
-            None,
-        )
-    return agg
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +474,7 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
 
 
 def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
-    n = cfg.n
-    graph = generate_run_graph(n, cfg.resolved_radius(), cfg.master_seed)
+    graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base = blockwise_polynomial(graph)
     x = add_uniform_noise(base, cfg.eta, _stream_seed(cfg.master_seed, 0, _STREAM_SIGNAL))
 
@@ -510,23 +495,16 @@ def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
     )
 
     rows = []
-    kept_rounds = []
     for ep, h, y in zip(epochs, filters, observations):
         oracle = direct_solve_oracle(h, y)
-        rel = float(
-            np.linalg.norm(ep.x.values - oracle.values)
-            / np.linalg.norm(oracle.values)
-        )
         rows.append({
             "epoch": ep.epoch,
-            "rel_error": rel,
+            "rel_error": _relative_error(oracle.values)(ep.x.values),
             "messages": ep.messages,
             "rounds": ep.rounds,
         })
-        if ep.round_log:
-            kept_rounds.extend(ep.round_log)
 
-    agg = TrialAggregate(
+    return TrialAggregate(
         scenario="time_varying",
         methods=("pgda",),
         metric_name="rel_error",
@@ -535,16 +513,11 @@ def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
         curves={"pgda": [r["rel_error"] for r in rows]},
         diverged={"pgda": 0},
         epoch_rows=rows,
-        graph_info={
-            "n": graph.n,
-            "edges": graph.num_edges(),
-            "generator_seed": list(graph.generator_seed),
-        },
+        graph_info=_rgg_info(graph),
         message_totals={"pgda": sum(r["messages"] for r in rows)},
-        rounds=kept_rounds if cfg.roundlog else None,
+        rounds=[r for ep in epochs for r in ep.round_log] if cfg.roundlog else None,
         config_echo=cfg.echo(),
     )
-    return agg
 
 
 # ---------------------------------------------------------------------------
@@ -562,53 +535,10 @@ def run_custom(cfg: ScenarioConfig) -> TrialAggregate:
     y = read_signal_csv(cfg.signal_csv, graph)
     oracle = direct_solve_oracle(h, y)
 
-    params = MethodParams()
-    per_curves = {}
-    radii = {}
-    diverged = {m: 0 for m in cfg.methods}
-    message_totals = {m: 0 for m in cfg.methods}
-    kept_rounds = []
-    for m in cfg.methods:
-        prepare_params(h, m, params)
-        radii[m] = _spectral_radius_of(h, m, params)
-        if cfg.distributed:
-            curve, messages, rounds = _distributed_error_curve(
-                graph, h, y, oracle, m, cfg
-            )
-            per_curves[m] = [curve]
-            message_totals[m] += messages
-            if cfg.roundlog:
-                kept_rounds.extend(rounds)
-            continue
-        _, trace = solve(
-            h, y, SolverConfig(method=m, max_iter=cfg.iterations),
-            reference=oracle, params=params,
-        )
-        if trace.status == "diverged":
-            diverged[m] += 1
-            per_curves[m] = []
-        else:
-            per_curves[m] = [trace.relative_errors]
-
-    agg = TrialAggregate(
-        scenario="custom",
-        methods=cfg.methods,
-        metric_name="rel_error",
-        trials=1,
-        master_seed=cfg.master_seed,
-        curves=_mean_curves(per_curves),
-        mean_spectral_radius={m: float(radii[m]) for m in cfg.methods},
-        diverged=diverged,
-        graph_info={"n": graph.n, "edges": graph.num_edges()},
-        message_totals=message_totals,
-        rounds=kept_rounds if cfg.roundlog else None,
-        config_echo=cfg.echo(),
-    )
-    for m in cfg.methods:
-        agg.iterations_to_5pct[m] = iterations_to_threshold(
-            agg.curves[m], FIVE_PCT_THRESHOLD
-        )
-    return agg
+    runs = _MethodRuns(cfg)
+    runs.trial(graph, h, y, runs.prepare(h), _relative_error(oracle.values))
+    return runs.aggregate("custom", "rel_error",
+                          {"n": graph.n, "edges": graph.num_edges()})
 
 
 def run_scenario(cfg: ScenarioConfig) -> TrialAggregate:

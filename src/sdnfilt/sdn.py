@@ -268,9 +268,6 @@ class SdnNetwork:
             np.array([a.x_local[a.vertex] for a in self.agents]),
         )
 
-    def gathered_preconditioner(self) -> np.ndarray:
-        return np.array([a.p_value for a in self.agents])
-
     def max_message_distance(self) -> int:
         """Largest hop distance actually traveled by a logged message."""
         worst = 0

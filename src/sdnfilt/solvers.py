@@ -50,7 +50,6 @@ __all__ = [
     "imia_diagonal",
     "direct_solve_oracle",
     "prepare_params",
-    "trace_summary",
 ]
 
 METHODS = ("pgda", "spgda", "opgd", "imia")
@@ -356,20 +355,6 @@ def _snr_db(rel_error: float) -> float:
     if rel_error <= 0.0:
         return SNR_CAP_DB
     return float(min(-20.0 * np.log10(rel_error), SNR_CAP_DB))
-
-
-def trace_summary(trace: SolveTrace, spectral_radius: float | None = None,
-                  wall_time_s: float | None = None) -> dict:
-    """JSON-compatible one-line record of a finished solve."""
-    return {
-        "method": trace.method,
-        "status": trace.status,
-        "iterations": trace.iterations,
-        "final_residual": trace.residuals[-1] if trace.residuals else None,
-        "estimated_rate": trace.estimated_rate,
-        "spectral_radius": spectral_radius,
-        "wall_time_s": wall_time_s,
-    }
 
 
 def iteration_matrix(h: GraphFilter, method: str,

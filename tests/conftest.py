@@ -88,6 +88,18 @@ def make_well_conditioned_spd(rng: np.random.Generator, g: Graph,
     return GraphFilter.identity(g) + h.scaled(spread / s)
 
 
+def write_two_vertex_custom(tmp_path):
+    """Symmetric indefinite filter [[1,2],[2,1]]: I - H/3 has eigenvalue
+    4/3, so spgda diverges."""
+    e, f, s = (str(tmp_path / n) for n in ("e.csv", "f.csv", "s.csv"))
+    (tmp_path / "e.csv").write_text("i,j\n0,1\n")
+    (tmp_path / "f.csv").write_text(
+        "# n=2 width=1\ni,j,value\n0,0,1.0\n0,1,2.0\n1,0,2.0\n1,1,1.0\n")
+    (tmp_path / "s.csv").write_text("id,value\n0,1.0\n1,0.5\n")
+    return dict(scenario="custom", edges_csv=e, filter_csv=f, signal_csv=s,
+                trials=1, methods=("spgda",))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -5,6 +5,8 @@ from sdnfilt.cli import main
 from sdnfilt.io import write_points_csv
 from sdnfilt.scenarios import synthetic_points
 
+from conftest import write_two_vertex_custom
+
 
 def write_config(tmp_path, name="config.json", **kv):
     path = tmp_path / name
@@ -51,6 +53,14 @@ class TestIngest:
         rc = main(["ingest", "--points", str(pts), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert ":3" in capsys.readouterr().err
+
+    def test_nonfinite_points_exit_4(self, tmp_path, capsys):
+        pts = tmp_path / "nan.csv"
+        pts.write_text("id,x,y,value\n0,0.1,0.2,1.0\n1,0.3,0.4,nan\n"
+                       "2,0.5,0.6,2.0\n")
+        rc = main(["ingest", "--points", str(pts), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"{pts}:3" in capsys.readouterr().err
 
     def test_missing_file_exit_4(self, tmp_path):
         rc = main(["ingest", "--points", str(tmp_path / "nope.csv"),
@@ -124,6 +134,24 @@ class TestRun:
                            iterations=2000, methods=["spgda"])
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_distributed_divergence_single_trial_exit_3(self, tmp_path, capsys):
+        raw = write_two_vertex_custom(tmp_path)
+        raw.update(methods=["spgda"], iterations=100)
+        cfg = write_config(tmp_path, **raw)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--distributed"])
+        assert rc == 3
+        assert "diverged" in capsys.readouterr().err
+
+    def test_out_of_range_filter_index_exit_4(self, tmp_path, capsys):
+        raw = write_two_vertex_custom(tmp_path)
+        (tmp_path / "f.csv").write_text(
+            "# n=2 width=1\ni,j,value\n0,0,1.0\n0,2,2.0\n")
+        cfg = write_config(tmp_path, **raw)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"{raw['filter_csv']}:4" in capsys.readouterr().err
 
     def test_distributed_flag_with_unsupported_method(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,

@@ -72,6 +72,14 @@ class TestPoints:
         with pytest.raises(IngestError, match=":2"):
             read_points_csv(str(path))
 
+    @pytest.mark.parametrize("row", ["1,nan,0.5,1.0", "1,0.5,inf,1.0",
+                                     "1,0.5,0.5,-inf"])
+    def test_nonfinite_number_reports_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,x,y,value\n0,0.0,0.0,1.0\n{row}\n")
+        with pytest.raises(IngestError, match=r"p\.csv:3: non-finite"):
+            read_points_csv(str(path))
+
 
 class TestEdges:
     def test_round_trip(self, tmp_path, rng):
@@ -91,6 +99,12 @@ class TestEdges:
         path = tmp_path / "e.csv"
         path.write_text("i,j\n2,1\n")
         with pytest.raises(IngestError, match="i < j"):
+            read_edges_csv(str(path))
+
+    def test_rejects_negative_id(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("i,j\n0,1\n-1,1\n")
+        with pytest.raises(IngestError, match=r"e\.csv:3: .*0 <= i"):
             read_edges_csv(str(path))
 
 
@@ -121,6 +135,18 @@ class TestFilterCsv:
         with pytest.raises(IngestError, match="n=7"):
             read_filter_csv(path, other)
 
+    @pytest.mark.parametrize("row,problem", [
+        ("0,1,nan", "non-finite"),
+        ("0,3,1.0", "vertex id 3 outside"),
+        ("-1,0,1.0", "vertex id -1 outside"),
+    ])
+    def test_bad_entry_reports_line(self, tmp_path, row, problem):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "f.csv"
+        path.write_text(f"# n=3 width=1\ni,j,value\n0,0,1.0\n{row}\n")
+        with pytest.raises(IngestError, match=rf"f\.csv:4: {problem}"):
+            read_filter_csv(str(path), g)
+
 
 class TestSignalCsv:
     def test_round_trip(self, tmp_path, rng):
@@ -136,6 +162,19 @@ class TestSignalCsv:
         path = tmp_path / "s.csv"
         path.write_text("id,value\n0,1.0\n")
         with pytest.raises(IngestError, match="expected 4 rows"):
+            read_signal_csv(str(path), g)
+
+    @pytest.mark.parametrize("row,problem", [
+        ("1,nan", "non-finite"),
+        ("-1,2.0", "vertex id -1 outside"),
+        ("2,2.0", "vertex id 2 outside"),
+        ("0,2.0", "duplicate vertex id 0"),
+    ])
+    def test_bad_row_reports_line(self, tmp_path, row, problem):
+        g = Graph.from_edges(2, [(0, 1)])
+        path = tmp_path / "s.csv"
+        path.write_text(f"id,value\n0,1.0\n{row}\n1,3.0\n")
+        with pytest.raises(IngestError, match=rf"s\.csv:3: {problem}"):
             read_signal_csv(str(path), g)
 
 

@@ -25,7 +25,7 @@ from sdnfilt.scenarios import (
 )
 from sdnfilt.solvers import SolverConfig, direct_solve_oracle, solve
 
-from conftest import dense_of
+from conftest import dense_of, write_two_vertex_custom
 
 
 def coord_graph():
@@ -352,3 +352,45 @@ class TestDistributedScenarioRouting:
         routed = run_custom(ScenarioConfig(**base, distributed=True))
         for m in ("pgda", "spgda"):
             assert routed.curves[m] == central.curves[m]
+
+    def test_fig1_distributed_matches_centralized(self):
+        base = dict(scenario="fig1", n=64, trials=2, iterations=30,
+                    master_seed=2024, methods=("pgda", "spgda"))
+        central = run_fig1(ScenarioConfig(**base))
+        routed = run_fig1(ScenarioConfig(**base, distributed=True))
+        for m in ("pgda", "spgda"):
+            assert routed.curves[m] == central.curves[m]
+            assert routed.message_totals[m] > 0
+        assert routed.iterations_to_5pct == central.iterations_to_5pct
+
+
+class TestSimulatorDivergence:
+    def test_routed_divergence_counted_like_centralized(self, tmp_path):
+        base = write_two_vertex_custom(tmp_path)
+        central = run_custom(ScenarioConfig(**base, iterations=100))
+        routed = run_custom(ScenarioConfig(**base, iterations=100,
+                                           distributed=True))
+        assert central.diverged == {"spgda": 1}
+        assert routed.diverged == central.diverged
+        assert routed.curves == central.curves
+
+    def test_routed_nan_raises_at_solve_iteration(self, tmp_path):
+        # with no divergence bound the iterates overflow, and the first NaN
+        # residual stops both executors at the same iteration
+        from sdnfilt.io import read_edges_csv, read_filter_csv, read_signal_csv
+        from sdnfilt.scenarios import _simulate
+        from sdnfilt.solvers import NumericError
+
+        base = write_two_vertex_custom(tmp_path)
+        n, edges = read_edges_csv(base["edges_csv"])
+        g = Graph.from_edges(n, edges)
+        h = read_filter_csv(base["filter_csv"], g)
+        y = read_signal_csv(base["signal_csv"], g)
+        solver_cfg = SolverConfig(method="spgda", max_iter=4000,
+                                  divergence_factor=float("inf"))
+        with pytest.raises(NumericError) as central:
+            solve(h, y, solver_cfg)
+        cfg = ScenarioConfig(**base, distributed=True)
+        with pytest.raises(NumericError) as routed:
+            _simulate(cfg, g, h, y, solver_cfg)
+        assert routed.value.iteration == central.value.iteration

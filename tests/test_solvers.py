@@ -321,22 +321,3 @@ class TestOracleAgreement:
                 x, trace = solve(h, y, SolverConfig(method=method, max_iter=500),
                                  reference=ref)
                 assert trace.relative_errors[-1] <= 1e-6, method
-
-
-class TestTraceSummary:
-    def test_record_fields(self, rng):
-        from sdnfilt.solvers import trace_summary
-
-        g = random_connected_graph(rng, 8)
-        h = make_well_conditioned_spd(rng, g, 1)
-        y = Signal(g, rng.standard_normal(8))
-        ref = direct_solve_oracle(h, y)
-        _, trace = solve(h, y, SolverConfig(method="spgda", max_iter=30),
-                         reference=ref)
-        record = trace_summary(trace, spectral_radius=0.5, wall_time_s=0.01)
-        assert record["method"] == "spgda"
-        assert record["status"] in ("max_iter", "converged")
-        assert record["iterations"] == trace.iterations
-        assert record["estimated_rate"] is not None
-        import json
-        json.dumps(record)  # must stay JSON-compatible
