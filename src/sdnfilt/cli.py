@@ -124,10 +124,10 @@ def _cmd_run(args) -> int:
     elapsed = time.monotonic() - started
 
     total_diverged = sum(agg.diverged.values())
-    if cfg.trials == 1 and total_diverged:
+    if agg.trials == 1 and total_diverged:
         print(f"diverged in single-trial mode: {agg.diverged}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"{cfg.scenario}: {cfg.trials} trials in {elapsed:.1f}s; wrote:",
+    print(f"{cfg.scenario}: {agg.trials} trials in {elapsed:.1f}s; wrote:",
           file=sys.stderr)
     for path in written:
         print(f"  {path}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .graphs import Graph, ball
+from .graphs import Graph, hop_levels, hop_matrix
 
 __all__ = [
     "Signal",
@@ -248,16 +248,7 @@ def geodesic_width(entries, g: Graph) -> int:
     """Largest hop distance between endpoints of any nonzero entry."""
     if isinstance(entries, GraphFilter):
         return entries.width
-    if isinstance(entries, dict):
-        items = [(i, j) for (i, j), v in entries.items() if v != 0.0]
-    else:
-        items = [(i, j) for i, j, v in entries if v != 0.0]
-    per_row: dict[int, set[int]] = {}
-    for i, j in items:
-        g.validate_vertex(i)
-        g.validate_vertex(j)
-        per_row.setdefault(i, set()).add(j)
-    return _width_from_rows(g, per_row)
+    return GraphFilter.from_entries(g, entries).width
 
 
 def schur_norm(h: GraphFilter) -> float:
@@ -428,14 +419,9 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     pts = g.coordinates
-    pairs_i = []
-    pairs_j = []
-    for i in range(g.n):
-        for j in ball(g, i, 2).members:
-            pairs_i.append(i)
-            pairs_j.append(j)
-    pi = np.array(pairs_i)
-    pj = np.array(pairs_j)
+    two_hop = hop_matrix(g, 2)        # pairs row-major, columns ascending
+    pi = np.repeat(np.arange(g.n), np.diff(two_hop.indptr))
+    pj = two_hop.indices.astype(np.int64)
     d2 = np.sum((pts[pi] - pts[pj]) ** 2, axis=1)
     s2 = np.sum((pts[pi] + pts[pj]) ** 2, axis=1)
     vals = np.exp(-2.0 * g.n * d2 - s2 / 2.0)
@@ -443,14 +429,8 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
         noise = rng.uniform(-gamma, gamma, size=len(pi))
         # symmetrize the i.i.d. draws: entry (i,j) gets (g_ij + g_ji)/2
-        draw = {}
-        for k in range(len(pi)):
-            draw[(int(pi[k]), int(pj[k]))] = noise[k]
-        sym = np.array([
-            (draw[(int(a), int(b))] + draw[(int(b), int(a))]) / 2.0
-            for a, b in zip(pi, pj)
-        ])
-        vals = vals + sym
+        mirror = np.searchsorted(pi * g.n + pj, pj * g.n + pi)
+        vals = vals + (noise + noise[mirror]) / 2.0
     kernel = GraphFilter(
         g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n))
     )
@@ -475,41 +455,8 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
 
 
 def _entries_width(g: Graph, csr: sparse.csr_matrix) -> int:
-    per_row: dict[int, set[int]] = {}
-    indptr, indices = csr.indptr, csr.indices
-    for i in range(g.n):
-        lo, hi = indptr[i], indptr[i + 1]
-        if hi > lo:
-            per_row[i] = set(int(j) for j in indices[lo:hi])
-    return _width_from_rows(g, per_row)
-
-
-def _width_from_rows(g: Graph, per_row: dict[int, set[int]]) -> int:
-    """Max hop distance from each row vertex to its nonzero columns, found
-    by expanding a BFS until every target is seen."""
-    width = 0
-    for i, targets in per_row.items():
-        remaining = set(targets)
-        remaining.discard(i)
-        if not remaining:
-            continue
-        seen = {i}
-        frontier = [i]
-        depth = 0
-        while remaining:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        remaining.discard(w)
-                        nxt.append(w)
-            if not nxt:
-                raise ValueError(
-                    f"filter entry connects vertices in different components "
-                    f"(row {i})"
-                )
-            frontier = nxt
-        width = max(width, depth)
-    return width
+    """Smallest s such that every stored entry lies within s hops."""
+    for s, reach in zip(range(g.n), hop_levels(g)):
+        if csr.multiply(reach).nnz == csr.nnz:
+            return s
+    raise ValueError("filter entry connects vertices in different components")

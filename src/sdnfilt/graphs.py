@@ -7,9 +7,13 @@ every geodesic distance is finite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, islice
 
 import numpy as np
+import scipy.sparse as sparse
 
 __all__ = [
     "Graph",
@@ -17,6 +21,8 @@ __all__ = [
     "GenerationError",
     "geodesic_distance",
     "ball",
+    "hop_levels",
+    "hop_matrix",
     "random_geometric_graph",
     "knn_graph",
 ]
@@ -168,29 +174,46 @@ def geodesic_distance(g: Graph, i: int, j: int) -> int:
 
 
 def ball(g: Graph, i: int, s: int) -> HopNeighborhood:
-    """Truncated-depth BFS: the s-hop neighborhood of vertex i."""
+    """The s-hop neighborhood of vertex i: row i of the radius-s hop matrix."""
     i = g.validate_vertex(i)
     s = int(s)
     if s < 0:
         raise ValueError(f"hop radius must be >= 0, got {s}")
-    cached = g._ball_cache.get((i, s))
-    if cached is not None:
-        return cached
-    reached = {i}
-    frontier = [i]
-    for _ in range(s):
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    hood = HopNeighborhood(center=i, radius=s, members=tuple(sorted(reached)))
-    g._ball_cache[(i, s)] = hood
-    return hood
+    m = hop_matrix(g, s)
+    members = tuple(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist())
+    return HopNeighborhood(center=i, radius=s, members=members)
+
+
+def hop_levels(g: Graph):
+    """Yield, for s = 0, 1, 2, ..., the sorted CSR pattern of (I+A)^s: every
+    pair within s hops. Each level costs one sparse product."""
+    n = g.n
+    step = sparse.csr_matrix(
+        (np.ones(2 * g.num_edges(), dtype=np.int64),
+         np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64),
+         np.concatenate(([0], np.cumsum(g.degrees())))),
+        shape=(n, n)) + sparse.identity(n, dtype=np.int64, format="csr")
+    reach = sparse.identity(n, dtype=np.int64, format="csr")
+    while True:
+        yield reach
+        reach = reach @ step
+        reach.data[:] = 1
+        reach.sort_indices()
+
+
+def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
+    """Sorted CSR of every pair within `radius` hops, holding the pair's hop
+    distance (the diagonal as explicit zeros). Summing the levels 0..radius
+    counts each pair radius + 1 - hops times. Cached on the graph and
+    shared, so callers must not modify it."""
+    radius = min(radius, g.n - 1)       # no pair is farther apart
+    cached = g._ball_cache.get(radius)
+    if cached is None:
+        cached = reduce(operator.add, islice(hop_levels(g), radius + 1))
+        cached.sort_indices()
+        cached.data = radius + 1 - cached.data
+        g._ball_cache[radius] = cached
+    return cached
 
 
 def random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -61,13 +62,14 @@ def _vertex_id(text: str, n: int) -> int:
     return i
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text) -> None:
+    """Write a string, or an iterable of string chunks, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -110,14 +112,15 @@ def read_points_csv(path: str):
             value = _finite(parts[3]) if has_value else None
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-        rows.append((ident, x, y, value))
+        rows.append((ident, x, y, value, lineno))
     if not rows:
         raise IngestError(f"{path}:2: no data rows")
-    ids = [r[0] for r in rows]
-    if sorted(ids) != list(range(len(rows))):
-        raise IngestError(
-            f"{path}: vertex ids must be exactly 0..{len(rows) - 1} with no gaps"
-        )
+    seen = set()
+    for ident, *_, lineno in rows:
+        if ident in seen or not 0 <= ident < len(rows):
+            raise IngestError(f"{path}:{lineno}: vertex id {ident} repeated or out of "
+                              f"sequence; ids must be exactly 0..{len(rows) - 1} with no gaps")
+        seen.add(ident)
     rows.sort(key=lambda r: r[0])
     coords = np.array([[r[1], r[2]] for r in rows])
     values = np.array([r[3] for r in rows]) if has_value else None
@@ -293,12 +296,16 @@ def write_curves_csv(path: str, curves: dict) -> None:
 
 
 def write_roundlog_csv(path: str, rounds, include_values: bool = True) -> None:
-    out = ["epoch,round,from,to,kind,value"]
-    for r in rounds:
-        for sender, receiver, kind, value in r.messages:
-            tail = _fmt(value) if include_values else ""
-            out.append(f"{r.epoch},{r.index},{sender},{receiver},{kind},{tail}")
-    atomic_write_text(path, "\n".join(out) + "\n")
+    """One row per logged message, written one round at a time from the
+    columnar Round arrays."""
+    def chunks():
+        yield "epoch,round,from,to,kind,value\n"
+        for r in rounds:
+            head, kind = f"{r.epoch},{r.index},", f",{r.kind},"
+            tails = map(repr, r.values.tolist()) if include_values else repeat("")
+            yield "".join(f"{head}{s},{t}{kind}{v}\n" for s, t, v in
+                          zip(r.senders.tolist(), r.receivers.tolist(), tails))
+    atomic_write_text(path, chunks())
 
 
 def write_summary_json(path: str, summary: dict) -> None:

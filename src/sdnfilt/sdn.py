@@ -3,21 +3,26 @@ distributed network.
 
 Each vertex hosts one agent holding only its own observation, the nonzero
 filter entries of its row and column, and signal values for vertices within
-the filter's geodesic width. Computation proceeds in rounds; all messages
-sent in a round read pre-round state, and every message is checked against
-the network's hop communication range. Per-agent sums run in ascending
-neighbor id, which makes the gathered results bit-identical to the
-centralized solvers.
+the filter's geodesic width. All messages sent in a round read pre-round
+state. The exchanges are compiled once, at deploy: agent i keeps its copies
+in the slots B.indptr[i]:B.indptr[i+1] of the sorted width-ball pattern
+B = pattern((I+A)^width), every filter entry it uses maps to one of its own
+slots, and every (sender, receiver) pair is checked against the hop range.
+A round is the gather payload[B.indices] plus per-agent CSR rows over the
+slots; csr_matvec sums each row in stored (ascending neighbor id) order from
+0.0, so the gathered results are bit-identical to the centralized solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .filters import GraphFilter, Signal
-from .graphs import Graph, ball, geodesic_distance
+from .graphs import Graph, geodesic_distance, hop_matrix
 
 __all__ = [
     "AgentState",
@@ -28,21 +33,16 @@ __all__ = [
     "TimeVaryingEpoch",
 ]
 
-MESSAGE_KINDS = ("d", "v", "x", "p")
-
 
 class RangeViolationError(RuntimeError):
     """A message would travel farther than the communication range allows."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentState:
-    """Local storage of one agent.
-
-    Everything here is reachable within the filter width: the ball members,
-    the nonzero row/column entries aligned to ascending neighbor ids, and
-    the locally known signal values.
-    """
+    """Read-only view of one agent's local storage, built on demand. All of
+    it is reachable within the filter width: the ball members, the nonzero
+    row/column entries in ascending neighbor id, the known signal values."""
 
     vertex: int
     neighborhood: tuple[int, ...]          # B(i, width), ascending, includes i
@@ -50,22 +50,48 @@ class AgentState:
     row_vals: np.ndarray                   # H(i,j)
     col_ids: np.ndarray                    # j with H(j,i) != 0, ascending
     col_vals: np.ndarray                   # H(j,i)
-    y: float = 0.0
-    p_value: float | None = None
-    x_local: dict[int, float] = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict)
+    y: float
+    p_value: float | None
+    x_local: dict[int, float]
+    scratch: dict
 
 
 @dataclass
 class Round:
-    """One synchronized exchange: every message was sent this round and
-    satisfies the hop-range constraint."""
+    """One synchronized exchange of `count` messages, each within the hop
+    range. With logging on, message k goes from senders[k] to receivers[k]
+    carrying values[k] = sent[senders[k]], sender-major with receivers
+    ascending; with logging off the arrays are empty."""
 
     epoch: int
     index: int
     kind: str
-    messages: list  # (sender, receiver, kind, value) when logging is on
     count: int
+    senders: np.ndarray
+    receivers: np.ndarray
+    sent: np.ndarray                       # the value each agent sent
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.sent[self.senders]
+
+
+_NO_IDS, _NO_VALUES = np.empty(0, dtype=np.int64), np.empty(0)
+
+
+class _Agents(Sequence):
+    """net.agents: one AgentState view per vertex, built when indexed."""
+
+    def __init__(self, net: "SdnNetwork"):
+        self._net = net
+
+    def __len__(self) -> int:
+        return self._net.graph.n
+
+    def __getitem__(self, i: int) -> AgentState:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._net._agent(i)
 
 
 class SdnNetwork:
@@ -101,69 +127,100 @@ class SdnNetwork:
         self.log_messages = log_messages
         self.epoch = epoch
         self.rounds: list[Round] = []
-        self._reach = [set(ball(graph, i, comm_range).members)
-                       for i in range(graph.n)]
-        self.agents = self._deploy(h, y)
+        self._sent = 0
+        self._deploy(h, y)
 
     # ---- construction ----------------------------------------------------
 
-    def _deploy(self, h: GraphFilter, y: Signal) -> list[AgentState]:
-        csr = h.csr
-        csc = h.transpose().csr
-        agents = []
-        for i in range(self.graph.n):
-            hood = ball(self.graph, i, self.width).members
-            lo, hi = csr.indptr[i], csr.indptr[i + 1]
-            tlo, thi = csc.indptr[i], csc.indptr[i + 1]
-            agents.append(AgentState(
-                vertex=i,
-                neighborhood=hood,
-                row_ids=csr.indices[lo:hi].copy(),
-                row_vals=csr.data[lo:hi].copy(),
-                col_ids=csc.indices[tlo:thi].copy(),
-                col_vals=csc.data[tlo:thi].copy(),
-                y=y.values[i],
-                x_local={j: 0.0 for j in hood},
-            ))
-        return agents
+    def _deploy(self, h: GraphFilter, y: Signal) -> None:
+        """Compile the exchanges and each agent's local filter data."""
+        n = self.graph.n
+        ball = hop_matrix(self.graph, self.width)
+        owner = np.repeat(np.arange(n), np.diff(ball.indptr))
+        if ball.data.max() > self.comm_range:
+            k = np.argmax(ball.data)
+            raise RangeViolationError(
+                f"message {owner[k]} -> {ball.indices[k]} travels {ball.data[k]} "
+                f"hops, beyond the communication range {self.comm_range}")
+        self._ball, self._gather = ball, ball.indices.astype(np.intp)
+        self._keys = owner * n + ball.indices
+        sent = ball.indices != owner
+        self._senders, self._receivers = owner[sent], ball.indices[sent]
+        self._own = np.flatnonzero(~sent)      # agent i's slot for x(i)
+        self._h, self._csr, self._csc = h, h.csr, h.transpose().csr
+        self._row_slots = self._slots(self._csr)
+        self._col_slots = self._slots(self._csc)
+        self._residual = self._local(self._csr, self._row_slots)
+        self._y = y.values.copy()
+        self._x = np.zeros(ball.nnz)           # every agent's copies of x, by slot
+        self._p = self._pgda_update = self._spgda_update = None
+
+    def _slots(self, m) -> np.ndarray:
+        """Slot, in agent i's own range, of every stored entry (i, j) of m.
+        An entry outside the width ball raises before any message is sent."""
+        n = self.graph.n
+        keys = np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        missing = np.flatnonzero(self._keys[pos] != keys)
+        if missing.size:
+            i, j = divmod(int(keys[missing[0]]), n)
+            raise RangeViolationError(
+                f"agent {i} needs vertex {j}, {geodesic_distance(self.graph, i, j)} "
+                f"hops away, outside its width-{self.width} ball; no message has "
+                f"been sent")
+        return pos
+
+    def _local(self, m, slots, divisors=None) -> sparse.csr_matrix:
+        """Row i holds agent i's entries of m, optionally divided by
+        divisors[i], as coefficients on its own slots."""
+        data = m.data if divisors is None else m.data / np.repeat(divisors, np.diff(m.indptr))
+        return sparse.csr_matrix((data, slots, m.indptr),
+                                 shape=(self.graph.n, self._ball.nnz))
+
+    @property
+    def agents(self) -> Sequence[AgentState]:
+        return _Agents(self)
+
+    def _agent(self, i: int) -> AgentState:
+        own, row, col = (slice(m.indptr[i], m.indptr[i + 1])
+                         for m in (self._ball, self._csr, self._csc))
+        hood = self._ball.indices[own].tolist()
+        scratch = {}
+        if self._pgda_update is not None:
+            scratch["col_scaled"] = self._pgda_update.data[col].copy()
+        if self._spgda_update is not None:
+            scratch["row_scaled"] = self._spgda_update.data[row].copy()
+            scratch["y_scaled"] = float(self._y_scaled[i])
+        return AgentState(
+            vertex=i, neighborhood=tuple(hood),
+            row_ids=self._csr.indices[row].copy(), row_vals=self._csr.data[row].copy(),
+            col_ids=self._csc.indices[col].copy(), col_vals=self._csc.data[col].copy(),
+            y=float(self._y[i]),
+            p_value=None if self._p is None else float(self._p[i]),
+            x_local=dict(zip(hood, self._x[own].tolist())), scratch=scratch,
+        )
 
     # ---- messaging -------------------------------------------------------
 
-    def _exchange(self, kind: str, payload: dict[int, float]) -> dict[int, dict[int, float]]:
+    def _exchange(self, kind: str, payload: np.ndarray) -> np.ndarray:
         """One synchronized round: agent i sends payload[i] to every other
-        member of its width-neighborhood. Returns the per-agent inbox
-        (sender -> value), which includes the agent's own value."""
-        inbox: dict[int, dict[int, float]] = {
-            i: {i: payload[i]} for i in payload
-        }
-        messages = []
-        count = 0
-        for i in sorted(payload):
-            value = payload[i]
-            for j in self.agents[i].neighborhood:
-                if j == i:
-                    continue
-                if j not in self._reach[i]:
-                    rho = geodesic_distance(self.graph, i, j)
-                    raise RangeViolationError(
-                        f"message {i} -> {j} travels {rho} hops, beyond the "
-                        f"communication range {self.comm_range}"
-                    )
-                inbox[j][i] = value
-                count += 1
-                if self.log_messages:
-                    messages.append((i, j, kind, value))
+        member of its width ball. Returns the slot array, in which each
+        agent's slots hold the values of its ball members, its own
+        included."""
+        log = self.log_messages
         self.rounds.append(Round(
             epoch=self.epoch, index=len(self.rounds), kind=kind,
-            messages=messages, count=count,
-        ))
-        return inbox
+            count=len(self._senders), senders=self._senders if log else _NO_IDS,
+            receivers=self._receivers if log else _NO_IDS,
+            sent=payload if log else _NO_VALUES))
+        self._sent += len(self._senders)
+        return payload[self._gather]
 
     def total_messages(self) -> int:
-        return sum(r.count for r in self.rounds)
+        return self._sent
 
     def expected_messages_per_exchange(self) -> int:
-        return sum(len(a.neighborhood) - 1 for a in self.agents)
+        return len(self._senders)
 
     # ---- Algorithm: distributed preconditioner ---------------------------
 
@@ -171,17 +228,14 @@ class SdnNetwork:
         """Hop-local preconditioner: each agent takes the larger of its
         absolute row and column sums, shares it once with its
         width-neighborhood, and keeps the maximum it hears."""
-        local_d = {}
-        for a in self.agents:
-            d = max(np.abs(a.row_vals).sum(), np.abs(a.col_vals).sum())
-            a.scratch["d"] = d
-            local_d[a.vertex] = d
-        inbox = self._exchange("d", local_d)
-        p = np.zeros(self.graph.n)
-        for a in self.agents:
-            a.p_value = max(inbox[a.vertex].values())
-            p[a.vertex] = a.p_value
-        return p
+        # row_abs_sums sums each row over its own stored entries, as the
+        # agent holding that row does
+        d = np.maximum(self._h.row_abs_sums(), self._h.col_abs_sums())
+        heard = self._exchange("d", d)
+        self._p = np.maximum.reduceat(heard, self._ball.indptr[:-1])
+        self._pgda_update = self._local(self._csc, self._col_slots,
+                                        self._p * self._p)
+        return self._p.copy()
 
     # ---- Algorithm: distributed PGDA --------------------------------------
 
@@ -195,34 +249,15 @@ class SdnNetwork:
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        for a in self.agents:
-            if a.p_value is None:
-                raise RuntimeError(
-                    "preconditioner values missing; run "
-                    "distributed_preconditioner() first"
-                )
-            p2 = a.p_value * a.p_value
-            a.scratch["col_scaled"] = a.col_vals / p2
+        if self._pgda_update is None:
+            raise RuntimeError(
+                "preconditioner values missing; run "
+                "distributed_preconditioner() first"
+            )
         for _ in range(iterations):
-            local_v = {}
-            for a in self.agents:
-                s = 0.0
-                for k in range(len(a.row_ids)):
-                    s += a.row_vals[k] * a.x_local[a.row_ids[k]]
-                local_v[a.vertex] = a.y - s
-            v_inbox = self._exchange("v", local_v)
-            local_x = {}
-            for a in self.agents:
-                vbox = v_inbox[a.vertex]
-                scaled = a.scratch["col_scaled"]
-                s = 0.0
-                for k in range(len(a.col_ids)):
-                    s += scaled[k] * vbox[a.col_ids[k]]
-                local_x[a.vertex] = a.x_local[a.vertex] + s
-            x_inbox = self._exchange("x", local_x)
-            for a in self.agents:
-                for j, value in x_inbox[a.vertex].items():
-                    a.x_local[j] = value
+            v = self._y - self._residual @ self._x
+            x = self._x[self._own] + self._pgda_update @ self._exchange("v", v)
+            self._x = self._exchange("x", x)
         return self.gather()
 
     # ---- Algorithm: distributed SPGDA -------------------------------------
@@ -230,13 +265,12 @@ class SdnNetwork:
     def spgda_setup(self) -> None:
         """Purely local normalization: p_sym(i) = sum_j |H(i,j)|, scaled row
         H(i,j)/p_sym(i) and scaled observation y(i)/p_sym(i). No messages."""
-        for a in self.agents:
-            p = np.abs(a.row_vals).sum()
-            if p == 0.0:
-                raise ValueError(f"row {a.vertex} of the filter is all zero")
-            a.p_value = p
-            a.scratch["row_scaled"] = a.row_vals / p
-            a.scratch["y_scaled"] = a.y / p
+        p = self._h.row_abs_sums()
+        if p.min() == 0.0:
+            raise ValueError(f"row {np.argmin(p)} of the filter is all zero")
+        self._p = p
+        self._spgda_update = self._local(self._csr, self._row_slots, p)
+        self._y_scaled = self._y / p
 
     def run_spgda(self, iterations: int) -> Signal:
         """Vertex-level symmetric preconditioned gradient descent from zero
@@ -244,37 +278,25 @@ class SdnNetwork:
         traffic of run_pgda)."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if any("row_scaled" not in a.scratch for a in self.agents):
+        if self._spgda_update is None:
             self.spgda_setup()
         for _ in range(iterations):
-            local_x = {}
-            for a in self.agents:
-                scaled = a.scratch["row_scaled"]
-                s = 0.0
-                for k in range(len(a.row_ids)):
-                    s += scaled[k] * a.x_local[a.row_ids[k]]
-                local_x[a.vertex] = (a.x_local[a.vertex] + a.scratch["y_scaled"]) - s
-            x_inbox = self._exchange("x", local_x)
-            for a in self.agents:
-                for j, value in x_inbox[a.vertex].items():
-                    a.x_local[j] = value
+            x = (self._x[self._own] + self._y_scaled) - self._spgda_update @ self._x
+            self._x = self._exchange("x", x)
         return self.gather()
 
     # ---- outputs ----------------------------------------------------------
 
     def gather(self) -> Signal:
-        return Signal(
-            self.graph,
-            np.array([a.x_local[a.vertex] for a in self.agents]),
-        )
+        return Signal(self.graph, self._x[self._own])
 
     def max_message_distance(self) -> int:
-        """Largest hop distance actually traveled by a logged message."""
-        worst = 0
-        for r in self.rounds:
-            for i, j, _, _ in r.messages:
-                worst = max(worst, geodesic_distance(self.graph, i, j))
-        return worst
+        """Largest hop distance traveled by a logged message, read from the
+        hop distances stored in the ball pattern."""
+        hops = [self._ball.data[np.searchsorted(
+                    self._keys, r.senders * self.graph.n + r.receivers)].max()
+                for r in self.rounds if len(r.senders)]
+        return int(max(hops, default=0))
 
     def summary(self) -> dict:
         """JSON-compatible record of the simulation so far."""

@@ -1,0 +1,98 @@
+"""Reference vertex-level simulator for the tests: one dict per agent and a
+Python loop per message.
+
+This is the straightforward form of the algorithms in sdnfilt.sdn. Every
+agent keeps {vertex: value} copies for its width ball, sums its stored row
+in ascending neighbor id, and each exchange walks the senders in ascending
+order and their receivers in ascending order, checking every message
+against the hop range. Neighborhoods come from the breadth-first
+geodesic_distance, not from the sparse hop matrix. The compiled simulator
+must agree with it on iterates, preconditioner, per-round counts and every
+logged message.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sdnfilt.graphs import geodesic_distance
+
+
+class ReferenceNetwork:
+    def __init__(self, graph, h, y, comm_range=None):
+        self.graph = graph
+        self.width = h.width
+        self.comm_range = h.width if comm_range is None else comm_range
+        self.rounds = []          # (kind, count, [(sender, receiver, kind, value)])
+        hops = [[geodesic_distance(graph, i, j) for j in range(graph.n)]
+                for i in range(graph.n)]
+        self.hood = [[j for j, d in enumerate(row) if d <= h.width] for row in hops]
+        self.reach = [{j for j, d in enumerate(row) if d <= self.comm_range}
+                      for row in hops]
+        csr, csc = h.csr, h.transpose().csr
+        self.rows = [(csr.indices[csr.indptr[i]:csr.indptr[i + 1]],
+                      csr.data[csr.indptr[i]:csr.indptr[i + 1]])
+                     for i in range(graph.n)]
+        self.cols = [(csc.indices[csc.indptr[i]:csc.indptr[i + 1]],
+                      csc.data[csc.indptr[i]:csc.indptr[i + 1]])
+                     for i in range(graph.n)]
+        self.y = y.values
+        self.x_local = [{j: 0.0 for j in hood} for hood in self.hood]
+        self.p = None
+
+    def exchange(self, kind, payload):
+        inbox = {i: {i: payload[i]} for i in range(self.graph.n)}
+        messages = []
+        for i in range(self.graph.n):
+            for j in self.hood[i]:
+                if j == i:
+                    continue
+                assert j in self.reach[i], f"message {i} -> {j} out of range"
+                inbox[j][i] = payload[i]
+                messages.append((i, j, kind, payload[i]))
+        self.rounds.append((kind, len(messages), messages))
+        return inbox
+
+    def local_sum(self, ids, vals, values):
+        s = 0.0
+        for k in range(len(ids)):
+            s += vals[k] * values[ids[k]]
+        return s
+
+    def distributed_preconditioner(self):
+        d = {i: max(np.abs(self.rows[i][1]).sum(), np.abs(self.cols[i][1]).sum())
+             for i in range(self.graph.n)}
+        inbox = self.exchange("d", d)
+        self.p = np.array([max(inbox[i].values()) for i in range(self.graph.n)])
+        return self.p
+
+    def store(self, inbox):
+        for i, box in inbox.items():
+            self.x_local[i].update(box)
+
+    def run_pgda(self, iterations):
+        for _ in range(iterations):
+            v = {i: self.y[i] - self.local_sum(*self.rows[i], self.x_local[i])
+                 for i in range(self.graph.n)}
+            v_inbox = self.exchange("v", v)
+            x = {}
+            for i in range(self.graph.n):
+                ids, vals = self.cols[i]
+                scaled = vals / (self.p[i] * self.p[i])
+                x[i] = self.x_local[i][i] + self.local_sum(ids, scaled, v_inbox[i])
+            self.store(self.exchange("x", x))
+        return self.gather()
+
+    def run_spgda(self, iterations):
+        self.p = np.array([np.abs(vals).sum() for _, vals in self.rows])
+        for _ in range(iterations):
+            x = {}
+            for i in range(self.graph.n):
+                ids, vals = self.rows[i]
+                s = self.local_sum(ids, vals / self.p[i], self.x_local[i])
+                x[i] = (self.x_local[i][i] + self.y[i] / self.p[i]) - s
+            self.store(self.exchange("x", x))
+        return self.gather()
+
+    def gather(self):
+        return np.array([self.x_local[i][i] for i in range(self.graph.n)])

@@ -144,6 +144,15 @@ class TestRun:
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_custom_divergence_with_default_trials_exit_3(self, tmp_path, capsys):
+        # a custom run is always one trial, whatever the config's trials says
+        raw = write_two_vertex_custom(tmp_path)
+        del raw["trials"]
+        cfg = write_config(tmp_path, **raw)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "diverged" in capsys.readouterr().err
+
     def test_out_of_range_filter_index_exit_4(self, tmp_path, capsys):
         raw = write_two_vertex_custom(tmp_path)
         (tmp_path / "f.csv").write_text(

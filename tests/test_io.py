@@ -28,6 +28,7 @@ from sdnfilt.sdn import SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import make_invertible, random_connected_graph
+from sdn_reference import ReferenceNetwork
 
 
 class TestPoints:
@@ -64,6 +65,14 @@ class TestPoints:
         path = tmp_path / "p.csv"
         path.write_text("id,x,y\n0,0.0,0.0\n2,1.0,1.0\n")
         with pytest.raises(IngestError, match="no gaps"):
+            read_points_csv(str(path))
+
+    @pytest.mark.parametrize("ids, line", [((0, 2), 3), ((0, 1, 1), 4),
+                                           ((1, 1, 0), 3), ((2, 0, 1, 0), 5)])
+    def test_id_gap_or_repeat_reports_line(self, tmp_path, ids, line):
+        path = tmp_path / "p.csv"
+        path.write_text("id,x,y\n" + "".join(f"{i},0.5,0.5\n" for i in ids))
+        with pytest.raises(IngestError, match=rf"p\.csv:{line}: vertex id"):
             read_points_csv(str(path))
 
     def test_wrong_field_count_reports_line(self, tmp_path):
@@ -239,6 +248,26 @@ class TestExperimentArtifacts:
         write_roundlog_csv(path, net.rounds, include_values=False)
         for line in open(path).read().splitlines()[1:]:
             assert line.endswith(",")
+
+    @pytest.mark.parametrize("include_values", [True, False])
+    def test_roundlog_rows_match_reference(self, tmp_path, rng, include_values):
+        # the streamed columnar log equals the per-message rows of the
+        # dict-loop reference, formatted as one CSV line each
+        g = random_connected_graph(rng, 9)
+        h = make_invertible(rng, g, 2)
+        y = Signal(g, rng.standard_normal(9))
+        net, ref = SdnNetwork(g, h, y, epoch=3), ReferenceNetwork(g, h, y)
+        for sim in (net, ref):
+            sim.distributed_preconditioner()
+            sim.run_pgda(2)
+        expected = ["epoch,round,from,to,kind,value"]
+        for index, (_, _, messages) in enumerate(ref.rounds):
+            expected.extend(
+                f"3,{index},{s},{t},{kind},{repr(float(v)) if include_values else ''}"
+                for s, t, kind, v in messages)
+        path = tmp_path / "roundlog.csv"
+        write_roundlog_csv(str(path), net.rounds, include_values=include_values)
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_summary_json_deterministic(self, tmp_path):
         path = str(tmp_path / "summary.json")

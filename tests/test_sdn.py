@@ -8,6 +8,7 @@ from sdnfilt.sdn import RangeViolationError, SdnNetwork, run_time_varying
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import make_invertible, make_spd, random_connected_graph
+from sdn_reference import ReferenceNetwork
 
 
 def path3():
@@ -296,3 +297,125 @@ class TestNetworkSummary:
         assert record["agents"] == 9
         import json
         json.dumps(record)
+
+
+def slot(net, agent, vertex):
+    """Position of agent's local copy of x(vertex) in the network's slot
+    array (white-box: the compiled layout is B.indptr/B.indices)."""
+    lo, hi = net._ball.indptr[agent], net._ball.indptr[agent + 1]
+    return lo + list(net._ball.indices[lo:hi]).index(vertex)
+
+
+class TestCompiledLocality:
+    def far_pair(self, rng, g, h):
+        """(i, j, u): agents i != j and a vertex u outside ball(i, width)
+        with H(j,u) != 0, so agent j's copy of x(u) feeds its own update."""
+        for i in rng.permutation(g.n):
+            hood = set(ball(g, int(i), h.width).members)
+            for j, u, _ in h.entries():
+                if j != i and u not in hood:
+                    return int(i), j, u
+        pytest.skip("no vertex outside any ball")
+
+    def test_spgda_agent_ignores_other_agents_slots(self, rng):
+        # one spgda update reads only the agent's own slots: corrupting
+        # agent j's copy of x(u), u outside ball(i), moves x(j) but not x(i)
+        g = random_connected_graph(rng, 30)
+        h = make_spd(rng, g, 1)
+        y = Signal(g, rng.standard_normal(30))
+        i, j, u = self.far_pair(rng, g, h)
+        clean, dirty = SdnNetwork(g, h, y), SdnNetwork(g, h, y)
+        clean.run_spgda(2)
+        dirty.run_spgda(2)
+        dirty._x[slot(dirty, j, u)] += 5.0
+        a, b = clean.run_spgda(1).values, dirty.run_spgda(1).values
+        assert a[i] == b[i]
+        assert a[j] != b[j]
+
+    def test_pgda_output_ignores_slots_outside_ball(self, rng):
+        # a pgda iteration at i hears only v from its ball, so corrupting
+        # the slots of an agent j outside ball(i) cannot reach x(i)
+        g = random_connected_graph(rng, 30)
+        h = make_invertible(rng, g, 1)
+        y = Signal(g, rng.standard_normal(30))
+        i = 0
+        hood = set(ball(g, i, h.width).members)
+        j = next((v for v in range(g.n) if v not in hood), None)
+        if j is None:
+            pytest.skip("graph too dense for an outside agent")
+        nets = [SdnNetwork(g, h, y), SdnNetwork(g, h, y)]
+        for net in nets:
+            net.distributed_preconditioner()
+            net.run_pgda(2)
+        nets[1]._x[slot(nets[1], j, j)] += 5.0
+        a, b = (net.run_pgda(1).values for net in nets)
+        assert a[i] == b[i]
+        assert a[j] != b[j]
+
+    def test_filter_entry_outside_ball_rejected_at_deploy(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        wide = GraphFilter.from_entries(g, {(k, k): 4.0 for k in range(4)}
+                                        | {(0, 2): 1.0, (2, 0): 1.0})
+        lying = GraphFilter(g, wide.csr, _width=1)   # H(0,2) is 2 hops
+        net = SdnNetwork.__new__(SdnNetwork)
+        with pytest.raises(RangeViolationError, match="no message has been sent"):
+            net.__init__(g, lying, Signal(g, np.ones(4)))
+        assert net.total_messages() == 0
+        assert net.rounds == []
+
+
+class TestMatchesReference:
+    """The compiled simulator against the dict-loop reference."""
+
+    @staticmethod
+    def rows(net):
+        return [[(int(s), int(t), r.kind, float(v))
+                 for s, t, v in zip(r.senders, r.receivers, r.values)]
+                for r in net.rounds]
+
+    def check(self, net, ref, x, x_ref):
+        assert np.array_equal(x.values, x_ref)
+        assert [(r.kind, r.count) for r in net.rounds] == \
+            [(kind, count) for kind, count, _ in ref.rounds]
+        assert self.rows(net) == [messages for _, _, messages in ref.rounds]
+        assert [r.index for r in net.rounds] == list(range(len(ref.rounds)))
+        hops = [geodesic_distance(net.graph, s, t)
+                for _, _, messages in ref.rounds for s, t, _, _ in messages]
+        assert net.max_message_distance() == max(hops, default=0)
+
+    def test_random_instances(self, rng):
+        for k in range(12):
+            n = int(rng.integers(2, 31))
+            g = random_connected_graph(rng, n)
+            width = int(rng.integers(1, 3))
+            y = Signal(g, rng.standard_normal(n))
+            M = int(rng.integers(1, 8))
+            h = make_invertible(rng, g, width)
+            comm = h.width + (k % 2) * int(rng.integers(1, 3))
+
+            net = SdnNetwork(g, h, y, comm_range=comm, epoch=k)
+            ref = ReferenceNetwork(g, h, y, comm_range=comm)
+            assert np.array_equal(net.distributed_preconditioner(),
+                                  ref.distributed_preconditioner())
+            self.check(net, ref, net.run_pgda(M), ref.run_pgda(M))
+            assert {r.epoch for r in net.rounds} == {k}
+
+            hs = make_spd(rng, g, width)
+            net_s = SdnNetwork(g, hs, y, comm_range=comm)
+            ref_s = ReferenceNetwork(g, hs, y, comm_range=comm)
+            self.check(net_s, ref_s, net_s.run_spgda(M), ref_s.run_spgda(M))
+            assert np.array_equal(
+                [a.p_value for a in net_s.agents], ref_s.p)
+
+    def test_log_off_keeps_counts(self, rng):
+        g = random_connected_graph(rng, 15)
+        h = make_invertible(rng, g, 2)
+        y = Signal(g, rng.standard_normal(15))
+        quiet = SdnNetwork(g, h, y, log_messages=False)
+        loud = SdnNetwork(g, h, y)
+        for net in (quiet, loud):
+            net.distributed_preconditioner()
+            net.run_pgda(3)
+        assert [r.count for r in quiet.rounds] == [r.count for r in loud.rounds]
+        assert all(len(r.values) == 0 for r in quiet.rounds)
+        assert np.array_equal(quiet.gather().values, loud.gather().values)
