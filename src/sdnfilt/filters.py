@@ -162,11 +162,15 @@ class GraphFilter:
     def row_abs_sums(self) -> np.ndarray:
         """Per-row sum of absolute values; each row summed over its own
         stored-entry array so a local agent holding the same array gets the
-        identical float."""
-        indptr, data = self.csr.indptr, self.csr.data
+        identical float. Rows of equal length are gathered into one 2-D
+        block; summing it along axis 1 runs numpy's pairwise sum per row,
+        in the same order as on the row alone."""
+        indptr, data = self.csr.indptr, np.abs(self.csr.data)
+        lengths = np.diff(indptr)
         out = np.zeros(self.graph.n)
-        for i in range(self.graph.n):
-            out[i] = np.abs(data[indptr[i]:indptr[i + 1]]).sum()
+        for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
+            rows = np.flatnonzero(lengths == length)
+            out[rows] = data[indptr[rows, None] + np.arange(length)].sum(axis=1)
         return out
 
     def col_abs_sums(self) -> np.ndarray:

@@ -109,22 +109,9 @@ class Graph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = bytearray(self.n)
-        seen[0] = 1
-        frontier = [0]
-        count = 1
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        count += 1
-                        nxt.append(w)
-            frontier = nxt
-        return count == self.n
+        heads = np.repeat(np.arange(self.n), self.degrees())
+        tails = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
+        return self.n > 0 and _is_connected(self.n, heads, tails)
 
     def validate_vertex(self, i: int) -> int:
         i = int(i)
@@ -216,33 +203,71 @@ def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
     return cached
 
 
+def _close_pairs(pts: np.ndarray, radius: float):
+    """Arrays (i, j) of every unordered pair of points in [0,1)^2 with
+    dist2 <= radius * radius, each pair once, in O(n + candidates) memory.
+
+    Points are binned into m x m square cells of side at least
+    radius * (1 + 1e-12) + 1e-15, so that no rounding puts a kept pair two
+    cells apart, and sorted by cell key cx * (m + 1) + cy; m is capped so
+    that keys fit in int64. A point's candidates are two runs of that
+    order: the later points of its own column up to cell cy+1, and cells
+    cy-1..cy+1 of the next column. The unused key cy = m ends each column.
+    """
+    m = int(min(max(1.0 / (radius * (1 + 1e-12) + 1e-15), 1.0), 2.0 ** 31))
+    cx, cy = np.minimum((pts * m).astype(np.int64), m - 1).T
+    key = cx * (m + 1) + cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lo = np.concatenate((np.arange(1, len(key) + 1), np.searchsorted(key, key + m)))
+    hi = np.searchsorted(key, np.concatenate((key + 1, key + m + 2)), side="right")
+    counts = hi - lo
+    i = np.repeat(np.concatenate((order, order)), counts)
+    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(i))]
+    d = pts[i] - pts[j]
+    keep = np.einsum("ij,ij->i", d, d) <= radius * radius
+    return i[keep], j[keep]
+
+
+def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the n vertices and undirected edges (i[k], j[k]) form one
+    component: min-label propagation with pointer jumping. Every label
+    points at a smaller or equal vertex, so jumping ends at roots."""
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        if np.array_equal(li, lj):
+            return bool((label == 0).all())
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
 def random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:
     """Random geometric graph on [0,1]^2 with the closed edge rule
     dist(i, j) <= radius.
 
     Points are drawn i.i.d. uniform; disconnected draws are retried with
     sub-seeds derived from (rng_seed, attempt) up to RGG_MAX_ATTEMPTS, and
-    the accepted (rng_seed, attempt) pair is recorded on the graph.
+    the accepted (rng_seed, attempt) pair is recorded on the graph. A draw
+    with an isolated vertex or two components is rejected from its pair
+    arrays, before any Graph is built.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     for attempt in range(RGG_MAX_ATTEMPTS):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(attempt,))
         )
         pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ii, jj = np.nonzero(dist2 <= radius * radius)
-        edges = [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
-        try:
+        i, j = _close_pairs(pts, radius)
+        if np.bincount(np.concatenate((i, j)), minlength=n).min() > 0 \
+                and _is_connected(n, i, j):
             return Graph.from_edges(
-                n, edges, coordinates=pts, generator_seed=(int(rng_seed), attempt)
+                n, zip(i, j), coordinates=pts, generator_seed=(int(rng_seed), attempt)
             )
-        except GenerationError:
-            continue
     raise GenerationError(
         f"no connected random geometric graph with n={n}, radius={radius} "
         f"after {RGG_MAX_ATTEMPTS} attempts (seed {rng_seed})"

@@ -22,7 +22,7 @@ from .filters import (
     power_spectral_radius,
     schur_norm,
 )
-from .graphs import ball
+from .graphs import hop_matrix
 
 __all__ = [
     "build_pgda_preconditioner",
@@ -51,10 +51,8 @@ def build_pgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
         raise ValueError("cannot precondition an all-zero filter")
     d = local_degrees(h)
     g = h.graph
-    p = np.zeros(g.n)
-    for i in range(g.n):
-        members = ball(g, i, h.width).members
-        p[i] = d[list(members)].max()
+    ball = hop_matrix(g, h.width)
+    p = np.maximum.reduceat(d[ball.indices], ball.indptr[:-1])
     if p.min() <= 0.0:
         bad = int(np.argmin(p))
         raise ValueError(

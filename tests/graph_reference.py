@@ -1,0 +1,54 @@
+"""Reference random geometric graph generator for the tests: the dense
+O(n^2) form of sdnfilt.graphs.random_geometric_graph.
+
+Every attempt builds the full n x n x 2 difference tensor, keeps each pair
+i < j whose squared distance is <= radius * radius, and checks connectivity
+with a breadth-first search before it builds a Graph. The grid generator
+must agree with it on adjacency, coordinates and generator_seed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sdnfilt.graphs import RGG_MAX_ATTEMPTS, GenerationError, Graph
+
+
+def dense_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, with dist2 <= radius * radius, sorted."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    ii, jj = np.nonzero(dist2 <= radius * radius)
+    return [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
+
+
+def bfs_connected(n: int, edges) -> bool:
+    """Whether vertex 0 reaches all n vertices over the undirected edges."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(seen) == n
+
+
+def dense_random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:
+    for attempt in range(RGG_MAX_ATTEMPTS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=rng_seed, spawn_key=(attempt,))
+        )
+        pts = rng.random((n, 2))
+        edges = dense_pairs(pts, radius)
+        if bfs_connected(n, edges):
+            return Graph.from_edges(n, edges, coordinates=pts,
+                                    generator_seed=(int(rng_seed), attempt))
+    raise GenerationError(f"no connected graph after {RGG_MAX_ATTEMPTS} attempts")

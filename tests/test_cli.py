@@ -26,6 +26,21 @@ class TestGenGraph:
                    (line.split(",") for line in edges[1:]))
         assert os.path.exists(os.path.join(out, "points.csv"))
 
+    def test_nan_radius_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "g")
+        rc = main(["gen-graph", "--kind", "rgg", "--n", "512", "--radius", "nan",
+                   "--out", out])
+        assert rc == 2
+        assert "radius must be > 0, got nan" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_infinite_radius_complete_graph(self, tmp_path):
+        out = str(tmp_path / "g")
+        rc = main(["gen-graph", "--kind", "rgg", "--n", "6", "--radius", "inf",
+                   "--out", out])
+        assert rc == 0
+        assert len(open(os.path.join(out, "edges.csv")).read().splitlines()) == 16
+
     def test_knn_from_points(self, tmp_path):
         coords, values = synthetic_points(25, rng_seed=8)
         pts = str(tmp_path / "pts.csv")
@@ -83,6 +98,14 @@ class TestRun:
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,
                            iterations=5)
         assert main(["run", "--config", cfg]) == 2
+
+    def test_nan_radius_in_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=512, radius=float("nan"),
+                           trials=1, iterations=5)
+        assert "NaN" in open(cfg).read()
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "radius must be > 0, got nan" in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

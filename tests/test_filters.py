@@ -82,6 +82,28 @@ class TestGraphFilterBasics:
         h = GraphFilter.from_entries(path3(), {(1, 2): 1.0, (1, 0): 2.0, (0, 0): 3.0})
         assert [(i, j) for i, j, _ in h.entries()] == [(0, 0), (1, 0), (1, 2)]
 
+    def test_row_abs_sums_bit_identical_to_per_row_sums(self):
+        # numpy's pairwise summation changes order at 8 and at 128 entries;
+        # values spread over 16 decades make any change of order visible
+        g = random_geometric_graph(300, float("inf"), rng_seed=0)
+        rng = np.random.default_rng(21)
+        lengths = [0, 1, 2, 5, 7, 8, 9, 15, 16, 17, 100, 127, 128, 129, 130,
+                   200, 255, 256, 257, 300]
+        for _ in range(5):
+            rows, cols, vals = [], [], []
+            for i in range(g.n):
+                k = int(rng.choice(lengths))
+                rows += [i] * k
+                cols += sorted(rng.choice(g.n, size=k, replace=False).tolist())
+                vals += (rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)).tolist()
+            h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))),
+                            _width=1)
+            indptr, data = h.csr.indptr, h.csr.data
+            expected = np.array([np.abs(data[indptr[i]:indptr[i + 1]]).sum()
+                                 for i in range(g.n)])
+            assert np.array_equal(h.row_abs_sums().view(np.int64),
+                                  expected.view(np.int64))
+
 
 class TestApply:
     def test_identity(self, rng):

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from sdnfilt.graphs import (
     GenerationError,
     Graph,
+    _close_pairs,
+    _is_connected,
     ball,
     geodesic_distance,
     knn_graph,
@@ -12,6 +14,7 @@ from sdnfilt.graphs import (
 )
 
 from conftest import random_connected_graph
+from graph_reference import bfs_connected, dense_pairs, dense_random_geometric_graph
 
 
 def path3():
@@ -152,11 +155,133 @@ class TestRandomGeometricGraph:
         with pytest.raises(GenerationError, match="64 attempts"):
             random_geometric_graph(50, 1e-6, rng_seed=0)
 
+    def test_tiny_radius_exhausts_attempts(self):
+        # 1e12 cells per axis would overflow int64 cell keys without a cap
+        with pytest.raises(GenerationError, match="64 attempts"):
+            random_geometric_graph(50, 1e-12, rng_seed=0)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             random_geometric_graph(1, 0.5, rng_seed=0)
         with pytest.raises(ValueError):
             random_geometric_graph(5, 0.0, rng_seed=0)
+        with pytest.raises(ValueError, match="radius must be > 0, got nan"):
+            random_geometric_graph(5, float("nan"), rng_seed=0)
+
+    def test_infinite_radius_gives_complete_graph(self):
+        g = random_geometric_graph(7, float("inf"), rng_seed=2)
+        assert g.num_edges() == 21
+        assert g.generator_seed == (2, 0)
+
+    def test_fig1_graph_pinned(self):
+        from sdnfilt.scenarios import generate_run_graph
+
+        g = generate_run_graph(512, float(np.sqrt(2.0 / 512)), master_seed=777016)
+        assert g.generator_seed == (1077016, 35)
+        assert g.num_edges() == 1507
+
+    @pytest.mark.parametrize("n,radius,seed", [
+        (2, 0.5, 0), (2, 1.0, 1), (2, 3.0, 2), (2, float("inf"), 3),
+        (3, 0.9, 4), (10, 0.45, 5), (25, 0.3, 6), (40, 0.35, 7),
+        (60, 0.25, 8), (100, 0.2, 9), (100, 1.0, 10), (150, 0.16, 11),
+        (200, 0.12, 12), (300, 0.1, 13), (64, float(np.sqrt(2.0 / 64)), 14),
+        (30, float("inf"), 15), (50, 1e-12, 16), (80, 0.05, 17),
+    ])
+    def test_matches_dense_reference(self, n, radius, seed):
+        try:
+            expected = dense_random_geometric_graph(n, radius, seed)
+        except GenerationError:
+            with pytest.raises(GenerationError, match="64 attempts"):
+                random_geometric_graph(n, radius, seed)
+            return
+        g = random_geometric_graph(n, radius, seed)
+        assert g.adjacency == expected.adjacency
+        assert np.array_equal(g.coordinates, expected.coordinates)
+        assert g.generator_seed == expected.generator_seed
+
+
+class TestClosePairs:
+    @staticmethod
+    def pairs(pts, radius):
+        i, j = _close_pairs(np.asarray(pts, dtype=np.float64), radius)
+        found = sorted((min(a, b), max(a, b)) for a, b in zip(i.tolist(), j.tolist()))
+        assert len(set(found)) == len(found)        # each pair once
+        return found
+
+    def test_matches_dense_on_random_points(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(2, 300))
+            radius = float(np.exp(rng.uniform(np.log(0.01), np.log(2.0))))
+            pts = rng.random((n, 2))
+            if rng.random() < 0.3:      # a lattice: many equal x and y values
+                pts = rng.integers(0, 12, size=(n, 2)) / 12.0
+            assert self.pairs(pts, radius) == dense_pairs(pts, radius)
+
+    def test_pair_at_exactly_radius_kept(self):
+        # dyadic coordinates: dist2 is exactly radius**2 in floating point
+        pts = [(0.25, 0.5), (0.25, 0.75), (0.125, 0.125), (0.375, 0.125),
+               (0.625, 0.625), (0.8125, 0.875)]
+        assert self.pairs(pts, 0.25) == [(0, 1), (2, 3)]
+        # a 3-4-5 triangle across diagonal cells
+        assert self.pairs(pts, 0.3125) == [(0, 1), (2, 3), (4, 5)]
+        beyond = np.nextafter(0.25, 0.0)
+        assert self.pairs(pts, beyond) == dense_pairs(np.array(pts), beyond) == []
+
+    def test_equal_coordinates(self):
+        pts = [(0.5, 0.1), (0.5, 0.2), (0.5, 0.9), (0.1, 0.2), (0.3, 0.2),
+               (0.3, 0.2), (0.0, 0.0), (0.0, 0.0)]
+        for radius in (0.05, 0.1, 0.2, 0.45, 1.0, float("inf")):
+            assert self.pairs(pts, radius) == dense_pairs(np.array(pts), radius)
+
+    def test_tiny_radius_near_the_corner(self):
+        top = np.nextafter(1.0, 0.0)
+        pts = [(top, top), (top - 5e-13, top), (0.5, 0.5), (top, 0.0)]
+        assert self.pairs(pts, 1e-12) == [(0, 1)]
+
+    def test_tiny_radius_keys_do_not_wrap(self):
+        # Without its cap, radius 1e-12 would give m ~ 1e12 cells per axis,
+        # and the key cx * (m + 1) + cy would pass 2**63 - 1 between the
+        # two cells of this close pair.
+        m = int(1.0 / (1e-12 * (1 + 1e-12) + 1e-15))
+        cx, cy = divmod(2**63 - 1, m + 1)
+        assert cy + 1 < m
+        x = (cx + 0.5) / m
+        pts = [(x, (cy + 0.9) / m), (x, (cy + 1.1) / m), (0.5, 0.5)]
+        assert self.pairs(pts, 1e-12) == [(0, 1)]
+
+    def test_large_radius_gives_every_pair(self):
+        pts = np.random.default_rng(3).random((9, 2))
+        for radius in (1.5, float("inf")):
+            assert len(self.pairs(pts, radius)) == 36
+
+
+class TestIsConnected:
+    def test_matches_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, 2 * n))
+            i, j = rng.integers(0, n, size=(2, m))
+            keep = i != j
+            i, j = i[keep], j[keep]
+            expected = bfs_connected(n, zip(i.tolist(), j.tolist()))
+            assert _is_connected(n, i, j) == expected
+
+    def test_isolated_vertex(self):
+        i, j = np.array([0, 1, 2]), np.array([1, 2, 0])
+        assert not _is_connected(4, i, j)
+        assert _is_connected(3, i, j)
+
+    def test_two_components(self):
+        # a path 5-4-3 and a path 2-1-0 in descending labels
+        i, j = np.array([5, 4, 2, 1]), np.array([4, 3, 1, 0])
+        assert not _is_connected(6, i, j)
+        assert _is_connected(6, np.append(i, 3), np.append(j, 2))
+
+    def test_graph_method(self):
+        assert path3().is_connected()
+        assert Graph.from_edges(1, []).is_connected()
 
 
 class TestKnnGraph:
