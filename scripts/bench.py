@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Compare a base revision with the working tree on one perfbench workload.
+
+    python3 scripts/bench.py --label NAME --workload fig1-central \
+        --base HEAD --seeds 101-110 [--seconds 10] [--out BENCH_NAME.json]
+
+Both sides are copied into one temporary directory: the base revision by
+`git archive`, the working tree with its uncommitted changes (the tracked
+and untracked files git does not ignore). For each seed, `perfbench/run.py
+--trace 0` runs once on each copy, the two alternating which side goes
+first, so a drift of the host hits both sides alike. Each side runs its own
+perfbench/, with the same arguments.
+
+The result file holds every run's end-to-end metrics, each side's median
+and quartiles per metric, how many pairs the change won (ties count for
+neither side), the base and head commits with a digest of each side's
+src/, and the environment perfbench reported.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args, **kw):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          **kw).stdout
+
+
+def export_base(rev, dst):
+    os.makedirs(dst)
+    archive = git("archive", "--format=tar", rev)
+    subprocess.run(["tar", "-x", "-C", dst], input=archive, check=True)
+
+
+def export_worktree(dst):
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.decode().split("\0")):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):  # a tracked file deleted in the tree is skipped
+            os.makedirs(os.path.dirname(os.path.join(dst, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dst, name))
+
+
+def src_digest(tree):
+    digest = hashlib.sha256()
+    src = os.path.join(tree, "src")
+    for dirpath, dirnames, filenames in sorted(os.walk(src)):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(f for f in filenames if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(path, src).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def run_side(tree, workload, seed, seconds):
+    """One perfbench run; returns its result line and reported environment."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, timeout=seconds + 300)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench failed in {tree}:\n{proc.stderr[-2000:]}")
+    env = None
+    for line in proc.stderr.splitlines():
+        if line.startswith("{"):
+            env = json.loads(line).get("environment")
+    return json.loads(lines[-1]), env
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--base", default="HEAD", help="git revision to compare with")
+    parser.add_argument("--seeds", default="1-10", help="e.g. 101-110 or 1,5,9")
+    parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    work = tempfile.mkdtemp(prefix="sdnfilt-bench-")
+    trees = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
+    pairs, environment = [], None
+    try:
+        export_base(args.base, trees["base"])
+        export_worktree(trees["change"])
+        for i, seed in enumerate(seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                line, env = run_side(trees[side], args.workload, seed, args.seconds)
+                environment = environment or env
+                pair[side] = {"correct": line["correct"], "attempted": line["attempted"],
+                              "failed": line["failed"],
+                              "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+            pairs.append(pair)
+            print(json.dumps(pair), file=sys.stderr)
+        digests = {side: src_digest(tree) for side, tree in trees.items()}
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    summary = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        deltas = [sign * (p["change"]["metrics"][name] - p["base"]["metrics"][name])
+                  for p in pairs]
+        summary[name] = {
+            "better": direction,
+            "base": quartiles([p["base"]["metrics"][name] for p in pairs]),
+            "change": quartiles([p["change"]["metrics"][name] for p in pairs]),
+            "change_wins": sum(d > 0 for d in deltas),
+            "base_wins": sum(d < 0 for d in deltas),
+        }
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    result = {
+        "label": args.label,
+        "workload": args.workload,
+        "seeds": seeds,
+        "seconds": args.seconds,
+        "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
+                 "src_sha256": digests["base"]},
+        "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
+                   "uncommitted_changes": dirty, "src_sha256": digests["change"]},
+        "all_correct": all(p[s]["correct"] and not p[s]["failed"]
+                           for p in pairs for s in ("base", "change")),
+        "environment": environment,
+        "summary": summary,
+        "pairs": pairs,
+    }
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(out, "w") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for name, s in summary.items():
+        print(f"{name}: base {s['base']['median']:.4g} [{s['base']['q1']:.4g}-"
+              f"{s['base']['q3']:.4g}] -> change {s['change']['median']:.4g} "
+              f"[{s['change']['q1']:.4g}-{s['change']['q3']:.4g}], change won "
+              f"{s['change_wins']}/{len(pairs)}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,11 +7,11 @@ from .filters import (
     Signal,
     SingularValues,
     SpectralEstimate,
-    SymmetricOperator,
     apply,
     build_denoise_filter,
     build_fig1_filter,
     compose,
+    extreme_eigenvalue,
     extreme_singular_values,
     geodesic_width,
     laplacians,

@@ -10,9 +10,12 @@ and lets the vertex-level simulator reproduce it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                  aslinearoperator, eigsh, splu)
 
 from .graphs import Graph, hop_levels, hop_matrix
 
@@ -20,7 +23,6 @@ __all__ = [
     "Signal",
     "GraphFilter",
     "DiagonalPreconditioner",
-    "SymmetricOperator",
     "SpectralEstimate",
     "SingularValues",
     "apply",
@@ -28,6 +30,7 @@ __all__ = [
     "schur_norm",
     "compose",
     "laplacians",
+    "extreme_eigenvalue",
     "power_spectral_radius",
     "extreme_singular_values",
     "build_fig1_filter",
@@ -77,6 +80,7 @@ class GraphFilter:
         self.csr = m
         self.width = _width if _width is not None else _entries_width(graph, m)
         self._transpose: GraphFilter | None = None
+        self._lu = None
 
     # ---- constructors -------------------------------------------------
 
@@ -123,6 +127,17 @@ class GraphFilter:
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
+    def lu(self):
+        """Sparse LU factor (SuperLU, partial pivoting), computed once per
+        filter. A zero pivot raises LinAlgError."""
+        if self._lu is None:
+            try:
+                self._lu = splu(self.csr.tocsc())
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise np.linalg.LinAlgError(f"filter is singular to working "
+                                            f"precision (zero pivot: {exc})") from None
+        return self._lu
+
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
@@ -159,19 +174,23 @@ class GraphFilter:
         # width recomputed: scaling can underflow an entry to exact zero
         return GraphFilter(self.graph, self.csr * float(alpha))
 
-    def row_abs_sums(self) -> np.ndarray:
-        """Per-row sum of absolute values; each row summed over its own
-        stored-entry array so a local agent holding the same array gets the
-        identical float. Rows of equal length are gathered into one 2-D
-        block; summing it along axis 1 runs numpy's pairwise sum per row,
-        in the same order as on the row alone."""
-        indptr, data = self.csr.indptr, np.abs(self.csr.data)
+    def row_sums(self, data: np.ndarray) -> np.ndarray:
+        """Per-row sums of `data`, an array aligned with the stored entries;
+        each row summed over its own entry array, so a local agent holding
+        the same array gets the identical float. Rows of equal length are
+        gathered into one 2-D block; summing it along axis 1 runs numpy's
+        pairwise sum per row, in the same order as on the row alone."""
+        indptr = self.csr.indptr
         lengths = np.diff(indptr)
         out = np.zeros(self.graph.n)
         for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
             rows = np.flatnonzero(lengths == length)
             out[rows] = data[indptr[rows, None] + np.arange(length)].sum(axis=1)
         return out
+
+    def row_abs_sums(self) -> np.ndarray:
+        """Per-row sum of absolute values, as `row_sums` adds them."""
+        return self.row_sums(np.abs(self.csr.data))
 
     def col_abs_sums(self) -> np.ndarray:
         return self.transpose().row_abs_sums()
@@ -202,23 +221,6 @@ class DiagonalPreconditioner:
         self.diag = np.asarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.graph.n,):
             raise ValueError("diagonal length does not match vertex count")
-
-    def max(self) -> float:
-        return float(self.diag.max())
-
-    def min(self) -> float:
-        return float(self.diag.min())
-
-
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Matrix-free symmetric linear operator on length-n vectors."""
-
-    n: int
-    matvec: callable
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec(v)
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,6 @@ def geodesic_width(entries, g: Graph) -> int:
 
 def schur_norm(h: GraphFilter) -> float:
     """max(max absolute row sum, max absolute column sum)."""
-    if h.nnz == 0:
-        return 0.0
     return float(max(h.row_abs_sums().max(), h.col_abs_sums().max()))
 
 
@@ -289,17 +289,13 @@ def laplacians(g: Graph):
             f"vertex {int(np.argmin(deg))} is isolated; Laplacian normalization "
             "requires positive degrees"
         )
-    rows, cols, lvals, svals = [], [], [], []
-    for i in range(g.n):
-        rows.append(i)
-        cols.append(i)
-        lvals.append(float(deg[i]))
-        svals.append(1.0)
-        for j in g.adjacency[i]:
-            rows.append(i)
-            cols.append(j)
-            lvals.append(-1.0)
-            svals.append(-1.0 / np.sqrt(float(deg[i] * deg[j])))
+    tails = np.repeat(np.arange(g.n), deg)
+    heads = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64)
+    rows = np.concatenate([np.arange(g.n), tails])
+    cols = np.concatenate([np.arange(g.n), heads])
+    lvals = np.concatenate([deg.astype(np.float64), np.full(len(tails), -1.0)])
+    svals = np.concatenate([np.ones(g.n),
+                            -1.0 / np.sqrt((deg[tails] * deg[heads]).astype(np.float64))])
     shape = (g.n, g.n)
     lap = GraphFilter(g, sparse.coo_matrix((lvals, (rows, cols)), shape=shape),
                       _width=1)
@@ -315,12 +311,12 @@ def laplacians(g: Graph):
 # ---------------------------------------------------------------------------
 
 
-def _as_operator(m) -> SymmetricOperator:
+def _as_operator(m):
+    """(n, matvec) of a GraphFilter or of anything aslinearoperator accepts."""
     if isinstance(m, GraphFilter):
-        return SymmetricOperator(n=m.graph.n, matvec=m.matvec)
-    if isinstance(m, SymmetricOperator):
-        return m
-    raise TypeError(f"expected GraphFilter or SymmetricOperator, got {type(m)}")
+        return m.graph.n, m.matvec
+    op = aslinearoperator(m)
+    return op.shape[0], op.matvec
 
 
 def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
@@ -328,79 +324,87 @@ def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
         np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,))
     )
     v = rng.standard_normal(n)
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 0 else np.full(n, 1.0 / np.sqrt(n))
+    return v / np.linalg.norm(v)
 
 
-def power_spectral_radius(
-    m,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    rng_seed: int = 0,
-) -> SpectralEstimate:
-    """Largest absolute eigenvalue of a symmetric operator by power iteration.
+def extreme_eigenvalue(m, which: str, tol: float = 1e-10, max_iter: int = 5000,
+                       rng_seed: int = 0) -> SpectralEstimate:
+    """Eigenvalue of a symmetric operator that is largest in magnitude
+    (which="LM") or smallest (which="SA"), by ARPACK's implicitly restarted
+    Lanczos method.
 
-    The estimate at each step is ||A v|| for the current unit vector v,
-    i.e. the square root of the Rayleigh quotient of A^2; for a symmetric
-    operator this converges to the spectral radius even when the extreme
-    eigenvalues come in +/- pairs. Convergence is declared when successive
-    estimates differ by less than tol. If the estimate starts out stuck at
-    zero the iteration restarts once from a fresh vector.
+    The start vector and ARPACK's restart stream are seeded by rng_seed,
+    so reruns are bit-identical. `iterations` counts operator applications.
+    `converged` means ARPACK's test ||A v - lambda v|| <= tol |lambda|
+    passed within max_iter restarts; if it did not, the value is the best
+    bound seen on the applied vectors: the largest |A v|/|v| for "LM", the
+    smallest Rayleigh quotient for "SA". A start vector that the operator
+    annihilates is replaced once by a fresh one; if that one is annihilated
+    too, the operator is taken as zero.
     """
-    op = _as_operator(m)
-    if op.n == 0:
-        return SpectralEstimate(0.0, 0, True)
-    total_iters = 0
-    for stream in (0, 1):  # one restart on a zero start
-        v = _start_vector(op.n, rng_seed, stream)
-        prev = np.inf
-        for it in range(1, max_iter + 1):
-            w = op(v)
-            est = float(np.linalg.norm(w))
-            total_iters += 1
-            if est == 0.0:
-                break  # v is (numerically) in the kernel; restart or accept 0
-            if abs(est - prev) < tol:
-                return SpectralEstimate(est, total_iters, True)
-            prev = est
-            v = w / est
-        else:
-            return SpectralEstimate(prev, total_iters, False)
-    return SpectralEstimate(0.0, total_iters, True)
+    n, matvec = _as_operator(m)
+    bounds = []  # one per application, as described above
+
+    def counted(v):
+        w = matvec(v)
+        vv = v @ v
+        bounds.append(float(np.sqrt(w @ w / vv) if which == "LM" else v @ w / vv))
+        return w
+
+    if n == 1:  # eigsh needs k < n; a 1x1 operator is its own eigenvalue
+        counted(np.ones(1))
+        return SpectralEstimate(bounds[0], 1, True)
+    for stream in (0, 1):
+        v0 = _start_vector(n, rng_seed, stream)
+        if counted(v0).any():
+            break
+    else:
+        return SpectralEstimate(0.0, len(bounds), True)
+    try:
+        (value,) = eigsh(LinearOperator((n, n), matvec=counted, dtype=np.float64),
+                         k=1, which=which, v0=v0, tol=tol, maxiter=max_iter,
+                         rng=rng_seed, return_eigenvectors=False)
+        converged = True
+    except ArpackNoConvergence:
+        value, converged = (max(bounds) if which == "LM" else min(bounds)), False
+    value = abs(float(value)) if which == "LM" else float(value)
+    return SpectralEstimate(value, len(bounds), converged)
 
 
-def extreme_singular_values(
-    h: GraphFilter,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-    rng_seed: int = 0,
-) -> SingularValues:
-    """Largest and smallest singular values of a filter, inverse-free.
+def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
+                          rng_seed: int = 0) -> SpectralEstimate:
+    """Spectral radius of a symmetric operator (a GraphFilter or anything
+    `aslinearoperator` accepts): `extreme_eigenvalue` with which="LM"."""
+    return extreme_eigenvalue(m, "LM", tol=tol, max_iter=max_iter, rng_seed=rng_seed)
 
-    sigma_max^2 is the top eigenvalue of H^T H by power iteration;
-    sigma_min^2 is recovered from a shifted power iteration on
-    sigma_max^2 I - H^T H, so no factorization or inverse is needed.
+
+def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 20000,
+                            rng_seed: int = 0) -> SingularValues:
+    """Largest and smallest singular values of a filter.
+
+    sigma_max^2 is the top eigenvalue of H^T H. sigma_min^2 is the
+    reciprocal of the top eigenvalue of (H^T H)^{-1} = H^{-1} H^{-T},
+    applied through the filter's cached LU factor. A filter that is
+    singular to working precision has sigma_min = 0.
     """
+    n = h.graph.n
     ht = h.transpose()
-    gram = SymmetricOperator(
-        n=h.graph.n, matvec=lambda v: ht.matvec(h.matvec(v))
-    )
-    top = power_spectral_radius(gram, tol=tol, max_iter=max_iter,
-                                rng_seed=rng_seed)
-    smax2 = top.value
-    if smax2 == 0.0:
+    gram = LinearOperator((n, n), matvec=lambda v: ht.matvec(h.matvec(v)),
+                          dtype=np.float64)
+    top = power_spectral_radius(gram, tol=tol, max_iter=max_iter, rng_seed=rng_seed)
+    if top.value == 0.0:
         return SingularValues(0.0, 0.0, top.converged)
-    shifted = SymmetricOperator(
-        n=h.graph.n, matvec=lambda v: smax2 * v - gram.matvec(v)
-    )
-    gap = power_spectral_radius(shifted, tol=tol * smax2, max_iter=max_iter,
-                                rng_seed=rng_seed + 1)
-    smin2 = max(smax2 - gap.value, 0.0)
-    return SingularValues(
-        sigma_max=float(np.sqrt(smax2)),
-        sigma_min=float(np.sqrt(smin2)),
-        converged=top.converged and gap.converged,
-    )
+    sigma_max = float(np.sqrt(top.value))
+    try:
+        lu = h.lu()
+    except np.linalg.LinAlgError:
+        return SingularValues(sigma_max, 0.0, top.converged)
+    inverse_gram = LinearOperator(
+        (n, n), matvec=lambda v: lu.solve(lu.solve(v, trans="T")), dtype=np.float64)
+    bottom = power_spectral_radius(inverse_gram, tol=tol, max_iter=max_iter,
+                                   rng_seed=rng_seed + 1)
+    sigma_min = float(1.0 / np.sqrt(bottom.value)) if bottom.value > 0 else 0.0
+    return SingularValues(sigma_max, sigma_min, top.converged and bottom.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +424,7 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
     """
     if g.coordinates is None:
         raise ValueError("graph has no coordinates; the kernel needs positions")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     pts = g.coordinates
     two_hop = hop_matrix(g, 2)        # pairs row-major, columns ascending
@@ -445,7 +449,7 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
 def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
     """Smoothing-penalty filter I + alpha * L_sym; symmetric positive
     definite with width 1 for alpha > 0 (width 0 at alpha = 0)."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0.0:
         return GraphFilter.identity(g)

@@ -118,6 +118,7 @@ class ScenarioConfig:
     roundlog: bool = False
 
     def __post_init__(self):
+        self._check_numbers()
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
@@ -128,12 +129,6 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         if self.scenario == "denoise" and self.points_csv is None:
             raise ConfigError("denoise scenario needs points_csv (id,x,y,value)")
         if self.scenario == "custom":
@@ -146,6 +141,30 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"distributed execution only supports pgda and spgda, got {bad}"
                 )
+
+    def _check_numbers(self) -> None:
+        """Type and range of every numeric field. Comparisons are written so
+        that NaN fails them; only `radius` may be infinite (a complete
+        graph)."""
+        for key, low in (("n", 1), ("k", 1), ("iterations", 1), ("trials", 1),
+                         ("epochs", 1), ("master_seed", 0), ("comm_range", 0)):
+            value = getattr(self, key)
+            if key == "comm_range" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if not value >= low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        for key in ("radius", "gamma", "eta", "alpha"):
+            value = getattr(self, key)
+            if key == "radius" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+            if key == "radius" and not value > 0:
+                raise ConfigError(f"radius must be > 0, got {value}")
+            if key != "radius" and not 0 <= value < float("inf"):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -183,6 +202,7 @@ class TrialAggregate:
     limit_snr: float | None = None
     diverged: dict = field(default_factory=dict)
     condition_numbers: list = field(default_factory=list)
+    spectral_unconverged: dict = field(default_factory=dict)
     graph_info: dict = field(default_factory=dict)
     message_totals: dict = field(default_factory=dict)
     epoch_rows: list = field(default_factory=list)       # time_varying only
@@ -212,7 +232,7 @@ def blockwise_polynomial(g: Graph) -> Signal:
 
 def add_uniform_noise(x: Signal, eta: float, rng_seed: int) -> Signal:
     """Componentwise x + u with u i.i.d. uniform on [-eta, eta]."""
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         return x.copy()
@@ -334,18 +354,26 @@ class _MethodRuns:
         self.trials = 0
         self.curves = {m: [] for m in cfg.methods}
         self.radii = {m: [] for m in cfg.methods}
+        self.unconverged = {"radius": dict.fromkeys(cfg.methods, 0),
+                            "singular_values": 0}
         self.diverged = {m: 0 for m in cfg.methods}
         self.messages = {m: 0 for m in cfg.methods}
         self.rounds = []
 
     def prepare(self, h: GraphFilter) -> MethodParams:
-        """Prepare every method for h and record the spectral radius of its
-        iteration matrix."""
+        """Prepare every method for h, with the extreme singular values, and
+        record the spectral radius of each iteration matrix. Every estimate
+        that missed its tolerance is counted in `unconverged`."""
         params = MethodParams()
         for m in self.cfg.methods:
             prepare_params(h, m, params)
-            op = iteration_matrix(h, m, params)
-            self.radii[m].append(power_spectral_radius(op, tol=1e-9, max_iter=3000).value)
+            est = power_spectral_radius(iteration_matrix(h, m, params), tol=1e-9,
+                                        max_iter=3000)
+            self.radii[m].append(est.value)
+            self.unconverged["radius"][m] += not est.converged
+        if params.singular_values is None:
+            params.singular_values = extreme_singular_values(h)
+        self.unconverged["singular_values"] += not params.singular_values.converged
         return params
 
     def trial(self, graph: Graph, h: GraphFilter, y: Signal,
@@ -389,6 +417,7 @@ class _MethodRuns:
             curves={m: np.mean(np.array(rows), axis=0).tolist() if rows else []
                     for m, rows in self.curves.items()},
             mean_spectral_radius={m: float(np.mean(r)) for m, r in self.radii.items()},
+            spectral_unconverged=self.unconverged,
             diverged=self.diverged,
             graph_info=graph_info,
             message_totals=self.messages,
@@ -422,7 +451,7 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
             graph, cfg.gamma, _stream_seed(cfg.master_seed, trial, _STREAM_FILTER)
         )
         params = runs.prepare(h)
-        sv = params.singular_values or extreme_singular_values(h)
+        sv = params.singular_values
         kappas.append(float(sv.sigma_max / sv.sigma_min))
 
         x = add_uniform_noise(
@@ -578,6 +607,7 @@ def emit_outputs(agg: TrialAggregate, out_dir: str) -> list[str]:
         "limit_snr": agg.limit_snr,
         "diverged": agg.diverged,
         "condition_numbers": agg.condition_numbers,
+        "spectral_unconverged": agg.spectral_unconverged,
         "graph": agg.graph_info,
         "message_totals": agg.message_totals,
         "config": agg.config_echo,

@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sparse
+from scipy.sparse.linalg import LinearOperator
 
 from .filters import (
     DiagonalPreconditioner,
     GraphFilter,
     Signal,
     SingularValues,
-    SymmetricOperator,
     extreme_singular_values,
 )
 from .preconditioners import (
@@ -108,7 +107,6 @@ class SolveTrace:
     weighted_errors: list[float] | None = None
     snrs: list[float] | None = None
     status: str = "max_iter"
-    estimated_rate: float | None = None
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -178,31 +176,20 @@ def imia_diagonal(h: GraphFilter) -> np.ndarray:
         bad = int(zero[0])
         raise ValueError(f"H({bad},{bad}) is zero; the diagonal approximate "
                          "inverse is undefined")
-    indptr, data = h.csr.indptr, h.csr.data
-    denom = np.zeros(h.graph.n)
-    for i in range(h.graph.n):
-        row = data[indptr[i]:indptr[i + 1]]
-        denom[i] = (row * row).sum()
-    return diag / denom
+    data = h.csr.data
+    return diag / h.row_sums(data * data)
 
 
 def direct_solve_oracle(h: GraphFilter, y: Signal) -> Signal:
-    """Dense LU solve with partial pivoting, used as ground truth.
+    """Sparse LU solve with partial pivoting through the filter's cached
+    factor (`GraphFilter.lu`), used as ground truth.
 
-    Raises if the factorization hits a zero pivot or if the residual check
-    ||H x - y|| <= 1e-8 ||y|| fails.
+    Raises LinAlgError if the factorization hits a zero pivot or if the
+    residual check ||H x - y|| <= 1e-8 ||y|| fails.
     """
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
-    dense = h.to_dense()
-    lu, piv, info = lapack.dgetrf(dense)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"filter is singular to working precision (zero pivot at index {info - 1})"
-        )
-    x, info = lapack.dgetrs(lu, piv, y.values)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LU solve failed with info={info}")
+    x = h.lu().solve(y.values)
     resid = np.linalg.norm(h.matvec(x) - y.values)
     if resid > 1e-8 * np.linalg.norm(y.values):
         raise np.linalg.LinAlgError(
@@ -342,12 +329,6 @@ def solve(
                     status = "diverged"
                     break
     trace.status = status
-
-    if track:
-        w = trace.weighted_errors
-        steps = len(w) - 1
-        if steps >= 1 and w[0] > 0 and w[-1] > 0:
-            trace.estimated_rate = float((w[-1] / w[0]) ** (1.0 / steps))
     return Signal(h.graph, x), trace
 
 
@@ -358,9 +339,9 @@ def _snr_db(rel_error: float) -> float:
 
 
 def iteration_matrix(h: GraphFilter, method: str,
-                     params: MethodParams | None = None) -> SymmetricOperator:
+                     params: MethodParams | None = None) -> LinearOperator:
     """Error-propagation operator of a method, in symmetric similarity form
-    so its spectral radius can be estimated by power iteration.
+    so its spectral radius can be taken by a symmetric eigensolver.
 
     pgda:  I - P^{-1} H^T H P^{-1}
     spgda: I - P^{-1/2} H P^{-1/2}
@@ -402,4 +383,4 @@ def iteration_matrix(h: GraphFilter, method: str,
         def mv(v):
             return v - sq * h.matvec(sq * v)
 
-    return SymmetricOperator(n=n, matvec=mv)
+    return LinearOperator((n, n), matvec=mv, dtype=np.float64)

@@ -107,6 +107,38 @@ class TestRun:
         assert rc == 2
         assert "radius must be > 0, got nan" in capsys.readouterr().err
 
+    def test_nan_gamma_in_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=64, gamma=float("nan"),
+                           trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "gamma must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_nan_alpha_in_denoise_config_exit_2(self, tmp_path, capsys):
+        coords, values = synthetic_points(30, rng_seed=1)
+        points = str(tmp_path / "p.csv")
+        write_points_csv(points, coords, values)
+        cfg = write_config(tmp_path, scenario="denoise", points_csv=points,
+                           alpha=float("nan"), trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "alpha must be finite and >= 0, got nan" in capsys.readouterr().err
+
+    def test_nan_eta_in_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=64, eta=float("nan"),
+                           trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "eta must be finite" in capsys.readouterr().err
+
+    def test_string_radius_in_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=64, radius="0.3",
+                           trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "radius must be a number, got '0.3'" in capsys.readouterr().err
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

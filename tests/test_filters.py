@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 from sdnfilt.filters import (
     GraphFilter,
     Signal,
-    SymmetricOperator,
     apply,
     build_denoise_filter,
     build_fig1_filter,
     compose,
+    extreme_eigenvalue,
     extreme_singular_values,
     geodesic_width,
     laplacians,
@@ -17,8 +18,13 @@ from sdnfilt.filters import (
     schur_norm,
 )
 from sdnfilt.graphs import Graph, random_geometric_graph
+from sdnfilt.scenarios import _STREAM_FILTER, _stream_seed, generate_run_graph
 
-from conftest import dense_of, random_connected_graph, random_filter
+from conftest import dense_of, make_invertible, random_connected_graph, random_filter
+
+
+def operator(n, matvec):
+    return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
 
 def path3():
@@ -103,6 +109,25 @@ class TestGraphFilterBasics:
                                  for i in range(g.n)])
             assert np.array_equal(h.row_abs_sums().view(np.int64),
                                   expected.view(np.int64))
+
+    def test_row_sums_bit_identical_to_per_row_sums(self):
+        g = random_geometric_graph(140, float("inf"), rng_seed=0)
+        rng = np.random.default_rng(22)
+        lengths = [0, 7, 8, 9, 127, 128, 129, 130]
+        rows, cols, vals = [], [], []
+        for i in range(g.n):
+            k = lengths[i % len(lengths)]
+            rows += [i] * k
+            cols += sorted(rng.choice(g.n, size=k, replace=False).tolist())
+            vals += (rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)).tolist()
+        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))), _width=1)
+        indptr, data = h.csr.indptr, h.csr.data
+        squares = data * data
+        rows_of = [data[indptr[i]:indptr[i + 1]] for i in range(g.n)]
+        expected = np.array([(row * row).sum() for row in rows_of])
+        assert np.array_equal(np.diff(indptr)[:8], lengths)
+        assert np.array_equal(h.row_sums(squares).view(np.int64),
+                              expected.view(np.int64))
 
 
 class TestApply:
@@ -220,32 +245,30 @@ class TestLaplacians:
 
 class TestPowerSpectralRadius:
     def test_zero_operator(self):
-        op = SymmetricOperator(n=4, matvec=lambda v: np.zeros(4))
+        op = operator(4, lambda v: np.zeros(4))
         est = power_spectral_radius(op)
         assert est.value == 0.0 and est.converged
 
     def test_sign_symmetric_spectrum(self):
-        # eigenvalues {-0.8, +0.8}: the norm-growth estimate must still
-        # converge to 0.8 even though the plain Rayleigh quotient cannot
+        # eigenvalues {-0.8, +0.8}: the radius is 0.8 whichever of the
+        # pair the eigensolver returns
         mat = np.array([[0.0, -0.8], [-0.8, 0.0]])
         est = power_spectral_radius(
-            SymmetricOperator(n=2, matvec=lambda v: mat @ v), tol=1e-13
+            operator(2, lambda v: mat @ v), tol=1e-13
         )
         assert est.value == pytest.approx(0.8, abs=1e-10)
 
     def test_spgda_style_example(self):
         # I - H/3 with H=[[2,1],[1,2]] has eigenvalues {0, 2/3}
         h = two_by_two()
-        op = SymmetricOperator(n=2, matvec=lambda v: v - h.matvec(v) / 3.0)
+        op = operator(2, lambda v: v - h.matvec(v) / 3.0)
         est = power_spectral_radius(op, tol=1e-13)
         assert est.value == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_pgda_style_example(self):
         # I - H^T H / 9 has eigenvalues {0, 8/9}
         h = two_by_two()
-        op = SymmetricOperator(
-            n=2, matvec=lambda v: v - h.T.matvec(h.matvec(v)) / 9.0
-        )
+        op = operator(2, lambda v: v - h.T.matvec(h.matvec(v)) / 9.0)
         est = power_spectral_radius(op, tol=1e-13)
         assert est.value == pytest.approx(8.0 / 9.0, abs=1e-10)
 
@@ -259,12 +282,41 @@ class TestPowerSpectralRadius:
             assert est.value == pytest.approx(oracle, abs=1e-6)
 
     def test_unconverged_flagged(self):
-        mat = np.diag([1.0, 0.999])  # slow separation at a tiny tolerance
-        est = power_spectral_radius(
-            SymmetricOperator(n=2, matvec=lambda v: mat @ v),
-            tol=1e-16, max_iter=5,
-        )
+        # ARPACK solves a 2x2 exactly; it misses its tolerance only when a
+        # clustered top spectrum meets too few restarts
+        d = np.concatenate([1.0 - 1e-9 * np.arange(10), np.linspace(0.0, 0.5, 190)])
+        est = power_spectral_radius(operator(200, lambda v: d * v),
+                                    tol=1e-16, max_iter=1)
         assert not est.converged
+        assert 0.5 < est.value <= 1.0
+
+    def test_single_vertex(self):
+        est = power_spectral_radius(operator(1, lambda v: -3.0 * v))
+        assert est.value == 3.0 and est.converged and est.iterations == 1
+
+    def test_annihilated_start_vector_restarts(self):
+        # I - v0 v0^T kills the first start vector; the radius is still 1
+        from sdnfilt.filters import _start_vector
+
+        v0 = _start_vector(6, 0, 0)
+        est = power_spectral_radius(operator(6, lambda v: v - v0 * (v0 @ v)))
+        assert est.converged
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_smallest_algebraic(self):
+        mat = np.diag([3.0, -2.0, 1.0, 0.5])
+        est = extreme_eigenvalue(operator(4, lambda v: mat @ v), "SA", tol=1e-14)
+        assert est.converged
+        assert est.value == pytest.approx(-2.0, abs=1e-12)
+
+    def test_reruns_bit_identical(self, rng):
+        g = random_connected_graph(rng, 60)
+        h = random_filter(rng, g, 2, symmetric=True)
+        a = power_spectral_radius(h, tol=1e-12)
+        b = power_spectral_radius(h, tol=1e-12)
+        assert a == b
+        sa = extreme_eigenvalue(h, "SA", tol=1e-12)
+        assert sa == extreme_eigenvalue(h, "SA", tol=1e-12)
 
 
 class TestExtremeSingularValues:
@@ -293,6 +345,41 @@ class TestExtremeSingularValues:
             sv = extreme_singular_values(h, tol=1e-13, max_iter=100000)
             assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-8, abs=1e-8)
             assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-6, abs=1e-7)
+
+    def test_match_dense_svd_to_rel_1e10(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(3, 60))
+            h = make_invertible(rng, random_connected_graph(rng, n), 2, margin=0.1)
+            oracle = np.linalg.svd(dense_of(h), compute_uv=False)
+            sv = extreme_singular_values(h)
+            assert sv.converged
+            assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-10)
+            assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-10)
+
+    def test_fig1_trial0_filter_matches_dense_svd(self):
+        g = generate_run_graph(512, float(np.sqrt(2.0 / 512)), 777016)
+        h = build_fig1_filter(g, 0.05, _stream_seed(777016, 0, _STREAM_FILTER))
+        oracle = np.linalg.svd(dense_of(h), compute_uv=False)
+        sv = extreme_singular_values(h)
+        assert sv.converged
+        assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-10)
+        assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-10)
+
+    def test_singular_filter_has_zero_sigma_min(self):
+        sv = extreme_singular_values(GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]]))
+        assert sv.sigma_max == pytest.approx(2.0, abs=1e-12)
+        assert sv.sigma_min == 0.0
+
+    def test_zero_filter(self):
+        sv = extreme_singular_values(GraphFilter.identity(path3()).scaled(0.0))
+        assert (sv.sigma_max, sv.sigma_min, sv.converged) == (0.0, 0.0, True)
+
+    def test_reruns_bit_identical(self, rng):
+        g = random_connected_graph(rng, 50)
+        h1 = make_invertible(rng, g, 2)
+        h2 = GraphFilter(g, h1.csr.copy())  # no shared factor
+        assert extreme_singular_values(h1) == extreme_singular_values(h2)
+        assert extreme_singular_values(h1) == extreme_singular_values(h1)
 
 
 class TestFig1Filter:
@@ -326,6 +413,12 @@ class TestFig1Filter:
         with pytest.raises(ValueError, match="coordinates"):
             build_fig1_filter(g, 0.05, rng_seed=0)
 
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan")])
+    def test_bad_gamma_rejected(self, gamma):
+        g, _ = self.build()
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            build_fig1_filter(g, gamma, rng_seed=0)
+
     def test_deterministic(self):
         _, h1 = self.build(gamma=0.05, seed=11)
         _, h2 = self.build(gamma=0.05, seed=11)
@@ -337,6 +430,11 @@ class TestDenoiseFilter:
         g = random_connected_graph(rng, 14)
         h = build_denoise_filter(g, 0.0)
         assert np.array_equal(h.to_dense(), np.eye(14))
+
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            build_denoise_filter(edge2(), alpha)
 
     def test_single_edge_alpha_one(self):
         h = build_denoise_filter(edge2(), 1.0)

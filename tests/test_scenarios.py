@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 
 import numpy as np
@@ -55,6 +57,11 @@ class TestUniformNoise:
         out = add_uniform_noise(x, 0.0, rng_seed=5)
         assert np.array_equal(out.values, x.values)
 
+    @pytest.mark.parametrize("eta", [-0.1, float("nan")])
+    def test_bad_level_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            add_uniform_noise(blockwise_polynomial(coord_graph()), eta, rng_seed=5)
+
     def test_support_bound(self):
         x = blockwise_polynomial(coord_graph())
         for seed in range(20):
@@ -108,6 +115,42 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(n=128)
         assert cfg.resolved_radius() == pytest.approx(np.sqrt(2.0 / 128))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("eta", float("nan"), "eta must be finite"),
+        ("eta", float("inf"), "eta must be finite"),
+        ("eta", -0.1, "eta must be finite"),
+        ("gamma", float("nan"), "gamma must be finite"),
+        ("alpha", float("nan"), "alpha must be finite"),
+        ("gamma", "0.05", "gamma must be a number"),
+        ("radius", "0.3", "radius must be a number"),
+        ("radius", float("nan"), "radius must be > 0, got nan"),
+        ("radius", 0.0, "radius must be > 0"),
+        ("radius", True, "radius must be a number"),
+        ("n", True, "n must be an integer"),
+        ("n", 64.0, "n must be an integer"),
+        ("n", 0, "n must be >= 1"),
+        ("k", "5", "k must be an integer"),
+        ("k", 0, "k must be >= 1"),
+        ("iterations", 1.5, "iterations must be an integer"),
+        ("iterations", 0, "iterations must be >= 1"),
+        ("trials", False, "trials must be an integer"),
+        ("trials", 0, "trials must be >= 1"),
+        ("epochs", None, "epochs must be an integer"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("master_seed", -1, "master_seed must be >= 0"),
+        ("comm_range", 1.0, "comm_range must be an integer"),
+        ("comm_range", -1, "comm_range must be >= 0"),
+    ])
+    def test_bad_numeric_field_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict({"scenario": "fig1", key: value})
+
+    def test_numeric_fields_accepted(self):
+        cfg = ScenarioConfig.from_dict({"scenario": "fig1", "radius": float("inf"),
+                                        "gamma": 0, "eta": 1, "alpha": 0.0,
+                                        "comm_range": 0})
+        assert cfg.radius == float("inf") and cfg.gamma == 0
+
 
 class TestRunFig1Small:
     CFG = dict(scenario="fig1", n=64, trials=2, iterations=40, master_seed=2024)
@@ -127,6 +170,32 @@ class TestRunFig1Small:
         for m in agg.methods:
             c = agg.curves[m]
             assert all(c[i + 1] <= c[i] + 1e-12 for i in range(len(c) - 1))
+
+    def test_spectral_unconverged_block(self, tmp_path):
+        agg = run_fig1(ScenarioConfig(**self.CFG))
+        assert agg.spectral_unconverged == {
+            "radius": {"pgda": 0, "spgda": 0, "opgd": 0, "imia": 0},
+            "singular_values": 0,
+        }
+        emit_outputs(agg, str(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["spectral_unconverged"] == agg.spectral_unconverged
+
+    def test_spectral_unconverged_counts_misses(self, monkeypatch):
+        import sdnfilt.scenarios as scenarios
+
+        def missed(estimator):
+            return lambda *a, **kw: dataclasses.replace(estimator(*a, **kw),
+                                                        converged=False)
+
+        monkeypatch.setattr(scenarios, "power_spectral_radius",
+                            missed(scenarios.power_spectral_radius))
+        monkeypatch.setattr(scenarios, "extreme_singular_values",
+                            missed(scenarios.extreme_singular_values))
+        cfg = ScenarioConfig(**{**self.CFG, "methods": ("pgda", "spgda")})
+        agg = run_fig1(cfg)
+        assert agg.spectral_unconverged == {"radius": {"pgda": 2, "spgda": 2},
+                                            "singular_values": 2}
 
     def test_deterministic_aggregate(self):
         a = run_fig1(ScenarioConfig(**self.CFG))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter, Signal
-from sdnfilt.graphs import Graph
+from sdnfilt.filters import GraphFilter, Signal, extreme_singular_values
+from sdnfilt.graphs import Graph, random_geometric_graph
 from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
 from sdnfilt.solvers import (
     METHODS,
@@ -194,6 +194,29 @@ class TestIterationMatrix:
                                             tol=1e-12, max_iter=50000)
                 assert est.value == pytest.approx(val, abs=1e-7)
 
+    def test_all_four_radii_match_dense_symmetric_forms(self, rng):
+        for _ in range(6):
+            g = random_connected_graph(rng, int(rng.integers(3, 40)))
+            h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+            dense = dense_of(h)
+            gram = dense.T @ dense
+            p = build_pgda_preconditioner(h).diag
+            ps = np.abs(dense).sum(axis=1)
+            s = np.linalg.svd(dense, compute_uv=False)
+            beta = 2.0 / (s[0] ** 2 + s[-1] ** 2)
+            d = np.diag(dense) / (dense * dense).sum(axis=1)
+            forms = {
+                "pgda": np.eye(g.n) - gram / np.outer(p, p),
+                "spgda": np.eye(g.n) - dense / np.sqrt(np.outer(ps, ps)),
+                "opgd": np.eye(g.n) - beta * gram,
+                "imia": np.eye(g.n) - np.sqrt(np.outer(d, d)) * dense,
+            }
+            for method, form in forms.items():
+                oracle = np.abs(np.linalg.eigvalsh(form)).max()
+                est = power_spectral_radius(iteration_matrix(h, method), tol=1e-13)
+                assert est.converged
+                assert est.value == pytest.approx(oracle, rel=1e-10)
+
     def test_imia_needs_positive_diagonal(self):
         g = edge2()
         h = GraphFilter.from_dense(g, [[-2.0, 1.0], [1.0, -2.0]])
@@ -231,6 +254,31 @@ class TestImiaDiagonal:
         h = GraphFilter.from_dense(single_vertex(), [[4.0]])
         assert np.array_equal(imia_diagonal(h), np.array([0.25]))
 
+    def test_bit_identical_to_per_row_loop(self):
+        # row lengths 7-9 and 127-130, where numpy's pairwise sum changes
+        # its order; values over 16 decades make a changed order visible
+        g = random_geometric_graph(160, float("inf"), rng_seed=0)
+        rng = np.random.default_rng(23)
+        lengths = [7, 8, 9, 127, 128, 129, 130]
+        rows, cols, vals = [], [], []
+        for i in range(g.n):
+            others = rng.choice(np.delete(np.arange(g.n), i),
+                                size=lengths[i % len(lengths)] - 1, replace=False)
+            row_cols = sorted([i] + others.tolist())
+            rows += [i] * len(row_cols)
+            cols += row_cols
+            vals += (rng.uniform(0.5, 1.0, len(row_cols))
+                     * 10.0 ** rng.uniform(-8, 8, len(row_cols))).tolist()
+        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))), _width=1)
+        indptr, data = h.csr.indptr, h.csr.data
+        denom = np.zeros(g.n)
+        for i in range(g.n):
+            row = data[indptr[i]:indptr[i + 1]]
+            denom[i] = (row * row).sum()
+        expected = h.diagonal() / denom
+        assert np.array_equal(np.diff(indptr)[:7], lengths)
+        assert np.array_equal(imia_diagonal(h).view(np.int64), expected.view(np.int64))
+
     def test_zero_diagonal_rejected(self):
         h = GraphFilter.from_dense(edge2(), [[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match=r"H\(0,0\)"):
@@ -258,6 +306,32 @@ class TestDirectSolveOracle:
         h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError, match="pivot"):
             direct_solve_oracle(h, Signal(h.graph, np.ones(2)))
+
+    def test_reuses_the_singular_value_factor(self, rng, monkeypatch):
+        import sdnfilt.filters as filters
+
+        class CountingFactor:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, b, trans="N"):
+                self.solves += 1
+                return self.lu.solve(b, trans=trans)
+
+        calls = []
+        real = filters.splu
+        monkeypatch.setattr(filters, "splu", lambda a: calls.append(a) or real(a))
+        g = random_connected_graph(rng, 30)
+        h = make_invertible(rng, g, 2)
+        extreme_singular_values(h)
+        assert len(calls) == 1
+        h._lu = factor = CountingFactor(h.lu())
+        for _ in range(3):
+            y = Signal(g, rng.standard_normal(30))
+            x = direct_solve_oracle(h, y)
+            assert np.allclose(np.linalg.solve(dense_of(h), y.values), x.values,
+                               rtol=1e-10, atol=1e-12)
+        assert factor.solves == 3 and len(calls) == 1
 
     def test_residual_gate(self, rng):
         g = random_connected_graph(rng, 15)
