@@ -1,5 +1,5 @@
 """CSV and JSON artifacts: points, edge lists, filters, signals,
-preconditioners, solve traces, experiment curves and round logs.
+experiment curves and round logs.
 
 All writes are atomic (temp file in the target directory, then rename), so
 a crashed run never leaves a half-written artifact. Floats are written with
@@ -12,11 +12,12 @@ import json
 import math
 import os
 import tempfile
-from itertools import repeat
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
-from .filters import DiagonalPreconditioner, GraphFilter, Signal
+from .filters import GraphFilter, Signal
 from .graphs import Graph
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "read_filter_csv",
     "write_signal_csv",
     "read_signal_csv",
-    "write_preconditioner_csv",
-    "write_trace_csv",
     "write_curves_csv",
     "write_roundlog_csv",
     "write_summary_json",
@@ -258,32 +257,9 @@ def read_signal_csv(path: str, graph: Graph) -> Signal:
     return Signal(graph, values)
 
 
-def write_preconditioner_csv(path: str, p: DiagonalPreconditioner) -> None:
-    out = [f"# kind={p.kind} width={p.source_width}", "id,value"]
-    out.extend(f"{i},{_fmt(v)}" for i, v in enumerate(p.diag))
-    atomic_write_text(path, "\n".join(out) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # experiment artifacts
 # ---------------------------------------------------------------------------
-
-
-def write_trace_csv(path: str, traces) -> None:
-    """One row per (method, iteration) from a list of SolveTrace objects."""
-    out = ["method,m,residual,rel_error,weighted_error,snr"]
-    for tr in traces:
-        for m in range(len(tr.residuals)):
-            rel = tr.relative_errors[m] if tr.relative_errors else ""
-            wgt = tr.weighted_errors[m] if tr.weighted_errors else ""
-            snr = tr.snrs[m] if tr.snrs else ""
-            out.append(
-                f"{tr.method},{m},{_fmt(tr.residuals[m])},"
-                f"{_fmt(rel) if rel != '' else ''},"
-                f"{_fmt(wgt) if wgt != '' else ''},"
-                f"{_fmt(snr) if snr != '' else ''}"
-            )
-    atomic_write_text(path, "\n".join(out) + "\n")
 
 
 def write_curves_csv(path: str, curves: dict) -> None:
@@ -295,16 +271,38 @@ def write_curves_csv(path: str, curves: dict) -> None:
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
+def _same(a, b) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
+def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
+    """(s, ["s,t," per message]) for each contiguous run of equal sender."""
+    return [(s, [f"{s},{t}," for _, t in run]) for s, run in
+            groupby(zip(senders.tolist(), receivers.tolist()), key=itemgetter(0))]
+
+
 def write_roundlog_csv(path: str, rounds, include_values: bool = True) -> None:
-    """One row per logged message, written one round at a time from the
-    columnar Round arrays."""
+    """One row per logged message, streamed one round at a time.
+
+    Message k of a round carries sent[senders[k]], so a run of messages
+    from one sender shares its value: each run is one str.join of its
+    prebuilt "s,t," fields. The runs are rebuilt only when the
+    (senders, receivers) pattern differs from the previous round's; all
+    rounds of one network share the same arrays."""
     def chunks():
         yield "epoch,round,from,to,kind,value\n"
+        senders = receivers = runs = None
         for r in rounds:
-            head, kind = f"{r.epoch},{r.index},", f",{r.kind},"
-            tails = map(repr, r.values.tolist()) if include_values else repeat("")
-            yield "".join(f"{head}{s},{t}{kind}{v}\n" for s, t, v in
-                          zip(r.senders.tolist(), r.receivers.tolist(), tails))
+            if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
+                senders, receivers = r.senders, r.receivers
+                runs = _sender_runs(senders, receivers)
+            head, blank = f"{r.epoch},{r.index},", f"{r.kind},\n"
+            sent = r.sent.tolist() if include_values else None
+            parts = []
+            for s, fields in runs:
+                tail = f"{r.kind},{sent[s]!r}\n" if include_values else blank
+                parts.append(f"{head}{(tail + head).join(fields)}{tail}")
+            yield "".join(parts)
     atomic_write_text(path, chunks())
 
 

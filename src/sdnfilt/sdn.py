@@ -291,12 +291,12 @@ class SdnNetwork:
         return Signal(self.graph, self._x[self._own])
 
     def max_message_distance(self) -> int:
-        """Largest hop distance traveled by a logged message, read from the
-        hop distances stored in the ball pattern."""
-        hops = [self._ball.data[np.searchsorted(
-                    self._keys, r.senders * self.graph.n + r.receivers)].max()
-                for r in self.rounds if len(r.senders)]
-        return int(max(hops, default=0))
+        """Largest hop distance traveled by a logged message. Every logged
+        round sends over all sender slots of the ball pattern, and its other
+        slots (each agent's own) hold hop 0, so this is the pattern's
+        largest hop, or 0 when nothing was logged."""
+        logged = any(len(r.senders) for r in self.rounds)
+        return int(self._ball.data.max()) if logged else 0
 
     def summary(self) -> dict:
         """JSON-compatible record of the simulation so far."""

@@ -17,17 +17,15 @@ from sdnfilt.io import (
     write_edges_csv,
     write_filter_csv,
     write_points_csv,
-    write_preconditioner_csv,
     write_roundlog_csv,
     write_signal_csv,
     write_summary_json,
-    write_trace_csv,
 )
-from sdnfilt.preconditioners import build_pgda_preconditioner
-from sdnfilt.sdn import SdnNetwork
-from sdnfilt.solvers import SolverConfig, solve
+from sdnfilt.scenarios import ScenarioConfig, run_fig1, run_time_varying
+from sdnfilt.sdn import Round, SdnNetwork
 
 from conftest import make_invertible, random_connected_graph
+from roundlog_reference import reference_roundlog_text
 from sdn_reference import ReferenceNetwork
 
 
@@ -187,36 +185,7 @@ class TestSignalCsv:
             read_signal_csv(str(path), g)
 
 
-class TestPreconditionerCsv:
-    def test_header_carries_kind_and_width(self, tmp_path, rng):
-        g = random_connected_graph(rng, 8)
-        h = make_invertible(rng, g, 1)
-        p = build_pgda_preconditioner(h)
-        path = str(tmp_path / "precond.csv")
-        write_preconditioner_csv(path, p)
-        lines = open(path).read().splitlines()
-        assert lines[0] == f"# kind=pgda width={h.width}"
-        assert lines[1] == "id,value"
-        assert len(lines) == 2 + g.n
-
-
 class TestExperimentArtifacts:
-    def test_trace_csv_columns(self, tmp_path, rng):
-        g = random_connected_graph(rng, 6)
-        h = make_invertible(rng, g, 1, symmetric=True)
-        y = Signal(g, rng.standard_normal(6))
-        from sdnfilt.solvers import direct_solve_oracle
-
-        ref = direct_solve_oracle(h, y)
-        _, trace = solve(h, y, SolverConfig(method="pgda", max_iter=5), reference=ref)
-        path = str(tmp_path / "trace.csv")
-        write_trace_csv(path, [trace])
-        lines = open(path).read().splitlines()
-        assert lines[0] == "method,m,residual,rel_error,weighted_error,snr"
-        assert len(lines) == 1 + len(trace.residuals)
-        first = lines[1].split(",")
-        assert first[0] == "pgda" and first[1] == "0"
-
     def test_curves_row_count(self, tmp_path):
         path = str(tmp_path / "curves.csv")
         write_curves_csv(path, {"pgda": [1.0, 0.5], "imia": [1.0, 0.25]})
@@ -276,6 +245,67 @@ class TestExperimentArtifacts:
         write_summary_json(path, {"a": [1, 2], "b": 1})
         assert open(path).read() == text1
         assert json.loads(text1) == {"a": [1, 2], "b": 1}
+
+
+def _ids(*ids):
+    return np.array(ids, dtype=np.int64)
+
+
+class TestRoundlogWriter:
+    """The streamed writer against the per-message reference writer."""
+
+    @staticmethod
+    def assert_matches_reference(tmp_path, rounds, include_values):
+        path = tmp_path / "roundlog.csv"
+        write_roundlog_csv(str(path), rounds, include_values=include_values)
+        assert path.read_bytes() == \
+            reference_roundlog_text(rounds, include_values).encode()
+
+    @pytest.mark.parametrize("include_values", [True, False])
+    def test_distributed_fig1_two_networks(self, tmp_path, include_values):
+        agg = run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=1, iterations=4,
+                                      methods=("pgda", "spgda"), distributed=True,
+                                      roundlog=True, master_seed=5))
+        # pgda's and spgda's networks: equal patterns in distinct arrays
+        assert len({id(r.senders) for r in agg.rounds}) == 2
+        assert {r.kind for r in agg.rounds} == {"d", "v", "x"}
+        self.assert_matches_reference(tmp_path, agg.rounds, include_values)
+
+    @pytest.mark.parametrize("include_values", [True, False])
+    def test_time_varying_three_epochs(self, tmp_path, include_values):
+        agg = run_time_varying(ScenarioConfig(scenario="time_varying", n=48, epochs=3,
+                                              iterations=3, master_seed=31,
+                                              roundlog=True))
+        assert {r.epoch for r in agg.rounds} == {0, 1, 2}
+        self.assert_matches_reference(tmp_path, agg.rounds, include_values)
+
+    @pytest.mark.parametrize("include_values", [True, False])
+    def test_hand_built_rounds(self, tmp_path, include_values):
+        # senders not contiguous, a zero-message round, and values whose
+        # repr is easy to get wrong
+        sent = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+        rounds = [
+            Round(epoch=0, index=0, kind="x", count=4, senders=_ids(0, 1, 0, 2),
+                  receivers=_ids(1, 0, 2, 0), sent=sent),
+            Round(epoch=0, index=1, kind="v", count=0, senders=_ids(),
+                  receivers=_ids(), sent=np.empty(0)),
+            Round(epoch=1, index=0, kind="d", count=4, senders=_ids(0, 1, 0, 2),
+                  receivers=_ids(1, 0, 2, 0), sent=-sent),
+            Round(epoch=1, index=1, kind="x", count=3, senders=_ids(2, 2, 1),
+                  receivers=_ids(0, 1, 2), sent=sent[::-1].copy()),
+            # same length as the previous pattern, other pairs
+            Round(epoch=1, index=2, kind="v", count=3, senders=_ids(1, 0, 0),
+                  receivers=_ids(0, 1, 2), sent=sent),
+        ]
+        self.assert_matches_reference(tmp_path, rounds, include_values)
+        text = (tmp_path / "roundlog.csv").read_text().splitlines()
+        assert len(text) == 1 + 4 + 4 + 3 + 3
+        if include_values:
+            assert text[1:5] == ["0,0,0,1,x,-0.0", "0,0,1,0,x,5e-324",
+                                 "0,0,0,2,x,-0.0", "0,0,2,0,x,1.7976931348623157e+308"]
+            assert text[5] == "1,0,0,1,d,0.0"
+            assert text[9:] == ["1,1,2,0,x,-0.0", "1,1,2,1,x,-0.0", "1,1,1,2,x,5e-324",
+                                "1,2,1,0,v,5e-324", "1,2,0,1,v,-0.0", "1,2,0,2,v,-0.0"]
 
 
 class TestAtomicWrite:

@@ -191,6 +191,16 @@ class TestRangeAndLocality:
         net.run_pgda(3)
         assert net.max_message_distance() <= net.comm_range
 
+    def test_max_message_distance_without_log(self, rng):
+        g = random_connected_graph(rng, 12)
+        h = make_invertible(rng, g, 2)
+        net = SdnNetwork(g, h, Signal(g, rng.standard_normal(12)),
+                         log_messages=False)
+        net.distributed_preconditioner()
+        net.run_pgda(2)
+        assert net.total_messages() > 0
+        assert net.max_message_distance() == 0
+
     def test_agents_store_only_local_data(self, rng):
         g = random_connected_graph(rng, 25)
         h = make_invertible(rng, g, 2)
