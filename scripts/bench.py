@@ -13,8 +13,8 @@ perfbench/, with the same arguments.
 
 The result file holds every run's end-to-end metrics, each side's median
 and quartiles per metric, how many pairs the change won (ties count for
-neither side), the base and head commits with a digest of each side's
-src/, and the environment perfbench reported.
+neither side), the base and head commits with a digest and line count of
+each side's src/, and the environment perfbench reported.
 """
 
 import argparse
@@ -50,8 +50,9 @@ def export_worktree(dst):
             shutil.copy2(src, os.path.join(dst, name))
 
 
-def src_digest(tree):
-    digest = hashlib.sha256()
+def src_summary(tree):
+    """sha256 and line count of the .py files under tree/src."""
+    digest, lines = hashlib.sha256(), 0
     src = os.path.join(tree, "src")
     for dirpath, dirnames, filenames in sorted(os.walk(src)):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
@@ -59,8 +60,10 @@ def src_digest(tree):
             path = os.path.join(dirpath, name)
             digest.update(os.path.relpath(path, src).encode() + b"\0")
             with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
+                text = fh.read()
+            digest.update(text)
+            lines += text.count(b"\n")
+    return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def run_side(tree, workload, seed, seconds):
@@ -124,7 +127,7 @@ def main(argv=None):
                               "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
             pairs.append(pair)
             print(json.dumps(pair), file=sys.stderr)
-        digests = {side: src_digest(tree) for side, tree in trees.items()}
+        sources = {side: src_summary(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -147,9 +150,9 @@ def main(argv=None):
         "seeds": seeds,
         "seconds": args.seconds,
         "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
-                 "src_sha256": digests["base"]},
+                 **sources["base"]},
         "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
-                   "uncommitted_changes": dirty, "src_sha256": digests["change"]},
+                   "uncommitted_changes": dirty, **sources["change"]},
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("base", "change")),
         "environment": environment,

@@ -21,9 +21,6 @@ from .filters import (
 from .graphs import (
     GenerationError,
     Graph,
-    HopNeighborhood,
-    ball,
-    geodesic_distance,
     knn_graph,
     random_geometric_graph,
 )
@@ -37,7 +34,6 @@ from .preconditioners import (
 from .sdn import AgentState, RangeViolationError, Round, SdnNetwork
 from .solvers import (
     METHODS,
-    MethodParams,
     NumericError,
     SolveTrace,
     SolverConfig,

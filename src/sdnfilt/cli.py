@@ -28,6 +28,7 @@ from .scenarios import (
     generate_run_graph,
     run_scenario,
 )
+from .sdn import RangeViolationError
 from .solvers import NumericError
 
 EXIT_OK = 0
@@ -171,6 +172,10 @@ def _cmd_report(args) -> int:
         arr = np.array(kappas)
         print(f"condition numbers: median {np.median(arr):.1f}, "
               f"range [{arr.min():.1f}, {arr.max():.1f}]")
+    missed = summary.get("spectral_unconverged")
+    if missed:
+        print(f"spectral estimates unconverged: radius {missed['radius']}, "
+              f"singular values {missed['singular_values']}")
     if summary.get("message_totals"):
         print(f"messages: {summary['message_totals']}")
     return EXIT_OK
@@ -187,7 +192,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, RangeViolationError) as exc:
         if isinstance(exc, IngestError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO

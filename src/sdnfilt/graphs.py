@@ -17,10 +17,7 @@ import scipy.sparse as sparse
 
 __all__ = [
     "Graph",
-    "HopNeighborhood",
     "GenerationError",
-    "geodesic_distance",
-    "ball",
     "hop_levels",
     "hop_matrix",
     "random_geometric_graph",
@@ -113,63 +110,6 @@ class Graph:
         tails = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
         return self.n > 0 and _is_connected(self.n, heads, tails)
 
-    def validate_vertex(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise ValueError(f"vertex id {i} out of range for n={self.n}")
-        return i
-
-
-@dataclass(frozen=True)
-class HopNeighborhood:
-    """All vertices within `radius` hops of `center`, sorted ascending."""
-
-    center: int
-    radius: int
-    members: tuple[int, ...]
-
-    def __contains__(self, j: int) -> bool:
-        # members are sorted; linear scan is fine at the sizes we use
-        return j in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def geodesic_distance(g: Graph, i: int, j: int) -> int:
-    """Number of edges in a shortest path between i and j (0 iff i == j)."""
-    i = g.validate_vertex(i)
-    j = g.validate_vertex(j)
-    if i == j:
-        return 0
-    seen = bytearray(g.n)
-    seen[i] = 1
-    frontier = [i]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    if w == j:
-                        return depth
-                    seen[w] = 1
-                    nxt.append(w)
-        frontier = nxt
-    raise GenerationError(f"vertices {i} and {j} are not connected")
-
-
-def ball(g: Graph, i: int, s: int) -> HopNeighborhood:
-    """The s-hop neighborhood of vertex i: row i of the radius-s hop matrix."""
-    i = g.validate_vertex(i)
-    s = int(s)
-    if s < 0:
-        raise ValueError(f"hop radius must be >= 0, got {s}")
-    m = hop_matrix(g, s)
-    members = tuple(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist())
-    return HopNeighborhood(center=i, radius=s, members=members)
-
 
 def hop_levels(g: Graph):
     """Yield, for s = 0, 1, 2, ..., the sorted CSR pattern of (I+A)^s: every
@@ -193,6 +133,8 @@ def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
     distance (the diagonal as explicit zeros). Summing the levels 0..radius
     counts each pair radius + 1 - hops times. Cached on the graph and
     shared, so callers must not modify it."""
+    if radius < 0:
+        raise ValueError(f"hop radius must be >= 0, got {radius}")
     radius = min(radius, g.n - 1)       # no pair is farther apart
     cached = g._ball_cache.get(radius)
     if cached is None:

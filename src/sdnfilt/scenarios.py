@@ -46,13 +46,11 @@ from .io import (
 from .sdn import SdnNetwork, run_time_varying as sdn_run_time_varying
 from .solvers import (
     METHODS,
-    MethodParams,
-    NumericError,
+    Method,
     SolverConfig,
     _snr_db,
     direct_solve_oracle,
     iteration_matrix,
-    prepare_params,
     solve,
 )
 
@@ -307,46 +305,27 @@ def _snr(clean: np.ndarray):
     return lambda xm: _snr_db(rel(xm))
 
 
-def _simulate(cfg: ScenarioConfig, graph: Graph, h: GraphFilter, y: Signal,
-              solver_cfg: SolverConfig):
-    """Route one solve through the vertex-level simulator from the zero
-    initial. Returns (iterates, status, network). The gathered iterates
-    equal solve's bit for bit, and the run stops where solve stops: a
-    residual above divergence_factor times the initial one is "diverged",
-    a NaN residual raises NumericError."""
-    method = solver_cfg.method
-    net = SdnNetwork(graph, h, y, comm_range=cfg.comm_range,
-                     log_messages=cfg.roundlog)
+def _routed(net: SdnNetwork, method: str) -> Method:
+    """`method` with one simulator round as its step, for `solve` to drive
+    from the zero initial. The gathered iterates equal the centralized ones
+    bit for bit; no reference is tracked, so it carries no weight."""
     if method == "pgda":
         net.distributed_preconditioner()
-        stepper = net.run_pgda
+        run = net.run_pgda
     else:
         net.spgda_setup()
-        stepper = net.run_spgda
-    x = np.zeros(graph.n)
-    iterates = [x]
-    resid0 = np.linalg.norm(h.matvec(x) - y.values)
-    if resid0 == 0.0:
-        return iterates, "converged", net
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, solver_cfg.max_iter + 1):
-            x = stepper(1).values
-            iterates.append(x)
-            resid = np.linalg.norm(h.matvec(x) - y.values)
-            if np.isnan(resid):
-                raise NumericError(method, m)
-            if resid > solver_cfg.divergence_factor * resid0:
-                return iterates, "diverged", net
-    return iterates, "max_iter", net
+        run = net.run_spgda
+    return Method(update=lambda yv: lambda x, t: run(1).values, weight=None,
+                  error=None)
 
 
 class _MethodRuns:
     """Per-method results of one fig1, denoise or custom run.
 
-    Each trial solves H x = y once per method, through `solve` or, for a
-    distributed config, through the simulator, and maps every iterate to
-    the scenario's metric. A diverged solve adds to `diverged` instead of
-    to the curves.
+    Each trial solves H x = y once per method through `solve`, whose step
+    is one simulator round for a distributed config, and maps every
+    iterate to the scenario's metric. A diverged solve adds to `diverged`
+    instead of to the curves.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -360,24 +339,24 @@ class _MethodRuns:
         self.messages = {m: 0 for m in cfg.methods}
         self.rounds = []
 
-    def prepare(self, h: GraphFilter) -> MethodParams:
-        """Prepare every method for h, with the extreme singular values, and
-        record the spectral radius of each iteration matrix. Every estimate
-        that missed its tolerance is counted in `unconverged`."""
-        params = MethodParams()
+    def prepare(self, h: GraphFilter):
+        """Prepare every method for h and record the spectral radius of each
+        iteration matrix. Returns the method table and the extreme singular
+        values, opgd's when it runs. Every estimate that missed its
+        tolerance is counted in `unconverged`."""
+        params = {}
         for m in self.cfg.methods:
-            prepare_params(h, m, params)
             est = power_spectral_radius(iteration_matrix(h, m, params), tol=1e-9,
                                         max_iter=3000)
             self.radii[m].append(est.value)
             self.unconverged["radius"][m] += not est.converged
-        if params.singular_values is None:
-            params.singular_values = extreme_singular_values(h)
-        self.unconverged["singular_values"] += not params.singular_values.converged
-        return params
+        opgd = params.get("opgd")
+        sv = opgd.singular_values if opgd else extreme_singular_values(h)
+        self.unconverged["singular_values"] += not sv.converged
+        return params, sv
 
     def trial(self, graph: Graph, h: GraphFilter, y: Signal,
-              params: MethodParams, metric) -> None:
+              params: dict, metric) -> None:
         self.trials += 1
         for m in self.cfg.methods:
             curve = self._curve(graph, h, y, m, params, metric)
@@ -392,16 +371,17 @@ class _MethodRuns:
         solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations,
                                   keep_iterates=True)
         if self.cfg.distributed:
-            iterates, status, net = _simulate(self.cfg, graph, h, y, solver_cfg)
+            net = SdnNetwork(graph, h, y, comm_range=self.cfg.comm_range,
+                             log_messages=self.cfg.roundlog)
+            params = {method: _routed(net, method)}
+        _, trace = solve(h, y, solver_cfg, params=params)
+        if self.cfg.distributed:
             self.messages[method] += net.total_messages()
             if self.cfg.roundlog:
                 self.rounds.extend(net.rounds)
-        else:
-            _, trace = solve(h, y, solver_cfg, params=params)
-            iterates, status = trace.iterates, trace.status
-        if status == "diverged":
+        if trace.status == "diverged":
             return None
-        return [metric(xm) for xm in iterates]
+        return [metric(xm) for xm in trace.iterates]
 
     def aggregate(self, scenario: str, metric_name: str, graph_info: dict,
                   **extra) -> TrialAggregate:
@@ -450,8 +430,7 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
         h = build_fig1_filter(
             graph, cfg.gamma, _stream_seed(cfg.master_seed, trial, _STREAM_FILTER)
         )
-        params = runs.prepare(h)
-        sv = params.singular_values
+        params, sv = runs.prepare(h)
         kappas.append(float(sv.sigma_max / sv.sigma_min))
 
         x = add_uniform_noise(
@@ -481,7 +460,7 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     clean = Signal(graph, values)
     snr = _snr(values)
     runs = _MethodRuns(cfg)
-    params = runs.prepare(h)
+    params, _ = runs.prepare(h)
     limit_snrs = []
 
     for trial in range(cfg.trials):
@@ -565,7 +544,7 @@ def run_custom(cfg: ScenarioConfig) -> TrialAggregate:
     oracle = direct_solve_oracle(h, y)
 
     runs = _MethodRuns(cfg)
-    runs.trial(graph, h, y, runs.prepare(h), _relative_error(oracle.values))
+    runs.trial(graph, h, y, runs.prepare(h)[0], _relative_error(oracle.values))
     return runs.aggregate("custom", "rel_error",
                           {"n": graph.n, "edges": graph.num_edges()})
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .filters import GraphFilter, Signal
-from .graphs import Graph, geodesic_distance, hop_matrix
+from .graphs import Graph, hop_levels, hop_matrix
 
 __all__ = [
     "AgentState",
@@ -164,10 +164,11 @@ class SdnNetwork:
         missing = np.flatnonzero(self._keys[pos] != keys)
         if missing.size:
             i, j = divmod(int(keys[missing[0]]), n)
+            hops = next(s for s, reach in enumerate(hop_levels(self.graph))
+                        if reach[i, j])
             raise RangeViolationError(
-                f"agent {i} needs vertex {j}, {geodesic_distance(self.graph, i, j)} "
-                f"hops away, outside its width-{self.width} ball; no message has "
-                f"been sent")
+                f"agent {i} needs vertex {j}, {hops} hops away, outside its "
+                f"width-{self.width} ball; no message has been sent")
         return pos
 
     def _local(self, m, slots, divisors=None) -> sparse.csr_matrix:

@@ -11,6 +11,8 @@ with a different approximate inverse G each:
     opgd   G = beta H^T        (beta the optimal constant step)
     imia   G = diag(H(i,i) / sum_j H(i,j)^2)
 
+Each method is defined once, as a `Method` built from its G per filter;
+`solve` runs its update and `iteration_matrix` takes its error operator.
 The pgda and spgda updates are arranged entry-for-entry like the
 vertex-level message-passing algorithms so the distributed simulator
 reproduces these iterates bit for bit.
@@ -18,6 +20,7 @@ reproduces these iterates bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +28,6 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
 from .filters import (
-    DiagonalPreconditioner,
     GraphFilter,
     Signal,
     SingularValues,
@@ -41,7 +43,7 @@ __all__ = [
     "METHODS",
     "SolverConfig",
     "SolveTrace",
-    "MethodParams",
+    "Method",
     "NumericError",
     "solve",
     "iteration_matrix",
@@ -114,40 +116,86 @@ class SolveTrace:
         return len(self.residuals) - 1
 
 
-@dataclass
-class MethodParams:
-    """Precomputed per-method operators, reusable across solves of the
-    same filter. One instance can be shared by all four methods."""
+@dataclass(frozen=True)
+class Method:
+    """One method's approximate inverse G, built once per filter.
 
-    pgda_preconditioner: DiagonalPreconditioner | None = None
-    spgda_preconditioner: DiagonalPreconditioner | None = None
-    step_length: float | None = None
-    inverse_diagonal: np.ndarray | None = None
+    update(y) gives the step (x, Hx) -> next x for the observation y;
+    weight is the diagonal behind SolveTrace.weighted_errors (None for the
+    plain norm); error() gives the matvec of I - G H in symmetric
+    similarity form. opgd keeps the singular values its step came from.
+    """
+
+    update: Callable
+    weight: np.ndarray | None
+    error: Callable | None
     singular_values: SingularValues | None = None
 
 
-def prepare_params(h: GraphFilter, method: str,
-                   params: MethodParams | None = None) -> MethodParams:
-    """Fill in whatever the chosen method needs and is still missing."""
-    params = params or MethodParams()
-    if method == "pgda":
-        if params.pgda_preconditioner is None:
-            params.pgda_preconditioner = build_pgda_preconditioner(h)
-        elif params.pgda_preconditioner.kind != "pgda":
-            raise ValueError("pgda solve needs a kind='pgda' preconditioner")
-    elif method == "spgda":
-        if params.spgda_preconditioner is None:
-            params.spgda_preconditioner = build_spgda_preconditioner(h)
-        elif params.spgda_preconditioner.kind != "spgda":
-            raise ValueError("spgda solve needs a kind='spgda' preconditioner")
-    elif method == "opgd":
-        if params.step_length is None:
-            params.step_length, params.singular_values = optimal_step(
-                h, return_singular_values=True
+def _pgda(h: GraphFilter) -> Method:
+    p = build_pgda_preconditioner(h).diag
+    ht = h.transpose()
+    scaled_ht = _scale_rows_by_division(ht.csr, p * p)
+    return Method(
+        update=lambda yv: lambda x, t: x - scaled_ht @ (t - yv),
+        weight=p,
+        error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
+    )
+
+
+def _spgda(h: GraphFilter) -> Method:
+    pre = build_spgda_preconditioner(h)
+    p = pre.diag
+    h_tilde = _scale_rows_by_division(h.csr, p)
+
+    def update(yv):
+        y_tilde = yv / p
+        # association fixed as (x + y~) - H~ x to mirror the vertex update
+        return lambda x, t: (x + y_tilde) - h_tilde @ x
+
+    def error():
+        h_hat = normalized_filter(h, pre)
+        return lambda v: v - h_hat.matvec(v)
+
+    return Method(update, np.sqrt(p), error)
+
+
+def _opgd(h: GraphFilter) -> Method:
+    beta, sv = optimal_step(h, return_singular_values=True)
+    ht = h.transpose()
+    return Method(
+        update=lambda yv: lambda x, t: x - beta * (ht.csr @ (t - yv)),
+        weight=None,
+        error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
+        singular_values=sv,
+    )
+
+
+def _imia(h: GraphFilter) -> Method:
+    d = imia_diagonal(h)
+
+    def error():
+        if np.any(d <= 0.0):
+            raise ValueError(
+                "imia diagonal has nonpositive entries; no symmetric "
+                "similarity form exists"
             )
-    elif method == "imia":
-        if params.inverse_diagonal is None:
-            params.inverse_diagonal = imia_diagonal(h)
+        sq = np.sqrt(d)
+        return lambda v: v - sq * h.matvec(sq * v)
+
+    return Method(lambda yv: lambda x, t: x - d * (t - yv), None, error)
+
+
+_TABLE = {"pgda": _pgda, "spgda": _spgda, "opgd": _opgd, "imia": _imia}
+
+
+def prepare_params(h: GraphFilter, method: str,
+                   params: dict | None = None) -> dict:
+    """Build `method`'s entry for h into params ({method: Method}) unless
+    it is there already, and return params."""
+    params = {} if params is None else params
+    if method not in params:
+        params[method] = _TABLE[method](h)
     return params
 
 
@@ -208,20 +256,12 @@ def _scale_rows_by_division(m: sparse.csr_matrix, divisors: np.ndarray) -> spars
     return out
 
 
-def _weight_vector(method: str, params: MethodParams) -> np.ndarray | None:
-    if method == "pgda":
-        return params.pgda_preconditioner.diag
-    if method == "spgda":
-        return np.sqrt(params.spgda_preconditioner.diag)
-    return None
-
-
 def solve(
     h: GraphFilter,
     y: Signal,
     cfg: SolverConfig,
     reference: Signal | None = None,
-    params: MethodParams | None = None,
+    params: dict | None = None,
 ):
     """Run the configured iteration and return (solution, trace).
 
@@ -233,9 +273,8 @@ def solve(
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
     method = cfg.method
-    params = prepare_params(h, method, params)
+    entry = prepare_params(h, method, params)[method]
 
-    ht = h.transpose()
     yv = y.values
     if cfg.initial is not None:
         if cfg.initial.graph is not h.graph:
@@ -243,40 +282,8 @@ def solve(
         x = cfg.initial.values.copy()
     else:
         x = np.zeros(h.graph.n)
+    step, weight = entry.update(yv), entry.weight
 
-    # method-specific update x_new = step(x, t) with t = H x
-    if method == "pgda":
-        p = params.pgda_preconditioner.diag
-        scaled_ht = _scale_rows_by_division(ht.csr, p * p)
-
-        def step(x, t):
-            e = t - yv
-            return x - scaled_ht @ e
-
-    elif method == "spgda":
-        p = params.spgda_preconditioner.diag
-        h_tilde = _scale_rows_by_division(h.csr, p)
-        y_tilde = yv / p
-
-        def step(x, t):
-            # association fixed as (x + y~) - H~ x to mirror the vertex update
-            return (x + y_tilde) - h_tilde @ x
-
-    elif method == "opgd":
-        beta = params.step_length
-
-        def step(x, t):
-            e = t - yv
-            return x - beta * (ht.csr @ e)
-
-    else:  # imia
-        d = params.inverse_diagonal
-
-        def step(x, t):
-            e = t - yv
-            return x - d * e
-
-    weight = _weight_vector(method, params)
     track = reference is not None
     ref = reference.values if track else None
     ref_norm = np.linalg.norm(ref) if track else None
@@ -339,7 +346,7 @@ def _snr_db(rel_error: float) -> float:
 
 
 def iteration_matrix(h: GraphFilter, method: str,
-                     params: MethodParams | None = None) -> LinearOperator:
+                     params: dict | None = None) -> LinearOperator:
     """Error-propagation operator of a method, in symmetric similarity form
     so its spectral radius can be taken by a symmetric eigensolver.
 
@@ -348,39 +355,6 @@ def iteration_matrix(h: GraphFilter, method: str,
     opgd:  I - beta H^T H
     imia:  I - D^{1/2} H D^{1/2}   (requires positive diagonal D)
     """
-    params = prepare_params(h, method, params)
     n = h.graph.n
-    if method == "pgda":
-        p = params.pgda_preconditioner.diag
-        ht = h.transpose()
-
-        def mv(v):
-            u = v / p
-            return v - ht.matvec(h.matvec(u)) / p
-
-    elif method == "spgda":
-        h_hat = normalized_filter(h, params.spgda_preconditioner)
-
-        def mv(v):
-            return v - h_hat.matvec(v)
-
-    elif method == "opgd":
-        beta = params.step_length
-        ht = h.transpose()
-
-        def mv(v):
-            return v - beta * ht.matvec(h.matvec(v))
-
-    else:  # imia
-        d = params.inverse_diagonal
-        if np.any(d <= 0.0):
-            raise ValueError(
-                "imia diagonal has nonpositive entries; no symmetric "
-                "similarity form exists"
-            )
-        sq = np.sqrt(d)
-
-        def mv(v):
-            return v - sq * h.matvec(sq * v)
-
+    mv = prepare_params(h, method, params)[method].error()
     return LinearOperator((n, n), matvec=mv, dtype=np.float64)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdnfilt.filters import GraphFilter
-from sdnfilt.graphs import Graph, ball
+from sdnfilt.graphs import Graph, hop_matrix
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -29,6 +29,12 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
+def hop_row(g: Graph, i: int, s: int) -> list[int]:
+    """Vertices within s hops of i, ascending: row i of the hop matrix."""
+    m = hop_matrix(g, s)
+    return m.indices[m.indptr[i]:m.indptr[i + 1]].tolist()
+
+
 def random_filter(
     rng: np.random.Generator,
     g: Graph,
@@ -41,7 +47,7 @@ def random_filter(
     never empty."""
     entries = {}
     for i in range(g.n):
-        for j in ball(g, i, width).members:
+        for j in hop_row(g, i, width):
             if symmetric and j < i:
                 continue
             if i != j and rng.random() > keep_prob:

@@ -1,5 +1,10 @@
-"""Reference random geometric graph generator for the tests: the dense
-O(n^2) form of sdnfilt.graphs.random_geometric_graph.
+"""Reference graph code for the tests.
+
+geodesic_distance is a per-pair breadth-first search, independent of the
+sparse hop levels of sdnfilt.graphs.
+
+dense_random_geometric_graph is the dense O(n^2) form of
+sdnfilt.graphs.random_geometric_graph.
 
 Every attempt builds the full n x n x 2 difference tensor, keeps each pair
 i < j whose squared distance is <= radius * radius, and checks connectivity
@@ -12,6 +17,31 @@ from __future__ import annotations
 import numpy as np
 
 from sdnfilt.graphs import RGG_MAX_ATTEMPTS, GenerationError, Graph
+
+
+def geodesic_distance(g: Graph, i: int, j: int) -> int:
+    """Number of edges in a shortest path between i and j (0 iff i == j)."""
+    for v in (i, j):
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex id {v} out of range for n={g.n}")
+    if i == j:
+        return 0
+    seen = bytearray(g.n)
+    seen[i] = 1
+    frontier = [i]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    if w == j:
+                        return depth
+                    seen[w] = 1
+                    nxt.append(w)
+        frontier = nxt
+    raise GenerationError(f"vertices {i} and {j} are not connected")
 
 
 def dense_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sdnfilt.graphs import geodesic_distance
+from graph_reference import geodesic_distance
 
 
 class ReferenceNetwork:

@@ -199,6 +199,23 @@ class TestRun:
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_comm_range_below_width_distributed_fig1_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5,
+                           comm_range=1)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--distributed", "--methods", "pgda"])
+        assert rc == 2
+        assert "communication range 1 is below the filter width 2" in \
+            capsys.readouterr().err
+
+    def test_comm_range_below_width_time_varying_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="time_varying", n=64, epochs=1,
+                           iterations=5, comm_range=1)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "filter width 2 exceeds communication range 1" in \
+            capsys.readouterr().err
+
     def test_custom_divergence_with_default_trials_exit_3(self, tmp_path, capsys):
         # a custom run is always one trial, whatever the config's trials says
         raw = write_two_vertex_custom(tmp_path)
@@ -249,6 +266,10 @@ class TestReport:
         text = capsys.readouterr().out
         assert "pgda" in text and "spgda" in text
         assert "condition numbers" in text
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        missed = summary["spectral_unconverged"]
+        assert (f"spectral estimates unconverged: radius {missed['radius']}, "
+                f"singular values {missed['singular_values']}") in text
 
     def test_report_missing_dir_exit_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 4

@@ -7,14 +7,18 @@ from sdnfilt.graphs import (
     Graph,
     _close_pairs,
     _is_connected,
-    ball,
-    geodesic_distance,
+    hop_matrix,
     knn_graph,
     random_geometric_graph,
 )
 
-from conftest import random_connected_graph
-from graph_reference import bfs_connected, dense_pairs, dense_random_geometric_graph
+from conftest import hop_row, random_connected_graph
+from graph_reference import (
+    bfs_connected,
+    dense_pairs,
+    dense_random_geometric_graph,
+    geodesic_distance,
+)
 
 
 def path3():
@@ -98,19 +102,21 @@ class TestGeodesicDistance:
 
 
 class TestBall:
+    """Rows of hop_matrix as the s-hop neighborhoods of their vertices."""
+
     def test_path_examples(self):
         g = path3()
-        assert ball(g, 0, 1).members == (0, 1)
-        assert ball(g, 1, 1).members == (0, 1, 2)
+        assert hop_row(g, 0, 1) == [0, 1]
+        assert hop_row(g, 1, 1) == [0, 1, 2]
 
     def test_zero_radius(self):
         g = path3()
         for i in range(3):
-            assert ball(g, i, 0).members == (i,)
+            assert hop_row(g, i, 0) == [i]
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            ball(path3(), 0, -1)
+        with pytest.raises(ValueError, match="hop radius"):
+            hop_matrix(path3(), -1)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 50), s=st.integers(0, 5))
@@ -118,11 +124,13 @@ class TestBall:
         g = random_connected_graph(np.random.default_rng(seed), n)
         d = floyd_warshall(g)
         i = seed % n
-        expected = tuple(j for j in range(n) if d[i, j] <= s)
-        hood = ball(g, i, s)
-        assert hood.members == expected
-        assert i in hood.members
-        assert set(hood.members) <= set(ball(g, i, s + 1).members)
+        expected = [j for j in range(n) if d[i, j] <= s]
+        members = hop_row(g, i, s)
+        assert members == expected
+        assert i in members
+        assert set(members) <= set(hop_row(g, i, s + 1))
+        m = hop_matrix(g, s)
+        assert m.data[m.indptr[i]:m.indptr[i + 1]].tolist() == d[i, members].tolist()
 
 
 class TestRandomGeometricGraph:

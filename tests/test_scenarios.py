@@ -197,6 +197,25 @@ class TestRunFig1Small:
         assert agg.spectral_unconverged == {"radius": {"pgda": 2, "spgda": 2},
                                             "singular_values": 2}
 
+    @pytest.mark.parametrize("methods", [("pgda", "opgd"), ("pgda", "spgda")])
+    def test_singular_values_once_per_trial(self, monkeypatch, methods):
+        # kappa reuses opgd's singular values when opgd runs
+        import sdnfilt.scenarios as scenarios
+        import sdnfilt.solvers as solvers
+
+        calls = []
+        real = scenarios.extreme_singular_values
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "extreme_singular_values", counting)
+        monkeypatch.setattr(solvers, "extreme_singular_values", counting)
+        agg = run_fig1(ScenarioConfig(**{**self.CFG, "iterations": 5,
+                                         "methods": methods}))
+        assert len(calls) == agg.trials == len(agg.condition_numbers) == 2
+
     def test_deterministic_aggregate(self):
         a = run_fig1(ScenarioConfig(**self.CFG))
         b = run_fig1(ScenarioConfig(**self.CFG))
@@ -447,7 +466,8 @@ class TestSimulatorDivergence:
         # with no divergence bound the iterates overflow, and the first NaN
         # residual stops both executors at the same iteration
         from sdnfilt.io import read_edges_csv, read_filter_csv, read_signal_csv
-        from sdnfilt.scenarios import _simulate
+        from sdnfilt.scenarios import _routed
+        from sdnfilt.sdn import SdnNetwork
         from sdnfilt.solvers import NumericError
 
         base = write_two_vertex_custom(tmp_path)
@@ -459,7 +479,7 @@ class TestSimulatorDivergence:
                                   divergence_factor=float("inf"))
         with pytest.raises(NumericError) as central:
             solve(h, y, solver_cfg)
-        cfg = ScenarioConfig(**base, distributed=True)
+        routed_params = {"spgda": _routed(SdnNetwork(g, h, y), "spgda")}
         with pytest.raises(NumericError) as routed:
-            _simulate(cfg, g, h, y, solver_cfg)
+            solve(h, y, solver_cfg, params=routed_params)
         assert routed.value.iteration == central.value.iteration

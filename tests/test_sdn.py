@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from sdnfilt.filters import GraphFilter, Signal, laplacians
-from sdnfilt.graphs import Graph, ball, geodesic_distance
+from sdnfilt.graphs import Graph
 from sdnfilt.preconditioners import build_pgda_preconditioner
 from sdnfilt.sdn import RangeViolationError, SdnNetwork, run_time_varying
 from sdnfilt.solvers import SolverConfig, solve
 
-from conftest import make_invertible, make_spd, random_connected_graph
+from conftest import hop_row, make_invertible, make_spd, random_connected_graph
+from graph_reference import geodesic_distance
 from sdn_reference import ReferenceNetwork
 
 
@@ -206,7 +207,7 @@ class TestRangeAndLocality:
         h = make_invertible(rng, g, 2)
         net = SdnNetwork(g, h, Signal(g, np.zeros(25)), comm_range=2)
         for agent in net.agents:
-            hood = set(ball(g, agent.vertex, h.width).members)
+            hood = set(hop_row(g, agent.vertex, h.width))
             assert set(agent.row_ids) <= hood
             assert set(agent.col_ids) <= hood
             assert set(agent.x_local) <= hood
@@ -321,7 +322,7 @@ class TestCompiledLocality:
         """(i, j, u): agents i != j and a vertex u outside ball(i, width)
         with H(j,u) != 0, so agent j's copy of x(u) feeds its own update."""
         for i in rng.permutation(g.n):
-            hood = set(ball(g, int(i), h.width).members)
+            hood = set(hop_row(g, int(i), h.width))
             for j, u, _ in h.entries():
                 if j != i and u not in hood:
                     return int(i), j, u
@@ -349,7 +350,7 @@ class TestCompiledLocality:
         h = make_invertible(rng, g, 1)
         y = Signal(g, rng.standard_normal(30))
         i = 0
-        hood = set(ball(g, i, h.width).members)
+        hood = set(hop_row(g, i, h.width))
         j = next((v for v in range(g.n) if v not in hood), None)
         if j is None:
             pytest.skip("graph too dense for an outside agent")
@@ -368,8 +369,9 @@ class TestCompiledLocality:
                                         | {(0, 2): 1.0, (2, 0): 1.0})
         lying = GraphFilter(g, wide.csr, _width=1)   # H(0,2) is 2 hops
         net = SdnNetwork.__new__(SdnNetwork)
-        with pytest.raises(RangeViolationError, match="no message has been sent"):
+        with pytest.raises(RangeViolationError, match="no message has been sent") as err:
             net.__init__(g, lying, Signal(g, np.ones(4)))
+        assert "agent 0 needs vertex 2, 2 hops away" in str(err.value)
         assert net.total_messages() == 0
         assert net.rounds == []
 
