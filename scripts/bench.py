@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Compare a base revision with the working tree on one perfbench workload.
+"""Compare a base revision with the working tree on perfbench workloads.
 
-    python3 scripts/bench.py --label NAME --workload fig1-central \
+    python3 scripts/bench.py --label NAME --workload denoise,fig1-central \
         --base HEAD --seeds 101-110 [--seconds 10] [--out BENCH_NAME.json]
 
 Both sides are copied into one temporary directory: the base revision by
 `git archive`, the working tree with its uncommitted changes (the tracked
-and untracked files git does not ignore). For each seed, `perfbench/run.py
---trace 0` runs once on each copy, the two alternating which side goes
-first, so a drift of the host hits both sides alike. Each side runs its own
+and untracked files git does not ignore). For each workload of the
+comma-separated list in turn, and each seed, `perfbench/run.py --trace 0`
+runs once on each copy, the two alternating which side goes first, so a
+drift of the host hits both sides alike. Each side runs its own
 perfbench/, with the same arguments.
 
-The result file holds every run's end-to-end metrics, each side's median
-and quartiles per metric, how many pairs the change won (ties count for
-neither side), the base and head commits with a digest and line count of
-each side's src/, and the environment perfbench reported.
+The result file holds one section per workload, with every run's
+end-to-end metrics, each side's median and quartiles per metric and how
+many pairs the change won (ties count for neither side); and, once, the
+base and head commits with a digest and line count of each side's src/,
+and the environment perfbench reported.
 """
 
 import argparse
@@ -97,40 +99,26 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--base", default="HEAD", help="git revision to compare with")
-    parser.add_argument("--seeds", default="1-10", help="e.g. 101-110 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=28.0)
-    parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
-    args = parser.parse_args(argv)
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    seeds = parse_seeds(args.seeds)
-    work = tempfile.mkdtemp(prefix="sdnfilt-bench-")
-    trees = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
+def run_pairs(trees, workload, seeds, seconds):
+    """Alternating base/change runs of one workload, one pair per seed;
+    returns the pairs and the environment perfbench reported."""
     pairs, environment = [], None
-    try:
-        export_base(args.base, trees["base"])
-        export_worktree(trees["change"])
-        for i, seed in enumerate(seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                line, env = run_side(trees[side], args.workload, seed, args.seconds)
-                environment = environment or env
-                pair[side] = {"correct": line["correct"], "attempted": line["attempted"],
-                              "failed": line["failed"],
-                              "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
-            pairs.append(pair)
-            print(json.dumps(pair), file=sys.stderr)
-        sources = {side: src_summary(tree) for side, tree in trees.items()}
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    for i, seed in enumerate(seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            line, env = run_side(trees[side], workload, seed, seconds)
+            environment = environment or env
+            pair[side] = {"correct": line["correct"], "attempted": line["attempted"],
+                          "failed": line["failed"],
+                          "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+        pairs.append(pair)
+        print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
+    return pairs, environment
 
+
+def summarize(pairs, better):
+    """Per metric: each side's quartiles and how many pairs each side won."""
     summary = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -143,31 +131,67 @@ def main(argv=None):
             "change_wins": sum(d > 0 for d in deltas),
             "base_wins": sum(d < 0 for d in deltas),
         }
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload or a comma-separated list")
+    parser.add_argument("--base", default="HEAD", help="git revision to compare with")
+    parser.add_argument("--seeds", default="1-10", help="e.g. 101-110 or 1,5,9")
+    parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+    work = tempfile.mkdtemp(prefix="sdnfilt-bench-")
+    trees = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
+    sections, environment = {}, None
+    try:
+        export_base(args.base, trees["base"])
+        export_worktree(trees["change"])
+        for workload in workloads:
+            pairs, env = run_pairs(trees, workload, seeds, args.seconds)
+            environment = environment or env
+            sections[workload] = {
+                "all_correct": all(p[s]["correct"] and not p[s]["failed"]
+                                   for p in pairs for s in ("base", "change")),
+                "summary": summarize(pairs, better),
+                "pairs": pairs,
+            }
+        sources = {side: src_summary(tree) for side, tree in trees.items()}
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     result = {
         "label": args.label,
-        "workload": args.workload,
         "seeds": seeds,
         "seconds": args.seconds,
         "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
                  **sources["base"]},
         "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
                    "uncommitted_changes": dirty, **sources["change"]},
-        "all_correct": all(p[s]["correct"] and not p[s]["failed"]
-                           for p in pairs for s in ("base", "change")),
+        "all_correct": all(sec["all_correct"] for sec in sections.values()),
         "environment": environment,
-        "summary": summary,
-        "pairs": pairs,
+        "workloads": sections,
     }
     out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    for name, s in summary.items():
-        print(f"{name}: base {s['base']['median']:.4g} [{s['base']['q1']:.4g}-"
-              f"{s['base']['q3']:.4g}] -> change {s['change']['median']:.4g} "
-              f"[{s['change']['q1']:.4g}-{s['change']['q3']:.4g}], change won "
-              f"{s['change_wins']}/{len(pairs)}")
+    for workload, sec in sections.items():
+        for name, s in sec["summary"].items():
+            print(f"{workload} {name}: base {s['base']['median']:.4g} "
+                  f"[{s['base']['q1']:.4g}-{s['base']['q3']:.4g}] -> change "
+                  f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}-"
+                  f"{s['change']['q3']:.4g}], change won "
+                  f"{s['change_wins']}/{len(sec['pairs'])}")
     print(f"wrote {out}")
     return 0
 

@@ -42,6 +42,7 @@ from .solvers import (
     iteration_matrix,
     optimal_step,
     solve,
+    solve_block,
 )
 
 __version__ = "0.1.0"

@@ -439,11 +439,25 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
         # symmetrize the i.i.d. draws: entry (i,j) gets (g_ij + g_ji)/2
         mirror = np.searchsorted(pi * g.n + pj, pj * g.n + pi)
         vals = vals + (noise + noise[mirror]) / 2.0
+    # every entry lies within two hops, so each width is the largest hop
+    # count two_hop holds at a stored entry; no rescan of the hop levels
     kernel = GraphFilter(
-        g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n))
+        g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n)),
+        _width=int(two_hop.data[vals != 0].max(initial=0)),
     )
-    _, lap_sym, _ = laplacians(g)
-    return kernel + compose(lap_sym, lap_sym)
+    summed = kernel.csr + _squared_normalized_laplacian(g).csr
+    return GraphFilter(g, summed, _width=int(two_hop.multiply(summed != 0).max()))
+
+
+def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
+    """L_sym L_sym, which depends on the graph alone: built on the first
+    call and cached on the graph next to its hop matrices. Shared, so
+    callers must not modify it."""
+    square = g._cache.get("lap_sym_squared")
+    if square is None:
+        _, lap_sym, _ = laplacians(g)
+        square = g._cache["lap_sym_squared"] = compose(lap_sym, lap_sym)
+    return square
 
 
 def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:

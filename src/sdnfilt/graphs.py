@@ -52,7 +52,9 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     coordinates: np.ndarray | None = None
     generator_seed: tuple[int, int] | None = None
-    _ball_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # products of the graph alone, built once and shared: hop matrices by
+    # radius, and the squared normalized Laplacian of the fig1 filter
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_edges(
@@ -136,12 +138,12 @@ def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
     if radius < 0:
         raise ValueError(f"hop radius must be >= 0, got {radius}")
     radius = min(radius, g.n - 1)       # no pair is farther apart
-    cached = g._ball_cache.get(radius)
+    cached = g._cache.get(radius)
     if cached is None:
         cached = reduce(operator.add, islice(hop_levels(g), radius + 1))
         cached.sort_indices()
         cached.data = radius + 1 - cached.data
-        g._ball_cache[radius] = cached
+        g._cache[radius] = cached
     return cached
 
 

@@ -51,7 +51,7 @@ from .solvers import (
     _snr_db,
     direct_solve_oracle,
     iteration_matrix,
-    solve,
+    solve_block,
 )
 
 __all__ = [
@@ -139,6 +139,14 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"distributed execution only supports pgda and spgda, got {bad}"
                 )
+        elif self.scenario != "time_varying":
+            # only the simulator sends messages; time_varying always runs it
+            if self.roundlog:
+                raise ConfigError("roundlog needs --distributed: a centralized "
+                                  f"{self.scenario} run sends no messages")
+            if self.comm_range is not None:
+                raise ConfigError("comm_range needs --distributed: a centralized "
+                                  f"{self.scenario} run sends no messages")
 
     def _check_numbers(self) -> None:
         """Type and range of every numeric field. Comparisons are written so
@@ -302,34 +310,38 @@ def _relative_error(ref: np.ndarray):
 def _snr(clean: np.ndarray):
     """Metric x_m -> SNR in dB of x_m against the clean values."""
     rel = _relative_error(clean)
-    return lambda xm: _snr_db(rel(xm))
+    return lambda xm: float(_snr_db(rel(xm)))
 
 
 def _routed(net: SdnNetwork, method: str) -> Method:
-    """`method` with one simulator round as its step, for `solve` to drive
-    from the zero initial. The gathered iterates equal the centralized ones
-    bit for bit; no reference is tracked, so it carries no weight."""
+    """`method` with one simulator round as its step, for `solve_block` to
+    drive from the zero initial on the one observation the network holds.
+    The gathered iterates equal the centralized ones bit for bit. It
+    carries no weight, so its weighted errors are the plain ones."""
     if method == "pgda":
         net.distributed_preconditioner()
         run = net.run_pgda
     else:
         net.spgda_setup()
         run = net.run_spgda
-    return Method(update=lambda yv: lambda x, t: run(1).values, weight=None,
-                  error=None)
+    return Method(update=lambda yv: lambda x, t: run(1).values[:, None],
+                  weight=None, error=None)
 
 
 class _MethodRuns:
     """Per-method results of one fig1, denoise or custom run.
 
-    Each trial solves H x = y once per method through `solve`, whose step
-    is one simulator round for a distributed config, and maps every
-    iterate to the scenario's metric. A diverged solve adds to `diverged`
+    `run` solves a block of observations of one filter, one trial per
+    column, once per method through `solve_block`, and reads each trial's
+    curve of the scenario's metric ("rel_error" or "snr") from its trace.
+    A distributed config solves one trial at a time, trial-major, with one
+    simulator round as the step. A diverged solve adds to `diverged`
     instead of to the curves.
     """
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, metric_name: str):
         self.cfg = cfg
+        self.metric_name = metric_name
         self.trials = 0
         self.curves = {m: [] for m in cfg.methods}
         self.radii = {m: [] for m in cfg.methods}
@@ -355,39 +367,40 @@ class _MethodRuns:
         self.unconverged["singular_values"] += not sv.converged
         return params, sv
 
-    def trial(self, graph: Graph, h: GraphFilter, y: Signal,
-              params: dict, metric) -> None:
-        self.trials += 1
-        for m in self.cfg.methods:
-            curve = self._curve(graph, h, y, m, params, metric)
-            if curve is None:
-                self.diverged[m] += 1
-            else:
-                self.curves[m].append(curve)
+    def run(self, graph: Graph, h: GraphFilter, ys: np.ndarray, params: dict,
+            reference: np.ndarray) -> None:
+        """Solve the observations ys (n x trials) of h with every method and
+        keep each trial's metric curve against reference (n,)."""
+        field = "snrs" if self.metric_name == "snr" else "relative_errors"
+        blocks = np.hsplit(ys, ys.shape[1]) if self.cfg.distributed else [ys]
+        for block in blocks:
+            self.trials += block.shape[1]
+            for m in self.cfg.methods:
+                for trace in self._solve(graph, h, block, m, params, reference):
+                    if trace.status == "diverged":
+                        self.diverged[m] += 1
+                    else:  # as an array: a third of the memory of floats
+                        self.curves[m].append(np.array(getattr(trace, field)))
 
-    def _curve(self, graph, h, y, method, params, metric):
-        """Metric curve of one solve, or None if it diverged. The iterates
-        die with this call, so only one method's are held at a time."""
-        solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations,
-                                  keep_iterates=True)
+    def _solve(self, graph, h, ys, method, params, reference):
+        solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations)
         if self.cfg.distributed:
-            net = SdnNetwork(graph, h, y, comm_range=self.cfg.comm_range,
+            net = SdnNetwork(graph, h, Signal(graph, ys[:, 0].copy()),
+                             comm_range=self.cfg.comm_range,
                              log_messages=self.cfg.roundlog)
             params = {method: _routed(net, method)}
-        _, trace = solve(h, y, solver_cfg, params=params)
+        _, traces = solve_block(h, ys, solver_cfg, reference, params)
         if self.cfg.distributed:
             self.messages[method] += net.total_messages()
             if self.cfg.roundlog:
                 self.rounds.extend(net.rounds)
-        if trace.status == "diverged":
-            return None
-        return [metric(xm) for xm in trace.iterates]
+        return traces
 
-    def aggregate(self, scenario: str, metric_name: str, graph_info: dict,
+    def aggregate(self, scenario: str, graph_info: dict,
                   **extra) -> TrialAggregate:
         """Cross-trial means, plus iterations to 5% for error curves or to
         the limit-SNR plateau for SNR curves."""
-        cfg = self.cfg
+        cfg, metric_name = self.cfg, self.metric_name
         agg = TrialAggregate(
             scenario=scenario,
             methods=cfg.methods,
@@ -423,7 +436,7 @@ class _MethodRuns:
 def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
     graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base_signal = blockwise_polynomial(graph)
-    runs = _MethodRuns(cfg)
+    runs = _MethodRuns(cfg, "rel_error")
     kappas = []
 
     for trial in range(cfg.trials):
@@ -438,10 +451,9 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
         )
         y = apply(h, x)
         direct_solve_oracle(h, y)  # residual gate before any error curve
-        runs.trial(graph, h, y, params, _relative_error(x.values))
+        runs.run(graph, h, y.values[:, None], params, x.values)
 
-    return runs.aggregate("fig1", "rel_error", _rgg_info(graph),
-                          condition_numbers=kappas)
+    return runs.aggregate("fig1", _rgg_info(graph), condition_numbers=kappas)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +471,22 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     h = build_denoise_filter(graph, cfg.alpha)
     clean = Signal(graph, values)
     snr = _snr(values)
-    runs = _MethodRuns(cfg)
+    runs = _MethodRuns(cfg, "snr")
     params, _ = runs.prepare(h)
-    limit_snrs = []
 
+    # the trials share h, so their observations are solved as one block
+    ys = np.empty((graph.n, cfg.trials))
+    limit_snrs = []
     for trial in range(cfg.trials):
         b = add_uniform_noise(
             clean, cfg.eta, _stream_seed(cfg.master_seed, trial, _STREAM_OBS)
         )
+        ys[:, trial] = b.values
         limit_snrs.append(snr(direct_solve_oracle(h, b).values))
-        runs.trial(graph, h, b, params, snr)
+    runs.run(graph, h, ys, params, values)
 
     return runs.aggregate(
-        "denoise", "snr", {"n": graph.n, "edges": graph.num_edges(), "k": cfg.k},
+        "denoise", {"n": graph.n, "edges": graph.num_edges(), "k": cfg.k},
         limit_snr=float(np.mean(limit_snrs)),
     )
 
@@ -543,10 +558,9 @@ def run_custom(cfg: ScenarioConfig) -> TrialAggregate:
     y = read_signal_csv(cfg.signal_csv, graph)
     oracle = direct_solve_oracle(h, y)
 
-    runs = _MethodRuns(cfg)
-    runs.trial(graph, h, y, runs.prepare(h)[0], _relative_error(oracle.values))
-    return runs.aggregate("custom", "rel_error",
-                          {"n": graph.n, "edges": graph.num_edges()})
+    runs = _MethodRuns(cfg, "rel_error")
+    runs.run(graph, h, y.values[:, None], runs.prepare(h)[0], oracle.values)
+    return runs.aggregate("custom", {"n": graph.n, "edges": graph.num_edges()})
 
 
 def run_scenario(cfg: ScenarioConfig) -> TrialAggregate:

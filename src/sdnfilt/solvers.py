@@ -12,10 +12,12 @@ with a different approximate inverse G each:
     imia   G = diag(H(i,i) / sum_j H(i,j)^2)
 
 Each method is defined once, as a `Method` built from its G per filter;
-`solve` runs its update and `iteration_matrix` takes its error operator.
-The pgda and spgda updates are arranged entry-for-entry like the
-vertex-level message-passing algorithms so the distributed simulator
-reproduces these iterates bit for bit.
+`solve_block` runs its update and `iteration_matrix` takes its error
+operator. The iteration is linear in y, so `solve_block` runs all
+observations of one filter together as the columns of one block, and
+`solve` is its one-column case. The pgda and spgda updates are arranged
+entry-for-entry like the vertex-level message-passing algorithms so the
+distributed simulator reproduces these iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "Method",
     "NumericError",
     "solve",
+    "solve_block",
     "iteration_matrix",
     "optimal_step",
     "imia_diagonal",
@@ -82,7 +85,6 @@ class SolverConfig:
     residual_tol: float | None = None
     divergence_factor: float = 1e6
     initial: Signal | None = None
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -109,7 +111,6 @@ class SolveTrace:
     weighted_errors: list[float] | None = None
     snrs: list[float] | None = None
     status: str = "max_iter"
-    iterates: list[np.ndarray] | None = None
 
     @property
     def iterations(self) -> int:
@@ -120,10 +121,11 @@ class SolveTrace:
 class Method:
     """One method's approximate inverse G, built once per filter.
 
-    update(y) gives the step (x, Hx) -> next x for the observation y;
-    weight is the diagonal behind SolveTrace.weighted_errors (None for the
-    plain norm); error() gives the matvec of I - G H in symmetric
-    similarity form. opgd keeps the singular values its step came from.
+    update(Y) gives the step (X, HX) -> next X for the block of
+    observations Y (n x T, one per column); weight is the diagonal behind
+    SolveTrace.weighted_errors (None for the plain norm); error() gives
+    the matvec of I - G H in symmetric similarity form. opgd keeps the
+    singular values its step came from.
     """
 
     update: Callable
@@ -149,7 +151,7 @@ def _spgda(h: GraphFilter) -> Method:
     h_tilde = _scale_rows_by_division(h.csr, p)
 
     def update(yv):
-        y_tilde = yv / p
+        y_tilde = yv / p[:, None]
         # association fixed as (x + y~) - H~ x to mirror the vertex update
         return lambda x, t: (x + y_tilde) - h_tilde @ x
 
@@ -183,7 +185,8 @@ def _imia(h: GraphFilter) -> Method:
         sq = np.sqrt(d)
         return lambda v: v - sq * h.matvec(sq * v)
 
-    return Method(lambda yv: lambda x, t: x - d * (t - yv), None, error)
+    dc = d[:, None]
+    return Method(lambda yv: lambda x, t: x - dc * (t - yv), None, error)
 
 
 _TABLE = {"pgda": _pgda, "spgda": _spgda, "opgd": _opgd, "imia": _imia}
@@ -263,7 +266,8 @@ def solve(
     reference: Signal | None = None,
     params: dict | None = None,
 ):
-    """Run the configured iteration and return (solution, trace).
+    """Run the configured iteration and return (solution, trace): the
+    one-column case of `solve_block`.
 
     The iteration is fully deterministic: identical inputs and config give
     bit-identical traces. Stops at max_iter, at the residual tolerance, or
@@ -272,77 +276,182 @@ def solve(
     """
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
+    ref = None if reference is None else reference.values
+    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params)
+    return Signal(h.graph, x[:, 0]), trace
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The columns of a as the C-contiguous rows of its transpose."""
+    return np.ascontiguousarray(a.T)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row, taken as a dot over the row's contiguous memory:
+    the float np.linalg.norm gives for that row alone."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def solve_block(
+    h: GraphFilter,
+    ys: np.ndarray,
+    cfg: SolverConfig,
+    reference: np.ndarray | None = None,
+    params: dict | None = None,
+):
+    """Run the configured iteration on the columns of ys (n x T), T
+    observations of the filter h, and return (solutions, traces): an n x T
+    array and an iterator over one SolveTrace per column. Each trace's
+    lists of floats are built as the iterator reaches it, so only the
+    traces a caller keeps are held at once.
+
+    Each iteration takes one product of H with the columns still running.
+    Every column is checked, stopped and recorded on its own, as `solve`
+    describes, so each gets bit for bit what `solve` gives on it alone: a
+    column that converges or diverges leaves the block, and a nonfinite
+    residual in a running column raises NumericError. reference is one
+    signal for every column (n,) or one per column (n x T). The history
+    keeps per-column scalars only: squared errors, whose square roots and
+    quotients are taken once at the end.
+    """
     method = cfg.method
     entry = prepare_params(h, method, params)[method]
-
-    yv = y.values
+    n = h.graph.n
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[0] != n:
+        raise ValueError(f"observation block must be {n} x T, got {ys.shape}")
+    k = ys.shape[1]
     if cfg.initial is not None:
         if cfg.initial.graph is not h.graph:
             raise ValueError("initial signal on a different graph")
-        x = cfg.initial.values.copy()
+        x = np.repeat(cfg.initial.values[:, None], k, axis=1)
     else:
-        x = np.zeros(h.graph.n)
-    step, weight = entry.update(yv), entry.weight
+        x = np.zeros((n, k))
+    step, weight = entry.update(ys), entry.weight
 
     track = reference is not None
-    ref = reference.values if track else None
-    ref_norm = np.linalg.norm(ref) if track else None
-
-    trace = SolveTrace(method=method)
     if track:
-        trace.relative_errors = []
-        trace.weighted_errors = []
-        trace.snrs = []
-    if cfg.keep_iterates:
-        trace.iterates = []
+        reference = np.asarray(reference, dtype=np.float64)
+        if reference.shape not in ((n,), (n, k)):
+            raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
+        ref_live = _rows(reference)     # (n,) stays 1-D
+        ref_norm = _norms(ref_live)
+    # per column: the residual, the error, the weighted error (squared)
+    parts = 1 + track + (track and weight is not None)
 
-    def record(x, resid):
-        trace.residuals.append(float(resid))
+    live = np.arange(k)                 # columns still running, ascending
+    last = np.zeros(k, dtype=np.int64)  # iteration of each column's last record
+    status = ["max_iter"] * k
+    out = None                          # solutions, once a column stops early
+    # squared norms by iteration, part and column, NaN once a column stopped;
+    # grown by doubling, so rows past the last iteration are never written
+    history = np.empty((min(cfg.max_iter, 255) + 1, parts, k))
+
+    def record(m, x, t):
+        """Write iteration m's squared norms and return the residuals. The
+        vectors are the C-contiguous rows of z, so one vecdot takes them
+        all, each as a dot over contiguous memory."""
+        nonlocal history
+        if m == len(history):
+            history = np.concatenate([history, np.empty_like(history)])
+        z = np.empty((parts, len(live), n))
+        np.subtract(t.T, y_live.T, out=z[0])
         if track:
-            diff = x - ref
-            rel = float(np.linalg.norm(diff) / ref_norm) if ref_norm > 0 else float(
-                np.linalg.norm(diff))
-            w = float(np.linalg.norm(weight * diff)) if weight is not None else float(
-                np.linalg.norm(diff))
-            trace.relative_errors.append(rel)
-            trace.weighted_errors.append(w)
-            trace.snrs.append(_snr_db(rel))
-        if cfg.keep_iterates:
-            trace.iterates.append(x.copy())
+            np.subtract(x.T, ref_live, out=z[1])
+            if weight is not None:
+                np.multiply(z[1], weight, out=z[2])
+        if len(live) == k:
+            sq = np.vecdot(z, z, out=history[m])
+        else:
+            sq = np.vecdot(z, z)
+            history[m] = np.nan
+            history[m][:, live] = sq
+        return np.sqrt(sq[0])
 
-    t = h.matvec(x)
-    resid0 = np.linalg.norm(t - yv)
-    record(x, resid0)
-    ynorm = np.linalg.norm(yv)
-
-    status = "max_iter"
-    if resid0 == 0.0:
-        status = "converged"
-    else:
-        # a diverging iterate is allowed to overflow; it is reported through
-        # the status / NumericError, not through numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(1, cfg.max_iter + 1):
-                x = step(x, t)
-                t = h.matvec(x)
-                resid = np.linalg.norm(t - yv)
-                if np.isnan(resid):
-                    raise NumericError(method, m)
-                record(x, resid)
-                if cfg.residual_tol is not None and resid <= cfg.residual_tol * ynorm:
-                    status = "converged"
+    # a diverging iterate is allowed to overflow; it is reported through
+    # the status / NumericError, not through numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_live = ys
+        t = h.matvec(x)
+        resid = record(0, x, t)
+        # a running column stops unless tol_bound < residual <= bound; with
+        # no tolerance, tol_bound is -inf and no column converges
+        bound = cfg.divergence_factor * resid
+        tol_bound = (np.full(k, -np.inf) if cfg.residual_tol is None
+                     else cfg.residual_tol * _norms(_rows(ys)))
+        m, limits = 0, None
+        conv = stop = resid == 0.0
+        while True:
+            if any(stop):
+                stop = np.asarray(stop)
+                if m:
+                    if np.isnan(resid).any():
+                        raise NumericError(method, m)
+                    conv = resid <= tol_bound
+                stopped = live[stop]
+                for j, converged in zip(stopped, conv[stop]):
+                    status[j] = "converged" if converged else "diverged"
+                last[stopped] = m
+                if out is None:
+                    out = np.empty((n, k))
+                out[:, stopped] = x[:, stop]
+                keep = ~stop
+                live, x, t, y_live = live[keep], x[:, keep], t[:, keep], y_live[:, keep]
+                bound, tol_bound = bound[keep], tol_bound[keep]
+                if track and ref_live.ndim == 2:
+                    ref_live = ref_live[keep]
+                if not live.size:
                     break
-                if resid > cfg.divergence_factor * resid0:
-                    status = "diverged"
-                    break
-    trace.status = status
-    return Signal(h.graph, x), trace
+                step = entry.update(y_live)
+                limits = None
+            if m == cfg.max_iter:
+                break
+            if limits is None:
+                limits = list(zip(tol_bound.tolist(), bound.tolist()))
+            m += 1
+            x = step(x, t)
+            t = h.matvec(x)
+            resid = record(m, x, t)
+            # checked on floats, cheaper than array operations on a few
+            # columns; a NaN residual fails both comparisons, so it stops
+            # its column and raises above
+            stop = [not lo < r <= hi for r, (lo, hi) in zip(resid.tolist(), limits)]
+        last[live] = m
+        if out is None:
+            out = x
+        else:
+            out[:, live] = x
+        del x, t, step
+
+        norms = history[:last.max() + 1]
+        np.sqrt(norms, out=norms)
+        res = norms[:, 0]
+        if track:
+            err = norms[:, 1]
+            rel = err / np.where(ref_norm > 0.0, ref_norm, 1.0)
+            werr = norms[:, 2] if weight is not None else err
+            snr = _snr_db(rel)
+
+    def trace(j):
+        rows = slice(0, last[j] + 1)
+        tr = SolveTrace(method=method, residuals=res[rows, j].tolist(),
+                        status=status[j])
+        if track:
+            tr.relative_errors = rel[rows, j].tolist()
+            tr.weighted_errors = werr[rows, j].tolist()
+            tr.snrs = snr[rows, j].tolist()
+        return tr
+
+    return out, map(trace, range(k))
 
 
-def _snr_db(rel_error: float) -> float:
-    if rel_error <= 0.0:
-        return SNR_CAP_DB
-    return float(min(-20.0 * np.log10(rel_error), SNR_CAP_DB))
+def _snr_db(rel_error):
+    """-20 log10 of a relative error, capped at SNR_CAP_DB (the cap also
+    for a zero error); elementwise on arrays."""
+    rel = np.asarray(rel_error, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.minimum(-20.0 * np.log10(rel), SNR_CAP_DB)
+    return np.where(rel <= 0.0, SNR_CAP_DB, snr)
 
 
 def iteration_matrix(h: GraphFilter, method: str,

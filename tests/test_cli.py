@@ -216,6 +216,28 @@ class TestRun:
         assert "filter width 2 exceeds communication range 1" in \
             capsys.readouterr().err
 
+    def test_roundlog_without_distributed_exit_2(self, tmp_path, capsys):
+        # a centralized run sends no messages, so there is nothing to log
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--roundlog"])
+        assert rc == 2
+        assert "roundlog needs --distributed" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_comm_range_without_distributed_exit_2(self, tmp_path, capsys):
+        coords, values = synthetic_points(30, rng_seed=1)
+        points = str(tmp_path / "p.csv")
+        write_points_csv(points, coords, values)
+        cfg = write_config(tmp_path, scenario="denoise", points_csv=points,
+                           trials=1, iterations=5, comm_range=3)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "comm_range needs --distributed" in capsys.readouterr().err
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--distributed", "--methods", "pgda"])
+        assert rc == 0
+
     def test_custom_divergence_with_default_trials_exit_3(self, tmp_path, capsys):
         # a custom run is always one trial, whatever the config's trials says
         raw = write_two_vertex_custom(tmp_path)

@@ -424,6 +424,31 @@ class TestFig1Filter:
         _, h2 = self.build(gamma=0.05, seed=11)
         assert np.array_equal(h1.to_dense(), h2.to_dense())
 
+    def test_laplacian_square_built_once_per_graph(self, monkeypatch):
+        import sdnfilt.filters as filters
+
+        calls = []
+        real = filters.compose
+        monkeypatch.setattr(filters, "compose",
+                            lambda a, b: calls.append(1) or real(a, b))
+        g, _ = self.build()
+        cached = [build_fig1_filter(g, 0.05, rng_seed=s) for s in (11, 12)]
+        assert len(calls) == 1
+        # a fresh graph builds its own square: the filters are the same bytes
+        for seed, h in zip((11, 12), cached):
+            _, fresh = self.build(gamma=0.05, seed=seed)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(h.csr, name).tobytes() == getattr(fresh.csr, name).tobytes()
+            assert h.width == fresh.width
+
+    @pytest.mark.parametrize("radius", [0.35, float("inf")])
+    def test_width_read_off_hop_counts_is_exact(self, radius):
+        # a complete graph has no vertex pair two hops apart: width 1
+        g = random_geometric_graph(40, radius, rng_seed=5)
+        h = build_fig1_filter(g, 0.05, rng_seed=2)
+        rescanned = GraphFilter(g, h.csr).width
+        assert h.width == rescanned == (1 if radius == float("inf") else 2)
+
 
 class TestDenoiseFilter:
     def test_alpha_zero_is_identity(self, rng):

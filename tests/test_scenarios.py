@@ -28,6 +28,7 @@ from sdnfilt.scenarios import (
 from sdnfilt.solvers import SolverConfig, direct_solve_oracle, solve
 
 from conftest import dense_of, write_two_vertex_custom
+from scenario_reference import denoise_reference
 
 
 def coord_graph():
@@ -146,7 +147,9 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"scenario": "fig1", key: value})
 
     def test_numeric_fields_accepted(self):
-        cfg = ScenarioConfig.from_dict({"scenario": "fig1", "radius": float("inf"),
+        # time_varying: a centralized fig1 run rejects any comm_range
+        cfg = ScenarioConfig.from_dict({"scenario": "time_varying",
+                                        "radius": float("inf"),
                                         "gamma": 0, "eta": 1, "alpha": 0.0,
                                         "comm_range": 0})
         assert cfg.radius == float("inf") and cfg.gamma == 0
@@ -266,6 +269,30 @@ class TestRunDenoise:
         write_points_csv(path, coords, values)
         return path, coords, values
 
+    def test_block_matches_per_trial_reference(self, tmp_path):
+        path, _, _ = self.make_points(tmp_path, n=120)
+        cfg = ScenarioConfig(scenario="denoise", points_csv=path, eta=35.0,
+                             trials=12, iterations=40, master_seed=9)
+        agg = run_denoise(cfg)
+        curves, limit_snr = denoise_reference(cfg)
+        assert agg.trials == 12 and agg.diverged == dict.fromkeys(cfg.methods, 0)
+        for m in cfg.methods:
+            assert np.array(agg.curves[m]).tobytes() == np.array(curves[m]).tobytes()
+        assert agg.limit_snr == limit_snr
+
+    def test_distributed_matches_centralized(self, tmp_path):
+        path, _, _ = self.make_points(tmp_path, n=50)
+        base = dict(scenario="denoise", points_csv=path, eta=35.0,
+                    iterations=20, master_seed=9, methods=("pgda", "spgda"))
+        central = run_denoise(ScenarioConfig(**base, trials=3))
+        routed = run_denoise(ScenarioConfig(**base, trials=3, distributed=True))
+        assert routed.curves == central.curves
+        assert routed.limit_snr == central.limit_snr
+        # each trial is its own simulator run with the same message pattern
+        one = run_denoise(ScenarioConfig(**base, trials=1, distributed=True))
+        assert routed.message_totals == {m: 3 * v for m, v in one.message_totals.items()}
+        assert one.message_totals["pgda"] > 0
+
     def test_plateau_ordering_at_paper_params(self, tmp_path):
         path, _, _ = self.make_points(tmp_path, n=120)
         cfg = ScenarioConfig(scenario="denoise", points_csv=path, eta=35.0,
@@ -283,8 +310,8 @@ class TestRunDenoise:
         h = build_denoise_filter(g, 0.9075)
         b = Signal(g, values)
         ref = direct_solve_oracle(h, b)
-        _, trace = solve(h, b, SolverConfig(method="spgda", max_iter=400,
-                                            keep_iterates=True), reference=ref)
+        _, trace = solve(h, b, SolverConfig(method="spgda", max_iter=400),
+                         reference=ref)
         diffs = np.diff(trace.snrs)
         assert np.all(diffs >= -1e-9)
         assert trace.snrs[-1] == 300.0

@@ -12,7 +12,9 @@ from sdnfilt.solvers import (
     imia_diagonal,
     iteration_matrix,
     optimal_step,
+    prepare_params,
     solve,
+    solve_block,
 )
 from sdnfilt.filters import power_spectral_radius
 
@@ -105,15 +107,6 @@ class TestSolveBasics:
         _, tr_zero = solve(h, y, SolverConfig(method="imia", max_iter=1))
         _, tr_warm = solve(h, y, SolverConfig(method="imia", max_iter=1, initial=x0))
         assert tr_zero.residuals[0] != tr_warm.residuals[0]
-
-    def test_keep_iterates(self, rng):
-        g = random_connected_graph(rng, 5)
-        h = make_spd(rng, g, 1)
-        y = Signal(g, rng.standard_normal(5))
-        _, trace = solve(h, y, SolverConfig(method="spgda", max_iter=4,
-                                            keep_iterates=True))
-        assert len(trace.iterates) == len(trace.residuals)
-        assert np.array_equal(trace.iterates[0], np.zeros(5))
 
     def test_deterministic_bitwise(self, rng):
         g = random_connected_graph(rng, 21)
@@ -395,3 +388,136 @@ class TestOracleAgreement:
                 x, trace = solve(h, y, SolverConfig(method=method, max_iter=500),
                                  reference=ref)
                 assert trace.relative_errors[-1] <= 1e-6, method
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_block_matches_single(h, ys, cfg, reference=None):
+    """solve_block on the columns of ys equals solve on each column alone,
+    bit for bit; returns the block's traces."""
+    xs, traces = solve_block(h, ys, cfg, reference)
+    traces = list(traces)
+    assert xs.shape == ys.shape and len(traces) == ys.shape[1]
+    for j, trace in enumerate(traces):
+        ref = None
+        if reference is not None:
+            ref = Signal(h.graph, reference if reference.ndim == 1 else reference[:, j])
+        x, single = solve(h, Signal(h.graph, ys[:, j].copy()), cfg, reference=ref)
+        assert bits(xs[:, j]) == bits(x.values), j
+        assert bits(trace.residuals) == bits(single.residuals), j
+        for name in ("relative_errors", "weighted_errors", "snrs"):
+            ours, theirs = getattr(trace, name), getattr(single, name)
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert bits(ours) == bits(theirs), (name, j)
+        assert trace.status == single.status, j
+        assert trace.iterations == single.iterations, j
+        assert trace.method == cfg.method
+    return traces
+
+
+def fast_column(h, method):
+    """An observation whose error lies along the eigenvector of I - G H
+    with the smallest eigenvalue magnitude, so it converges far sooner
+    than a random one. The step with y = 0 is e -> (I - G H) e."""
+    n = h.graph.n
+    eye = np.eye(n)
+    step = prepare_params(h, method)[method].update(np.zeros((n, n)))
+    lam, vecs = np.linalg.eig(step(eye, h.matvec(eye)))
+    v = np.real(vecs[:, np.argmin(np.abs(lam))])
+    return h.matvec(v)
+
+
+class TestSolveBlock:
+    """A block of T observations of one filter gives, column by column,
+    what T calls to `solve` give."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_random_filter_with_early_stops(self, method, rng):
+        g = random_connected_graph(rng, 150)
+        h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+        cols = [rng.standard_normal(150) * 10.0 ** rng.uniform(-3, 3)
+                for _ in range(5)]
+        cols.insert(2, np.zeros(150))               # stops at m = 0
+        cols.insert(4, fast_column(h, method))      # stops on residual_tol
+        ys = np.column_stack(cols)
+        cfg = SolverConfig(method=method, max_iter=300, residual_tol=1e-9)
+        traces = assert_block_matches_single(h, ys, cfg, rng.standard_normal(150))
+        assert all(t.status == "converged" for t in traces)
+        assert traces[2].iterations == 0
+        assert 0 < traces[4].iterations < min(traces[j].iterations for j in (0, 1, 3, 5, 6))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_per_column_reference_and_initial(self, method, rng):
+        g = random_connected_graph(rng, 40)
+        h = make_invertible(rng, g, 2, symmetric=True)
+        ys = rng.standard_normal((40, 4))
+        refs = np.column_stack([direct_solve_oracle(h, Signal(g, ys[:, j].copy())).values
+                                for j in range(4)])
+        refs[:, 3] = 0.0                            # plain norms for a zero reference
+        cfg = SolverConfig(method=method, max_iter=25,
+                           initial=Signal(g, rng.standard_normal(40)))
+        traces = assert_block_matches_single(h, ys, cfg, refs)
+        assert all(t.status == "max_iter" and t.iterations == 25 for t in traces)
+        assert_block_matches_single(h, ys, SolverConfig(method=method, max_iter=25))
+        # a strided reference is normed like np.linalg.norm does, contiguously
+        _, trace = solve(h, Signal(g, ys[:, 0].copy()), cfg,
+                         reference=Signal(g, refs[:, 0]))
+        diff = cfg.initial.values - refs[:, 0]
+        assert trace.relative_errors[0] == float(
+            np.linalg.norm(diff) / np.linalg.norm(refs[:, 0]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_column_diverges_while_others_run(self, method, rng):
+        # on [[1,2],[2,1]] spgda (I - H/3) and imia (I - H/5) grow the error
+        # along [1,-1] and contract it along [1,1]; pgda and opgd converge
+        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        ys = np.column_stack([[3.0, 3.0], [-1.0, 1.0], [3.0 - 1e-3, 3.0 + 1e-3],
+                              [0.0, 0.0], rng.standard_normal(2)])
+        cfg = SolverConfig(method=method, max_iter=300)
+        traces = assert_block_matches_single(
+            h, ys, cfg, direct_solve_oracle(h, Signal(h.graph, ys[:, 4].copy())).values)
+        if method in ("spgda", "imia"):
+            assert traces[1].status == traces[2].status == "diverged"
+            assert traces[1].iterations < traces[2].iterations < 300
+            assert traces[0].status == "max_iter"
+        else:
+            assert not any(t.status == "diverged" for t in traces)
+
+    def test_nan_in_live_column_raises_at_its_iteration(self):
+        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        cfg = SolverConfig(method="spgda", max_iter=10000,
+                           divergence_factor=float("inf"))
+        with pytest.raises(NumericError) as single:
+            solve(h, Signal(h.graph, np.array([-1.0, 1.0])), cfg)
+        ys = np.array([[3.0, -1.0], [3.0, 1.0]])
+        with pytest.raises(NumericError) as block:
+            solve_block(h, ys, cfg)
+        assert block.value.iteration == single.value.iteration
+
+    def test_nan_in_diverged_column_does_not_raise(self):
+        # alone and unbounded, column 1 overflows to NaN long before the
+        # last iteration; in the block it diverged first and left, so the
+        # bounded column 0 runs on to max_iter
+        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        unbounded = SolverConfig(method="spgda", max_iter=10000,
+                                 divergence_factor=float("inf"))
+        with pytest.raises(NumericError) as alone:
+            solve(h, Signal(h.graph, np.array([-1.0, 1.0])), unbounded)
+        cfg = SolverConfig(method="spgda", max_iter=alone.value.iteration + 100)
+        ys = np.array([[3.0, -1.0], [3.0, 1.0]])
+        traces = assert_block_matches_single(h, ys, cfg)
+        assert traces[1].status == "diverged"
+        assert traces[0].status == "max_iter"
+        assert traces[0].iterations == cfg.max_iter
+
+    def test_shape_checks(self, rng):
+        g = random_connected_graph(rng, 6)
+        h = make_spd(rng, g, 1)
+        cfg = SolverConfig(method="imia", max_iter=2)
+        with pytest.raises(ValueError, match="observation block"):
+            solve_block(h, np.zeros(6), cfg)
+        with pytest.raises(ValueError, match="reference must be"):
+            solve_block(h, np.zeros((6, 2)), cfg, np.zeros((6, 3)))
