@@ -8,7 +8,7 @@ Three built-in scenarios plus a bring-your-own-files one:
 * denoise       smoothing-penalty denoising on a k-NN graph of ingested
                 points; observation noise redrawn per trial.
 * time_varying  a filter sequence with fresh perturbations per epoch,
-                solved entirely through the vertex-level simulator.
+                each solved with pgda through the vertex-level simulator.
 * custom        graph, filter and observation loaded from CSV files.
 
 Every run is a pure function of (config, master_seed): output files are
@@ -43,7 +43,7 @@ from .io import (
     write_summary_json,
     atomic_write_text,
 )
-from .sdn import SdnNetwork, run_time_varying as sdn_run_time_varying
+from .sdn import SdnNetwork
 from .solvers import (
     METHODS,
     Method,
@@ -127,6 +127,9 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if self.scenario == "time_varying" and "pgda" not in self.methods:
+            raise ConfigError("time_varying runs pgda only, and methods "
+                              f"{list(self.methods)} leave it out")
         if self.scenario == "denoise" and self.points_csv is None:
             raise ConfigError("denoise scenario needs points_csv (id,x,y,value)")
         if self.scenario == "custom":
@@ -328,6 +331,20 @@ def _routed(net: SdnNetwork, method: str) -> Method:
                   weight=None, error=None)
 
 
+def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
+                      y: np.ndarray, method: str, reference: np.ndarray,
+                      epoch: int = 0):
+    """Deploy a network holding the one observation y (n,) of h and solve
+    it with `method` through `solve_block`, one simulator round per step.
+    Returns the network, for its message counters and log, and the trace."""
+    net = SdnNetwork(graph, h, Signal(graph, y), comm_range=cfg.comm_range,
+                     log_messages=cfg.roundlog, epoch=epoch)
+    solver_cfg = SolverConfig(method=method, max_iter=cfg.iterations)
+    _, (trace,) = solve_block(h, y[:, None], solver_cfg, reference,
+                              {method: _routed(net, method)})
+    return net, trace
+
+
 class _MethodRuns:
     """Per-method results of one fig1, denoise or custom run.
 
@@ -383,18 +400,15 @@ class _MethodRuns:
                         self.curves[m].append(np.array(getattr(trace, field)))
 
     def _solve(self, graph, h, ys, method, params, reference):
-        solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations)
-        if self.cfg.distributed:
-            net = SdnNetwork(graph, h, Signal(graph, ys[:, 0].copy()),
-                             comm_range=self.cfg.comm_range,
-                             log_messages=self.cfg.roundlog)
-            params = {method: _routed(net, method)}
-        _, traces = solve_block(h, ys, solver_cfg, reference, params)
-        if self.cfg.distributed:
-            self.messages[method] += net.total_messages()
-            if self.cfg.roundlog:
-                self.rounds.extend(net.rounds)
-        return traces
+        if not self.cfg.distributed:
+            solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations)
+            return solve_block(h, ys, solver_cfg, reference, params)[1]
+        net, trace = _solve_on_network(self.cfg, graph, h, ys[:, 0],
+                                       method, reference)
+        self.messages[method] += net.total_messages()
+        if self.cfg.roundlog:
+            self.rounds.extend(net.rounds)
+        return [trace]
 
     def aggregate(self, scenario: str, graph_info: dict,
                   **extra) -> TrialAggregate:
@@ -497,35 +511,30 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
 
 
 def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
+    """One pgda solve per epoch, each on a network deployed for that
+    epoch's filter, as a --distributed fig1 run solves a trial."""
     graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base = blockwise_polynomial(graph)
     x = add_uniform_noise(base, cfg.eta, _stream_seed(cfg.master_seed, 0, _STREAM_SIGNAL))
 
-    filters = [
-        build_fig1_filter(
+    rows, rounds, diverged = [], [], 0
+    for t in range(cfg.epochs):
+        h = build_fig1_filter(
             graph, cfg.gamma, _stream_seed(cfg.master_seed, t, _STREAM_EPOCH)
         )
-        for t in range(cfg.epochs)
-    ]
-    observations = [apply(h, x) for h in filters]
-    comm_range = cfg.comm_range
-    if comm_range is None:
-        comm_range = max(h.width for h in filters)
-
-    epochs = sdn_run_time_varying(
-        graph, filters, observations, cfg.iterations, comm_range,
-        log_messages=cfg.roundlog,
-    )
-
-    rows = []
-    for ep, h, y in zip(epochs, filters, observations):
+        y = apply(h, x)
         oracle = direct_solve_oracle(h, y)
+        net, trace = _solve_on_network(cfg, graph, h, y.values, "pgda",
+                                       oracle.values, epoch=t)
+        diverged += trace.status == "diverged"
         rows.append({
-            "epoch": ep.epoch,
-            "rel_error": _relative_error(oracle.values)(ep.x.values),
-            "messages": ep.messages,
-            "rounds": ep.rounds,
+            "epoch": t,
+            "rel_error": trace.relative_errors[-1],
+            "messages": net.total_messages(),
+            "rounds": len(net.rounds),
         })
+        if cfg.roundlog:
+            rounds.extend(net.rounds)
 
     return TrialAggregate(
         scenario="time_varying",
@@ -534,11 +543,11 @@ def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
         trials=cfg.epochs,
         master_seed=cfg.master_seed,
         curves={"pgda": [r["rel_error"] for r in rows]},
-        diverged={"pgda": 0},
+        diverged={"pgda": diverged},
         epoch_rows=rows,
         graph_info=_rgg_info(graph),
         message_totals={"pgda": sum(r["messages"] for r in rows)},
-        rounds=[r for ep in epochs for r in ep.round_log] if cfg.roundlog else None,
+        rounds=rounds if cfg.roundlog else None,
         config_echo=cfg.echo(),
     )
 

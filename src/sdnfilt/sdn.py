@@ -29,8 +29,6 @@ __all__ = [
     "Round",
     "RangeViolationError",
     "SdnNetwork",
-    "run_time_varying",
-    "TimeVaryingEpoch",
 ]
 
 
@@ -298,58 +296,3 @@ class SdnNetwork:
         largest hop, or 0 when nothing was logged."""
         logged = any(len(r.senders) for r in self.rounds)
         return int(self._ball.data.max()) if logged else 0
-
-    def summary(self) -> dict:
-        """JSON-compatible record of the simulation so far."""
-        return {
-            "agents": self.graph.n,
-            "filter_width": self.width,
-            "comm_range": self.comm_range,
-            "rounds": len(self.rounds),
-            "messages": self.total_messages(),
-        }
-
-
-@dataclass
-class TimeVaryingEpoch:
-    epoch: int
-    x: Signal
-    preconditioner: np.ndarray
-    messages: int
-    rounds: int
-    round_log: list | None = None
-
-
-def run_time_varying(
-    graph: Graph,
-    filters: list[GraphFilter],
-    observations: list[Signal],
-    iterations: int,
-    comm_range: int,
-    log_messages: bool = False,
-) -> list[TimeVaryingEpoch]:
-    """Re-run the vertex-level pipeline for a sequence of filters.
-
-    Each epoch hands the agents only their local rows and columns of that
-    epoch's filter, rebuilds the preconditioner by local exchange, and runs
-    the distributed gradient descent; nothing global is ever computed.
-    """
-    if len(filters) != len(observations):
-        raise ValueError("need one observation per filter epoch")
-    out = []
-    for t, (h, y) in enumerate(zip(filters, observations)):
-        if h.width > comm_range:
-            raise RangeViolationError(
-                f"epoch {t}: filter width {h.width} exceeds communication "
-                f"range {comm_range}"
-            )
-        net = SdnNetwork(graph, h, y, comm_range=comm_range,
-                         log_messages=log_messages, epoch=t)
-        p = net.distributed_preconditioner()
-        x = net.run_pgda(iterations)
-        out.append(TimeVaryingEpoch(
-            epoch=t, x=x, preconditioner=p,
-            messages=net.total_messages(), rounds=len(net.rounds),
-            round_log=net.rounds if log_messages else None,
-        ))
-    return out

@@ -213,8 +213,18 @@ class TestRun:
                            iterations=5, comm_range=1)
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "filter width 2 exceeds communication range 1" in \
+        assert "communication range 1 is below the filter width 2" in \
             capsys.readouterr().err
+
+    def test_time_varying_methods_without_pgda_exit_2(self, tmp_path, capsys):
+        # time_varying runs pgda only; a list without it would be ignored
+        cfg = write_config(tmp_path, scenario="time_varying", n=48, epochs=1,
+                           iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--methods", "spgda"])
+        assert rc == 2
+        assert "time_varying runs pgda only" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_roundlog_without_distributed_exit_2(self, tmp_path, capsys):
         # a centralized run sends no messages, so there is nothing to log

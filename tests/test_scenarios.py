@@ -371,12 +371,32 @@ class TestRunTimeVarying:
             oracle = direct_solve_oracle(h, y)
             rel = np.linalg.norm(central.values - oracle.values) / np.linalg.norm(
                 oracle.values)
-            assert row["rel_error"] == pytest.approx(rel, rel=1e-12)
+            assert row["rel_error"] == rel
 
     def test_message_counts_constant_across_epochs(self):
         agg = run_time_varying(ScenarioConfig(**self.CFG))
         counts = [r["messages"] for r in agg.epoch_rows]
         assert len(set(counts)) == 1
+
+    def test_constant_sequence_identical_epochs(self):
+        # gamma = 0: every epoch gets the same filter, so the same solve
+        cfg = ScenarioConfig(**{**self.CFG, "epochs": 3, "iterations": 20,
+                                "gamma": 0, "roundlog": True})
+        agg = run_time_varying(cfg)
+        rows = [{k: v for k, v in r.items() if k != "epoch"}
+                for r in agg.epoch_rows]
+        assert rows[0] == rows[1] == rows[2]
+        sent = [[r.sent.tolist() for r in agg.rounds if r.epoch == t]
+                for t in range(3)]
+        assert sent[0] == sent[1] == sent[2]
+
+    def test_roundlog_order(self):
+        cfg = ScenarioConfig(**{**self.CFG, "iterations": 3, "roundlog": True})
+        agg = run_time_varying(cfg)
+        # per epoch: the preconditioner exchange, then v and x per iteration
+        expected = [(t, i, kind) for t in range(2)
+                    for i, kind in enumerate(["d"] + ["v", "x"] * 3)]
+        assert [(r.epoch, r.index, r.kind) for r in agg.rounds] == expected
 
 
 class TestRunCustom:

@@ -4,7 +4,7 @@ import pytest
 from sdnfilt.filters import GraphFilter, Signal, laplacians
 from sdnfilt.graphs import Graph
 from sdnfilt.preconditioners import build_pgda_preconditioner
-from sdnfilt.sdn import RangeViolationError, SdnNetwork, run_time_varying
+from sdnfilt.sdn import RangeViolationError, SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import hop_row, make_invertible, make_spd, random_connected_graph
@@ -51,6 +51,14 @@ class TestDistributedPreconditioner:
             distributed = net.distributed_preconditioner()
             centralized = build_pgda_preconditioner(h).diag
             assert np.array_equal(distributed, centralized)
+
+    def test_doubled_filter_doubles_preconditioner(self, rng):
+        g = random_connected_graph(rng, 10)
+        h = make_invertible(rng, g, 1)
+        y = Signal(g, rng.standard_normal(10))
+        p = SdnNetwork(g, h, y).distributed_preconditioner()
+        doubled = SdnNetwork(g, h.scaled(2.0), y).distributed_preconditioner()
+        assert np.array_equal(2.0 * p, doubled)
 
     def test_range_below_width_rejected_before_messages(self, rng):
         g = random_connected_graph(rng, 15)
@@ -199,7 +207,8 @@ class TestRangeAndLocality:
                          log_messages=False)
         net.distributed_preconditioner()
         net.run_pgda(2)
-        assert net.total_messages() > 0
+        assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
+        assert sum(r.count for r in net.rounds) == net.total_messages() > 0
         assert net.max_message_distance() == 0
 
     def test_agents_store_only_local_data(self, rng):
@@ -245,69 +254,6 @@ class TestRangeAndLocality:
             net.distributed_preconditioner()
             outputs.append(net.run_pgda(1).values[v])
         assert outputs[0] == outputs[1]
-
-
-class TestTimeVarying:
-    def test_constant_sequence_identical_outputs(self, rng):
-        g = random_connected_graph(rng, 12)
-        h = make_invertible(rng, g, 1)
-        y = Signal(g, rng.standard_normal(12))
-        epochs = run_time_varying(g, [h, h, h], [y, y, y], iterations=10,
-                                  comm_range=h.width)
-        assert np.array_equal(epochs[0].x.values, epochs[1].x.values)
-        assert np.array_equal(epochs[0].x.values, epochs[2].x.values)
-        assert epochs[0].messages == epochs[1].messages == epochs[2].messages
-
-    def test_doubled_filter_doubles_preconditioner(self, rng):
-        g = random_connected_graph(rng, 10)
-        h = make_invertible(rng, g, 1)
-        y = Signal(g, rng.standard_normal(10))
-        epochs = run_time_varying(g, [h, h.scaled(2.0)], [y, y], iterations=2,
-                                  comm_range=h.width)
-        assert np.array_equal(2.0 * epochs[0].preconditioner,
-                              epochs[1].preconditioner)
-
-    def test_epochs_match_centralized(self, rng):
-        g = random_connected_graph(rng, 15)
-        y = Signal(g, rng.standard_normal(15))
-        filters = [make_invertible(rng, g, 1) for _ in range(3)]
-        epochs = run_time_varying(g, filters, [y] * 3, iterations=20,
-                                  comm_range=max(h.width for h in filters))
-        for ep, h in zip(epochs, filters):
-            central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=20))
-            assert np.array_equal(ep.x.values, central.values)
-
-    def test_width_beyond_range_rejected_at_epoch(self, rng):
-        g = random_connected_graph(rng, 20)
-        h1 = make_invertible(rng, g, 1)
-        h2 = make_invertible(rng, g, 2)
-        if h2.width < 2:
-            pytest.skip("random instance came out narrower than 2")
-        y = Signal(g, rng.standard_normal(20))
-        with pytest.raises(RangeViolationError, match="epoch 1"):
-            run_time_varying(g, [h1, h2], [y, y], iterations=1, comm_range=1)
-
-    def test_mismatched_lengths(self, rng):
-        g = random_connected_graph(rng, 5)
-        h = make_invertible(rng, g, 1)
-        y = Signal(g, np.zeros(5))
-        with pytest.raises(ValueError, match="one observation per filter"):
-            run_time_varying(g, [h, h], [y], iterations=1, comm_range=1)
-
-
-class TestNetworkSummary:
-    def test_record_counts(self, rng):
-        g = random_connected_graph(rng, 9)
-        h = make_invertible(rng, g, 1)
-        net = SdnNetwork(g, h, Signal(g, rng.standard_normal(9)))
-        net.distributed_preconditioner()
-        net.run_pgda(2)
-        record = net.summary()
-        assert record["messages"] == net.total_messages()
-        assert record["rounds"] == 5  # one d-exchange plus 2 x (v, x)
-        assert record["agents"] == 9
-        import json
-        json.dumps(record)
 
 
 def slot(net, agent, vertex):
