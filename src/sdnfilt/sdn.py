@@ -116,8 +116,8 @@ class SdnNetwork:
         comm_range = h.width if comm_range is None else int(comm_range)
         if comm_range < h.width:
             raise RangeViolationError(
-                f"communication range {comm_range} is below the filter "
-                f"width {h.width}; no message has been sent"
+                f"epoch {epoch}: communication range {comm_range} is below "
+                f"the filter width {h.width}; no message has been sent"
             )
         self.graph = graph
         self.width = h.width

@@ -207,8 +207,7 @@ class TestRangeAndLocality:
                          log_messages=False)
         net.distributed_preconditioner()
         net.run_pgda(2)
-        assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
-        assert sum(r.count for r in net.rounds) == net.total_messages() > 0
+        assert net.total_messages() > 0
         assert net.max_message_distance() == 0
 
     def test_agents_store_only_local_data(self, rng):
@@ -254,6 +253,45 @@ class TestRangeAndLocality:
             net.distributed_preconditioner()
             outputs.append(net.run_pgda(1).values[v])
         assert outputs[0] == outputs[1]
+
+
+class TestTimeVarying:
+    """A time-varying run deploys one network per epoch; each epoch's
+    agents see only that epoch's filter."""
+
+    def test_epochs_match_centralized(self, rng):
+        g = random_connected_graph(rng, 15)
+        y = Signal(g, rng.standard_normal(15))
+        filters = [make_invertible(rng, g, 1) for _ in range(3)]
+        comm_range = max(h.width for h in filters)
+        for t, h in enumerate(filters):
+            net = SdnNetwork(g, h, y, comm_range=comm_range, epoch=t)
+            net.distributed_preconditioner()
+            x = net.run_pgda(20)
+            central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=20))
+            assert np.array_equal(x.values, central.values)
+            assert {r.epoch for r in net.rounds} == {t}
+
+    def test_width_beyond_range_rejected_at_epoch(self, rng):
+        g = random_connected_graph(rng, 20)
+        h2 = make_invertible(rng, g, 2)
+        if h2.width < 2:
+            pytest.skip("random instance came out narrower than 2")
+        y = Signal(g, rng.standard_normal(20))
+        with pytest.raises(RangeViolationError, match="epoch 1"):
+            SdnNetwork(g, h2, y, comm_range=1, epoch=1)
+
+
+class TestNetworkSummary:
+    def test_record_counts(self, rng):
+        g = random_connected_graph(rng, 9)
+        h = make_invertible(rng, g, 1)
+        net = SdnNetwork(g, h, Signal(g, rng.standard_normal(9)))
+        net.distributed_preconditioner()
+        net.run_pgda(2)
+        assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
+        assert sum(r.count for r in net.rounds) == net.total_messages()
+        assert len(net.agents) == 9
 
 
 def slot(net, agent, vertex):
