@@ -11,12 +11,10 @@ from .filters import (
     build_denoise_filter,
     build_fig1_filter,
     compose,
-    extreme_eigenvalue,
     extreme_singular_values,
     geodesic_width,
     laplacians,
     power_spectral_radius,
-    schur_norm,
 )
 from .graphs import (
     GenerationError,
@@ -25,10 +23,8 @@ from .graphs import (
     random_geometric_graph,
 )
 from .preconditioners import (
-    DominanceCheck,
     build_pgda_preconditioner,
     build_spgda_preconditioner,
-    check_dominance,
     normalized_filter,
 )
 from .sdn import AgentState, RangeViolationError, Round, SdnNetwork
@@ -43,6 +39,7 @@ from .solvers import (
     optimal_step,
     solve,
     solve_block,
+    spectral_radius,
 )
 
 __version__ = "0.1.0"

@@ -176,6 +176,9 @@ def _cmd_report(args) -> int:
     if missed:
         print(f"spectral estimates unconverged: radius {missed['radius']}, "
               f"singular values {missed['singular_values']}")
+    fallbacks = summary.get("spectral_fallbacks")
+    if fallbacks:
+        print(f"spectral radii through the Lanczos fallback: {fallbacks}")
     if summary.get("message_totals"):
         print(f"messages: {summary['message_totals']}")
     return EXIT_OK

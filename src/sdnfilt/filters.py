@@ -17,7 +17,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                   aslinearoperator, eigsh, splu)
 
-from .graphs import Graph, hop_levels, hop_matrix
+from .graphs import Graph, hop_matrix
 
 __all__ = [
     "Signal",
@@ -27,10 +27,8 @@ __all__ = [
     "SingularValues",
     "apply",
     "geodesic_width",
-    "schur_norm",
     "compose",
     "laplacians",
-    "extreme_eigenvalue",
     "power_spectral_radius",
     "extreme_singular_values",
     "build_fig1_filter",
@@ -68,17 +66,21 @@ class GraphFilter:
     """Sparse vertex-indexed matrix carrying its geodesic width.
 
     Entries equal to exactly zero are never stored, and the cached width
-    always equals the maximum hop distance over stored entries.
+    always equals the maximum hop distance over stored entries. It is read
+    off the graph's cached hop matrix of radius `_within`, or of a larger
+    one where an entry lies beyond that; a caller that knows a bound on
+    the width passes it.
     """
 
-    def __init__(self, graph: Graph, matrix, *, _width: int | None = None):
+    def __init__(self, graph: Graph, matrix, *, _width: int | None = None,
+                 _within: int = 1):
         self.graph = graph
         m = sparse.csr_matrix(matrix, shape=(graph.n, graph.n), dtype=np.float64)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
         self.csr = m
-        self.width = _width if _width is not None else _entries_width(graph, m)
+        self.width = _width if _width is not None else _entries_width(graph, m, _within)
         self._transpose: GraphFilter | None = None
         self._lu = None
 
@@ -161,18 +163,20 @@ class GraphFilter:
 
     def __add__(self, other: "GraphFilter") -> "GraphFilter":
         self._check_same_graph(other)
-        return GraphFilter(self.graph, self.csr + other.csr)
+        return GraphFilter(self.graph, self.csr + other.csr,
+                           _within=max(self.width, other.width))
 
     def __sub__(self, other: "GraphFilter") -> "GraphFilter":
         self._check_same_graph(other)
-        return GraphFilter(self.graph, self.csr - other.csr)
+        return GraphFilter(self.graph, self.csr - other.csr,
+                           _within=max(self.width, other.width))
 
     def scaled(self, alpha: float) -> "GraphFilter":
         if alpha == 0.0:
             return GraphFilter(self.graph, sparse.csr_matrix((self.graph.n,) * 2),
                                _width=0)
         # width recomputed: scaling can underflow an entry to exact zero
-        return GraphFilter(self.graph, self.csr * float(alpha))
+        return GraphFilter(self.graph, self.csr * float(alpha), _within=self.width)
 
     def row_sums(self, data: np.ndarray) -> np.ndarray:
         """Per-row sums of `data`, an array aligned with the stored entries;
@@ -194,10 +198,6 @@ class GraphFilter:
 
     def col_abs_sums(self) -> np.ndarray:
         return self.transpose().row_abs_sums()
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        d = self.csr - self.csr.T
-        return d.nnz == 0 or float(np.abs(d.data).max()) <= tol
 
     def _check_same_graph(self, other) -> None:
         if other.graph is not self.graph:
@@ -225,9 +225,14 @@ class DiagonalPreconditioner:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
+    """An estimate taken with `iterations` operator applications.
+    `fallback` marks a method's radius taken by Lanczos on its iteration
+    matrix because the method's own route did not hold."""
+
     value: float
     iterations: int
     converged: bool
+    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -257,11 +262,6 @@ def geodesic_width(entries, g: Graph) -> int:
     return GraphFilter.from_entries(g, entries).width
 
 
-def schur_norm(h: GraphFilter) -> float:
-    """max(max absolute row sum, max absolute column sum)."""
-    return float(max(h.row_abs_sums().max(), h.col_abs_sums().max()))
-
-
 def compose(a: GraphFilter, b: GraphFilter) -> GraphFilter:
     """Sparse filter product a @ b; entries below COMPOSE_DROP_TOL in
     magnitude are dropped so the width metadata stays truthful."""
@@ -271,7 +271,7 @@ def compose(a: GraphFilter, b: GraphFilter) -> GraphFilter:
     if m.nnz:
         m.data[np.abs(m.data) < COMPOSE_DROP_TOL] = 0.0
         m.eliminate_zeros()
-    out = GraphFilter(a.graph, m)
+    out = GraphFilter(a.graph, m, _within=a.width + b.width)
     if out.width > a.width + b.width:
         raise AssertionError("composition widened beyond the sum of widths")
     return out
@@ -327,28 +327,26 @@ def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def extreme_eigenvalue(m, which: str, tol: float = 1e-10, max_iter: int = 5000,
-                       rng_seed: int = 0) -> SpectralEstimate:
-    """Eigenvalue of a symmetric operator that is largest in magnitude
-    (which="LM") or smallest (which="SA"), by ARPACK's implicitly restarted
-    Lanczos method.
+def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
+                          rng_seed: int = 0) -> SpectralEstimate:
+    """Spectral radius of a symmetric operator (a GraphFilter or anything
+    `aslinearoperator` accepts), the eigenvalue largest in magnitude, by
+    ARPACK's implicitly restarted Lanczos method.
 
     The start vector and ARPACK's restart stream are seeded by rng_seed,
     so reruns are bit-identical. `iterations` counts operator applications.
     `converged` means ARPACK's test ||A v - lambda v|| <= tol |lambda|
-    passed within max_iter restarts; if it did not, the value is the best
-    bound seen on the applied vectors: the largest |A v|/|v| for "LM", the
-    smallest Rayleigh quotient for "SA". A start vector that the operator
-    annihilates is replaced once by a fresh one; if that one is annihilated
-    too, the operator is taken as zero.
+    passed within max_iter restarts; if it did not, the value is the
+    largest |A v|/|v| seen on the applied vectors, a lower bound. A start
+    vector that the operator annihilates is replaced once by a fresh one;
+    if that one is annihilated too, the operator is taken as zero.
     """
     n, matvec = _as_operator(m)
-    bounds = []  # one per application, as described above
+    bounds = []  # |A v|/|v|, one per application
 
     def counted(v):
         w = matvec(v)
-        vv = v @ v
-        bounds.append(float(np.sqrt(w @ w / vv) if which == "LM" else v @ w / vv))
+        bounds.append(float(np.sqrt(w @ w / (v @ v))))
         return w
 
     if n == 1:  # eigsh needs k < n; a 1x1 operator is its own eigenvalue
@@ -362,20 +360,12 @@ def extreme_eigenvalue(m, which: str, tol: float = 1e-10, max_iter: int = 5000,
         return SpectralEstimate(0.0, len(bounds), True)
     try:
         (value,) = eigsh(LinearOperator((n, n), matvec=counted, dtype=np.float64),
-                         k=1, which=which, v0=v0, tol=tol, maxiter=max_iter,
+                         k=1, which="LM", v0=v0, tol=tol, maxiter=max_iter,
                          rng=rng_seed, return_eigenvectors=False)
         converged = True
     except ArpackNoConvergence:
-        value, converged = (max(bounds) if which == "LM" else min(bounds)), False
-    value = abs(float(value)) if which == "LM" else float(value)
-    return SpectralEstimate(value, len(bounds), converged)
-
-
-def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
-                          rng_seed: int = 0) -> SpectralEstimate:
-    """Spectral radius of a symmetric operator (a GraphFilter or anything
-    `aslinearoperator` accepts): `extreme_eigenvalue` with which="LM"."""
-    return extreme_eigenvalue(m, "LM", tol=tol, max_iter=max_iter, rng_seed=rng_seed)
+        value, converged = max(bounds), False
+    return SpectralEstimate(abs(float(value)), len(bounds), converged)
 
 
 def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 20000,
@@ -439,14 +429,9 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
         # symmetrize the i.i.d. draws: entry (i,j) gets (g_ij + g_ji)/2
         mirror = np.searchsorted(pi * g.n + pj, pj * g.n + pi)
         vals = vals + (noise + noise[mirror]) / 2.0
-    # every entry lies within two hops, so each width is the largest hop
-    # count two_hop holds at a stored entry; no rescan of the hop levels
-    kernel = GraphFilter(
-        g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n)),
-        _width=int(two_hop.data[vals != 0].max(initial=0)),
-    )
-    summed = kernel.csr + _squared_normalized_laplacian(g).csr
-    return GraphFilter(g, summed, _width=int(two_hop.multiply(summed != 0).max()))
+    kernel = GraphFilter(g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n)),
+                         _within=2)
+    return kernel + _squared_normalized_laplacian(g)
 
 
 def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
@@ -476,9 +461,19 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
 # ---------------------------------------------------------------------------
 
 
-def _entries_width(g: Graph, csr: sparse.csr_matrix) -> int:
-    """Smallest s such that every stored entry lies within s hops."""
-    for s, reach in zip(range(g.n), hop_levels(g)):
-        if csr.multiply(reach).nnz == csr.nnz:
-            return s
-    raise ValueError("filter entry connects vertices in different components")
+def _entries_width(g: Graph, csr: sparse.csr_matrix, within: int) -> int:
+    """Largest hop distance between the endpoints of a stored entry, read
+    off the graph's cached hop matrix: of radius `within` when that holds
+    every entry, else of radius 2, 4, 8, ... times it until one does."""
+    n = g.n
+    keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
+    radius = within
+    while True:
+        hops = hop_matrix(g, radius)
+        ball = np.repeat(np.arange(n), np.diff(hops.indptr)) * n + hops.indices
+        pos = np.minimum(np.searchsorted(ball, keys), len(ball) - 1)
+        if np.array_equal(ball[pos], keys):
+            return int(hops.data[pos].max(initial=0))
+        if radius >= n - 1:
+            raise ValueError("filter entry connects vertices in different components")
+        radius = max(2 * radius, 1)

@@ -10,29 +10,19 @@ to the filter's geodesic width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 
-from .filters import (
-    DiagonalPreconditioner,
-    GraphFilter,
-    extreme_eigenvalue,
-    schur_norm,
-)
+from .filters import DiagonalPreconditioner, GraphFilter
 from .graphs import hop_matrix
 
 __all__ = [
     "build_pgda_preconditioner",
     "build_spgda_preconditioner",
     "normalized_filter",
-    "check_dominance",
-    "DominanceCheck",
 ]
 
 SYMMETRY_TOL = 1e-12
-DOMINANCE_PASS_TOL = -1e-10
 
 
 def build_pgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
@@ -87,53 +77,3 @@ def normalized_filter(h: GraphFilter, p: DiagonalPreconditioner) -> GraphFilter:
     vals = coo.data / np.sqrt(p.diag[coo.row] * p.diag[coo.col])
     m = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=h.csr.shape)
     return GraphFilter(h.graph, m, _width=h.width)
-
-
-@dataclass(frozen=True)
-class DominanceCheck:
-    mode: str
-    value: float
-    passed: bool
-    converged: bool
-
-
-def check_dominance(
-    h: GraphFilter,
-    p: DiagonalPreconditioner,
-    mode: str,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-    rng_seed: int = 0,
-) -> DominanceCheck:
-    """Verify one of the dominance relations behind the preconditioners.
-
-    mode "pgda":       smallest eigenvalue of P^2 - H^T H
-    mode "spgda":      smallest eigenvalue of P - H (symmetric H)
-    mode "diag_chain": min over i of P(i,i) - P_sym(i,i)
-    mode "schur":      schur_norm(H) - max over i of P(i,i)
-
-    Eigenvalue modes take the smallest eigenvalue by ARPACK
-    (`extreme_eigenvalue`, which="SA"); diagonal modes are exact
-    comparisons. A check passes when the value is at least -1e-10.
-    """
-    if p.graph is not h.graph:
-        raise ValueError("preconditioner and filter must share a graph")
-    if mode == "diag_chain":
-        p_sym = build_spgda_preconditioner(h)
-        value = float((p.diag - p_sym.diag).min())
-        return DominanceCheck(mode, value, value >= DOMINANCE_PASS_TOL, True)
-    if mode == "schur":
-        value = schur_norm(h) - float(p.diag.max())
-        return DominanceCheck(mode, value, value >= DOMINANCE_PASS_TOL, True)
-    if mode == "pgda":
-        difference = sparse.diags(p.diag * p.diag) - h.transpose().csr @ h.csr
-    elif mode == "spgda":
-        if not h.is_symmetric(SYMMETRY_TOL):
-            raise ValueError("spgda dominance requires a symmetric filter")
-        difference = sparse.diags(p.diag) - h.csr
-    else:
-        raise ValueError(f"unknown dominance mode {mode!r}")
-    est = extreme_eigenvalue(difference, "SA", tol=tol, max_iter=max_iter,
-                             rng_seed=rng_seed)
-    return DominanceCheck(mode, est.value, est.value >= DOMINANCE_PASS_TOL,
-                          est.converged)

@@ -29,7 +29,6 @@ from .filters import (
     build_denoise_filter,
     build_fig1_filter,
     extreme_singular_values,
-    power_spectral_radius,
 )
 from .graphs import GenerationError, Graph, knn_graph, random_geometric_graph
 from .io import (
@@ -50,8 +49,8 @@ from .solvers import (
     SolverConfig,
     _snr_db,
     direct_solve_oracle,
-    iteration_matrix,
     solve_block,
+    spectral_radius,
 )
 
 __all__ = [
@@ -212,6 +211,7 @@ class TrialAggregate:
     diverged: dict = field(default_factory=dict)
     condition_numbers: list = field(default_factory=list)
     spectral_unconverged: dict = field(default_factory=dict)
+    spectral_fallbacks: dict = field(default_factory=dict)
     graph_info: dict = field(default_factory=dict)
     message_totals: dict = field(default_factory=dict)
     epoch_rows: list = field(default_factory=list)       # time_varying only
@@ -319,16 +319,21 @@ def _snr(clean: np.ndarray):
 def _routed(net: SdnNetwork, method: str) -> Method:
     """`method` with one simulator round as its step, for `solve_block` to
     drive from the zero initial on the one observation the network holds.
-    The gathered iterates equal the centralized ones bit for bit. It
-    carries no weight, so its weighted errors are the plain ones."""
+    The gathered iterates equal the centralized ones bit for bit. A pgda
+    round hands back the H x its agents formed for their next residual,
+    so the loop takes no product of its own. It carries no weight, so its
+    weighted errors are the plain ones."""
     if method == "pgda":
         net.distributed_preconditioner()
-        run = net.run_pgda
+
+        def step(x, t):
+            return net.run_pgda(1).values[:, None], net.filtered()[:, None]
     else:
         net.spgda_setup()
-        run = net.run_spgda
-    return Method(update=lambda yv: lambda x, t: run(1).values[:, None],
-                  weight=None, error=None)
+
+        def step(x, t):
+            return net.run_spgda(1).values[:, None]
+    return Method(update=lambda yv: step, weight=None, error=None)
 
 
 def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
@@ -364,6 +369,7 @@ class _MethodRuns:
         self.radii = {m: [] for m in cfg.methods}
         self.unconverged = {"radius": dict.fromkeys(cfg.methods, 0),
                             "singular_values": 0}
+        self.fallbacks = dict.fromkeys(cfg.methods, 0)
         self.diverged = {m: 0 for m in cfg.methods}
         self.messages = {m: 0 for m in cfg.methods}
         self.rounds = []
@@ -372,13 +378,14 @@ class _MethodRuns:
         """Prepare every method for h and record the spectral radius of each
         iteration matrix. Returns the method table and the extreme singular
         values, opgd's when it runs. Every estimate that missed its
-        tolerance is counted in `unconverged`."""
+        tolerance is counted in `unconverged`, and every radius that fell
+        back to Lanczos in `fallbacks`."""
         params = {}
         for m in self.cfg.methods:
-            est = power_spectral_radius(iteration_matrix(h, m, params), tol=1e-9,
-                                        max_iter=3000)
+            est = spectral_radius(h, m, params, tol=1e-9, max_iter=3000)
             self.radii[m].append(est.value)
             self.unconverged["radius"][m] += not est.converged
+            self.fallbacks[m] += est.fallback
         opgd = params.get("opgd")
         sv = opgd.singular_values if opgd else extreme_singular_values(h)
         self.unconverged["singular_values"] += not sv.converged
@@ -425,6 +432,7 @@ class _MethodRuns:
                     for m, rows in self.curves.items()},
             mean_spectral_radius={m: float(np.mean(r)) for m, r in self.radii.items()},
             spectral_unconverged=self.unconverged,
+            spectral_fallbacks=self.fallbacks,
             diverged=self.diverged,
             graph_info=graph_info,
             message_totals=self.messages,
@@ -610,6 +618,7 @@ def emit_outputs(agg: TrialAggregate, out_dir: str) -> list[str]:
         "diverged": agg.diverged,
         "condition_numbers": agg.condition_numbers,
         "spectral_unconverged": agg.spectral_unconverged,
+        "spectral_fallbacks": agg.spectral_fallbacks,
         "graph": agg.graph_info,
         "message_totals": agg.message_totals,
         "config": agg.config_echo,

@@ -151,6 +151,7 @@ class SdnNetwork:
         self._residual = self._local(self._csr, self._row_slots)
         self._y = y.values.copy()
         self._x = np.zeros(ball.nnz)           # every agent's copies of x, by slot
+        self._hx = None                        # H x over those copies, once formed
         self._p = self._pgda_update = self._spgda_update = None
 
     def _slots(self, m) -> np.ndarray:
@@ -254,9 +255,9 @@ class SdnNetwork:
                 "distributed_preconditioner() first"
             )
         for _ in range(iterations):
-            v = self._y - self._residual @ self._x
+            v = self._y - self.filtered()
             x = self._x[self._own] + self._pgda_update @ self._exchange("v", v)
-            self._x = self._exchange("x", x)
+            self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
     # ---- Algorithm: distributed SPGDA -------------------------------------
@@ -281,13 +282,21 @@ class SdnNetwork:
             self.spgda_setup()
         for _ in range(iterations):
             x = (self._x[self._own] + self._y_scaled) - self._spgda_update @ self._x
-            self._x = self._exchange("x", x)
+            self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
     # ---- outputs ----------------------------------------------------------
 
     def gather(self) -> Signal:
         return Signal(self.graph, self._x[self._own])
+
+    def filtered(self) -> np.ndarray:
+        """H x for the gathered iterate x, each agent summing its row over
+        its own slots: bit for bit h.csr @ x. It is the product the next
+        pgda residual reads, formed once per x-exchange."""
+        if self._hx is None:
+            self._hx = self._residual @ self._x
+        return self._hx
 
     def max_message_distance(self) -> int:
         """Largest hop distance traveled by a logged message. Every logged

@@ -12,10 +12,11 @@ with a different approximate inverse G each:
     imia   G = diag(H(i,i) / sum_j H(i,j)^2)
 
 Each method is defined once, as a `Method` built from its G per filter;
-`solve_block` runs its update and `iteration_matrix` takes its error
-operator. The iteration is linear in y, so `solve_block` runs all
-observations of one filter together as the columns of one block, and
-`solve` is its one-column case. The pgda and spgda updates are arranged
+`solve_block` runs its update, `iteration_matrix` takes its error
+operator and `spectral_radius` the radius of that operator. The
+iteration is linear in y, so `solve_block` runs all observations of one
+filter together as the columns of one block, and `solve` is its
+one-column case. The pgda and spgda updates are arranged
 entry-for-entry like the vertex-level message-passing algorithms so the
 distributed simulator reproduces these iterates bit for bit.
 """
@@ -23,7 +24,7 @@ distributed simulator reproduces these iterates bit for bit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -33,7 +34,9 @@ from .filters import (
     GraphFilter,
     Signal,
     SingularValues,
+    SpectralEstimate,
     extreme_singular_values,
+    power_spectral_radius,
 )
 from .preconditioners import (
     build_pgda_preconditioner,
@@ -50,6 +53,7 @@ __all__ = [
     "solve",
     "solve_block",
     "iteration_matrix",
+    "spectral_radius",
     "optimal_step",
     "imia_diagonal",
     "direct_solve_oracle",
@@ -122,15 +126,20 @@ class Method:
     """One method's approximate inverse G, built once per filter.
 
     update(Y) gives the step (X, HX) -> next X for the block of
-    observations Y (n x T, one per column); weight is the diagonal behind
-    SolveTrace.weighted_errors (None for the plain norm); error() gives
-    the matvec of I - G H in symmetric similarity form. opgd keeps the
+    observations Y (n x T, one per column); a step that forms H X' for its
+    next X' itself returns the pair (X', H X'). weight is the diagonal
+    behind SolveTrace.weighted_errors (None for the plain norm); error()
+    gives the matvec of I - G H in symmetric similarity form. radius(tol,
+    max_iter), where a method has a route of its own, gives the spectral
+    radius of that operator, or None where the route does not hold;
+    `spectral_radius` then takes Lanczos on error(). opgd keeps the
     singular values its step came from.
     """
 
     update: Callable
     weight: np.ndarray | None
     error: Callable | None
+    radius: Callable | None = None
     singular_values: SingularValues | None = None
 
 
@@ -142,7 +151,41 @@ def _pgda(h: GraphFilter) -> Method:
         update=lambda yv: lambda x, t: x - scaled_ht @ (t - yv),
         weight=p,
         error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
+        radius=lambda tol, max_iter: _pgda_radius(h, p, tol, max_iter),
     )
+
+
+def _pgda_radius(h: GraphFilter, p: np.ndarray, tol: float,
+                 max_iter: int) -> SpectralEstimate | None:
+    """rho(I - M) for M = P^{-1} H^T H P^{-1}, as 1 - lambda_min(M).
+
+    lambda_min(M) is 1 / lambda_max(P H^{-1} H^{-T} P), applied through
+    the filter's cached LU factor: a handful of applications, where
+    Lanczos on I - M needs many once lambda_min(M) nears 0. The spectrum
+    of M lies in [lambda_min, ||H P^{-1}||_2^2], and ||H P^{-1}||_2^2 <=
+    a b, the largest absolute column sum of H P^{-1} times its largest
+    absolute row sum (Schur). Both are at most 1 for pgda's own P, which
+    is what P^2 >= H^T H rests on. When a b <= 2 - lambda_min, no
+    eigenvalue of I - M exceeds 1 - lambda_min in magnitude. None when
+    the factor fails, its estimate is not a positive finite number, or
+    the certificate does not hold.
+    """
+    try:
+        lu = h.lu()
+    except np.linalg.LinAlgError:
+        return None
+    n = h.graph.n
+    inverse = LinearOperator(
+        (n, n), matvec=lambda v: p * lu.solve(lu.solve(p * v, trans="T")),
+        dtype=np.float64)
+    est = power_spectral_radius(inverse, tol=tol, max_iter=max_iter)
+    if not 0.0 < est.value < np.inf:
+        return None
+    lam_min = 1.0 / est.value
+    hp = abs(h.csr) @ sparse.diags(1.0 / p)
+    if hp.sum(axis=0).max() * hp.sum(axis=1).max() > 2.0 - lam_min:
+        return None
+    return replace(est, value=1.0 - lam_min)
 
 
 def _spgda(h: GraphFilter) -> Method:
@@ -165,10 +208,15 @@ def _spgda(h: GraphFilter) -> Method:
 def _opgd(h: GraphFilter) -> Method:
     beta, sv = optimal_step(h, return_singular_values=True)
     ht = h.transpose()
+    # I - beta H^T H has eigenvalues 1 - beta sigma^2, largest in magnitude
+    # at sigma_max and sigma_min alike: no operator application needed
+    smax2, smin2 = sv.sigma_max**2, sv.sigma_min**2
+    radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged)
     return Method(
         update=lambda yv: lambda x, t: x - beta * (ht.csr @ (t - yv)),
         weight=None,
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
+        radius=lambda tol, max_iter: radius,
         singular_values=sv,
     )
 
@@ -410,7 +458,10 @@ def solve_block(
                 limits = list(zip(tol_bound.tolist(), bound.tolist()))
             m += 1
             x = step(x, t)
-            t = h.matvec(x)
+            if type(x) is tuple:
+                x, t = x
+            else:
+                t = h.matvec(x)
             resid = record(m, x, t)
             # checked on floats, cheaper than array operations on a few
             # columns; a NaN residual fails both comparisons, so it stops
@@ -467,3 +518,21 @@ def iteration_matrix(h: GraphFilter, method: str,
     n = h.graph.n
     mv = prepare_params(h, method, params)[method].error()
     return LinearOperator((n, n), matvec=mv, dtype=np.float64)
+
+
+def spectral_radius(h: GraphFilter, method: str, params: dict | None = None,
+                    tol: float = 1e-9, max_iter: int = 3000) -> SpectralEstimate:
+    """Spectral radius of `iteration_matrix(h, method)`.
+
+    pgda takes it through the LU factor (`_pgda_radius`) and opgd in closed
+    form from its singular values; spgda and imia take it by Lanczos on
+    the iteration matrix, and so does pgda, flagged as a fallback, where
+    its own route does not hold.
+    """
+    entry = prepare_params(h, method, params)[method]
+    own = entry.radius(tol, max_iter) if entry.radius else None
+    if own is not None:
+        return own
+    est = power_spectral_radius(iteration_matrix(h, method, params), tol=tol,
+                                max_iter=max_iter)
+    return replace(est, fallback=entry.radius is not None)

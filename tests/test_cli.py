@@ -302,6 +302,8 @@ class TestReport:
         missed = summary["spectral_unconverged"]
         assert (f"spectral estimates unconverged: radius {missed['radius']}, "
                 f"singular values {missed['singular_values']}") in text
+        assert ("spectral radii through the Lanczos fallback: "
+                f"{summary['spectral_fallbacks']}") in text
 
     def test_report_missing_dir_exit_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 4

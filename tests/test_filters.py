@@ -10,17 +10,21 @@ from sdnfilt.filters import (
     build_denoise_filter,
     build_fig1_filter,
     compose,
-    extreme_eigenvalue,
     extreme_singular_values,
     geodesic_width,
     laplacians,
     power_spectral_radius,
-    schur_norm,
 )
 from sdnfilt.graphs import Graph, random_geometric_graph
 from sdnfilt.scenarios import _STREAM_FILTER, _stream_seed, generate_run_graph
 
 from conftest import dense_of, make_invertible, random_connected_graph, random_filter
+from filter_reference import (
+    entries_width_by_levels,
+    is_symmetric,
+    schur_norm,
+    smallest_eigenvalue,
+)
 
 
 def operator(n, matvec):
@@ -83,6 +87,18 @@ class TestGraphFilterBasics:
         assert geodesic_width({(0, 0): 1.0, (2, 2): 3.0}, g) == 0
         assert geodesic_width({(0, 2): 1.0}, g) == 2
         assert geodesic_width({(0, 2): 0.0, (0, 1): 1.0}, g) == 1
+
+    def test_width_matches_level_reference(self, rng):
+        # the width read off the cached hop matrix equals the level-by-level
+        # search, for every constructor that derives one, whether or not
+        # its first hop radius holds every entry
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(1, 30)))
+            a = random_filter(rng, g, int(rng.integers(0, 4)), keep_prob=0.3)
+            b = random_filter(rng, g, int(rng.integers(0, 3)), keep_prob=0.3)
+            for h in (a, b, a + b, a - a, a.scaled(float(rng.uniform(-2, 2))),
+                      compose(a, b), GraphFilter.from_dense(g, dense_of(a).T)):
+                assert h.width == entries_width_by_levels(g, h.csr)
 
     def test_entries_sorted_row_major(self):
         h = GraphFilter.from_entries(path3(), {(1, 2): 1.0, (1, 0): 2.0, (0, 0): 3.0})
@@ -230,7 +246,7 @@ class TestLaplacians:
             _, lap_sym, _ = laplacians(g)
             est = power_spectral_radius(lap_sym, tol=1e-12, max_iter=20000)
             assert est.value <= 2.0 + 1e-12
-            assert lap_sym.is_symmetric()
+            assert is_symmetric(lap_sym)
 
     def test_degree_diagonal(self):
         _, _, deg = laplacians(path3())
@@ -305,7 +321,7 @@ class TestPowerSpectralRadius:
 
     def test_smallest_algebraic(self):
         mat = np.diag([3.0, -2.0, 1.0, 0.5])
-        est = extreme_eigenvalue(operator(4, lambda v: mat @ v), "SA", tol=1e-14)
+        est = smallest_eigenvalue(operator(4, lambda v: mat @ v), tol=1e-14)
         assert est.converged
         assert est.value == pytest.approx(-2.0, abs=1e-12)
 
@@ -315,8 +331,8 @@ class TestPowerSpectralRadius:
         a = power_spectral_radius(h, tol=1e-12)
         b = power_spectral_radius(h, tol=1e-12)
         assert a == b
-        sa = extreme_eigenvalue(h, "SA", tol=1e-12)
-        assert sa == extreme_eigenvalue(h, "SA", tol=1e-12)
+        sa = smallest_eigenvalue(h.csr, tol=1e-12)
+        assert sa == smallest_eigenvalue(h.csr, tol=1e-12)
 
 
 class TestExtremeSingularValues:
@@ -446,7 +462,7 @@ class TestFig1Filter:
         # a complete graph has no vertex pair two hops apart: width 1
         g = random_geometric_graph(40, radius, rng_seed=5)
         h = build_fig1_filter(g, 0.05, rng_seed=2)
-        rescanned = GraphFilter(g, h.csr).width
+        rescanned = entries_width_by_levels(g, h.csr)
         assert h.width == rescanned == (1 if radius == float("inf") else 2)
 
 

@@ -183,16 +183,22 @@ class TestRunFig1Small:
         emit_outputs(agg, str(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["spectral_unconverged"] == agg.spectral_unconverged
+        assert agg.spectral_fallbacks == {"pgda": 0, "spgda": 0, "opgd": 0, "imia": 0}
+        assert summary["spectral_fallbacks"] == agg.spectral_fallbacks
 
     def test_spectral_unconverged_counts_misses(self, monkeypatch):
+        # the radii are taken in solvers.spectral_radius, through the
+        # estimator solvers imports: pgda's through the LU factor, spgda's
+        # by Lanczos on the iteration matrix
         import sdnfilt.scenarios as scenarios
+        import sdnfilt.solvers as solvers
 
         def missed(estimator):
             return lambda *a, **kw: dataclasses.replace(estimator(*a, **kw),
                                                         converged=False)
 
-        monkeypatch.setattr(scenarios, "power_spectral_radius",
-                            missed(scenarios.power_spectral_radius))
+        monkeypatch.setattr(solvers, "power_spectral_radius",
+                            missed(solvers.power_spectral_radius))
         monkeypatch.setattr(scenarios, "extreme_singular_values",
                             missed(scenarios.extreme_singular_values))
         cfg = ScenarioConfig(**{**self.CFG, "methods": ("pgda", "spgda")})
@@ -497,6 +503,32 @@ class TestDistributedScenarioRouting:
             assert routed.curves[m] == central.curves[m]
             assert routed.message_totals[m] > 0
         assert routed.iterations_to_5pct == central.iterations_to_5pct
+
+
+    def test_routed_pgda_trace_and_products(self, rng):
+        # a routed pgda round hands back its agents' H x: the trace equals
+        # the centralized one entry for entry, residuals included, and the
+        # loop's own product is taken for the initial residual only
+        from conftest import make_invertible, random_connected_graph
+        from sdnfilt.scenarios import _solve_on_network
+
+        g = random_connected_graph(rng, 25)
+        h = make_invertible(rng, g, 2)
+        y = rng.standard_normal(25)
+        ref = direct_solve_oracle(h, Signal(g, y)).values
+        cfg = ScenarioConfig(scenario="fig1", iterations=20, distributed=True,
+                             methods=("pgda",))
+        _, central = solve(h, Signal(g, y), SolverConfig("pgda", max_iter=20),
+                           Signal(g, ref))
+        products = []
+        real = h.matvec
+        h.matvec = lambda v: products.append(1) or real(v)
+        net, routed = _solve_on_network(cfg, g, h, y, "pgda", ref)
+        assert len(products) == 1
+        assert routed.residuals == central.residuals
+        assert routed.relative_errors == central.relative_errors
+        assert routed.status == central.status
+        assert len(net.rounds) == 1 + 2 * 20
 
 
 class TestSimulatorDivergence:

@@ -403,6 +403,25 @@ class TestMatchesReference:
             assert np.array_equal(
                 [a.p_value for a in net_s.agents], ref_s.p)
 
+    def test_filtered_is_the_centralized_product(self, rng):
+        # the H x the agents form for their next residual equals the
+        # centralized product bit for bit, and reading it between rounds
+        # changes no iterate, round or message
+        for _ in range(6):
+            n = int(rng.integers(2, 31))
+            g = random_connected_graph(rng, n)
+            h = make_invertible(rng, g, int(rng.integers(1, 3)))
+            y = Signal(g, rng.standard_normal(n))
+            stepped, whole = SdnNetwork(g, h, y), SdnNetwork(g, h, y)
+            for net in (stepped, whole):
+                net.distributed_preconditioner()
+            for _ in range(5):
+                x = stepped.run_pgda(1).values
+                assert np.array_equal(stepped.filtered(), h.csr @ x)
+                assert np.array_equal(stepped.filtered(), h.matvec(x[:, None])[:, 0])
+            assert np.array_equal(whole.run_pgda(5).values, x)
+            assert self.rows(stepped) == self.rows(whole)
+
     def test_log_off_keeps_counts(self, rng):
         g = random_connected_graph(rng, 15)
         h = make_invertible(rng, g, 2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,14 @@ from sdnfilt.solvers import (
     prepare_params,
     solve,
     solve_block,
+    spectral_radius,
 )
-from sdnfilt.filters import power_spectral_radius
+from sdnfilt.filters import (
+    DiagonalPreconditioner,
+    build_denoise_filter,
+    build_fig1_filter,
+    power_spectral_radius,
+)
 
 from conftest import (
     dense_of,
@@ -215,6 +223,110 @@ class TestIterationMatrix:
         h = GraphFilter.from_dense(g, [[-2.0, 1.0], [1.0, -2.0]])
         with pytest.raises(ValueError, match="nonpositive"):
             iteration_matrix(h, "imia")
+
+
+class TestSpectralRadius:
+    """pgda's radius through the LU factor and opgd's in closed form, each
+    against Lanczos on the iteration matrix."""
+
+    @staticmethod
+    def lanczos(h, method, params):
+        return power_spectral_radius(iteration_matrix(h, method, params),
+                                     tol=1e-13, max_iter=20000)
+
+    def check_own_routes(self, h):
+        params = {}
+        for method in ("pgda", "opgd"):
+            est = spectral_radius(h, method, params)
+            assert not est.fallback and est.converged
+            assert abs(est.value - self.lanczos(h, method, params).value) <= 1e-12
+        assert spectral_radius(h, "opgd", params).iterations == 0
+
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_fig1_filters(self, n):
+        from sdnfilt.scenarios import generate_run_graph
+
+        for seed in (1, 2):
+            g = generate_run_graph(n, np.sqrt(2.0 / n), 777016 + seed)
+            for trial in range(2):
+                self.check_own_routes(build_fig1_filter(g, 0.05, seed + 10 * trial))
+
+    def test_denoise_filter(self):
+        from sdnfilt.graphs import knn_graph
+        from sdnfilt.scenarios import synthetic_points
+
+        coords, _ = synthetic_points(218, rng_seed=3)
+        self.check_own_routes(build_denoise_filter(knn_graph(coords, 5), 0.9075))
+
+    def test_random_nonsymmetric_filters(self, rng):
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(3, 40)))
+            h = make_invertible(rng, g, int(rng.integers(1, 3)), margin=0.2)
+            assert (h.csr != h.csr.T).nnz
+            self.check_own_routes(h)
+
+    def test_spgda_and_imia_stay_on_lanczos(self, rng):
+        g = random_connected_graph(rng, 20)
+        h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+        params = {}
+        for method in ("spgda", "imia"):
+            est = spectral_radius(h, method, params)
+            assert not est.fallback
+            assert est == power_spectral_radius(iteration_matrix(h, method, params),
+                                                tol=1e-9, max_iter=3000)
+
+    def test_pgda_applications_at_n512(self):
+        from sdnfilt.scenarios import generate_run_graph
+
+        g = generate_run_graph(512, np.sqrt(2.0 / 512), 777016)
+        est = spectral_radius(build_fig1_filter(g, 0.05, 5), "pgda")
+        assert est.converged and not est.fallback
+        assert est.iterations <= 30
+
+    def test_failed_factor_falls_back(self):
+        # [[1,1],[1,1]] is singular: no LU factor, so Lanczos on I - M,
+        # whose radius is 1 (M has eigenvalues 0 and 1)
+        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        params = {}
+        est = spectral_radius(h, "pgda", params)
+        assert est.fallback
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est == dataclasses.replace(
+            power_spectral_radius(iteration_matrix(h, "pgda", params), tol=1e-9,
+                                  max_iter=3000), fallback=True)
+
+    def test_failed_certificate_falls_back(self, rng, monkeypatch):
+        # halving P breaks P^2 >= H^T H: the Schur bound a b exceeds
+        # 2 - lambda_min(M), so the LU route cannot vouch for the radius
+        import sdnfilt.solvers as solvers
+
+        real = solvers.build_pgda_preconditioner
+
+        def halved(h):
+            p = real(h)
+            return DiagonalPreconditioner(p.graph, p.diag / 2.0, p.kind, p.source_width)
+
+        monkeypatch.setattr(solvers, "build_pgda_preconditioner", halved)
+        g = random_connected_graph(rng, 20)
+        h = make_invertible(rng, g, 1)
+        params = {}
+        est = spectral_radius(h, "pgda", params)
+        assert est.fallback
+        assert est == dataclasses.replace(
+            power_spectral_radius(iteration_matrix(h, "pgda", params), tol=1e-9,
+                                  max_iter=3000), fallback=True)
+        assert est.value > 1.0
+
+    def test_fallbacks_counted_per_method(self, rng):
+        from sdnfilt.scenarios import ScenarioConfig, _MethodRuns
+
+        g = random_connected_graph(rng, 12)
+        singular = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        runs = _MethodRuns(ScenarioConfig(scenario="fig1",
+                                          methods=("pgda", "spgda")), "rel_error")
+        runs.prepare(singular)
+        runs.prepare(make_invertible(rng, g, 1, symmetric=True))
+        assert runs.fallbacks == {"pgda": 1, "spgda": 0}
 
 
 class TestOptimalStep:
