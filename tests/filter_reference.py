@@ -63,9 +63,6 @@ def smallest_eigenvalue(m, tol: float = 1e-10, max_iter: int = 5000,
         quotients.append(float(v @ w / (v @ v)))
         return w
 
-    if n == 1:
-        counted(np.ones(1))
-        return SpectralEstimate(quotients[0], 1, True)
     try:
         (value,) = eigsh(LinearOperator((n, n), matvec=counted, dtype=np.float64),
                          k=1, which="SA", v0=_start_vector(n, rng_seed, 0),
