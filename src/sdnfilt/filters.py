@@ -4,16 +4,20 @@ A graph filter is a vertex-indexed matrix whose nonzero entries connect
 vertices at bounded hop distance (its geodesic width). Filters are stored
 in CSR form with sorted column indices; every matrix-vector product sums
 each row in ascending column order, which fixes the floating-point result
-and lets the vertex-level simulator reproduce it bit for bit.
+and lets the vertex-level simulator reproduce it bit for bit. Products are
+taken by `csr_product`, which calls scipy's CSR kernels directly.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                   aslinearoperator, eigsh, splu)
 
@@ -26,6 +30,7 @@ __all__ = [
     "SpectralEstimate",
     "SingularValues",
     "apply",
+    "csr_product",
     "geodesic_width",
     "compose",
     "laplacians",
@@ -81,8 +86,10 @@ class GraphFilter:
         m.sort_indices()
         self.csr = m
         self.width = _width if _width is not None else _entries_width(graph, m, _within)
+        self._product = csr_product(m)
         self._transpose: GraphFilter | None = None
         self._lu = None
+        self._row_abs_sums = None
 
     # ---- constructors -------------------------------------------------
 
@@ -146,8 +153,9 @@ class GraphFilter:
     # ---- algebra -------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Canonical product: each row summed in ascending column order."""
-        return self.csr @ v
+        """Canonical product H v of an (n,), (n, 1) or n x T array: each row
+        summed in ascending column order."""
+        return self._product(v)
 
     def transpose(self) -> "GraphFilter":
         if self._transpose is None:
@@ -193,8 +201,12 @@ class GraphFilter:
         return out
 
     def row_abs_sums(self) -> np.ndarray:
-        """Per-row sum of absolute values, as `row_sums` adds them."""
-        return self.row_sums(np.abs(self.csr.data))
+        """Per-row sum of absolute values, as `row_sums` adds them; computed
+        once per filter and shared, so the array is read-only."""
+        if self._row_abs_sums is None:
+            self._row_abs_sums = self.row_sums(np.abs(self.csr.data))
+            self._row_abs_sums.flags.writeable = False
+        return self._row_abs_sums
 
     def col_abs_sums(self) -> np.ndarray:
         return self.transpose().row_abs_sums()
@@ -245,6 +257,35 @@ class SingularValues:
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
+
+
+def csr_product(m: sparse.csr_matrix):
+    """The product v -> m @ v of a float64 CSR matrix, bound once.
+
+    Each call runs the kernel `m @ v` reaches, with the same arguments and
+    a fresh zero output: csr_matvec for an (n,) or (n, 1) array and
+    csr_matvecs for an n x T one. The result is `m @ v` bit for bit, without
+    scipy's per-call dispatch. The matrix's arrays are read once, here, so
+    m must not change afterwards.
+    """
+    if m.format != "csr" or m.dtype != np.float64:
+        raise ValueError(f"expected a float64 CSR matrix, got {m.format} {m.dtype}")
+    (rows, cols), indptr, indices, data = m.shape, m.indptr, m.indices, m.data
+
+    def product(v: np.ndarray) -> np.ndarray:
+        if v.shape[0] != cols or v.ndim > 2:
+            raise ValueError(f"cannot multiply a {rows} x {cols} matrix by an "
+                             f"array of shape {v.shape}")
+        if v.ndim == 1 or v.shape[1] == 1:
+            out = np.zeros(rows)
+            csr_matvec(rows, cols, indptr, indices, data, v.ravel(), out)
+            return out if v.ndim == 1 else out.reshape(rows, 1)
+        out = np.zeros((rows, v.shape[1]))
+        csr_matvecs(rows, cols, v.shape[1], indptr, indices, data, v.ravel(),
+                    out.ravel())
+        return out
+
+    return product
 
 
 def apply(h: GraphFilter, x: Signal) -> Signal:
@@ -312,26 +353,36 @@ def laplacians(g: Graph):
 
 
 def _as_operator(m):
-    """(n, matvec) of a GraphFilter or of anything aslinearoperator accepts."""
+    """(n, matvec) of a GraphFilter, of an (n, matvec) pair itself, or of
+    anything aslinearoperator accepts."""
     if isinstance(m, GraphFilter):
         return m.graph.n, m.matvec
+    if isinstance(m, tuple):
+        return m
     op = aslinearoperator(m)
     return op.shape[0], op.matvec
 
 
+@functools.lru_cache(maxsize=16)
 def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
+    """Seeded unit start vector, drawn once per (n, rng_seed, stream) and
+    shared read-only: every estimate of a run starts from the same few."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,))
     )
     v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
                           rng_seed: int = 0) -> SpectralEstimate:
-    """Spectral radius of a symmetric operator (a GraphFilter or anything
-    `aslinearoperator` accepts), the eigenvalue largest in magnitude, by
-    ARPACK's implicitly restarted Lanczos method.
+    """Spectral radius of a symmetric operator (a GraphFilter, an (n, matvec)
+    pair or anything `aslinearoperator` accepts), the eigenvalue largest in
+    magnitude, by ARPACK's implicitly restarted Lanczos method. The one
+    LinearOperator layer is the counting one handed to ARPACK; a pair's
+    matvec runs under it directly.
 
     The start vector and ARPACK's restart stream are seeded by rng_seed,
     so reruns are bit-identical. `iterations` counts operator applications.
@@ -346,7 +397,7 @@ def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
 
     def counted(v):
         w = matvec(v)
-        bounds.append(float(np.sqrt(w @ w / (v @ v))))
+        bounds.append(math.sqrt(w @ w / (v @ v)))
         return w
 
     if n == 1:  # eigsh needs k < n; a 1x1 operator is its own eigenvalue
@@ -379,8 +430,7 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
     """
     n = h.graph.n
     ht = h.transpose()
-    gram = LinearOperator((n, n), matvec=lambda v: ht.matvec(h.matvec(v)),
-                          dtype=np.float64)
+    gram = (n, lambda v: ht.matvec(h.matvec(v)))
     top = power_spectral_radius(gram, tol=tol, max_iter=max_iter, rng_seed=rng_seed)
     if top.value == 0.0:
         return SingularValues(0.0, 0.0, top.converged)
@@ -389,8 +439,7 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
         lu = h.lu()
     except np.linalg.LinAlgError:
         return SingularValues(sigma_max, 0.0, top.converged)
-    inverse_gram = LinearOperator(
-        (n, n), matvec=lambda v: lu.solve(lu.solve(v, trans="T")), dtype=np.float64)
+    inverse_gram = (n, lambda v: lu.solve(lu.solve(v, trans="T")))
     bottom = power_spectral_radius(inverse_gram, tol=tol, max_iter=max_iter,
                                    rng_seed=rng_seed + 1)
     sigma_min = float(1.0 / np.sqrt(bottom.value)) if bottom.value > 0 else 0.0

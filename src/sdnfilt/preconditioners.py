@@ -51,7 +51,7 @@ def build_spgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
     """P(i,i) = absolute row sum of row i; requires a symmetric filter."""
     if h.nnz == 0:
         raise ValueError("cannot precondition an all-zero filter")
-    diff = (h.csr - h.csr.T).tocoo()
+    diff = (h.csr - h.transpose().csr).tocoo()
     if diff.nnz and float(np.abs(diff.data).max()) > SYMMETRY_TOL:
         k = int(np.argmax(np.abs(diff.data)))
         i, j = int(diff.row[k]), int(diff.col[k])
@@ -73,7 +73,8 @@ def normalized_filter(h: GraphFilter, p: DiagonalPreconditioner) -> GraphFilter:
         raise ValueError(f"expected an spgda preconditioner, got kind={p.kind!r}")
     if p.graph is not h.graph:
         raise ValueError("preconditioner and filter must share a graph")
-    coo = h.csr.tocoo()
-    vals = coo.data / np.sqrt(p.diag[coo.row] * p.diag[coo.col])
-    m = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=h.csr.shape)
-    return GraphFilter(h.graph, m, _width=h.width)
+    m = h.csr
+    rows = np.repeat(np.arange(h.graph.n), np.diff(m.indptr))
+    vals = m.data / np.sqrt(p.diag[rows] * p.diag[m.indices])
+    return GraphFilter(h.graph, sparse.csr_matrix((vals, m.indices, m.indptr),
+                                                  shape=m.shape), _width=h.width)

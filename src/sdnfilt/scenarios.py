@@ -321,17 +321,16 @@ def _routed(net: SdnNetwork, method: str) -> Method:
     drive from the zero initial on the one observation the network holds.
     The gathered iterates equal the centralized ones bit for bit. A pgda
     round hands back the H x its agents formed for their next residual,
-    so the loop takes no product of its own. It carries no weight, so its
-    weighted errors are the plain ones."""
+    so the loop takes no product of its own. It carries no weight."""
     if method == "pgda":
         net.distributed_preconditioner()
 
-        def step(x, t):
+        def step(x, e):
             return net.run_pgda(1).values[:, None], net.filtered()[:, None]
     else:
         net.spgda_setup()
 
-        def step(x, t):
+        def step(x, e):
             return net.run_spgda(1).values[:, None]
     return Method(update=lambda yv: step, weight=None, error=None)
 
@@ -496,15 +495,14 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     runs = _MethodRuns(cfg, "snr")
     params, _ = runs.prepare(h)
 
-    # the trials share h, so their observations are solved as one block
+    # the trials share h, so their observations are solved as one block,
+    # by the oracle and by every method
     ys = np.empty((graph.n, cfg.trials))
-    limit_snrs = []
     for trial in range(cfg.trials):
-        b = add_uniform_noise(
+        ys[:, trial] = add_uniform_noise(
             clean, cfg.eta, _stream_seed(cfg.master_seed, trial, _STREAM_OBS)
-        )
-        ys[:, trial] = b.values
-        limit_snrs.append(snr(direct_solve_oracle(h, b).values))
+        ).values
+    limit_snrs = [snr(x) for x in direct_solve_oracle(h, ys).T]
     runs.run(graph, h, ys, params, values)
 
     return runs.aggregate(

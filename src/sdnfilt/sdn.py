@@ -9,8 +9,9 @@ in the slots B.indptr[i]:B.indptr[i+1] of the sorted width-ball pattern
 B = pattern((I+A)^width), every filter entry it uses maps to one of its own
 slots, and every (sender, receiver) pair is checked against the hop range.
 A round is the gather payload[B.indices] plus per-agent CSR rows over the
-slots; csr_matvec sums each row in stored (ascending neighbor id) order from
-0.0, so the gathered results are bit-identical to the centralized solvers.
+slots, taken by `filters.csr_product`; csr_matvec sums each row in stored
+(ascending neighbor id) order from 0.0, so the gathered results are
+bit-identical to the centralized solvers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .filters import GraphFilter, Signal
+from .filters import GraphFilter, Signal, csr_product
 from .graphs import Graph, hop_levels, hop_matrix
 
 __all__ = [
@@ -148,11 +149,13 @@ class SdnNetwork:
         self._h, self._csr, self._csc = h, h.csr, h.transpose().csr
         self._row_slots = self._slots(self._csr)
         self._col_slots = self._slots(self._csc)
-        self._residual = self._local(self._csr, self._row_slots)
+        self._residual = csr_product(self._local(self._csr, self._row_slots))
         self._y = y.values.copy()
         self._x = np.zeros(ball.nnz)           # every agent's copies of x, by slot
         self._hx = None                        # H x over those copies, once formed
+        # the local update matrices, kept for the agent views, and their products
         self._p = self._pgda_update = self._spgda_update = None
+        self._pgda_step = self._spgda_step = None
 
     def _slots(self, m) -> np.ndarray:
         """Slot, in agent i's own range, of every stored entry (i, j) of m.
@@ -235,6 +238,7 @@ class SdnNetwork:
         self._p = np.maximum.reduceat(heard, self._ball.indptr[:-1])
         self._pgda_update = self._local(self._csc, self._col_slots,
                                         self._p * self._p)
+        self._pgda_step = csr_product(self._pgda_update)
         return self._p.copy()
 
     # ---- Algorithm: distributed PGDA --------------------------------------
@@ -256,7 +260,7 @@ class SdnNetwork:
             )
         for _ in range(iterations):
             v = self._y - self.filtered()
-            x = self._x[self._own] + self._pgda_update @ self._exchange("v", v)
+            x = self._x[self._own] + self._pgda_step(self._exchange("v", v))
             self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
@@ -270,6 +274,7 @@ class SdnNetwork:
             raise ValueError(f"row {np.argmin(p)} of the filter is all zero")
         self._p = p
         self._spgda_update = self._local(self._csr, self._row_slots, p)
+        self._spgda_step = csr_product(self._spgda_update)
         self._y_scaled = self._y / p
 
     def run_spgda(self, iterations: int) -> Signal:
@@ -281,7 +286,7 @@ class SdnNetwork:
         if self._spgda_update is None:
             self.spgda_setup()
         for _ in range(iterations):
-            x = (self._x[self._own] + self._y_scaled) - self._spgda_update @ self._x
+            x = (self._x[self._own] + self._y_scaled) - self._spgda_step(self._x)
             self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
@@ -295,7 +300,7 @@ class SdnNetwork:
         its own slots: bit for bit h.csr @ x. It is the product the next
         pgda residual reads, formed once per x-exchange."""
         if self._hx is None:
-            self._hx = self._residual @ self._x
+            self._hx = self._residual(self._x)
         return self._hx
 
     def max_message_distance(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from math import sqrt
 
 import numpy as np
 import scipy.sparse as sparse
@@ -35,6 +36,7 @@ from .filters import (
     Signal,
     SingularValues,
     SpectralEstimate,
+    csr_product,
     extreme_singular_values,
     power_spectral_radius,
 )
@@ -104,9 +106,9 @@ class SolveTrace:
     """Per-iteration record of one solve, indexed m = 0..len-1.
 
     relative_error is ||x_m - x*|| / ||x*|| against the supplied reference,
-    weighted_error applies the method's diagonal weight (P for pgda,
-    sqrt(P_sym) for spgda, identity otherwise), and snr = -20 log10 of the
-    relative error capped at 300 dB.
+    weighted_error, kept only on request, applies the method's diagonal
+    weight (P for pgda, sqrt(P_sym) for spgda, identity otherwise), and
+    snr = -20 log10 of the relative error capped at 300 dB.
     """
 
     method: str
@@ -125,15 +127,16 @@ class SolveTrace:
 class Method:
     """One method's approximate inverse G, built once per filter.
 
-    update(Y) gives the step (X, HX) -> next X for the block of
-    observations Y (n x T, one per column); a step that forms H X' for its
-    next X' itself returns the pair (X', H X'). weight is the diagonal
-    behind SolveTrace.weighted_errors (None for the plain norm); error()
-    gives the matvec of I - G H in symmetric similarity form. radius(tol,
-    max_iter), where a method has a route of its own, gives the spectral
-    radius of that operator, or None where the route does not hold;
-    `spectral_radius` then takes Lanczos on error(). opgd keeps the
-    singular values its step came from.
+    update(Y) gives the step (X, E) -> next X for the block of
+    observations Y (n x T, one per column), E = H X - Y being the residual
+    block `solve_block` has already formed for its record; a step that
+    forms H X' for its next X' itself returns the pair (X', H X'). weight
+    is the diagonal behind SolveTrace.weighted_errors (None for the plain
+    norm); error() gives the matvec of I - G H in symmetric similarity
+    form. radius(tol, max_iter), where a method has a route of its own,
+    gives the spectral radius of that operator, or None where the route
+    does not hold; `spectral_radius` then takes Lanczos on error(). opgd
+    keeps the singular values its step came from.
     """
 
     update: Callable
@@ -146,9 +149,9 @@ class Method:
 def _pgda(h: GraphFilter) -> Method:
     p = build_pgda_preconditioner(h).diag
     ht = h.transpose()
-    scaled_ht = _scale_rows_by_division(ht.csr, p * p)
+    scaled_ht = csr_product(_scale_rows_by_division(ht.csr, p * p))
     return Method(
-        update=lambda yv: lambda x, t: x - scaled_ht @ (t - yv),
+        update=lambda yv: lambda x, e: x - scaled_ht(e),
         weight=p,
         error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
         radius=lambda tol, max_iter: _pgda_radius(h, p, tol, max_iter),
@@ -163,40 +166,46 @@ def _pgda_radius(h: GraphFilter, p: np.ndarray, tol: float,
     the filter's cached LU factor: a handful of applications, where
     Lanczos on I - M needs many once lambda_min(M) nears 0. The spectrum
     of M lies in [lambda_min, ||H P^{-1}||_2^2], and ||H P^{-1}||_2^2 <=
-    a b, the largest absolute column sum of H P^{-1} times its largest
-    absolute row sum (Schur). Both are at most 1 for pgda's own P, which
-    is what P^2 >= H^T H rests on. When a b <= 2 - lambda_min, no
-    eigenvalue of I - M exceeds 1 - lambda_min in magnitude. None when
-    the factor fails, its estimate is not a positive finite number, or
-    the certificate does not hold.
+    `_schur_bound(h, p)` (Schur). When that bound is at most 2 -
+    lambda_min, no eigenvalue of I - M exceeds 1 - lambda_min in
+    magnitude. None when the factor fails, its estimate is not a positive
+    finite number, or the certificate does not hold.
     """
     try:
         lu = h.lu()
     except np.linalg.LinAlgError:
         return None
-    n = h.graph.n
-    inverse = LinearOperator(
-        (n, n), matvec=lambda v: p * lu.solve(lu.solve(p * v, trans="T")),
-        dtype=np.float64)
+    inverse = (h.graph.n, lambda v: p * lu.solve(lu.solve(p * v, trans="T")))
     est = power_spectral_radius(inverse, tol=tol, max_iter=max_iter)
     if not 0.0 < est.value < np.inf:
         return None
     lam_min = 1.0 / est.value
-    hp = abs(h.csr) @ sparse.diags(1.0 / p)
-    if hp.sum(axis=0).max() * hp.sum(axis=1).max() > 2.0 - lam_min:
+    if _schur_bound(h, p) > 2.0 - lam_min:
         return None
     return replace(est, value=1.0 - lam_min)
+
+
+def _schur_bound(h: GraphFilter, p: np.ndarray) -> float:
+    """a b >= ||H P^{-1}||_2^2, with a the largest absolute column sum of
+    H P^{-1} and b its largest absolute row sum; both are at most 1 for
+    pgda's own P, which is what P^2 >= H^T H rests on. Summed straight
+    from the stored entries, O(nnz). Only a filter with an LU factor
+    reaches here, so no row is empty."""
+    m = h.csr
+    w = np.abs(m.data) / p[m.indices]
+    a = np.bincount(m.indices, weights=w, minlength=h.graph.n).max()
+    return float(a * np.add.reduceat(w, m.indptr[:-1]).max())
 
 
 def _spgda(h: GraphFilter) -> Method:
     pre = build_spgda_preconditioner(h)
     p = pre.diag
-    h_tilde = _scale_rows_by_division(h.csr, p)
+    h_tilde = csr_product(_scale_rows_by_division(h.csr, p))
 
     def update(yv):
         y_tilde = yv / p[:, None]
         # association fixed as (x + y~) - H~ x to mirror the vertex update
-        return lambda x, t: (x + y_tilde) - h_tilde @ x
+        return lambda x, e: (x + y_tilde) - h_tilde(x)
 
     def error():
         h_hat = normalized_filter(h, pre)
@@ -213,7 +222,7 @@ def _opgd(h: GraphFilter) -> Method:
     smax2, smin2 = sv.sigma_max**2, sv.sigma_min**2
     radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged)
     return Method(
-        update=lambda yv: lambda x, t: x - beta * (ht.csr @ (t - yv)),
+        update=lambda yv: lambda x, e: x - beta * ht.matvec(e),
         weight=None,
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
         radius=lambda tol, max_iter: radius,
@@ -234,7 +243,7 @@ def _imia(h: GraphFilter) -> Method:
         return lambda v: v - sq * h.matvec(sq * v)
 
     dc = d[:, None]
-    return Method(lambda yv: lambda x, t: x - dc * (t - yv), None, error)
+    return Method(lambda yv: lambda x, e: x - dc * e, None, error)
 
 
 _TABLE = {"pgda": _pgda, "spgda": _spgda, "opgd": _opgd, "imia": _imia}
@@ -279,23 +288,30 @@ def imia_diagonal(h: GraphFilter) -> np.ndarray:
     return diag / h.row_sums(data * data)
 
 
-def direct_solve_oracle(h: GraphFilter, y: Signal) -> Signal:
+def direct_solve_oracle(h: GraphFilter, y):
     """Sparse LU solve with partial pivoting through the filter's cached
-    factor (`GraphFilter.lu`), used as ground truth.
+    factor (`GraphFilter.lu`), used as ground truth. y is a Signal, and the
+    solution comes back as one, or an n x T block of observations of h,
+    solved at once into the n x T solutions; each column equals its own
+    solve bit for bit.
 
-    Raises LinAlgError if the factorization hits a zero pivot or if the
-    residual check ||H x - y|| <= 1e-8 ||y|| fails.
+    Raises LinAlgError if the factorization hits a zero pivot or if a
+    column fails its own residual check ||H x - y|| <= 1e-8 ||y||.
     """
-    if y.graph is not h.graph:
+    single = isinstance(y, Signal)
+    if single and y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
-    x = h.lu().solve(y.values)
-    resid = np.linalg.norm(h.matvec(x) - y.values)
-    if resid > 1e-8 * np.linalg.norm(y.values):
+    ys = y.values[:, None] if single else y
+    x = h.lu().solve(ys)
+    resid = _norms(_rows(h.matvec(x) - ys))
+    bad = np.flatnonzero(resid > 1e-8 * _norms(_rows(ys)))
+    if bad.size:
         raise np.linalg.LinAlgError(
-            f"oracle residual {resid:.3e} exceeds 1e-8 * ||y||; "
-            "filter too ill-conditioned for a trustworthy reference"
+            f"oracle residual {resid[bad[0]]:.3e} exceeds 1e-8 * ||y||"
+            f"{'' if single else f' in column {bad[0]}'}; filter too "
+            "ill-conditioned for a trustworthy reference"
         )
-    return Signal(h.graph, x)
+    return Signal(h.graph, x[:, 0]) if single else x
 
 
 def _scale_rows_by_division(m: sparse.csr_matrix, divisors: np.ndarray) -> sparse.csr_matrix:
@@ -313,6 +329,7 @@ def solve(
     cfg: SolverConfig,
     reference: Signal | None = None,
     params: dict | None = None,
+    weighted: bool = False,
 ):
     """Run the configured iteration and return (solution, trace): the
     one-column case of `solve_block`.
@@ -325,7 +342,7 @@ def solve(
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
     ref = None if reference is None else reference.values
-    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params)
+    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params, weighted)
     return Signal(h.graph, x[:, 0]), trace
 
 
@@ -346,6 +363,7 @@ def solve_block(
     cfg: SolverConfig,
     reference: np.ndarray | None = None,
     params: dict | None = None,
+    weighted: bool = False,
 ):
     """Run the configured iteration on the columns of ys (n x T), T
     observations of the filter h, and return (solutions, traces): an n x T
@@ -358,7 +376,8 @@ def solve_block(
     describes, so each gets bit for bit what `solve` gives on it alone: a
     column that converges or diverges leaves the block, and a nonfinite
     residual in a running column raises NumericError. reference is one
-    signal for every column (n,) or one per column (n x T). The history
+    signal for every column (n,) or one per column (n x T); `weighted`
+    adds the weighted errors to what is tracked against it. The history
     keeps per-column scalars only: squared errors, whose square roots and
     quotients are taken once at the end.
     """
@@ -375,17 +394,20 @@ def solve_block(
         x = np.repeat(cfg.initial.values[:, None], k, axis=1)
     else:
         x = np.zeros((n, k))
-    step, weight = entry.update(ys), entry.weight
+    step = entry.update(ys)
 
     track = reference is not None
     if track:
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape not in ((n,), (n, k)):
             raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
-        ref_live = _rows(reference)     # (n,) stays 1-D
+        # one row per column, or one row for all of them
+        ref_live = _rows(reference if reference.ndim == 2 else reference[:, None])
         ref_norm = _norms(ref_live)
+    weighted = track and weighted
+    weight = entry.weight if weighted else None
     # per column: the residual, the error, the weighted error (squared)
-    parts = 1 + track + (track and weight is not None)
+    parts = 1 + track + (weight is not None)
 
     live = np.arange(k)                 # columns still running, ascending
     last = np.zeros(k, dtype=np.int64)  # iteration of each column's last record
@@ -396,32 +418,34 @@ def solve_block(
     history = np.empty((min(cfg.max_iter, 255) + 1, parts, k))
 
     def record(m, x, t):
-        """Write iteration m's squared norms and return the residuals. The
-        vectors are the C-contiguous rows of z, so one vecdot takes them
-        all, each as a dot over contiguous memory."""
+        """Write iteration m's squared norms and return the squared
+        residuals. The vectors are the C-contiguous rows of z, so one
+        vecdot takes them all, each as a dot over contiguous memory. z, its
+        parts zs and y_rows are made once per set of running columns, not
+        once per iteration."""
         nonlocal history
         if m == len(history):
             history = np.concatenate([history, np.empty_like(history)])
-        z = np.empty((parts, len(live), n))
-        np.subtract(t.T, y_live.T, out=z[0])
+        np.subtract(t.T, y_rows, out=zs[0])
         if track:
-            np.subtract(x.T, ref_live, out=z[1])
+            np.subtract(x.T, ref_live, out=zs[1])
             if weight is not None:
-                np.multiply(z[1], weight, out=z[2])
-        if len(live) == k:
-            sq = np.vecdot(z, z, out=history[m])
-        else:
-            sq = np.vecdot(z, z)
-            history[m] = np.nan
-            history[m][:, live] = sq
-        return np.sqrt(sq[0])
+                np.multiply(zs[1], weight, out=zs[2])
+        if full:
+            return np.vecdot(z, z, out=history[m])[0]
+        sq = np.vecdot(z, z)
+        history[m] = np.nan
+        history[m][:, live] = sq
+        return sq[0]
 
     # a diverging iterate is allowed to overflow; it is reported through
     # the status / NumericError, not through numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        y_live = ys
+        y_live, y_rows, full = ys, ys.T, True
+        z = np.empty((parts, k, n))
+        zs = list(z)
         t = h.matvec(x)
-        resid = record(0, x, t)
+        resid = np.sqrt(record(0, x, t))
         # a running column stops unless tol_bound < residual <= bound; with
         # no tolerance, tol_bound is -inf and no column converges
         bound = cfg.divergence_factor * resid
@@ -433,6 +457,7 @@ def solve_block(
             if any(stop):
                 stop = np.asarray(stop)
                 if m:
+                    resid = np.sqrt(sq)
                     if np.isnan(resid).any():
                         raise NumericError(method, m)
                     conv = resid <= tol_bound
@@ -444,29 +469,31 @@ def solve_block(
                     out = np.empty((n, k))
                 out[:, stopped] = x[:, stop]
                 keep = ~stop
-                live, x, t, y_live = live[keep], x[:, keep], t[:, keep], y_live[:, keep]
+                live, x, y_live = live[keep], x[:, keep], y_live[:, keep]
                 bound, tol_bound = bound[keep], tol_bound[keep]
-                if track and ref_live.ndim == 2:
+                if track and len(ref_live) > 1:
                     ref_live = ref_live[keep]
                 if not live.size:
                     break
                 step = entry.update(y_live)
-                limits = None
+                limits, y_rows, full = None, y_live.T, False
+                z = z[:, keep]          # a copy; the next step reads its residuals
+                zs = list(z)
             if m == cfg.max_iter:
                 break
             if limits is None:
                 limits = list(zip(tol_bound.tolist(), bound.tolist()))
             m += 1
-            x = step(x, t)
+            x = step(x, zs[0].T)
             if type(x) is tuple:
                 x, t = x
             else:
                 t = h.matvec(x)
-            resid = record(m, x, t)
+            sq = record(m, x, t)
             # checked on floats, cheaper than array operations on a few
-            # columns; a NaN residual fails both comparisons, so it stops
-            # its column and raises above
-            stop = [not lo < r <= hi for r, (lo, hi) in zip(resid.tolist(), limits)]
+            # columns (math.sqrt rounds as np.sqrt does); a NaN residual
+            # fails both comparisons, so it stops its column and raises above
+            stop = [not lo < sqrt(r) <= hi for r, (lo, hi) in zip(sq.tolist(), limits)]
         last[live] = m
         if out is None:
             out = x
@@ -480,7 +507,8 @@ def solve_block(
         if track:
             err = norms[:, 1]
             rel = err / np.where(ref_norm > 0.0, ref_norm, 1.0)
-            werr = norms[:, 2] if weight is not None else err
+            if weighted:
+                werr = norms[:, 2] if weight is not None else err
             snr = _snr_db(rel)
 
     def trace(j):
@@ -489,8 +517,9 @@ def solve_block(
                         status=status[j])
         if track:
             tr.relative_errors = rel[rows, j].tolist()
-            tr.weighted_errors = werr[rows, j].tolist()
             tr.snrs = snr[rows, j].tolist()
+        if weighted:
+            tr.weighted_errors = werr[rows, j].tolist()
         return tr
 
     return out, map(trace, range(k))
@@ -533,6 +562,6 @@ def spectral_radius(h: GraphFilter, method: str, params: dict | None = None,
     own = entry.radius(tol, max_iter) if entry.radius else None
     if own is not None:
         return own
-    est = power_spectral_radius(iteration_matrix(h, method, params), tol=tol,
+    est = power_spectral_radius((h.graph.n, entry.error()), tol=tol,
                                 max_iter=max_iter)
     return replace(est, fallback=entry.radius is not None)

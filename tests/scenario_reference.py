@@ -43,7 +43,7 @@ def denoise_reference(cfg):
             resid0 = np.linalg.norm(t[:, 0] - b.values)
             curve = [snr(x[:, 0])]
             for _ in range(cfg.iterations):
-                x = step(x, t)
+                x = step(x, t - b.values[:, None])
                 t = h.matvec(x)
                 curve.append(snr(x[:, 0]))
                 if np.linalg.norm(t[:, 0] - b.values) > DIVERGENCE_FACTOR * resid0:

@@ -143,7 +143,7 @@ def test_criterion_4_convergence_envelopes():
             )).max())
         ref = direct_solve_oracle(h, y)
         _, trace = solve(h, y, SolverConfig(method=method, max_iter=100),
-                         reference=ref)
+                         reference=ref, weighted=True)
         w = trace.weighted_errors
         checked += 1
         for m in range(len(w)):

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 
@@ -10,6 +14,7 @@ from sdnfilt.filters import (
     build_denoise_filter,
     build_fig1_filter,
     compose,
+    csr_product,
     extreme_singular_values,
     geodesic_width,
     laplacians,
@@ -125,6 +130,15 @@ class TestGraphFilterBasics:
                                  for i in range(g.n)])
             assert np.array_equal(h.row_abs_sums().view(np.int64),
                                   expected.view(np.int64))
+
+    def test_row_abs_sums_computed_once_and_read_only(self, rng):
+        g = random_connected_graph(rng, 20)
+        h = make_invertible(rng, g, 2)
+        rows, cols = h.row_abs_sums(), h.col_abs_sums()
+        assert h.row_abs_sums() is rows and h.col_abs_sums() is cols
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 1.0
+        assert np.array_equal(cols, h.transpose().row_sums(np.abs(h.T.csr.data)))
 
     def test_row_sums_bit_identical_to_per_row_sums(self):
         g = random_geometric_graph(140, float("inf"), rng_seed=0)
@@ -333,6 +347,75 @@ class TestPowerSpectralRadius:
         assert a == b
         sa = smallest_eigenvalue(h.csr, tol=1e-12)
         assert sa == smallest_eigenvalue(h.csr, tol=1e-12)
+
+
+class TestCsrProduct:
+    """csr_product against scipy's own m @ v, bit for bit."""
+
+    @staticmethod
+    def inputs(rng, n):
+        x = rng.standard_normal((n, 7))
+        x[::3, 1] = -0.0
+        return [x[:, 0].copy(), x[:, 3], x[:, :1].copy(), x[:, 2:3], x[:, [5]],
+                x, x[:, [0, 2, 3, 6]], x[:, 1:6:2], np.asfortranarray(x)]
+
+    def check(self, m, rng):
+        product = csr_product(m)
+        for v in self.inputs(rng, m.shape[1]):
+            ours, theirs = product(v), m @ v
+            assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), v.shape
+
+    def test_random_square_and_rectangular(self, rng):
+        for shape in ((40, 40), (30, 55), (1, 9)):
+            self.check(sparse.random(*shape, density=0.2, format="csr", rng=rng), rng)
+
+    def test_empty_rows_and_no_entries(self, rng):
+        m = sparse.random(40, 40, density=0.3, format="csr", rng=rng).tolil()
+        m[::4] = 0.0
+        m = m.tocsr()
+        assert (np.diff(m.indptr) == 0).sum() >= 10
+        self.check(m, rng)
+        self.check(sparse.csr_matrix((25, 25)), rng)
+
+    def test_stored_negative_zeros(self, rng):
+        m = sparse.random(30, 30, density=0.3, format="csr", rng=rng)
+        m.data[::2] = -0.0
+        assert m.nnz and np.signbit(m.data[0])
+        self.check(m, rng)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_index_dtypes(self, rng, dtype):
+        m = sparse.random(50, 50, density=0.2, format="csr", rng=rng)
+        m.indices, m.indptr = m.indices.astype(dtype), m.indptr.astype(dtype)
+        assert m.indices.dtype == dtype
+        self.check(m, rng)
+
+    def test_graph_filter_products(self, rng):
+        g = random_connected_graph(rng, 30)
+        h = make_invertible(rng, g, 2)
+        for v in self.inputs(rng, 30):
+            assert h.matvec(v).tobytes() == (h.csr @ v).tobytes()
+
+    def test_rejects_what_the_kernel_cannot_take(self):
+        m = sparse.identity(4, format="csr")
+        with pytest.raises(ValueError, match="shape"):
+            csr_product(m)(np.ones(5))
+        with pytest.raises(ValueError, match="shape"):
+            csr_product(m)(np.ones((4, 1, 1)))
+        with pytest.raises(ValueError, match="float64 CSR"):
+            csr_product(m.tocsc())
+        with pytest.raises(ValueError, match="float64 CSR"):
+            csr_product(m.astype(np.float32))
+
+    def test_kernel_module_adds_no_import(self):
+        # scipy.sparse loads its kernels itself; naming them loads nothing new
+        code = ("import sys, scipy.sparse; before = set(sys.modules); "
+                "from scipy.sparse._sparsetools import csr_matvec, csr_matvecs; "
+                "print(sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestExtremeSingularValues:

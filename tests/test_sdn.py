@@ -3,7 +3,7 @@ import pytest
 
 from sdnfilt.filters import GraphFilter, Signal, laplacians
 from sdnfilt.graphs import Graph
-from sdnfilt.preconditioners import build_pgda_preconditioner
+from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
 from sdnfilt.sdn import RangeViolationError, SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
@@ -22,6 +22,24 @@ def edge2():
 
 def exchange_size(net):
     return net.expected_messages_per_exchange()
+
+
+class TestSharedRowSums:
+    def test_absolute_row_sums_taken_once_per_filter(self, rng, monkeypatch):
+        # both preconditioner builders and both simulator setups read the
+        # sums the filter caches
+        calls = []
+        real = GraphFilter.row_sums
+        monkeypatch.setattr(GraphFilter, "row_sums",
+                            lambda self, data: calls.append(self) or real(self, data))
+        g = random_connected_graph(rng, 20)
+        h = make_spd(rng, g, 2)
+        build_pgda_preconditioner(h)
+        build_spgda_preconditioner(h)
+        net = SdnNetwork(g, h, Signal(g, np.zeros(20)), log_messages=False)
+        net.distributed_preconditioner()
+        net.spgda_setup()
+        assert calls == [h, h.transpose()]
 
 
 class TestDistributedPreconditioner:

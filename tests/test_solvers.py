@@ -63,7 +63,7 @@ class TestSolveBasics:
         ref = direct_solve_oracle(h, y)
         assert np.allclose(ref.values, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
         x, trace = solve(h, y, SolverConfig(method="spgda", max_iter=80),
-                         reference=ref)
+                         reference=ref, weighted=True)
         assert np.allclose(x.values, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
         w = trace.weighted_errors
         for m in range(1, len(w)):
@@ -462,7 +462,7 @@ class TestTheoremEnvelopes:
                 np.eye(g.n) - (dense.T @ dense) / p[:, None] / p[None, :]
             )).max()
             _, trace = solve(h, y, SolverConfig(method="pgda", max_iter=60),
-                             reference=ref)
+                             reference=ref, weighted=True)
             w = trace.weighted_errors
             for m in range(len(w)):
                 assert w[m] <= (r ** m) * w[0] * (1 + 1e-8) + 1e-12
@@ -479,7 +479,7 @@ class TestTheoremEnvelopes:
                 np.eye(g.n) - dense / np.sqrt(np.outer(ps, ps))
             )).max()
             _, trace = solve(h, y, SolverConfig(method="spgda", max_iter=60),
-                             reference=ref)
+                             reference=ref, weighted=True)
             w = trace.weighted_errors
             for m in range(len(w)):
                 assert w[m] <= (r ** m) * w[0] * (1 + 1e-8) + 1e-12
@@ -509,14 +509,15 @@ def bits(values):
 def assert_block_matches_single(h, ys, cfg, reference=None):
     """solve_block on the columns of ys equals solve on each column alone,
     bit for bit; returns the block's traces."""
-    xs, traces = solve_block(h, ys, cfg, reference)
+    xs, traces = solve_block(h, ys, cfg, reference, weighted=True)
     traces = list(traces)
     assert xs.shape == ys.shape and len(traces) == ys.shape[1]
     for j, trace in enumerate(traces):
         ref = None
         if reference is not None:
             ref = Signal(h.graph, reference if reference.ndim == 1 else reference[:, j])
-        x, single = solve(h, Signal(h.graph, ys[:, j].copy()), cfg, reference=ref)
+        x, single = solve(h, Signal(h.graph, ys[:, j].copy()), cfg, reference=ref,
+                          weighted=True)
         assert bits(xs[:, j]) == bits(x.values), j
         assert bits(trace.residuals) == bits(single.residuals), j
         for name in ("relative_errors", "weighted_errors", "snrs"):
@@ -633,3 +634,151 @@ class TestSolveBlock:
             solve_block(h, np.zeros(6), cfg)
         with pytest.raises(ValueError, match="reference must be"):
             solve_block(h, np.zeros((6, 2)), cfg, np.zeros((6, 3)))
+
+
+class TestWeightedErrors:
+    """Weighted errors are kept only on request, and then they are the
+    method's weighted norm of each iterate's error."""
+
+    @staticmethod
+    def iterates(h, y, method, last):
+        """x_0 = 0 and x_m as a solve of m iterations ends, which is the
+        m-th iterate of a longer solve bit for bit."""
+        xs = [np.zeros(h.graph.n)]
+        for m in range(1, last + 1):
+            xs.append(solve(h, y, SolverConfig(method=method, max_iter=m))[0].values)
+        return xs
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pinned_to_independent_norms(self, method, rng):
+        g = random_connected_graph(rng, 25)
+        h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+        y = Signal(g, rng.standard_normal(25))
+        ref = direct_solve_oracle(h, y)
+        weight = {"pgda": build_pgda_preconditioner(h).diag,
+                  "spgda": np.sqrt(build_spgda_preconditioner(h).diag)}.get(method, 1.0)
+        _, trace = solve(h, y, SolverConfig(method=method, max_iter=12),
+                         reference=ref, weighted=True)
+        errors = [x - ref.values for x in self.iterates(h, y, method, 12)]
+        assert trace.weighted_errors == [np.linalg.norm(weight * e) for e in errors]
+        if method in ("pgda", "spgda"):
+            plain = [np.linalg.norm(e) for e in errors]
+            assert trace.weighted_errors != pytest.approx(plain, rel=1e-6)
+
+    def test_off_by_default_and_without_reference(self, rng):
+        g = random_connected_graph(rng, 12)
+        h = make_spd(rng, g, 1)
+        y = Signal(g, rng.standard_normal(12))
+        ref = direct_solve_oracle(h, y)
+        cfg = SolverConfig(method="pgda", max_iter=5)
+        plain = solve(h, y, cfg, reference=ref)[1]
+        weighted = solve(h, y, cfg, reference=ref, weighted=True)[1]
+        assert plain.weighted_errors is None and weighted.weighted_errors is not None
+        assert plain.relative_errors == weighted.relative_errors
+        assert plain.residuals == weighted.residuals
+        assert solve(h, y, cfg, weighted=True)[1].weighted_errors is None
+
+
+def sparse_schur_bound(h, p):
+    """The Schur bound as sparse sums of |H| P^{-1}."""
+    import scipy.sparse as sparse
+
+    hp = abs(h.csr) @ sparse.diags(1.0 / p)
+    return float(hp.sum(axis=0).max() * hp.sum(axis=1).max())
+
+
+class TestSchurBound:
+    """The O(nnz) certificate agrees with the sparse sums it replaced, and
+    pgda's fallback decision is unchanged."""
+
+    def filters(self, rng):
+        from sdnfilt.graphs import knn_graph
+        from sdnfilt.scenarios import generate_run_graph, synthetic_points
+
+        for n, seed in ((64, 1), (128, 2), (512, 3)):
+            g = generate_run_graph(n, np.sqrt(2.0 / n), 777016 + seed)
+            for trial in range(2):
+                yield build_fig1_filter(g, 0.05, seed + 10 * trial)
+        coords, _ = synthetic_points(218, rng_seed=3)
+        yield build_denoise_filter(knn_graph(coords, 5), 0.9075)
+        for _ in range(12):
+            g = random_connected_graph(rng, int(rng.integers(3, 40)))
+            yield make_invertible(rng, g, int(rng.integers(1, 3)), margin=0.2)
+
+    def test_bound_and_decision_unchanged(self, rng, monkeypatch):
+        import sdnfilt.solvers as solvers
+
+        checked = 0
+        for h in self.filters(rng):
+            p = build_pgda_preconditioner(h).diag
+            # P/2 breaks the certificate, P*2 keeps it
+            for scale in (1.0, 0.5, 2.0):
+                q = p * scale
+                # the sparse product orders each row's entries its own way
+                assert solvers._schur_bound(h, q) == pytest.approx(
+                    sparse_schur_bound(h, q), rel=1e-14, abs=0.0)
+                new = solvers._pgda_radius(h, q, 1e-9, 3000)
+                with monkeypatch.context() as patch:
+                    patch.setattr(solvers, "_schur_bound", sparse_schur_bound)
+                    old = solvers._pgda_radius(h, q, 1e-9, 3000)
+                assert new == old
+                checked += new is None
+        assert checked >= 10   # the halved P fails the certificate
+
+
+class TestBlockOracle:
+    """An n x T block through `direct_solve_oracle` is T single solves."""
+
+    def check(self, h, ys):
+        xs = direct_solve_oracle(h, ys)
+        assert xs.shape == ys.shape
+        for j in range(ys.shape[1]):
+            single = direct_solve_oracle(h, Signal(h.graph, ys[:, j].copy()))
+            assert xs[:, j].tobytes() == single.values.tobytes(), j
+            assert single.values.tobytes() == h.lu().solve(ys[:, j].copy()).tobytes()
+
+    def test_denoise_and_fig1_filters(self, rng):
+        from sdnfilt.graphs import knn_graph
+        from sdnfilt.scenarios import generate_run_graph, synthetic_points
+
+        coords, values = synthetic_points(218, rng_seed=0)
+        h = build_denoise_filter(knn_graph(coords, 5), 0.9075)
+        self.check(h, values[:, None] + rng.uniform(-35, 35, (218, 100)))
+        g = generate_run_graph(512, np.sqrt(2.0 / 512), 777016)
+        self.check(build_fig1_filter(g, 0.05, 5), rng.standard_normal((512, 20)))
+
+    def test_random_filters(self, rng):
+        for _ in range(6):
+            g = random_connected_graph(rng, int(rng.integers(2, 40)))
+            h = make_invertible(rng, g, int(rng.integers(1, 3)))
+            self.check(h, rng.standard_normal((g.n, int(rng.integers(1, 9)))))
+
+    def test_each_column_gated_on_its_own(self):
+        # sigma_min ~ 5e-13: columns along (1, 1) solve exactly, while one
+        # with a share of (1, -1) leaves a residual above 1e-8 ||y||
+        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        ys = np.array([[1.0, 0.3, 2.0], [1.0, 0.7, 2.0]])
+        fine = np.linalg.norm(h.matvec(h.lu().solve(ys)) - ys, axis=0) <= (
+            1e-8 * np.linalg.norm(ys, axis=0))
+        assert list(fine) == [True, False, True]
+        with pytest.raises(np.linalg.LinAlgError, match="in column 1"):
+            direct_solve_oracle(h, ys)
+
+
+class TestOneOperatorLayer:
+    def test_lanczos_applications_pass_one_linear_operator(self, rng, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator
+
+        calls = []
+        real = LinearOperator.matvec
+        monkeypatch.setattr(LinearOperator, "matvec",
+                            lambda self, v: calls.append(1) or real(self, v))
+        g = random_connected_graph(rng, 30)
+        h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+        # every application but the first, the start vector's check, runs
+        # under the one operator ARPACK is handed
+        for method in ("spgda", "imia", "pgda"):
+            params = prepare_params(h, method)
+            calls.clear()
+            est = spectral_radius(h, method, params)
+            assert est.iterations > 1 and len(calls) == est.iterations - 1, method
