@@ -10,8 +10,6 @@ taken by `csr_product`, which calls scipy's CSR kernels directly.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -363,17 +361,12 @@ def _as_operator(m):
     return op.shape[0], op.matvec
 
 
-@functools.lru_cache(maxsize=16)
 def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
-    """Seeded unit start vector, drawn once per (n, rng_seed, stream) and
-    shared read-only: every estimate of a run starts from the same few."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,))
     )
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    return v
+    return v / np.linalg.norm(v)
 
 
 def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
@@ -397,7 +390,7 @@ def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
 
     def counted(v):
         w = matvec(v)
-        bounds.append(math.sqrt(w @ w / (v @ v)))
+        bounds.append(float(np.sqrt(w @ w / (v @ v))))
         return w
 
     if n == 1:  # eigsh needs k < n; a 1x1 operator is its own eigenvalue

@@ -73,8 +73,7 @@ def normalized_filter(h: GraphFilter, p: DiagonalPreconditioner) -> GraphFilter:
         raise ValueError(f"expected an spgda preconditioner, got kind={p.kind!r}")
     if p.graph is not h.graph:
         raise ValueError("preconditioner and filter must share a graph")
-    m = h.csr
-    rows = np.repeat(np.arange(h.graph.n), np.diff(m.indptr))
-    vals = m.data / np.sqrt(p.diag[rows] * p.diag[m.indices])
-    return GraphFilter(h.graph, sparse.csr_matrix((vals, m.indices, m.indptr),
-                                                  shape=m.shape), _width=h.width)
+    coo = h.csr.tocoo()
+    vals = coo.data / np.sqrt(p.diag[coo.row] * p.diag[coo.col])
+    m = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=h.csr.shape)
+    return GraphFilter(h.graph, m, _width=h.width)

@@ -321,7 +321,7 @@ def _routed(net: SdnNetwork, method: str) -> Method:
     drive from the zero initial on the one observation the network holds.
     The gathered iterates equal the centralized ones bit for bit. A pgda
     round hands back the H x its agents formed for their next residual,
-    so the loop takes no product of its own. It carries no weight."""
+    so the loop takes no product of its own."""
     if method == "pgda":
         net.distributed_preconditioner()
 
@@ -332,7 +332,7 @@ def _routed(net: SdnNetwork, method: str) -> Method:
 
         def step(x, e):
             return net.run_spgda(1).values[:, None]
-    return Method(update=lambda yv: step, weight=None, error=None)
+    return Method(update=lambda yv: step, error=None)
 
 
 def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from math import sqrt
 
 import numpy as np
 import scipy.sparse as sparse
@@ -106,15 +105,12 @@ class SolveTrace:
     """Per-iteration record of one solve, indexed m = 0..len-1.
 
     relative_error is ||x_m - x*|| / ||x*|| against the supplied reference,
-    weighted_error, kept only on request, applies the method's diagonal
-    weight (P for pgda, sqrt(P_sym) for spgda, identity otherwise), and
-    snr = -20 log10 of the relative error capped at 300 dB.
+    and snr = -20 log10 of the relative error capped at 300 dB.
     """
 
     method: str
     residuals: list[float] = field(default_factory=list)
     relative_errors: list[float] | None = None
-    weighted_errors: list[float] | None = None
     snrs: list[float] | None = None
     status: str = "max_iter"
 
@@ -130,17 +126,15 @@ class Method:
     update(Y) gives the step (X, E) -> next X for the block of
     observations Y (n x T, one per column), E = H X - Y being the residual
     block `solve_block` has already formed for its record; a step that
-    forms H X' for its next X' itself returns the pair (X', H X'). weight
-    is the diagonal behind SolveTrace.weighted_errors (None for the plain
-    norm); error() gives the matvec of I - G H in symmetric similarity
-    form. radius(tol, max_iter), where a method has a route of its own,
-    gives the spectral radius of that operator, or None where the route
-    does not hold; `spectral_radius` then takes Lanczos on error(). opgd
-    keeps the singular values its step came from.
+    forms H X' for its next X' itself returns the pair (X', H X').
+    error() gives the matvec of I - G H in symmetric similarity form.
+    radius(tol, max_iter), where a method has a route of its own, gives
+    the spectral radius of that operator, or None where the route does
+    not hold; `spectral_radius` then takes Lanczos on error(). opgd keeps
+    the singular values its step came from.
     """
 
     update: Callable
-    weight: np.ndarray | None
     error: Callable | None
     radius: Callable | None = None
     singular_values: SingularValues | None = None
@@ -152,7 +146,6 @@ def _pgda(h: GraphFilter) -> Method:
     scaled_ht = csr_product(_scale_rows_by_division(ht.csr, p * p))
     return Method(
         update=lambda yv: lambda x, e: x - scaled_ht(e),
-        weight=p,
         error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
         radius=lambda tol, max_iter: _pgda_radius(h, p, tol, max_iter),
     )
@@ -211,7 +204,7 @@ def _spgda(h: GraphFilter) -> Method:
         h_hat = normalized_filter(h, pre)
         return lambda v: v - h_hat.matvec(v)
 
-    return Method(update, np.sqrt(p), error)
+    return Method(update, error)
 
 
 def _opgd(h: GraphFilter) -> Method:
@@ -223,7 +216,6 @@ def _opgd(h: GraphFilter) -> Method:
     radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged)
     return Method(
         update=lambda yv: lambda x, e: x - beta * ht.matvec(e),
-        weight=None,
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
         radius=lambda tol, max_iter: radius,
         singular_values=sv,
@@ -243,7 +235,7 @@ def _imia(h: GraphFilter) -> Method:
         return lambda v: v - sq * h.matvec(sq * v)
 
     dc = d[:, None]
-    return Method(lambda yv: lambda x, e: x - dc * e, None, error)
+    return Method(lambda yv: lambda x, e: x - dc * e, error)
 
 
 _TABLE = {"pgda": _pgda, "spgda": _spgda, "opgd": _opgd, "imia": _imia}
@@ -329,7 +321,6 @@ def solve(
     cfg: SolverConfig,
     reference: Signal | None = None,
     params: dict | None = None,
-    weighted: bool = False,
 ):
     """Run the configured iteration and return (solution, trace): the
     one-column case of `solve_block`.
@@ -342,7 +333,7 @@ def solve(
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
     ref = None if reference is None else reference.values
-    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params, weighted)
+    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params)
     return Signal(h.graph, x[:, 0]), trace
 
 
@@ -363,7 +354,6 @@ def solve_block(
     cfg: SolverConfig,
     reference: np.ndarray | None = None,
     params: dict | None = None,
-    weighted: bool = False,
 ):
     """Run the configured iteration on the columns of ys (n x T), T
     observations of the filter h, and return (solutions, traces): an n x T
@@ -376,8 +366,7 @@ def solve_block(
     describes, so each gets bit for bit what `solve` gives on it alone: a
     column that converges or diverges leaves the block, and a nonfinite
     residual in a running column raises NumericError. reference is one
-    signal for every column (n,) or one per column (n x T); `weighted`
-    adds the weighted errors to what is tracked against it. The history
+    signal for every column (n,) or one per column (n x T). The history
     keeps per-column scalars only: squared errors, whose square roots and
     quotients are taken once at the end.
     """
@@ -401,13 +390,10 @@ def solve_block(
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape not in ((n,), (n, k)):
             raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
-        # one row per column, or one row for all of them
-        ref_live = _rows(reference if reference.ndim == 2 else reference[:, None])
+        ref_live = _rows(reference)     # (n,) stays 1-D
         ref_norm = _norms(ref_live)
-    weighted = track and weighted
-    weight = entry.weight if weighted else None
-    # per column: the residual, the error, the weighted error (squared)
-    parts = 1 + track + (weight is not None)
+    # per column: the residual and the error (squared)
+    parts = 1 + track
 
     live = np.arange(k)                 # columns still running, ascending
     last = np.zeros(k, dtype=np.int64)  # iteration of each column's last record
@@ -418,25 +404,24 @@ def solve_block(
     history = np.empty((min(cfg.max_iter, 255) + 1, parts, k))
 
     def record(m, x, t):
-        """Write iteration m's squared norms and return the squared
-        residuals. The vectors are the C-contiguous rows of z, so one
-        vecdot takes them all, each as a dot over contiguous memory. z, its
-        parts zs and y_rows are made once per set of running columns, not
-        once per iteration."""
+        """Write iteration m's squared norms and return the residuals. The
+        vectors are the C-contiguous rows of z, so one vecdot takes them
+        all, each as a dot over contiguous memory. z, its parts zs and
+        y_rows are made once per set of running columns, not once per
+        iteration."""
         nonlocal history
         if m == len(history):
             history = np.concatenate([history, np.empty_like(history)])
         np.subtract(t.T, y_rows, out=zs[0])
         if track:
             np.subtract(x.T, ref_live, out=zs[1])
-            if weight is not None:
-                np.multiply(zs[1], weight, out=zs[2])
         if full:
-            return np.vecdot(z, z, out=history[m])[0]
-        sq = np.vecdot(z, z)
-        history[m] = np.nan
-        history[m][:, live] = sq
-        return sq[0]
+            sq = np.vecdot(z, z, out=history[m])
+        else:
+            sq = np.vecdot(z, z)
+            history[m] = np.nan
+            history[m][:, live] = sq
+        return np.sqrt(sq[0])
 
     # a diverging iterate is allowed to overflow; it is reported through
     # the status / NumericError, not through numpy warnings
@@ -445,7 +430,7 @@ def solve_block(
         z = np.empty((parts, k, n))
         zs = list(z)
         t = h.matvec(x)
-        resid = np.sqrt(record(0, x, t))
+        resid = record(0, x, t)
         # a running column stops unless tol_bound < residual <= bound; with
         # no tolerance, tol_bound is -inf and no column converges
         bound = cfg.divergence_factor * resid
@@ -457,7 +442,6 @@ def solve_block(
             if any(stop):
                 stop = np.asarray(stop)
                 if m:
-                    resid = np.sqrt(sq)
                     if np.isnan(resid).any():
                         raise NumericError(method, m)
                     conv = resid <= tol_bound
@@ -471,7 +455,7 @@ def solve_block(
                 keep = ~stop
                 live, x, y_live = live[keep], x[:, keep], y_live[:, keep]
                 bound, tol_bound = bound[keep], tol_bound[keep]
-                if track and len(ref_live) > 1:
+                if track and ref_live.ndim == 2:
                     ref_live = ref_live[keep]
                 if not live.size:
                     break
@@ -489,11 +473,11 @@ def solve_block(
                 x, t = x
             else:
                 t = h.matvec(x)
-            sq = record(m, x, t)
+            resid = record(m, x, t)
             # checked on floats, cheaper than array operations on a few
-            # columns (math.sqrt rounds as np.sqrt does); a NaN residual
-            # fails both comparisons, so it stops its column and raises above
-            stop = [not lo < sqrt(r) <= hi for r, (lo, hi) in zip(sq.tolist(), limits)]
+            # columns; a NaN residual fails both comparisons, so it stops
+            # its column and raises above
+            stop = [not lo < r <= hi for r, (lo, hi) in zip(resid.tolist(), limits)]
         last[live] = m
         if out is None:
             out = x
@@ -507,8 +491,6 @@ def solve_block(
         if track:
             err = norms[:, 1]
             rel = err / np.where(ref_norm > 0.0, ref_norm, 1.0)
-            if weighted:
-                werr = norms[:, 2] if weight is not None else err
             snr = _snr_db(rel)
 
     def trace(j):
@@ -518,8 +500,6 @@ def solve_block(
         if track:
             tr.relative_errors = rel[rows, j].tolist()
             tr.snrs = snr[rows, j].tolist()
-        if weighted:
-            tr.weighted_errors = werr[rows, j].tolist()
         return tr
 
     return out, map(trace, range(k))

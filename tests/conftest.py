@@ -10,8 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter
+from sdnfilt.filters import GraphFilter, Signal
 from sdnfilt.graphs import Graph, hop_matrix
+from sdnfilt.preconditioners import (
+    build_pgda_preconditioner,
+    build_spgda_preconditioner,
+)
+from sdnfilt.solvers import prepare_params
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -92,6 +97,27 @@ def make_well_conditioned_spd(rng: np.random.Generator, g: Graph,
     h = random_filter(rng, g, width, symmetric=True)
     s = float(np.abs(dense_of(h)).sum(axis=1).max())
     return GraphFilter.identity(g) + h.scaled(spread / s)
+
+
+def weighted_errors(h: GraphFilter, y: Signal, method: str, reference: Signal,
+                    iterations: int) -> list[float]:
+    """||W (x_m - x*)|| for m = 0..iterations, the norm Theorems 2 and 3
+    contract: W = P for pgda and P_sym^{1/2} for spgda. The iterates step
+    the method table's update from x_0 = 0 on the residual H x - y, as
+    `solve` does, but never stop early."""
+    if method == "pgda":
+        weight = build_pgda_preconditioner(h).diag
+    else:
+        weight = np.sqrt(build_spgda_preconditioner(h).diag)
+    ys = y.values[:, None]
+    step = prepare_params(h, method)[method].update(ys)
+    x = np.zeros_like(ys)
+    out = []
+    for m in range(iterations + 1):
+        if m:
+            x = step(x, h.matvec(x) - ys)
+        out.append(float(np.linalg.norm(weight * (x[:, 0] - reference.values))))
+    return out
 
 
 def write_two_vertex_custom(tmp_path):

@@ -36,6 +36,7 @@ from conftest import (
     make_well_conditioned_spd,
     random_connected_graph,
     random_filter,
+    weighted_errors,
 )
 
 REFERENCE_RADII = {"spgda": 0.9786, "pgda": 0.9996, "opgd": 0.9993, "imia": 0.9566}
@@ -142,9 +143,7 @@ def test_criterion_4_convergence_envelopes():
                 np.eye(n) - dense / np.sqrt(np.outer(ps, ps))
             )).max())
         ref = direct_solve_oracle(h, y)
-        _, trace = solve(h, y, SolverConfig(method=method, max_iter=100),
-                         reference=ref, weighted=True)
-        w = trace.weighted_errors
+        w = weighted_errors(h, y, method, ref, 100)
         checked += 1
         for m in range(len(w)):
             if w[m] > (r**m) * w[0] * (1 + 1e-8) + 1e-12:

@@ -113,6 +113,19 @@ class TestNormalizedFilter:
         assert out.width == h.width
         assert out.nnz == h.nnz
 
+    def test_underflowing_entry_leaves_input_intact(self):
+        # 1e-200 / sqrt(1e150 * 1e150) underflows to 0, so the normalized
+        # filter drops that entry; h's own arrays and product must not move
+        h = GraphFilter.from_dense(edge2(), [[1e150, 1e-200], [1e-200, 1e150]])
+        arrays = [a.copy() for a in (h.csr.indptr, h.csr.indices, h.csr.data)]
+        v = np.array([1.0, 2.0])
+        hv = h.matvec(v)
+        out = normalized_filter(h, build_spgda_preconditioner(h))
+        assert out.nnz == 2 and np.array_equal(out.to_dense(), np.eye(2))
+        for a, b in zip(arrays, (h.csr.indptr, h.csr.indices, h.csr.data)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(h.matvec(v), hv)
+
 
 class TestCheckDominance:
     def test_pgda_mode_path_laplacian(self):

@@ -32,6 +32,7 @@ from conftest import (
     make_spd,
     make_well_conditioned_spd,
     random_connected_graph,
+    weighted_errors,
 )
 
 
@@ -62,10 +63,9 @@ class TestSolveBasics:
         y = Signal(h.graph, np.array([1.0, 1.0]))
         ref = direct_solve_oracle(h, y)
         assert np.allclose(ref.values, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
-        x, trace = solve(h, y, SolverConfig(method="spgda", max_iter=80),
-                         reference=ref, weighted=True)
+        x, _ = solve(h, y, SolverConfig(method="spgda", max_iter=80))
         assert np.allclose(x.values, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-        w = trace.weighted_errors
+        w = weighted_errors(h, y, "spgda", ref, 80)
         for m in range(1, len(w)):
             if w[m - 1] > 1e-13:
                 assert w[m] <= (2.0 / 3.0) * w[m - 1] + 1e-13
@@ -461,9 +461,7 @@ class TestTheoremEnvelopes:
             r = np.abs(np.linalg.eigvalsh(
                 np.eye(g.n) - (dense.T @ dense) / p[:, None] / p[None, :]
             )).max()
-            _, trace = solve(h, y, SolverConfig(method="pgda", max_iter=60),
-                             reference=ref, weighted=True)
-            w = trace.weighted_errors
+            w = weighted_errors(h, y, "pgda", ref, 60)
             for m in range(len(w)):
                 assert w[m] <= (r ** m) * w[0] * (1 + 1e-8) + 1e-12
 
@@ -478,9 +476,7 @@ class TestTheoremEnvelopes:
             r = np.abs(np.linalg.eigvalsh(
                 np.eye(g.n) - dense / np.sqrt(np.outer(ps, ps))
             )).max()
-            _, trace = solve(h, y, SolverConfig(method="spgda", max_iter=60),
-                             reference=ref, weighted=True)
-            w = trace.weighted_errors
+            w = weighted_errors(h, y, "spgda", ref, 60)
             for m in range(len(w)):
                 assert w[m] <= (r ** m) * w[0] * (1 + 1e-8) + 1e-12
 
@@ -509,18 +505,17 @@ def bits(values):
 def assert_block_matches_single(h, ys, cfg, reference=None):
     """solve_block on the columns of ys equals solve on each column alone,
     bit for bit; returns the block's traces."""
-    xs, traces = solve_block(h, ys, cfg, reference, weighted=True)
+    xs, traces = solve_block(h, ys, cfg, reference)
     traces = list(traces)
     assert xs.shape == ys.shape and len(traces) == ys.shape[1]
     for j, trace in enumerate(traces):
         ref = None
         if reference is not None:
             ref = Signal(h.graph, reference if reference.ndim == 1 else reference[:, j])
-        x, single = solve(h, Signal(h.graph, ys[:, j].copy()), cfg, reference=ref,
-                          weighted=True)
+        x, single = solve(h, Signal(h.graph, ys[:, j].copy()), cfg, reference=ref)
         assert bits(xs[:, j]) == bits(x.values), j
         assert bits(trace.residuals) == bits(single.residuals), j
-        for name in ("relative_errors", "weighted_errors", "snrs"):
+        for name in ("relative_errors", "snrs"):
             ours, theirs = getattr(trace, name), getattr(single, name)
             assert (ours is None) == (theirs is None)
             if ours is not None:
@@ -637,46 +632,26 @@ class TestSolveBlock:
 
 
 class TestWeightedErrors:
-    """Weighted errors are kept only on request, and then they are the
-    method's weighted norm of each iterate's error."""
+    """The weighted errors that criterion 4 and the envelope tests bound are
+    the method's weighted norms of the solver's own iterates' errors."""
 
-    @staticmethod
-    def iterates(h, y, method, last):
-        """x_0 = 0 and x_m as a solve of m iterations ends, which is the
-        m-th iterate of a longer solve bit for bit."""
-        xs = [np.zeros(h.graph.n)]
-        for m in range(1, last + 1):
-            xs.append(solve(h, y, SolverConfig(method=method, max_iter=m))[0].values)
-        return xs
-
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", ["pgda", "spgda"])
     def test_pinned_to_independent_norms(self, method, rng):
         g = random_connected_graph(rng, 25)
         h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
         y = Signal(g, rng.standard_normal(25))
         ref = direct_solve_oracle(h, y)
         weight = {"pgda": build_pgda_preconditioner(h).diag,
-                  "spgda": np.sqrt(build_spgda_preconditioner(h).diag)}.get(method, 1.0)
-        _, trace = solve(h, y, SolverConfig(method=method, max_iter=12),
-                         reference=ref, weighted=True)
-        errors = [x - ref.values for x in self.iterates(h, y, method, 12)]
-        assert trace.weighted_errors == [np.linalg.norm(weight * e) for e in errors]
-        if method in ("pgda", "spgda"):
-            plain = [np.linalg.norm(e) for e in errors]
-            assert trace.weighted_errors != pytest.approx(plain, rel=1e-6)
-
-    def test_off_by_default_and_without_reference(self, rng):
-        g = random_connected_graph(rng, 12)
-        h = make_spd(rng, g, 1)
-        y = Signal(g, rng.standard_normal(12))
-        ref = direct_solve_oracle(h, y)
-        cfg = SolverConfig(method="pgda", max_iter=5)
-        plain = solve(h, y, cfg, reference=ref)[1]
-        weighted = solve(h, y, cfg, reference=ref, weighted=True)[1]
-        assert plain.weighted_errors is None and weighted.weighted_errors is not None
-        assert plain.relative_errors == weighted.relative_errors
-        assert plain.residuals == weighted.residuals
-        assert solve(h, y, cfg, weighted=True)[1].weighted_errors is None
+                  "spgda": np.sqrt(build_spgda_preconditioner(h).diag)}[method]
+        # x_m as a solve of m iterations ends, which is the m-th iterate of
+        # a longer solve bit for bit
+        xs = [np.zeros(25)] + [
+            solve(h, y, SolverConfig(method=method, max_iter=m))[0].values
+            for m in range(1, 13)]
+        errors = [x - ref.values for x in xs]
+        w = weighted_errors(h, y, method, ref, 12)
+        assert w == [np.linalg.norm(weight * e) for e in errors]
+        assert w != pytest.approx([np.linalg.norm(e) for e in errors], rel=1e-6)
 
 
 def sparse_schur_bound(h, p):
