@@ -13,10 +13,17 @@ drift of the host hits both sides alike. Each side runs its own
 perfbench/, with the same arguments.
 
 The result file holds one section per workload, with every run's
-end-to-end metrics, each side's median and quartiles per metric and how
-many pairs the change won (ties count for neither side); and, once, the
-base and head commits with a digest and line count of each side's src/,
-and the environment perfbench reported.
+end-to-end metrics, each side's median and quartiles per metric, how
+many pairs the change won (ties count for neither side) and two
+verdicts; and, once, the base and head commits with a digest and line
+count of each side's src/, and the environment perfbench reported. The
+verdicts, printed too, are:
+
+    within_bound  the change's median is no worse than the base median
+                  by more than the metric's BENCHMARK.json bound
+    claim_holds   the change won at least 9 of 10 pairs, and its median
+                  is better than the base median by more than the base
+                  quartile spread q3 - q1
 """
 
 import argparse
@@ -117,19 +124,27 @@ def run_pairs(trees, workload, seeds, seconds):
     return pairs, environment
 
 
-def summarize(pairs, better):
-    """Per metric: each side's quartiles and how many pairs each side won."""
+def summarize(pairs, metrics):
+    """Per metric: each side's quartiles, how many pairs each side won, and
+    the two verdicts of the module docstring."""
     summary = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         sign = 1.0 if direction == "higher" else -1.0
         deltas = [sign * (p["change"]["metrics"][name] - p["base"]["metrics"][name])
                   for p in pairs]
+        base = quartiles([p["base"]["metrics"][name] for p in pairs])
+        change = quartiles([p["change"]["metrics"][name] for p in pairs])
+        gain = sign * (change["median"] - base["median"])
+        wins = sum(d > 0 for d in deltas)
         summary[name] = {
             "better": direction,
-            "base": quartiles([p["base"]["metrics"][name] for p in pairs]),
-            "change": quartiles([p["change"]["metrics"][name] for p in pairs]),
-            "change_wins": sum(d > 0 for d in deltas),
+            "bound": bound,
+            "base": base,
+            "change": change,
+            "change_wins": wins,
             "base_wins": sum(d < 0 for d in deltas),
+            "within_bound": gain >= -bound * abs(base["median"]),
+            "claim_holds": 10 * wins >= 9 * len(pairs) and gain > base["q3"] - base["q1"],
         }
     return summary
 
@@ -146,7 +161,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"])
+                   for m in json.load(fh)["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     work = tempfile.mkdtemp(prefix="sdnfilt-bench-")
@@ -161,7 +177,7 @@ def main(argv=None):
             sections[workload] = {
                 "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                                    for p in pairs for s in ("base", "change")),
-                "summary": summarize(pairs, better),
+                "summary": summarize(pairs, metrics),
                 "pairs": pairs,
             }
         sources = {side: src_summary(tree) for side, tree in trees.items()}
@@ -191,7 +207,10 @@ def main(argv=None):
                   f"[{s['base']['q1']:.4g}-{s['base']['q3']:.4g}] -> change "
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}-"
                   f"{s['change']['q3']:.4g}], change won "
-                  f"{s['change_wins']}/{len(sec['pairs'])}")
+                  f"{s['change_wins']}/{len(sec['pairs'])}; "
+                  f"{'within' if s['within_bound'] else 'OUTSIDE'} the "
+                  f"{s['bound']:.0%} bound, gain claim "
+                  f"{'holds' if s['claim_holds'] else 'does not hold'}")
     print(f"wrote {out}")
     return 0
 

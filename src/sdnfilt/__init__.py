@@ -2,7 +2,6 @@
 distributed networks."""
 
 from .filters import (
-    DiagonalPreconditioner,
     GraphFilter,
     Signal,
     SingularValues,
@@ -12,7 +11,6 @@ from .filters import (
     build_fig1_filter,
     compose,
     extreme_singular_values,
-    geodesic_width,
     laplacians,
     power_spectral_radius,
 )
@@ -27,7 +25,7 @@ from .preconditioners import (
     build_spgda_preconditioner,
     normalized_filter,
 )
-from .sdn import AgentState, RangeViolationError, Round, SdnNetwork
+from .sdn import RangeViolationError, Round, SdnNetwork
 from .solvers import (
     METHODS,
     NumericError,

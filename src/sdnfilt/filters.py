@@ -24,12 +24,10 @@ from .graphs import Graph, hop_matrix
 __all__ = [
     "Signal",
     "GraphFilter",
-    "DiagonalPreconditioner",
     "SpectralEstimate",
     "SingularValues",
     "apply",
     "csr_product",
-    "geodesic_width",
     "compose",
     "laplacians",
     "power_spectral_radius",
@@ -57,9 +55,6 @@ class Signal:
                 f"signal length {self.values.shape} does not match "
                 f"vertex count {self.graph.n}"
             )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def copy(self) -> "Signal":
         return Signal(self.graph, self.values.copy())
@@ -108,10 +103,6 @@ class GraphFilter:
         return cls(graph, m)
 
     @classmethod
-    def from_dense(cls, graph: Graph, dense) -> "GraphFilter":
-        return cls(graph, sparse.csr_matrix(np.asarray(dense, dtype=np.float64)))
-
-    @classmethod
     def identity(cls, graph: Graph) -> "GraphFilter":
         return cls(graph, sparse.identity(graph.n, format="csr"), _width=0)
 
@@ -121,18 +112,12 @@ class GraphFilter:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.csr[i, j])
-
     def entries(self):
         """Yield (i, j, value) row-major with ascending column ids."""
         indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
         for i in range(self.graph.n):
             for k in range(indptr[i], indptr[i + 1]):
                 yield i, int(indices[k]), float(data[k])
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
 
     def lu(self):
         """Sparse LU factor (SuperLU, partial pivoting), computed once per
@@ -162,10 +147,6 @@ class GraphFilter:
             t._transpose = self
             self._transpose = t
         return self._transpose
-
-    @property
-    def T(self) -> "GraphFilter":
-        return self.transpose()
 
     def __add__(self, other: "GraphFilter") -> "GraphFilter":
         self._check_same_graph(other)
@@ -212,25 +193,6 @@ class GraphFilter:
     def _check_same_graph(self, other) -> None:
         if other.graph is not self.graph:
             raise ValueError("filters must share the same graph instance")
-
-
-@dataclass(eq=False)
-class DiagonalPreconditioner:
-    """Positive per-vertex diagonal with a provenance tag.
-
-    kind is one of {"pgda", "spgda", "degree"}; source_width records the
-    geodesic width of the filter it was built from.
-    """
-
-    graph: Graph
-    diag: np.ndarray
-    kind: str
-    source_width: int
-
-    def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=np.float64)
-        if self.diag.shape != (self.graph.n,):
-            raise ValueError("diagonal length does not match vertex count")
 
 
 @dataclass(frozen=True)
@@ -294,13 +256,6 @@ def apply(h: GraphFilter, x: Signal) -> Signal:
     return Signal(h.graph, h.matvec(x.values))
 
 
-def geodesic_width(entries, g: Graph) -> int:
-    """Largest hop distance between endpoints of any nonzero entry."""
-    if isinstance(entries, GraphFilter):
-        return entries.width
-    return GraphFilter.from_entries(g, entries).width
-
-
 def compose(a: GraphFilter, b: GraphFilter) -> GraphFilter:
     """Sparse filter product a @ b; entries below COMPOSE_DROP_TOL in
     magnitude are dropped so the width metadata stays truthful."""
@@ -316,9 +271,8 @@ def compose(a: GraphFilter, b: GraphFilter) -> GraphFilter:
     return out
 
 
-def laplacians(g: Graph):
-    """Combinatorial Laplacian L = D - A, the symmetrically normalized
-    Laplacian D^{-1/2} L D^{-1/2}, and the degree diagonal.
+def laplacians(g: Graph) -> GraphFilter:
+    """Symmetrically normalized Laplacian D^{-1/2} (D - A) D^{-1/2}.
 
     Requires every vertex to have degree >= 1.
     """
@@ -332,17 +286,10 @@ def laplacians(g: Graph):
     heads = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64)
     rows = np.concatenate([np.arange(g.n), tails])
     cols = np.concatenate([np.arange(g.n), heads])
-    lvals = np.concatenate([deg.astype(np.float64), np.full(len(tails), -1.0)])
-    svals = np.concatenate([np.ones(g.n),
-                            -1.0 / np.sqrt((deg[tails] * deg[heads]).astype(np.float64))])
-    shape = (g.n, g.n)
-    lap = GraphFilter(g, sparse.coo_matrix((lvals, (rows, cols)), shape=shape),
-                      _width=1)
-    lap_sym = GraphFilter(g, sparse.coo_matrix((svals, (rows, cols)), shape=shape),
-                          _width=1)
-    degree = DiagonalPreconditioner(g, deg.astype(np.float64), kind="degree",
-                                    source_width=1)
-    return lap, lap_sym, degree
+    vals = np.concatenate([np.ones(g.n),
+                           -1.0 / np.sqrt((deg[tails] * deg[heads]).astype(np.float64))])
+    return GraphFilter(g, sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)),
+                       _width=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +429,7 @@ def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
     callers must not modify it."""
     square = g._cache.get("lap_sym_squared")
     if square is None:
-        _, lap_sym, _ = laplacians(g)
+        lap_sym = laplacians(g)
         square = g._cache["lap_sym_squared"] = compose(lap_sym, lap_sym)
     return square
 
@@ -494,8 +441,7 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0.0:
         return GraphFilter.identity(g)
-    _, lap_sym, _ = laplacians(g)
-    return GraphFilter.identity(g) + lap_sym.scaled(alpha)
+    return GraphFilter.identity(g) + laplacians(g).scaled(alpha)
 
 
 # ---------------------------------------------------------------------------

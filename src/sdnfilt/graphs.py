@@ -91,9 +91,6 @@ class Graph:
             raise GenerationError("graph is not connected")
         return g
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def degrees(self) -> np.ndarray:
         return np.array([len(a) for a in self.adjacency], dtype=np.int64)
 

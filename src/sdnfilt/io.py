@@ -27,9 +27,7 @@ __all__ = [
     "write_points_csv",
     "write_edges_csv",
     "read_edges_csv",
-    "write_filter_csv",
     "read_filter_csv",
-    "write_signal_csv",
     "read_signal_csv",
     "write_curves_csv",
     "write_roundlog_csv",
@@ -178,12 +176,6 @@ def read_edges_csv(path: str, n: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def write_filter_csv(path: str, h: GraphFilter) -> None:
-    out = [f"# n={h.graph.n} width={h.width}", "i,j,value"]
-    out.extend(f"{i},{j},{_fmt(v)}" for i, j, v in h.entries())
-    atomic_write_text(path, "\n".join(out) + "\n")
-
-
 def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -223,12 +215,6 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
 # ---------------------------------------------------------------------------
 # signals and diagonals: id,value
 # ---------------------------------------------------------------------------
-
-
-def write_signal_csv(path: str, x: Signal) -> None:
-    out = ["id,value"]
-    out.extend(f"{i},{_fmt(v)}" for i, v in enumerate(x.values))
-    atomic_write_text(path, "\n".join(out) + "\n")
 
 
 def read_signal_csv(path: str, graph: Graph) -> Signal:

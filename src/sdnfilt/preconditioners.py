@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from .filters import DiagonalPreconditioner, GraphFilter
+from .filters import GraphFilter
 from .graphs import hop_matrix
 
 __all__ = [
@@ -25,9 +25,9 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 
 
-def build_pgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
-    """P(i,i) = max of d(k) = max(absolute row sum, absolute column sum)
-    of k over the width-neighborhood of i.
+def build_pgda_preconditioner(h: GraphFilter) -> np.ndarray:
+    """The diagonal P(i,i) = max of d(k) = max(absolute row sum, absolute
+    column sum) of k over the width-neighborhood of i.
 
     Every entry must come out positive, otherwise the preconditioner would
     be singular and the gradient iteration undefined.
@@ -44,11 +44,12 @@ def build_pgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
             f"preconditioner entry at vertex {bad} is zero: the filter has no "
             f"nonzero row or column within {h.width} hops"
         )
-    return DiagonalPreconditioner(g, p, kind="pgda", source_width=h.width)
+    return p
 
 
-def build_spgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
-    """P(i,i) = absolute row sum of row i; requires a symmetric filter."""
+def build_spgda_preconditioner(h: GraphFilter) -> np.ndarray:
+    """The diagonal P(i,i) = absolute row sum of row i: the filter's
+    cached, read-only row sums. Requires a symmetric filter."""
     if h.nnz == 0:
         raise ValueError("cannot precondition an all-zero filter")
     diff = (h.csr - h.transpose().csr).tocoo()
@@ -63,17 +64,13 @@ def build_spgda_preconditioner(h: GraphFilter) -> DiagonalPreconditioner:
     if p.min() <= 0.0:
         bad = int(np.argmin(p))
         raise ValueError(f"row {bad} of the filter is all zero")
-    return DiagonalPreconditioner(h.graph, p, kind="spgda", source_width=h.width)
+    return p
 
 
-def normalized_filter(h: GraphFilter, p: DiagonalPreconditioner) -> GraphFilter:
-    """Symmetric normalization H(i,j) / sqrt(P(i,i) P(j,j)); same sparsity
-    and width as the input."""
-    if p.kind != "spgda":
-        raise ValueError(f"expected an spgda preconditioner, got kind={p.kind!r}")
-    if p.graph is not h.graph:
-        raise ValueError("preconditioner and filter must share a graph")
+def normalized_filter(h: GraphFilter, p: np.ndarray) -> GraphFilter:
+    """Symmetric normalization H(i,j) / sqrt(P(i,i) P(j,j)) by the spgda
+    diagonal p; same sparsity and width as the input."""
     coo = h.csr.tocoo()
-    vals = coo.data / np.sqrt(p.diag[coo.row] * p.diag[coo.col])
+    vals = coo.data / np.sqrt(p[coo.row] * p[coo.col])
     m = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=h.csr.shape)
     return GraphFilter(h.graph, m, _width=h.width)

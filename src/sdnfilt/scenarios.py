@@ -126,6 +126,8 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods {list(self.methods)} name a method twice")
         if self.scenario == "time_varying" and "pgda" not in self.methods:
             raise ConfigError("time_varying runs pgda only, and methods "
                               f"{list(self.methods)} leave it out")

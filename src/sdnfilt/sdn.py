@@ -16,7 +16,6 @@ bit-identical to the centralized solvers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .filters import GraphFilter, Signal, csr_product
 from .graphs import Graph, hop_levels, hop_matrix
 
 __all__ = [
-    "AgentState",
     "Round",
     "RangeViolationError",
     "SdnNetwork",
@@ -37,30 +35,12 @@ class RangeViolationError(RuntimeError):
     """A message would travel farther than the communication range allows."""
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Read-only view of one agent's local storage, built on demand. All of
-    it is reachable within the filter width: the ball members, the nonzero
-    row/column entries in ascending neighbor id, the known signal values."""
-
-    vertex: int
-    neighborhood: tuple[int, ...]          # B(i, width), ascending, includes i
-    row_ids: np.ndarray                    # j with H(i,j) != 0, ascending
-    row_vals: np.ndarray                   # H(i,j)
-    col_ids: np.ndarray                    # j with H(j,i) != 0, ascending
-    col_vals: np.ndarray                   # H(j,i)
-    y: float
-    p_value: float | None
-    x_local: dict[int, float]
-    scratch: dict
-
-
 @dataclass
 class Round:
     """One synchronized exchange of `count` messages, each within the hop
     range. With logging on, message k goes from senders[k] to receivers[k]
-    carrying values[k] = sent[senders[k]], sender-major with receivers
-    ascending; with logging off the arrays are empty."""
+    carrying sent[senders[k]], sender-major with receivers ascending; with
+    logging off the arrays are empty."""
 
     epoch: int
     index: int
@@ -70,27 +50,8 @@ class Round:
     receivers: np.ndarray
     sent: np.ndarray                       # the value each agent sent
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.sent[self.senders]
-
 
 _NO_IDS, _NO_VALUES = np.empty(0, dtype=np.int64), np.empty(0)
-
-
-class _Agents(Sequence):
-    """net.agents: one AgentState view per vertex, built when indexed."""
-
-    def __init__(self, net: "SdnNetwork"):
-        self._net = net
-
-    def __len__(self) -> int:
-        return self._net.graph.n
-
-    def __getitem__(self, i: int) -> AgentState:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._net._agent(i)
 
 
 class SdnNetwork:
@@ -153,9 +114,7 @@ class SdnNetwork:
         self._y = y.values.copy()
         self._x = np.zeros(ball.nnz)           # every agent's copies of x, by slot
         self._hx = None                        # H x over those copies, once formed
-        # the local update matrices, kept for the agent views, and their products
-        self._p = self._pgda_update = self._spgda_update = None
-        self._pgda_step = self._spgda_step = None
+        self._pgda_step = self._spgda_step = None  # the local updates, once set up
 
     def _slots(self, m) -> np.ndarray:
         """Slot, in agent i's own range, of every stored entry (i, j) of m.
@@ -180,29 +139,6 @@ class SdnNetwork:
         return sparse.csr_matrix((data, slots, m.indptr),
                                  shape=(self.graph.n, self._ball.nnz))
 
-    @property
-    def agents(self) -> Sequence[AgentState]:
-        return _Agents(self)
-
-    def _agent(self, i: int) -> AgentState:
-        own, row, col = (slice(m.indptr[i], m.indptr[i + 1])
-                         for m in (self._ball, self._csr, self._csc))
-        hood = self._ball.indices[own].tolist()
-        scratch = {}
-        if self._pgda_update is not None:
-            scratch["col_scaled"] = self._pgda_update.data[col].copy()
-        if self._spgda_update is not None:
-            scratch["row_scaled"] = self._spgda_update.data[row].copy()
-            scratch["y_scaled"] = float(self._y_scaled[i])
-        return AgentState(
-            vertex=i, neighborhood=tuple(hood),
-            row_ids=self._csr.indices[row].copy(), row_vals=self._csr.data[row].copy(),
-            col_ids=self._csc.indices[col].copy(), col_vals=self._csc.data[col].copy(),
-            y=float(self._y[i]),
-            p_value=None if self._p is None else float(self._p[i]),
-            x_local=dict(zip(hood, self._x[own].tolist())), scratch=scratch,
-        )
-
     # ---- messaging -------------------------------------------------------
 
     def _exchange(self, kind: str, payload: np.ndarray) -> np.ndarray:
@@ -222,9 +158,6 @@ class SdnNetwork:
     def total_messages(self) -> int:
         return self._sent
 
-    def expected_messages_per_exchange(self) -> int:
-        return len(self._senders)
-
     # ---- Algorithm: distributed preconditioner ---------------------------
 
     def distributed_preconditioner(self) -> np.ndarray:
@@ -235,11 +168,9 @@ class SdnNetwork:
         # agent holding that row does
         d = np.maximum(self._h.row_abs_sums(), self._h.col_abs_sums())
         heard = self._exchange("d", d)
-        self._p = np.maximum.reduceat(heard, self._ball.indptr[:-1])
-        self._pgda_update = self._local(self._csc, self._col_slots,
-                                        self._p * self._p)
-        self._pgda_step = csr_product(self._pgda_update)
-        return self._p.copy()
+        p = np.maximum.reduceat(heard, self._ball.indptr[:-1])
+        self._pgda_step = csr_product(self._local(self._csc, self._col_slots, p * p))
+        return p
 
     # ---- Algorithm: distributed PGDA --------------------------------------
 
@@ -253,7 +184,7 @@ class SdnNetwork:
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self._pgda_update is None:
+        if self._pgda_step is None:
             raise RuntimeError(
                 "preconditioner values missing; run "
                 "distributed_preconditioner() first"
@@ -272,9 +203,7 @@ class SdnNetwork:
         p = self._h.row_abs_sums()
         if p.min() == 0.0:
             raise ValueError(f"row {np.argmin(p)} of the filter is all zero")
-        self._p = p
-        self._spgda_update = self._local(self._csr, self._row_slots, p)
-        self._spgda_step = csr_product(self._spgda_update)
+        self._spgda_step = csr_product(self._local(self._csr, self._row_slots, p))
         self._y_scaled = self._y / p
 
     def run_spgda(self, iterations: int) -> Signal:
@@ -283,7 +212,7 @@ class SdnNetwork:
         traffic of run_pgda)."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self._spgda_update is None:
+        if self._spgda_step is None:
             self.spgda_setup()
         for _ in range(iterations):
             x = (self._x[self._own] + self._y_scaled) - self._spgda_step(self._x)
@@ -302,11 +231,3 @@ class SdnNetwork:
         if self._hx is None:
             self._hx = self._residual(self._x)
         return self._hx
-
-    def max_message_distance(self) -> int:
-        """Largest hop distance traveled by a logged message. Every logged
-        round sends over all sender slots of the ball pattern, and its other
-        slots (each agent's own) hold hop 0, so this is the pattern's
-        largest hop, or 0 when nothing was logged."""
-        logged = any(len(r.senders) for r in self.rounds)
-        return int(self._ball.data.max()) if logged else 0

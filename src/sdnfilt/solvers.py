@@ -47,6 +47,7 @@ from .preconditioners import (
 
 __all__ = [
     "METHODS",
+    "DIVERGENCE_FACTOR",
     "SolverConfig",
     "SolveTrace",
     "Method",
@@ -65,6 +66,10 @@ METHODS = ("pgda", "spgda", "opgd", "imia")
 
 SNR_CAP_DB = 300.0
 
+# a solve stops as "diverged" once its residual exceeds this multiple of
+# the initial residual
+DIVERGENCE_FACTOR = 1e6
+
 
 class NumericError(RuntimeError):
     """Nonfinite values appeared during an iteration."""
@@ -78,26 +83,21 @@ class NumericError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Iteration budget and termination policy for `solve`.
-
-    residual_tol, when set, stops early once ||H x - y|| <= residual_tol*||y||.
-    divergence_factor aborts with status "diverged" once the residual exceeds
-    that multiple of the initial residual.
+    """The method and iteration budget of `solve` and `solve_block`, which
+    iterate from x_0 = 0. A solve ends with status "converged" only when
+    its residual is exactly zero at m = 0, "diverged" as soon as the
+    residual exceeds DIVERGENCE_FACTOR times its initial value, and
+    "max_iter" after max_iter iterations otherwise.
     """
 
     method: str
     max_iter: int = 100
-    residual_tol: float | None = None
-    divergence_factor: float = 1e6
-    initial: Signal | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must be > 1")
 
 
 @dataclass
@@ -105,7 +105,9 @@ class SolveTrace:
     """Per-iteration record of one solve, indexed m = 0..len-1.
 
     relative_error is ||x_m - x*|| / ||x*|| against the supplied reference,
-    and snr = -20 log10 of the relative error capped at 300 dB.
+    and snr = -20 log10 of the relative error capped at 300 dB. status is
+    "converged" (a zero residual at m = 0), "diverged" or "max_iter", as
+    `SolverConfig` describes.
     """
 
     method: str
@@ -141,7 +143,7 @@ class Method:
 
 
 def _pgda(h: GraphFilter) -> Method:
-    p = build_pgda_preconditioner(h).diag
+    p = build_pgda_preconditioner(h)
     ht = h.transpose()
     scaled_ht = csr_product(_scale_rows_by_division(ht.csr, p * p))
     return Method(
@@ -191,8 +193,7 @@ def _schur_bound(h: GraphFilter, p: np.ndarray) -> float:
 
 
 def _spgda(h: GraphFilter) -> Method:
-    pre = build_spgda_preconditioner(h)
-    p = pre.diag
+    p = build_spgda_preconditioner(h)
     h_tilde = csr_product(_scale_rows_by_division(h.csr, p))
 
     def update(yv):
@@ -201,7 +202,7 @@ def _spgda(h: GraphFilter) -> Method:
         return lambda x, e: (x + y_tilde) - h_tilde(x)
 
     def error():
-        h_hat = normalized_filter(h, pre)
+        h_hat = normalized_filter(h, p)
         return lambda v: v - h_hat.matvec(v)
 
     return Method(update, error)
@@ -326,9 +327,10 @@ def solve(
     one-column case of `solve_block`.
 
     The iteration is fully deterministic: identical inputs and config give
-    bit-identical traces. Stops at max_iter, at the residual tolerance, or
-    as soon as the residual exceeds divergence_factor times its initial
-    value (status "diverged"). Nonfinite iterates raise NumericError.
+    bit-identical traces. It stops at m = 0 on a zero residual (status
+    "converged"), as soon as the residual exceeds DIVERGENCE_FACTOR times
+    its initial value ("diverged"), or at max_iter ("max_iter"). Nonfinite
+    iterates raise NumericError.
     """
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
@@ -364,11 +366,12 @@ def solve_block(
     Each iteration takes one product of H with the columns still running.
     Every column is checked, stopped and recorded on its own, as `solve`
     describes, so each gets bit for bit what `solve` gives on it alone: a
-    column that converges or diverges leaves the block, and a nonfinite
-    residual in a running column raises NumericError. reference is one
-    signal for every column (n,) or one per column (n x T). The history
-    keeps per-column scalars only: squared errors, whose square roots and
-    quotients are taken once at the end.
+    zero column leaves the block at m = 0 as "converged", a column that
+    diverges leaves it when it does, and a nonfinite residual in a running
+    column raises NumericError. reference is one signal for every column
+    (n,) or one per column (n x T). The history keeps per-column scalars
+    only: squared errors, whose square roots and quotients are taken once
+    at the end.
     """
     method = cfg.method
     entry = prepare_params(h, method, params)[method]
@@ -377,12 +380,7 @@ def solve_block(
     if ys.ndim != 2 or ys.shape[0] != n:
         raise ValueError(f"observation block must be {n} x T, got {ys.shape}")
     k = ys.shape[1]
-    if cfg.initial is not None:
-        if cfg.initial.graph is not h.graph:
-            raise ValueError("initial signal on a different graph")
-        x = np.repeat(cfg.initial.values[:, None], k, axis=1)
-    else:
-        x = np.zeros((n, k))
+    x = np.zeros((n, k))
     step = entry.update(ys)
 
     track = reference is not None
@@ -431,30 +429,26 @@ def solve_block(
         zs = list(z)
         t = h.matvec(x)
         resid = record(0, x, t)
-        # a running column stops unless tol_bound < residual <= bound; with
-        # no tolerance, tol_bound is -inf and no column converges
-        bound = cfg.divergence_factor * resid
-        tol_bound = (np.full(k, -np.inf) if cfg.residual_tol is None
-                     else cfg.residual_tol * _norms(_rows(ys)))
+        # a zero column stops at m = 0; a running one once its residual
+        # is not <= bound
+        bound = DIVERGENCE_FACTOR * resid
         m, limits = 0, None
-        conv = stop = resid == 0.0
+        stop = resid == 0.0
         while True:
             if any(stop):
                 stop = np.asarray(stop)
-                if m:
-                    if np.isnan(resid).any():
-                        raise NumericError(method, m)
-                    conv = resid <= tol_bound
+                if m and np.isnan(resid).any():
+                    raise NumericError(method, m)
                 stopped = live[stop]
-                for j, converged in zip(stopped, conv[stop]):
-                    status[j] = "converged" if converged else "diverged"
+                for j in stopped:
+                    status[j] = "diverged" if m else "converged"
                 last[stopped] = m
                 if out is None:
                     out = np.empty((n, k))
                 out[:, stopped] = x[:, stop]
                 keep = ~stop
                 live, x, y_live = live[keep], x[:, keep], y_live[:, keep]
-                bound, tol_bound = bound[keep], tol_bound[keep]
+                bound = bound[keep]
                 if track and ref_live.ndim == 2:
                     ref_live = ref_live[keep]
                 if not live.size:
@@ -466,7 +460,7 @@ def solve_block(
             if m == cfg.max_iter:
                 break
             if limits is None:
-                limits = list(zip(tol_bound.tolist(), bound.tolist()))
+                limits = bound.tolist()
             m += 1
             x = step(x, zs[0].T)
             if type(x) is tuple:
@@ -475,9 +469,9 @@ def solve_block(
                 t = h.matvec(x)
             resid = record(m, x, t)
             # checked on floats, cheaper than array operations on a few
-            # columns; a NaN residual fails both comparisons, so it stops
-            # its column and raises above
-            stop = [not lo < r <= hi for r, (lo, hi) in zip(resid.tolist(), limits)]
+            # columns; a NaN residual fails the comparison, so it stops its
+            # column and raises above
+            stop = [not r <= hi for r, hi in zip(resid.tolist(), limits)]
         last[live] = m
         if out is None:
             out = x

@@ -106,9 +106,9 @@ def weighted_errors(h: GraphFilter, y: Signal, method: str, reference: Signal,
     the method table's update from x_0 = 0 on the residual H x - y, as
     `solve` does, but never stop early."""
     if method == "pgda":
-        weight = build_pgda_preconditioner(h).diag
+        weight = build_pgda_preconditioner(h)
     else:
-        weight = np.sqrt(build_spgda_preconditioner(h).diag)
+        weight = np.sqrt(build_spgda_preconditioner(h))
     ys = y.values[:, None]
     step = prepare_params(h, method)[method].update(ys)
     x = np.zeros_like(ys)

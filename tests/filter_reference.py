@@ -5,9 +5,13 @@ hop levels (I+A)^0, (I+A)^1, ... until one holds every stored entry.
 sdnfilt.filters reads the width off the cached hop matrix instead, and
 must agree with it.
 
-The rest is the dominance instrument: the Schur norm, a symmetry test, the
+Then the dominance instrument: the Schur norm, a symmetry test, the
 smallest eigenvalue of a symmetric operator by ARPACK, and check_dominance,
 which checks the relations the preconditioners rest on.
+
+Last, builders and writers only the tests need: a filter from a dense
+matrix, the combinatorial Laplacian D - A, and the filter and signal CSV
+writers that sdnfilt.io reads back.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                   aslinearoperator, eigsh)
 
-from sdnfilt.filters import (
-    DiagonalPreconditioner,
-    GraphFilter,
-    SpectralEstimate,
-    _start_vector,
-)
+from sdnfilt.filters import GraphFilter, Signal, SpectralEstimate, _start_vector
 from sdnfilt.graphs import Graph, hop_levels
 from sdnfilt.preconditioners import SYMMETRY_TOL, build_spgda_preconditioner
 
@@ -82,10 +81,11 @@ class DominanceCheck:
     converged: bool
 
 
-def check_dominance(h: GraphFilter, p: DiagonalPreconditioner, mode: str,
+def check_dominance(h: GraphFilter, p: np.ndarray, mode: str,
                     tol: float = 1e-12, max_iter: int = 20000,
                     rng_seed: int = 0) -> DominanceCheck:
-    """Verify one of the dominance relations behind the preconditioners.
+    """Verify one of the dominance relations behind the preconditioners,
+    for the diagonal p of a preconditioner built from h.
 
     mode "pgda":       smallest eigenvalue of P^2 - H^T H
     mode "spgda":      smallest eigenvalue of P - H (symmetric H)
@@ -96,24 +96,51 @@ def check_dominance(h: GraphFilter, p: DiagonalPreconditioner, mode: str,
     modes are exact comparisons. A check passes when the value is at
     least -1e-10.
     """
-    if p.graph is not h.graph:
+    if p.shape != (h.graph.n,):
         raise ValueError("preconditioner and filter must share a graph")
     if mode == "diag_chain":
-        p_sym = build_spgda_preconditioner(h)
-        value = float((p.diag - p_sym.diag).min())
+        value = float((p - build_spgda_preconditioner(h)).min())
         return DominanceCheck(mode, value, value >= DOMINANCE_PASS_TOL, True)
     if mode == "schur":
-        value = schur_norm(h) - float(p.diag.max())
+        value = schur_norm(h) - float(p.max())
         return DominanceCheck(mode, value, value >= DOMINANCE_PASS_TOL, True)
     if mode == "pgda":
-        difference = sparse.diags(p.diag * p.diag) - h.transpose().csr @ h.csr
+        difference = sparse.diags(p * p) - h.transpose().csr @ h.csr
     elif mode == "spgda":
         if not is_symmetric(h, SYMMETRY_TOL):
             raise ValueError("spgda dominance requires a symmetric filter")
-        difference = sparse.diags(p.diag) - h.csr
+        difference = sparse.diags(p) - h.csr
     else:
         raise ValueError(f"unknown dominance mode {mode!r}")
     est = smallest_eigenvalue(difference, tol=tol, max_iter=max_iter,
                               rng_seed=rng_seed)
     return DominanceCheck(mode, est.value, est.value >= DOMINANCE_PASS_TOL,
                           est.converged)
+
+
+def from_dense(g: Graph, dense) -> GraphFilter:
+    """The filter whose matrix is the dense array `dense`."""
+    return GraphFilter(g, sparse.csr_matrix(np.asarray(dense, dtype=np.float64)))
+
+
+def combinatorial_laplacian(g: Graph) -> GraphFilter:
+    """L = D - A, width 1 on any graph with an edge."""
+    entries = {(i, i): float(len(nbrs)) for i, nbrs in enumerate(g.adjacency)}
+    entries.update({(i, j): -1.0 for i, nbrs in enumerate(g.adjacency) for j in nbrs})
+    return GraphFilter.from_entries(g, entries)
+
+
+def write_filter_csv(path: str, h: GraphFilter) -> None:
+    """The '# n=... width=...' header, then one i,j,value row per entry."""
+    rows = [f"# n={h.graph.n} width={h.width}", "i,j,value"]
+    rows.extend(f"{i},{j},{v!r}" for i, j, v in h.entries())
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def write_signal_csv(path: str, x: Signal) -> None:
+    """One id,value row per vertex."""
+    rows = ["id,value"]
+    rows.extend(f"{i},{v!r}" for i, v in enumerate(x.values.tolist()))
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")

@@ -2,9 +2,9 @@
 message.
 
 This is the straightforward form of sdnfilt.io.write_roundlog_csv. It reads
-each message's value through Round.values (sent[senders]) and assumes
-nothing about the order of the senders or about arrays shared between
-rounds. The streamed writer must produce the same bytes.
+each message's value as sent[senders] and assumes nothing about the order
+of the senders or about arrays shared between rounds. The streamed writer
+must produce the same bytes.
 """
 
 from itertools import repeat
@@ -14,7 +14,7 @@ def reference_roundlog_text(rounds, include_values=True):
     out = ["epoch,round,from,to,kind,value\n"]
     for r in rounds:
         head, kind = f"{r.epoch},{r.index},", f",{r.kind},"
-        tails = map(repr, r.values.tolist()) if include_values else repeat("")
+        tails = map(repr, r.sent[r.senders].tolist()) if include_values else repeat("")
         out.extend(f"{head}{s},{t}{kind}{v}\n" for s, t, v in
                    zip(r.senders.tolist(), r.receivers.tolist(), tails))
     return "".join(out)

@@ -17,9 +17,7 @@ from sdnfilt.filters import Signal, build_denoise_filter
 from sdnfilt.graphs import knn_graph
 from sdnfilt.io import read_points_csv
 from sdnfilt.scenarios import _STREAM_OBS, _snr, _stream_seed, add_uniform_noise
-from sdnfilt.solvers import SolverConfig, direct_solve_oracle, prepare_params
-
-DIVERGENCE_FACTOR = SolverConfig(method="pgda").divergence_factor
+from sdnfilt.solvers import DIVERGENCE_FACTOR, direct_solve_oracle, prepare_params
 
 
 def denoise_reference(cfg):

@@ -9,9 +9,16 @@ against the hop range. Neighborhoods come from the breadth-first
 geodesic_distance, not from the sparse hop matrix. The compiled simulator
 must agree with it on iterates, preconditioner, per-round counts and every
 logged message.
+
+The functions after it are the locality instruments: each agent's local
+storage read out of a network's compiled slot arrays, the coefficients of
+a bound local update, and the message count and hop distances that the
+simulator's counters and logs must respect.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,3 +103,61 @@ class ReferenceNetwork:
 
     def gather(self):
         return np.array([self.x_local[i][i] for i in range(self.graph.n)])
+
+
+def agents(net):
+    """One view per agent of its local storage in the compiled network:
+    its width ball (ascending, itself included), the nonzero entries of
+    its filter row and column by ascending neighbor id, and its copies of
+    x by vertex."""
+    views = []
+    for i in range(net.graph.n):
+        own, row, col = (slice(m.indptr[i], m.indptr[i + 1])
+                         for m in (net._ball, net._csr, net._csc))
+        hood = net._ball.indices[own].tolist()
+        views.append(SimpleNamespace(
+            vertex=i, neighborhood=hood,
+            row_ids=net._csr.indices[row], row_vals=net._csr.data[row],
+            col_ids=net._csc.indices[col], col_vals=net._csc.data[col],
+            x_local=dict(zip(hood, net._x[own].tolist()))))
+    return views
+
+
+def local_coefficients(net, step, i):
+    """Agent i's coefficients in the bound local update `step`, one per
+    slot of its own ball, read back by applying it to the unit slot
+    vectors."""
+    lo, hi = net._ball.indptr[i], net._ball.indptr[i + 1]
+    return step(np.eye(net._ball.nnz)[:, lo:hi])[i]
+
+
+def hop_distances(graph):
+    """All-pairs hop distances, by one breadth-first search per vertex."""
+    dist = np.full((graph.n, graph.n), -1)
+    for i in range(graph.n):
+        dist[i, i], frontier, depth = 0, [i], 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for w in graph.adjacency[u]:
+                    if dist[i, w] < 0:
+                        dist[i, w] = depth
+                        nxt.append(w)
+            frontier = nxt
+    return dist
+
+
+def messages_per_exchange(net):
+    """Messages in one exchange: each agent sends to every other vertex
+    within the filter width."""
+    dist = hop_distances(net.graph)
+    return int(((dist >= 0) & (dist <= net.width)).sum()) - net.graph.n
+
+
+def max_message_distance(net):
+    """Largest hop distance traveled by a logged message, or 0 when none
+    was logged."""
+    dist = hop_distances(net.graph)
+    return max((int(dist[r.senders, r.receivers].max(initial=0)) for r in net.rounds),
+               default=0)

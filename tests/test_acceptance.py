@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter, Signal, power_spectral_radius
+from sdnfilt.filters import Signal, power_spectral_radius
 from sdnfilt.graphs import Graph
 from sdnfilt.io import write_points_csv
 from sdnfilt.preconditioners import (
@@ -38,6 +38,8 @@ from conftest import (
     random_filter,
     weighted_errors,
 )
+from filter_reference import from_dense
+from sdn_reference import max_message_distance, messages_per_exchange
 
 REFERENCE_RADII = {"spgda": 0.9786, "pgda": 0.9996, "opgd": 0.9993, "imia": 0.9566}
 
@@ -68,7 +70,7 @@ def test_criterion_1_gram_dominance_suite():
         h = random_filter(rng, g, int(rng.integers(1, 4)))
         p = build_pgda_preconditioner(h)
         dense = dense_of(h)
-        lam_min = float(np.linalg.eigvalsh(np.diag(p.diag**2) - dense.T @ dense).min())
+        lam_min = float(np.linalg.eigvalsh(np.diag(p**2) - dense.T @ dense).min())
         worst = min(worst, lam_min)
     elapsed = time.monotonic() - started
     ok = worst >= -1e-10 and elapsed < 30.0
@@ -88,9 +90,9 @@ def test_criterion_2_symmetric_dominance_suite():
         h = make_spd(rng, g, int(rng.integers(1, 4)))
         p_sym = build_spgda_preconditioner(h)
         p = build_pgda_preconditioner(h)
-        lam_min = float(np.linalg.eigvalsh(np.diag(p_sym.diag) - dense_of(h)).min())
+        lam_min = float(np.linalg.eigvalsh(np.diag(p_sym) - dense_of(h)).min())
         worst_eig = min(worst_eig, lam_min)
-        worst_gap = min(worst_gap, float((p.diag - p_sym.diag).min()))
+        worst_gap = min(worst_gap, float((p - p_sym).min()))
     elapsed = time.monotonic() - started
     ok = worst_eig >= -1e-10 and worst_gap >= -1e-12 and elapsed < 30.0
     report(2, ok, f"200 spd filters, worst lambda_min {worst_eig:.2e}, "
@@ -102,7 +104,7 @@ def test_criterion_3_fixture_spectral_radii():
     """On H=[[2,1],[1,2]] the four iteration radii are 8/9, 2/3, 0.8, 0.6
     within 1e-10 (2x2 eigendecompositions by hand)."""
     g = Graph.from_edges(2, [(0, 1)])
-    h = GraphFilter.from_dense(g, [[2.0, 1.0], [1.0, 2.0]])
+    h = from_dense(g, [[2.0, 1.0], [1.0, 2.0]])
     expected = {"pgda": 8.0 / 9.0, "spgda": 2.0 / 3.0, "opgd": 0.8, "imia": 0.6}
     errors = {}
     for method, value in expected.items():
@@ -129,7 +131,7 @@ def test_criterion_4_convergence_envelopes():
         if k % 2 == 0:
             h = make_invertible(rng, g, int(rng.integers(1, 3)), margin=0.3)
             method = "pgda"
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             dense = dense_of(h)
             r = float(np.abs(np.linalg.eigvalsh(
                 np.eye(n) - (dense.T @ dense) / p[:, None] / p[None, :]
@@ -137,7 +139,7 @@ def test_criterion_4_convergence_envelopes():
         else:
             h = make_spd(rng, g, int(rng.integers(1, 3)))
             method = "spgda"
-            ps = build_spgda_preconditioner(h).diag
+            ps = build_spgda_preconditioner(h)
             dense = dense_of(h)
             r = float(np.abs(np.linalg.eigvalsh(
                 np.eye(n) - dense / np.sqrt(np.outer(ps, ps))
@@ -175,13 +177,13 @@ def test_criterion_5_distributed_equivalence():
         net = SdnNetwork(g, h, y, comm_range=h.width, log_messages=True)
         p_dist = net.distributed_preconditioner()
         x_dist = net.run_pgda(M)
-        per_ex = net.expected_messages_per_exchange()
+        per_ex = messages_per_exchange(net)
         if not (np.array_equal(x_dist.values, central.values)
-                and np.array_equal(p_dist, build_pgda_preconditioner(h).diag)):
+                and np.array_equal(p_dist, build_pgda_preconditioner(h))):
             mismatches += 1
         if net.total_messages() != per_ex + M * 2 * per_ex:
             count_mismatches += 1
-        if net.max_message_distance() > net.comm_range:
+        if max_message_distance(net) > net.comm_range:
             range_violations += 1
 
         if spd:
@@ -190,9 +192,9 @@ def test_criterion_5_distributed_equivalence():
             x_s = net_s.run_spgda(M)
             if not np.array_equal(x_s.values, central_s.values):
                 mismatches += 1
-            if net_s.total_messages() != M * net_s.expected_messages_per_exchange():
+            if net_s.total_messages() != M * messages_per_exchange(net_s):
                 count_mismatches += 1
-            if net_s.max_message_distance() > net_s.comm_range:
+            if max_message_distance(net_s) > net_s.comm_range:
                 range_violations += 1
     ok = mismatches == 0 and range_violations == 0 and count_mismatches == 0
     report(5, ok, f"50 instances: {mismatches} value mismatches, "

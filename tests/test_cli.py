@@ -171,7 +171,8 @@ class TestRun:
         # symmetric indefinite filter: spgda diverges; one trial -> exit 3
         from conftest import random_connected_graph
         from sdnfilt.filters import GraphFilter, Signal
-        from sdnfilt.io import write_edges_csv, write_filter_csv, write_signal_csv
+        from sdnfilt.io import write_edges_csv
+        from filter_reference import write_filter_csv, write_signal_csv
 
         g = random_connected_graph(rng, 8)
         entries = {}
@@ -272,6 +273,15 @@ class TestRun:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                    "--distributed"])
         assert rc == 2
+
+    def test_repeated_method_exit_2(self, tmp_path, capsys):
+        # pgda twice would run it twice and double its message total
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--distributed", "--methods", "pgda,spgda,pgda"])
+        assert rc == 2
+        assert "name a method twice" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_distributed_fig1_small(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,

@@ -15,16 +15,15 @@ from sdnfilt.io import (
     read_signal_csv,
     write_curves_csv,
     write_edges_csv,
-    write_filter_csv,
     write_points_csv,
     write_roundlog_csv,
-    write_signal_csv,
     write_summary_json,
 )
 from sdnfilt.scenarios import ScenarioConfig, run_fig1, run_time_varying
 from sdnfilt.sdn import Round, SdnNetwork
 
-from conftest import make_invertible, random_connected_graph
+from conftest import dense_of, make_invertible, random_connected_graph
+from filter_reference import write_filter_csv, write_signal_csv
 from roundlog_reference import reference_roundlog_text
 from sdn_reference import ReferenceNetwork
 
@@ -122,7 +121,7 @@ class TestFilterCsv:
         path = str(tmp_path / "filter.csv")
         write_filter_csv(path, h)
         h2 = read_filter_csv(path, g)
-        assert np.array_equal(h.to_dense(), h2.to_dense())
+        assert np.array_equal(dense_of(h), dense_of(h2))
         assert h2.width == h.width
 
     def test_header_records_n_and_width(self, tmp_path, rng):

@@ -11,7 +11,12 @@ from sdnfilt.preconditioners import (
 from sdnfilt.solvers import iteration_matrix
 
 from conftest import dense_of, make_invertible, make_spd, random_connected_graph, random_filter
-from filter_reference import check_dominance, schur_norm
+from filter_reference import (
+    check_dominance,
+    combinatorial_laplacian,
+    from_dense,
+    schur_norm,
+)
 
 
 def path3():
@@ -23,25 +28,24 @@ def edge2():
 
 
 def two_by_two():
-    return GraphFilter.from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
+    return from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
 
 
 class TestPgdaPreconditioner:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 8)
         p = build_pgda_preconditioner(GraphFilter.identity(g))
-        assert np.array_equal(p.diag, np.ones(8))
-        assert p.kind == "pgda" and p.source_width == 0
+        assert np.array_equal(p, np.ones(8))
 
     def test_path_laplacian(self):
-        lap, _, _ = laplacians(path3())
+        lap = combinatorial_laplacian(path3())
         p = build_pgda_preconditioner(lap)
         # absolute row sums are (2, 4, 2); every 1-hop ball sees the 4
-        assert np.array_equal(p.diag, np.array([4.0, 4.0, 4.0]))
+        assert np.array_equal(p, np.array([4.0, 4.0, 4.0]))
 
     def test_two_by_two(self):
         p = build_pgda_preconditioner(two_by_two())
-        assert np.array_equal(p.diag, np.array([3.0, 3.0]))
+        assert np.array_equal(p, np.array([3.0, 3.0]))
 
     def test_all_zero_rejected(self):
         h = GraphFilter.from_entries(path3(), {})
@@ -58,21 +62,21 @@ class TestPgdaPreconditioner:
 
 class TestSpgdaPreconditioner:
     def test_path_laplacian(self):
-        lap, _, _ = laplacians(path3())
+        lap = combinatorial_laplacian(path3())
         p = build_spgda_preconditioner(lap)
-        assert np.array_equal(p.diag, np.array([2.0, 4.0, 2.0]))
+        assert np.array_equal(p, np.array([2.0, 4.0, 2.0]))
 
     def test_identity(self, rng):
         g = random_connected_graph(rng, 5)
         p = build_spgda_preconditioner(GraphFilter.identity(g))
-        assert np.array_equal(p.diag, np.ones(5))
+        assert np.array_equal(p, np.ones(5))
 
     def test_two_by_two(self):
         p = build_spgda_preconditioner(two_by_two())
-        assert np.array_equal(p.diag, np.array([3.0, 3.0]))
+        assert np.array_equal(p, np.array([3.0, 3.0]))
 
     def test_asymmetric_rejected_with_worst_pair(self):
-        h = GraphFilter.from_dense(edge2(), [[1.0, 0.5], [0.2, 1.0]])
+        h = from_dense(edge2(), [[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match=r"H\(0,1\)|H\(1,0\)"):
             build_spgda_preconditioner(h)
 
@@ -83,12 +87,12 @@ class TestNormalizedFilter:
         ident = GraphFilter.identity(g)
         p = build_spgda_preconditioner(ident)
         out = normalized_filter(ident, p)
-        assert np.array_equal(out.to_dense(), np.eye(6))
+        assert np.array_equal(dense_of(out), np.eye(6))
 
     def test_two_by_two(self):
         h = two_by_two()
         out = normalized_filter(h, build_spgda_preconditioner(h))
-        assert np.allclose(out.to_dense(), np.array([[2, 1], [1, 2]]) / 3.0,
+        assert np.allclose(dense_of(out), np.array([[2, 1], [1, 2]]) / 3.0,
                            atol=1e-15)
 
     def test_laplacian_gives_half_normalized_laplacian(self, rng):
@@ -96,15 +100,9 @@ class TestNormalizedFilter:
         # isolated vertices
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(2, 30)))
-            lap, lap_sym, _ = laplacians(g)
+            lap = combinatorial_laplacian(g)
             out = normalized_filter(lap, build_spgda_preconditioner(lap))
-            assert np.allclose(out.to_dense(), lap_sym.to_dense() / 2.0, atol=1e-13)
-
-    def test_kind_checked(self):
-        h = two_by_two()
-        p = build_pgda_preconditioner(h)
-        with pytest.raises(ValueError, match="spgda"):
-            normalized_filter(h, p)
+            assert np.allclose(dense_of(out), dense_of(laplacians(g)) / 2.0, atol=1e-13)
 
     def test_same_sparsity_and_width(self, rng):
         g = random_connected_graph(rng, 20)
@@ -116,12 +114,12 @@ class TestNormalizedFilter:
     def test_underflowing_entry_leaves_input_intact(self):
         # 1e-200 / sqrt(1e150 * 1e150) underflows to 0, so the normalized
         # filter drops that entry; h's own arrays and product must not move
-        h = GraphFilter.from_dense(edge2(), [[1e150, 1e-200], [1e-200, 1e150]])
+        h = from_dense(edge2(), [[1e150, 1e-200], [1e-200, 1e150]])
         arrays = [a.copy() for a in (h.csr.indptr, h.csr.indices, h.csr.data)]
         v = np.array([1.0, 2.0])
         hv = h.matvec(v)
         out = normalized_filter(h, build_spgda_preconditioner(h))
-        assert out.nnz == 2 and np.array_equal(out.to_dense(), np.eye(2))
+        assert out.nnz == 2 and np.array_equal(dense_of(out), np.eye(2))
         for a, b in zip(arrays, (h.csr.indptr, h.csr.indices, h.csr.data)):
             assert np.array_equal(a, b)
         assert np.array_equal(h.matvec(v), hv)
@@ -129,11 +127,11 @@ class TestNormalizedFilter:
 
 class TestCheckDominance:
     def test_pgda_mode_path_laplacian(self):
-        lap, _, _ = laplacians(path3())
+        lap = combinatorial_laplacian(path3())
         p = build_pgda_preconditioner(lap)
         # dense oracle: min eig of 16 I - L^T L
         oracle = np.linalg.eigvalsh(
-            np.diag(p.diag**2) - dense_of(lap).T @ dense_of(lap)
+            np.diag(p**2) - dense_of(lap).T @ dense_of(lap)
         ).min()
         assert oracle >= -1e-10
         res = check_dominance(lap, p, "pgda")
@@ -163,7 +161,7 @@ class TestCheckDominance:
             p = build_pgda_preconditioner(h)
             res = check_dominance(h, p, "schur")
             assert res.passed
-            assert max(p.diag) <= schur_norm(h) + 1e-12
+            assert max(p) <= schur_norm(h) + 1e-12
 
     def test_unknown_mode(self):
         h = two_by_two()
@@ -176,12 +174,12 @@ class TestCheckDominance:
             h = make_spd(rng, g, 1)
             dense = dense_of(h)
             p = build_pgda_preconditioner(h)
-            oracle = np.linalg.eigvalsh(np.diag(p.diag**2) - dense.T @ dense).min()
+            oracle = np.linalg.eigvalsh(np.diag(p**2) - dense.T @ dense).min()
             res = check_dominance(h, p, "pgda", tol=1e-14)
             assert res.value == pytest.approx(oracle, abs=1e-7)
 
             ps = build_spgda_preconditioner(h)
-            oracle_s = np.linalg.eigvalsh(np.diag(ps.diag) - dense).min()
+            oracle_s = np.linalg.eigvalsh(np.diag(ps) - dense).min()
             res_s = check_dominance(h, ps, "spgda", tol=1e-14)
             assert res_s.value == pytest.approx(oracle_s, abs=1e-7)
 
@@ -196,7 +194,7 @@ class TestDominanceTheory:
             h = random_filter(rng, g, int(rng.integers(1, 4)))
             p = build_pgda_preconditioner(h)
             dense = dense_of(h)
-            lam_min = np.linalg.eigvalsh(np.diag(p.diag**2) - dense.T @ dense).min()
+            lam_min = np.linalg.eigvalsh(np.diag(p**2) - dense.T @ dense).min()
             assert lam_min >= -1e-10
 
     def test_symmetric_dominance_chain_spd(self, rng):
@@ -205,9 +203,9 @@ class TestDominanceTheory:
             h = make_spd(rng, g, int(rng.integers(1, 4)))
             p_sym = build_spgda_preconditioner(h)
             p = build_pgda_preconditioner(h)
-            lam_min = np.linalg.eigvalsh(np.diag(p_sym.diag) - dense_of(h)).min()
+            lam_min = np.linalg.eigvalsh(np.diag(p_sym) - dense_of(h)).min()
             assert lam_min >= -1e-10
-            assert np.all(p_sym.diag <= p.diag + 1e-12)
+            assert np.all(p_sym <= p + 1e-12)
 
     def test_strict_contraction_invertible(self, rng):
         for _ in range(10):

@@ -249,11 +249,11 @@ class TestRunFig1Small:
                 graph, cfg.gamma, _stream_seed(cfg.master_seed, trial, _STREAM_FILTER)
             )
             dense = dense_of(h)
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             r_p = np.abs(np.linalg.eigvalsh(
                 np.eye(48) - (dense.T @ dense) / p[:, None] / p[None, :]
             )).max()
-            ps = build_spgda_preconditioner(h).diag
+            ps = build_spgda_preconditioner(h)
             r_s = np.abs(np.linalg.eigvalsh(
                 np.eye(48) - dense / np.sqrt(np.outer(ps, ps))
             )).max()
@@ -407,7 +407,8 @@ class TestRunTimeVarying:
 
 class TestRunCustom:
     def test_round_trip_through_files(self, tmp_path, rng):
-        from sdnfilt.io import write_edges_csv, write_filter_csv, write_signal_csv
+        from sdnfilt.io import write_edges_csv
+        from filter_reference import write_filter_csv, write_signal_csv
         from conftest import make_well_conditioned_spd, random_connected_graph
 
         g = random_connected_graph(rng, 12)
@@ -477,7 +478,8 @@ class TestDistributedScenarioRouting:
         assert routed.message_totals["spgda"] > 0
 
     def test_custom_distributed_matches_centralized(self, tmp_path, rng):
-        from sdnfilt.io import write_edges_csv, write_filter_csv, write_signal_csv
+        from sdnfilt.io import write_edges_csv
+        from filter_reference import write_filter_csv, write_signal_csv
         from conftest import make_well_conditioned_spd, random_connected_graph
 
         g = random_connected_graph(rng, 10)
@@ -541,12 +543,13 @@ class TestSimulatorDivergence:
         assert routed.diverged == central.diverged
         assert routed.curves == central.curves
 
-    def test_routed_nan_raises_at_solve_iteration(self, tmp_path):
+    def test_routed_nan_raises_at_solve_iteration(self, tmp_path, monkeypatch):
         # with no divergence bound the iterates overflow, and the first NaN
         # residual stops both executors at the same iteration
         from sdnfilt.io import read_edges_csv, read_filter_csv, read_signal_csv
         from sdnfilt.scenarios import _routed
         from sdnfilt.sdn import SdnNetwork
+        import sdnfilt.solvers as solvers
         from sdnfilt.solvers import NumericError
 
         base = write_two_vertex_custom(tmp_path)
@@ -554,8 +557,8 @@ class TestSimulatorDivergence:
         g = Graph.from_edges(n, edges)
         h = read_filter_csv(base["filter_csv"], g)
         y = read_signal_csv(base["signal_csv"], g)
-        solver_cfg = SolverConfig(method="spgda", max_iter=4000,
-                                  divergence_factor=float("inf"))
+        monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+        solver_cfg = SolverConfig(method="spgda", max_iter=4000)
         with pytest.raises(NumericError) as central:
             solve(h, y, solver_cfg)
         routed_params = {"spgda": _routed(SdnNetwork(g, h, y), "spgda")}

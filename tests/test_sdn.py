@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter, Signal, laplacians
+from sdnfilt.filters import GraphFilter, Signal
 from sdnfilt.graphs import Graph
 from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
 from sdnfilt.sdn import RangeViolationError, SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import hop_row, make_invertible, make_spd, random_connected_graph
+from filter_reference import combinatorial_laplacian, from_dense
 from graph_reference import geodesic_distance
-from sdn_reference import ReferenceNetwork
+from sdn_reference import (
+    ReferenceNetwork,
+    agents,
+    local_coefficients,
+    max_message_distance,
+    messages_per_exchange,
+)
 
 
 def path3():
@@ -18,10 +25,6 @@ def path3():
 
 def edge2():
     return Graph.from_edges(2, [(0, 1)])
-
-
-def exchange_size(net):
-    return net.expected_messages_per_exchange()
 
 
 class TestSharedRowSums:
@@ -54,7 +57,7 @@ class TestDistributedPreconditioner:
 
     def test_path_laplacian_values_and_count(self):
         g = path3()
-        lap, _, _ = laplacians(g)
+        lap = combinatorial_laplacian(g)
         net = SdnNetwork(g, lap, Signal(g, np.zeros(3)))
         p = net.distributed_preconditioner()
         assert np.array_equal(p, np.array([4.0, 4.0, 4.0]))
@@ -67,7 +70,7 @@ class TestDistributedPreconditioner:
             h = make_invertible(rng, g, int(rng.integers(1, 3)))
             net = SdnNetwork(g, h, Signal(g, rng.standard_normal(g.n)))
             distributed = net.distributed_preconditioner()
-            centralized = build_pgda_preconditioner(h).diag
+            centralized = build_pgda_preconditioner(h)
             assert np.array_equal(distributed, centralized)
 
     def test_doubled_filter_doubles_preconditioner(self, rng):
@@ -97,7 +100,7 @@ class TestDistributedPgda:
         assert np.array_equal(x.values, y.values)
 
     def test_two_by_two_matches_centralized(self):
-        h = GraphFilter.from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
+        h = from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
         y = Signal(h.graph, np.array([1.0, 1.0]))
         central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=2))
         net = SdnNetwork(h.graph, h, y)
@@ -118,7 +121,7 @@ class TestDistributedPgda:
         y = Signal(g, rng.standard_normal(17))
         net = SdnNetwork(g, h, y)
         net.distributed_preconditioner()
-        per_exchange = exchange_size(net)
+        per_exchange = messages_per_exchange(net)
         M = 7
         net.run_pgda(M)
         assert net.total_messages() == per_exchange + M * 2 * per_exchange
@@ -132,7 +135,7 @@ class TestDistributedPgda:
         net = SdnNetwork(g, h, y)
         net.distributed_preconditioner()
         x = net.run_pgda(3)
-        for agent in net.agents:
+        for agent in agents(net):
             for j in agent.neighborhood:
                 assert agent.x_local[j] == x.values[j]
 
@@ -147,12 +150,11 @@ class TestDistributedSpgda:
 
     def test_path_laplacian_row_normalization(self):
         g = path3()
-        lap, _, _ = laplacians(g)
+        lap = combinatorial_laplacian(g)
         net = SdnNetwork(g, lap, Signal(g, np.zeros(3)))
         net.spgda_setup()
-        middle = net.agents[1]
-        assert middle.p_value == 4.0
-        assert np.array_equal(middle.scratch["row_scaled"],
+        # the middle agent's p_sym is 4: its row (-1, 2, -1) scaled by 1/4
+        assert np.array_equal(local_coefficients(net, net._spgda_step, 1),
                               np.array([-0.25, 0.5, -0.25]))
 
     def test_identity_one_iteration_no_messages(self, rng):
@@ -173,13 +175,12 @@ class TestDistributedSpgda:
         net_p = SdnNetwork(g, h, y)
         net_p.distributed_preconditioner()
         net_p.run_pgda(M)
-        pgda_iteration_msgs = net_p.total_messages() - exchange_size(net_p)
+        pgda_iteration_msgs = net_p.total_messages() - messages_per_exchange(net_p)
         assert net_s.total_messages() * 2 == pgda_iteration_msgs
 
     def test_matches_centralized_on_shifted_laplacian(self, rng):
         g = random_connected_graph(rng, 11)
-        lap, _, _ = laplacians(g)
-        h = GraphFilter.identity(g) + lap
+        h = GraphFilter.identity(g) + combinatorial_laplacian(g)
         y = Signal(g, rng.standard_normal(11))
         central, _ = solve(h, y, SolverConfig(method="spgda", max_iter=50))
         net = SdnNetwork(g, h, y)
@@ -216,7 +217,7 @@ class TestRangeAndLocality:
         net = SdnNetwork(g, h, y, comm_range=max(h.width, 2))
         net.distributed_preconditioner()
         net.run_pgda(3)
-        assert net.max_message_distance() <= net.comm_range
+        assert max_message_distance(net) <= net.comm_range
 
     def test_max_message_distance_without_log(self, rng):
         g = random_connected_graph(rng, 12)
@@ -226,13 +227,13 @@ class TestRangeAndLocality:
         net.distributed_preconditioner()
         net.run_pgda(2)
         assert net.total_messages() > 0
-        assert net.max_message_distance() == 0
+        assert max_message_distance(net) == 0
 
     def test_agents_store_only_local_data(self, rng):
         g = random_connected_graph(rng, 25)
         h = make_invertible(rng, g, 2)
         net = SdnNetwork(g, h, Signal(g, np.zeros(25)), comm_range=2)
-        for agent in net.agents:
+        for agent in agents(net):
             hood = set(hop_row(g, agent.vertex, h.width))
             assert set(agent.row_ids) <= hood
             assert set(agent.col_ids) <= hood
@@ -243,11 +244,12 @@ class TestRangeAndLocality:
         g = random_connected_graph(rng, 18)
         h = make_invertible(rng, g, 1)
         net = SdnNetwork(g, h, Signal(g, np.zeros(18)))
-        for agent in net.agents:
+        views = agents(net)
+        for agent in views:
             i = agent.vertex
             for k in range(len(agent.row_ids)):
                 j = int(agent.row_ids[k])
-                other = net.agents[j]
+                other = views[j]
                 pos = np.searchsorted(other.col_ids, i)
                 assert other.col_ids[pos] == i
                 assert other.col_vals[pos] == agent.row_vals[k]
@@ -309,7 +311,7 @@ class TestNetworkSummary:
         net.run_pgda(2)
         assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
         assert sum(r.count for r in net.rounds) == net.total_messages()
-        assert len(net.agents) == 9
+        assert len(agents(net)) == 9
 
 
 def slot(net, agent, vertex):
@@ -384,7 +386,7 @@ class TestMatchesReference:
     @staticmethod
     def rows(net):
         return [[(int(s), int(t), r.kind, float(v))
-                 for s, t, v in zip(r.senders, r.receivers, r.values)]
+                 for s, t, v in zip(r.senders, r.receivers, r.sent[r.senders])]
                 for r in net.rounds]
 
     def check(self, net, ref, x, x_ref):
@@ -395,7 +397,7 @@ class TestMatchesReference:
         assert [r.index for r in net.rounds] == list(range(len(ref.rounds)))
         hops = [geodesic_distance(net.graph, s, t)
                 for _, _, messages in ref.rounds for s, t, _, _ in messages]
-        assert net.max_message_distance() == max(hops, default=0)
+        assert max_message_distance(net) == max(hops, default=0)
 
     def test_random_instances(self, rng):
         for k in range(12):
@@ -418,8 +420,8 @@ class TestMatchesReference:
             net_s = SdnNetwork(g, hs, y, comm_range=comm)
             ref_s = ReferenceNetwork(g, hs, y, comm_range=comm)
             self.check(net_s, ref_s, net_s.run_spgda(M), ref_s.run_spgda(M))
-            assert np.array_equal(
-                [a.p_value for a in net_s.agents], ref_s.p)
+            # the agents divide by the filter's own absolute row sums
+            assert np.array_equal(hs.row_abs_sums(), ref_s.p)
 
     def test_filtered_is_the_centralized_product(self, rng):
         # the H x the agents form for their next residual equals the
@@ -450,5 +452,5 @@ class TestMatchesReference:
             net.distributed_preconditioner()
             net.run_pgda(3)
         assert [r.count for r in quiet.rounds] == [r.count for r in loud.rounds]
-        assert all(len(r.values) == 0 for r in quiet.rounds)
+        assert all(len(r.sent[r.senders]) == 0 for r in quiet.rounds)
         assert np.array_equal(quiet.gather().values, loud.gather().values)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sdnfilt.solvers as solvers
 from sdnfilt.filters import GraphFilter, Signal, extreme_singular_values
 from sdnfilt.graphs import Graph, random_geometric_graph
 from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
@@ -20,7 +21,6 @@ from sdnfilt.solvers import (
     spectral_radius,
 )
 from sdnfilt.filters import (
-    DiagonalPreconditioner,
     build_denoise_filter,
     build_fig1_filter,
     power_spectral_radius,
@@ -32,8 +32,10 @@ from conftest import (
     make_spd,
     make_well_conditioned_spd,
     random_connected_graph,
+    random_filter,
     weighted_errors,
 )
+from filter_reference import from_dense
 
 
 def edge2():
@@ -41,7 +43,7 @@ def edge2():
 
 
 def two_by_two():
-    return GraphFilter.from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
+    return from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
 
 
 def single_vertex():
@@ -75,7 +77,7 @@ class TestSolveBasics:
             SolverConfig(method="cg")
 
     def test_spgda_asymmetric_rejected(self):
-        h = GraphFilter.from_dense(edge2(), [[1.0, 0.7], [0.1, 1.0]])
+        h = from_dense(edge2(), [[1.0, 0.7], [0.1, 1.0]])
         y = Signal(h.graph, np.ones(2))
         with pytest.raises(ValueError, match="not symmetric"):
             solve(h, y, SolverConfig(method="spgda", max_iter=3))
@@ -98,24 +100,6 @@ class TestSolveBasics:
         assert len(trace.snrs) == len(trace.residuals)
         assert all(s <= 300.0 for s in trace.snrs)
 
-    def test_residual_tol_stops_early(self, rng):
-        g = random_connected_graph(rng, 9)
-        h = make_spd(rng, g, 1, margin=2.0)
-        y = Signal(g, rng.standard_normal(9))
-        _, trace = solve(h, y, SolverConfig(method="spgda", max_iter=5000,
-                                            residual_tol=1e-10))
-        assert trace.status == "converged"
-        assert trace.iterations < 5000
-
-    def test_nonzero_initial(self, rng):
-        g = random_connected_graph(rng, 6)
-        h = make_spd(rng, g, 1)
-        y = Signal(g, rng.standard_normal(6))
-        x0 = Signal(g, rng.standard_normal(6))
-        _, tr_zero = solve(h, y, SolverConfig(method="imia", max_iter=1))
-        _, tr_warm = solve(h, y, SolverConfig(method="imia", max_iter=1, initial=x0))
-        assert tr_zero.residuals[0] != tr_warm.residuals[0]
-
     def test_deterministic_bitwise(self, rng):
         g = random_connected_graph(rng, 21)
         h = make_invertible(rng, g, 2, symmetric=True)
@@ -133,7 +117,7 @@ class TestDivergenceHandling:
     def indefinite(self):
         # symmetric, invertible, not positive definite: eigenvalues {3, -1};
         # the row-sum preconditioner cannot contract it
-        return GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        return from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
 
     def test_spgda_diverges_with_status(self):
         h = self.indefinite()
@@ -142,13 +126,13 @@ class TestDivergenceHandling:
         assert trace.status == "diverged"
         assert trace.residuals[-1] > 1e6 * trace.residuals[0]
 
-    def test_nonfinite_raises_with_iteration(self):
+    def test_nonfinite_raises_with_iteration(self, monkeypatch):
         # with divergence detection off, the growing iterate overflows and
         # mixed-sign infinite sums turn into NaN
         h = self.indefinite()
         y = Signal(h.graph, np.array([1.0, -1.0]))
-        cfg = SolverConfig(method="spgda", max_iter=10000,
-                           divergence_factor=float("inf"))
+        monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+        cfg = SolverConfig(method="spgda", max_iter=10000)
         with pytest.raises(NumericError, match="iteration"):
             solve(h, y, cfg)
 
@@ -180,7 +164,7 @@ class TestIterationMatrix:
             g = random_connected_graph(rng, int(rng.integers(2, 25)))
             h = make_spd(rng, g, 1)
             dense = dense_of(h)
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             oracle = {
                 "pgda": np.abs(np.linalg.eigvalsh(
                     np.eye(g.n) - (dense.T @ dense) / p[:, None] / p[None, :]
@@ -201,7 +185,7 @@ class TestIterationMatrix:
             h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
             dense = dense_of(h)
             gram = dense.T @ dense
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             ps = np.abs(dense).sum(axis=1)
             s = np.linalg.svd(dense, compute_uv=False)
             beta = 2.0 / (s[0] ** 2 + s[-1] ** 2)
@@ -220,7 +204,7 @@ class TestIterationMatrix:
 
     def test_imia_needs_positive_diagonal(self):
         g = edge2()
-        h = GraphFilter.from_dense(g, [[-2.0, 1.0], [1.0, -2.0]])
+        h = from_dense(g, [[-2.0, 1.0], [1.0, -2.0]])
         with pytest.raises(ValueError, match="nonpositive"):
             iteration_matrix(h, "imia")
 
@@ -286,7 +270,7 @@ class TestSpectralRadius:
     def test_failed_factor_falls_back(self):
         # [[1,1],[1,1]] is singular: no LU factor, so Lanczos on I - M,
         # whose radius is 1 (M has eigenvalues 0 and 1)
-        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
         params = {}
         est = spectral_radius(h, "pgda", params)
         assert est.fallback
@@ -298,15 +282,9 @@ class TestSpectralRadius:
     def test_failed_certificate_falls_back(self, rng, monkeypatch):
         # halving P breaks P^2 >= H^T H: the Schur bound a b exceeds
         # 2 - lambda_min(M), so the LU route cannot vouch for the radius
-        import sdnfilt.solvers as solvers
-
         real = solvers.build_pgda_preconditioner
-
-        def halved(h):
-            p = real(h)
-            return DiagonalPreconditioner(p.graph, p.diag / 2.0, p.kind, p.source_width)
-
-        monkeypatch.setattr(solvers, "build_pgda_preconditioner", halved)
+        monkeypatch.setattr(solvers, "build_pgda_preconditioner",
+                            lambda h: real(h) / 2.0)
         g = random_connected_graph(rng, 20)
         h = make_invertible(rng, g, 1)
         params = {}
@@ -321,7 +299,7 @@ class TestSpectralRadius:
         from sdnfilt.scenarios import ScenarioConfig, _MethodRuns
 
         g = random_connected_graph(rng, 12)
-        singular = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        singular = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
         runs = _MethodRuns(ScenarioConfig(scenario="fig1",
                                           methods=("pgda", "spgda")), "rel_error")
         runs.prepare(singular)
@@ -338,11 +316,11 @@ class TestOptimalStep:
         assert optimal_step(two_by_two(), tol=1e-13) == pytest.approx(0.2, abs=1e-8)
 
     def test_diagonal(self):
-        h = GraphFilter.from_dense(edge2(), np.diag([5.0, 2.0]))
+        h = from_dense(edge2(), np.diag([5.0, 2.0]))
         assert optimal_step(h, tol=1e-13) == pytest.approx(2.0 / 29.0, abs=1e-9)
 
     def test_near_singular_rejected(self):
-        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
         with pytest.raises(ValueError, match="singular"):
             optimal_step(h)
 
@@ -356,7 +334,7 @@ class TestImiaDiagonal:
         assert np.allclose(imia_diagonal(two_by_two()), [0.4, 0.4], atol=1e-15)
 
     def test_single_vertex(self):
-        h = GraphFilter.from_dense(single_vertex(), [[4.0]])
+        h = from_dense(single_vertex(), [[4.0]])
         assert np.array_equal(imia_diagonal(h), np.array([0.25]))
 
     def test_bit_identical_to_per_row_loop(self):
@@ -385,7 +363,7 @@ class TestImiaDiagonal:
         assert np.array_equal(imia_diagonal(h).view(np.int64), expected.view(np.int64))
 
     def test_zero_diagonal_rejected(self):
-        h = GraphFilter.from_dense(edge2(), [[0.0, 1.0], [1.0, 2.0]])
+        h = from_dense(edge2(), [[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match=r"H\(0,0\)"):
             imia_diagonal(h)
 
@@ -403,12 +381,12 @@ class TestDirectSolveOracle:
         assert np.allclose(x.values, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_diagonal(self):
-        h = GraphFilter.from_dense(edge2(), np.diag([2.0, 4.0]))
+        h = from_dense(edge2(), np.diag([2.0, 4.0]))
         x = direct_solve_oracle(h, Signal(h.graph, np.array([2.0, 4.0])))
         assert np.allclose(x.values, [1.0, 1.0], atol=1e-15)
 
     def test_singular_reports_pivot(self):
-        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError, match="pivot"):
             direct_solve_oracle(h, Signal(h.graph, np.ones(2)))
 
@@ -443,7 +421,8 @@ class TestDirectSolveOracle:
         h = make_invertible(rng, g, 1)
         y = Signal(g, rng.standard_normal(15))
         x = direct_solve_oracle(h, y)
-        assert np.linalg.norm(h.matvec(x.values) - y.values) <= 1e-8 * y.norm()
+        assert np.linalg.norm(h.matvec(x.values) - y.values) <= (
+            1e-8 * np.linalg.norm(y.values))
 
 
 class TestTheoremEnvelopes:
@@ -456,7 +435,7 @@ class TestTheoremEnvelopes:
             h = make_invertible(rng, g, int(rng.integers(1, 3)), margin=0.2)
             y = Signal(g, rng.standard_normal(g.n))
             ref = direct_solve_oracle(h, y)
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             dense = dense_of(h)
             r = np.abs(np.linalg.eigvalsh(
                 np.eye(g.n) - (dense.T @ dense) / p[:, None] / p[None, :]
@@ -471,7 +450,7 @@ class TestTheoremEnvelopes:
             h = make_spd(rng, g, int(rng.integers(1, 3)))
             y = Signal(g, rng.standard_normal(g.n))
             ref = direct_solve_oracle(h, y)
-            ps = build_spgda_preconditioner(h).diag
+            ps = build_spgda_preconditioner(h)
             dense = dense_of(h)
             r = np.abs(np.linalg.eigvalsh(
                 np.eye(g.n) - dense / np.sqrt(np.outer(ps, ps))
@@ -544,18 +523,30 @@ class TestSolveBlock:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_random_filter_with_early_stops(self, method, rng):
+        # unit diagonal, random symmetric off-diagonal: indefinite, so spgda
+        # and imia grow every error with a share along a negative
+        # eigenvector, each column leaving at its own iteration; pgda and
+        # opgd contract it, so only the zero column leaves early
         g = random_connected_graph(rng, 150)
-        h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
+        off = random_filter(rng, g, 2, symmetric=True)
+        h = GraphFilter.from_entries(
+            g, {(i, j): 1.0 if i == j else v for i, j, v in off.entries()})
+        assert np.linalg.eigvalsh(dense_of(h)).min() < 0.0
         cols = [rng.standard_normal(150) * 10.0 ** rng.uniform(-3, 3)
                 for _ in range(5)]
         cols.insert(2, np.zeros(150))               # stops at m = 0
-        cols.insert(4, fast_column(h, method))      # stops on residual_tol
+        cols.insert(4, fast_column(h, method))      # no growing share but roundoff
         ys = np.column_stack(cols)
-        cfg = SolverConfig(method=method, max_iter=300, residual_tol=1e-9)
+        cfg = SolverConfig(method=method, max_iter=300)
         traces = assert_block_matches_single(h, ys, cfg, rng.standard_normal(150))
-        assert all(t.status == "converged" for t in traces)
-        assert traces[2].iterations == 0
-        assert 0 < traces[4].iterations < min(traces[j].iterations for j in (0, 1, 3, 5, 6))
+        assert traces[2].status == "converged" and traces[2].iterations == 0
+        random_cols = [traces[j] for j in (0, 1, 3, 5, 6)]
+        if method in ("spgda", "imia"):
+            assert all(t.status == "diverged" for t in random_cols)
+            assert len({t.iterations for t in random_cols}) >= 2
+            assert traces[4].iterations > max(t.iterations for t in random_cols)
+        else:
+            assert all(t.status == "max_iter" for t in traces[:2] + traces[3:])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_per_column_reference_and_initial(self, method, rng):
@@ -565,23 +556,22 @@ class TestSolveBlock:
         refs = np.column_stack([direct_solve_oracle(h, Signal(g, ys[:, j].copy())).values
                                 for j in range(4)])
         refs[:, 3] = 0.0                            # plain norms for a zero reference
-        cfg = SolverConfig(method=method, max_iter=25,
-                           initial=Signal(g, rng.standard_normal(40)))
+        cfg = SolverConfig(method=method, max_iter=25)
         traces = assert_block_matches_single(h, ys, cfg, refs)
         assert all(t.status == "max_iter" and t.iterations == 25 for t in traces)
-        assert_block_matches_single(h, ys, SolverConfig(method=method, max_iter=25))
+        assert_block_matches_single(h, ys, cfg)
         # a strided reference is normed like np.linalg.norm does, contiguously
-        _, trace = solve(h, Signal(g, ys[:, 0].copy()), cfg,
+        x, trace = solve(h, Signal(g, ys[:, 0].copy()), cfg,
                          reference=Signal(g, refs[:, 0]))
-        diff = cfg.initial.values - refs[:, 0]
-        assert trace.relative_errors[0] == float(
+        diff = x.values - refs[:, 0]
+        assert trace.relative_errors[-1] == float(
             np.linalg.norm(diff) / np.linalg.norm(refs[:, 0]))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_column_diverges_while_others_run(self, method, rng):
         # on [[1,2],[2,1]] spgda (I - H/3) and imia (I - H/5) grow the error
         # along [1,-1] and contract it along [1,1]; pgda and opgd converge
-        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
         ys = np.column_stack([[3.0, 3.0], [-1.0, 1.0], [3.0 - 1e-3, 3.0 + 1e-3],
                               [0.0, 0.0], rng.standard_normal(2)])
         cfg = SolverConfig(method=method, max_iter=300)
@@ -594,10 +584,10 @@ class TestSolveBlock:
         else:
             assert not any(t.status == "diverged" for t in traces)
 
-    def test_nan_in_live_column_raises_at_its_iteration(self):
-        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
-        cfg = SolverConfig(method="spgda", max_iter=10000,
-                           divergence_factor=float("inf"))
+    def test_nan_in_live_column_raises_at_its_iteration(self, monkeypatch):
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+        cfg = SolverConfig(method="spgda", max_iter=10000)
         with pytest.raises(NumericError) as single:
             solve(h, Signal(h.graph, np.array([-1.0, 1.0])), cfg)
         ys = np.array([[3.0, -1.0], [3.0, 1.0]])
@@ -605,15 +595,16 @@ class TestSolveBlock:
             solve_block(h, ys, cfg)
         assert block.value.iteration == single.value.iteration
 
-    def test_nan_in_diverged_column_does_not_raise(self):
+    def test_nan_in_diverged_column_does_not_raise(self, monkeypatch):
         # alone and unbounded, column 1 overflows to NaN long before the
         # last iteration; in the block it diverged first and left, so the
         # bounded column 0 runs on to max_iter
-        h = GraphFilter.from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
-        unbounded = SolverConfig(method="spgda", max_iter=10000,
-                                 divergence_factor=float("inf"))
-        with pytest.raises(NumericError) as alone:
-            solve(h, Signal(h.graph, np.array([-1.0, 1.0])), unbounded)
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+            with pytest.raises(NumericError) as alone:
+                solve(h, Signal(h.graph, np.array([-1.0, 1.0])),
+                      SolverConfig(method="spgda", max_iter=10000))
         cfg = SolverConfig(method="spgda", max_iter=alone.value.iteration + 100)
         ys = np.array([[3.0, -1.0], [3.0, 1.0]])
         traces = assert_block_matches_single(h, ys, cfg)
@@ -641,8 +632,8 @@ class TestWeightedErrors:
         h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
         y = Signal(g, rng.standard_normal(25))
         ref = direct_solve_oracle(h, y)
-        weight = {"pgda": build_pgda_preconditioner(h).diag,
-                  "spgda": np.sqrt(build_spgda_preconditioner(h).diag)}[method]
+        weight = {"pgda": build_pgda_preconditioner(h),
+                  "spgda": np.sqrt(build_spgda_preconditioner(h))}[method]
         # x_m as a solve of m iterations ends, which is the m-th iterate of
         # a longer solve bit for bit
         xs = [np.zeros(25)] + [
@@ -681,11 +672,9 @@ class TestSchurBound:
             yield make_invertible(rng, g, int(rng.integers(1, 3)), margin=0.2)
 
     def test_bound_and_decision_unchanged(self, rng, monkeypatch):
-        import sdnfilt.solvers as solvers
-
         checked = 0
         for h in self.filters(rng):
-            p = build_pgda_preconditioner(h).diag
+            p = build_pgda_preconditioner(h)
             # P/2 breaks the certificate, P*2 keeps it
             for scale in (1.0, 0.5, 2.0):
                 q = p * scale
@@ -731,7 +720,7 @@ class TestBlockOracle:
     def test_each_column_gated_on_its_own(self):
         # sigma_min ~ 5e-13: columns along (1, 1) solve exactly, while one
         # with a share of (1, -1) leaves a residual above 1e-8 ||y||
-        h = GraphFilter.from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-12]])
         ys = np.array([[1.0, 0.3, 2.0], [1.0, 0.7, 2.0]])
         fine = np.linalg.norm(h.matvec(h.lu().solve(ys)) - ys, axis=0) <= (
             1e-8 * np.linalg.norm(ys, axis=0))
