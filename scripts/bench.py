@@ -2,15 +2,18 @@
 """Compare a base revision with the working tree on perfbench workloads.
 
     python3 scripts/bench.py --label NAME --workload denoise,fig1-central \
-        --base HEAD --seeds 101-110 [--seconds 10] [--out BENCH_NAME.json]
+        --base HEAD --seeds 101-110 [--seconds 0] [--out BENCH_NAME.json]
 
 Both sides are copied into one temporary directory: the base revision by
 `git archive`, the working tree with its uncommitted changes (the tracked
 and untracked files git does not ignore). For each workload of the
 comma-separated list in turn, and each seed, `perfbench/run.py --trace 0`
-runs once on each copy, the two alternating which side goes first, so a
-drift of the host hits both sides alike. Each side runs its own
-perfbench/, with the same arguments.
+runs once on each copy, the two alternating which side goes first. Each
+side runs its own perfbench/, with the same arguments. The default
+`--seconds 0` is the shortest window perfbench accepts, two processes,
+so the sides take turns every two processes and a drift of the host's
+speed hits both sides of a pair alike; the host's speed changes from one
+process to the next, so a verdict needs many such short pairs.
 
 The result file holds one section per workload, with every run's
 end-to-end metrics, each side's median and quartiles per metric, how
@@ -156,7 +159,8 @@ def main(argv=None):
                         help="one workload or a comma-separated list")
     parser.add_argument("--base", default="HEAD", help="git revision to compare with")
     parser.add_argument("--seeds", default="1-10", help="e.g. 101-110 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--seconds", type=float, default=0.0,
+                        help="perfbench window per run; 0 runs two processes")
     parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
     args = parser.parse_args(argv)
 

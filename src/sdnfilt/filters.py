@@ -112,13 +112,6 @@ class GraphFilter:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def entries(self):
-        """Yield (i, j, value) row-major with ascending column ids."""
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        for i in range(self.graph.n):
-            for k in range(indptr[i], indptr[i + 1]):
-                yield i, int(indices[k]), float(data[k])
-
     def lu(self):
         """Sparse LU factor (SuperLU, partial pivoting), computed once per
         filter. A zero pivot raises LinAlgError."""

@@ -267,7 +267,7 @@ def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
             groupby(zip(senders.tolist(), receivers.tolist()), key=itemgetter(0))]
 
 
-def write_roundlog_csv(path: str, rounds, include_values: bool = True) -> None:
+def write_roundlog_csv(path: str, rounds) -> None:
     """One row per logged message, streamed one round at a time.
 
     Message k of a round carries sent[senders[k]], so a run of messages
@@ -282,11 +282,10 @@ def write_roundlog_csv(path: str, rounds, include_values: bool = True) -> None:
             if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
                 senders, receivers = r.senders, r.receivers
                 runs = _sender_runs(senders, receivers)
-            head, blank = f"{r.epoch},{r.index},", f"{r.kind},\n"
-            sent = r.sent.tolist() if include_values else None
+            head, sent = f"{r.epoch},{r.index},", r.sent.tolist()
             parts = []
             for s, fields in runs:
-                tail = f"{r.kind},{sent[s]!r}\n" if include_values else blank
+                tail = f"{r.kind},{sent[s]!r}\n"
                 parts.append(f"{head}{(tail + head).join(fields)}{tail}")
             yield "".join(parts)
     atomic_write_text(path, chunks())

@@ -383,7 +383,7 @@ class _MethodRuns:
         back to Lanczos in `fallbacks`."""
         params = {}
         for m in self.cfg.methods:
-            est = spectral_radius(h, m, params, tol=1e-9, max_iter=3000)
+            est = spectral_radius(h, m, params)
             self.radii[m].append(est.value)
             self.unconverged["radius"][m] += not est.converged
             self.fallbacks[m] += est.fallback

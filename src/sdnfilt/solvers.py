@@ -70,6 +70,10 @@ SNR_CAP_DB = 300.0
 # the initial residual
 DIVERGENCE_FACTOR = 1e6
 
+# ARPACK tolerance and restart budget of every spectral radius
+RADIUS_TOL = 1e-9
+RADIUS_MAX_ITER = 3000
+
 
 class NumericError(RuntimeError):
     """Nonfinite values appeared during an iteration."""
@@ -130,7 +134,7 @@ class Method:
     block `solve_block` has already formed for its record; a step that
     forms H X' for its next X' itself returns the pair (X', H X').
     error() gives the matvec of I - G H in symmetric similarity form.
-    radius(tol, max_iter), where a method has a route of its own, gives
+    radius(), where a method has a route of its own, gives
     the spectral radius of that operator, or None where the route does
     not hold; `spectral_radius` then takes Lanczos on error(). opgd keeps
     the singular values its step came from.
@@ -149,12 +153,11 @@ def _pgda(h: GraphFilter) -> Method:
     return Method(
         update=lambda yv: lambda x, e: x - scaled_ht(e),
         error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
-        radius=lambda tol, max_iter: _pgda_radius(h, p, tol, max_iter),
+        radius=lambda: _pgda_radius(h, p),
     )
 
 
-def _pgda_radius(h: GraphFilter, p: np.ndarray, tol: float,
-                 max_iter: int) -> SpectralEstimate | None:
+def _pgda_radius(h: GraphFilter, p: np.ndarray) -> SpectralEstimate | None:
     """rho(I - M) for M = P^{-1} H^T H P^{-1}, as 1 - lambda_min(M).
 
     lambda_min(M) is 1 / lambda_max(P H^{-1} H^{-T} P), applied through
@@ -171,7 +174,7 @@ def _pgda_radius(h: GraphFilter, p: np.ndarray, tol: float,
     except np.linalg.LinAlgError:
         return None
     inverse = (h.graph.n, lambda v: p * lu.solve(lu.solve(p * v, trans="T")))
-    est = power_spectral_radius(inverse, tol=tol, max_iter=max_iter)
+    est = power_spectral_radius(inverse, tol=RADIUS_TOL, max_iter=RADIUS_MAX_ITER)
     if not 0.0 < est.value < np.inf:
         return None
     lam_min = 1.0 / est.value
@@ -209,7 +212,7 @@ def _spgda(h: GraphFilter) -> Method:
 
 
 def _opgd(h: GraphFilter) -> Method:
-    beta, sv = optimal_step(h, return_singular_values=True)
+    beta, sv = optimal_step(h)
     ht = h.transpose()
     # I - beta H^T H has eigenvalues 1 - beta sigma^2, largest in magnitude
     # at sigma_max and sigma_min alike: no operator application needed
@@ -218,7 +221,7 @@ def _opgd(h: GraphFilter) -> Method:
     return Method(
         update=lambda yv: lambda x, e: x - beta * ht.matvec(e),
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
-        radius=lambda tol, max_iter: radius,
+        radius=lambda: radius,
         singular_values=sv,
     )
 
@@ -253,19 +256,17 @@ def prepare_params(h: GraphFilter, method: str,
 
 
 def optimal_step(h: GraphFilter, tol: float = 1e-10, max_iter: int = 20000,
-                 rng_seed: int = 0, return_singular_values: bool = False):
-    """Constant step length 2 / (sigma_max^2 + sigma_min^2), the minimizer
-    of the spectral radius of I - beta H^T H."""
+                 rng_seed: int = 0) -> tuple[float, SingularValues]:
+    """Constant step length beta = 2 / (sigma_max^2 + sigma_min^2), the
+    minimizer of the spectral radius of I - beta H^T H, and the singular
+    values it came from."""
     sv = extreme_singular_values(h, tol=tol, max_iter=max_iter, rng_seed=rng_seed)
     if sv.sigma_max == 0.0 or sv.sigma_min / sv.sigma_max < 1e-10:
         raise ValueError(
             f"filter is numerically singular (sigma_min={sv.sigma_min:.3e}, "
             f"sigma_max={sv.sigma_max:.3e}); no stable step length exists"
         )
-    beta = 2.0 / (sv.sigma_max**2 + sv.sigma_min**2)
-    if return_singular_values:
-        return beta, sv
-    return beta
+    return 2.0 / (sv.sigma_max**2 + sv.sigma_min**2), sv
 
 
 def imia_diagonal(h: GraphFilter) -> np.ndarray:
@@ -363,15 +364,16 @@ def solve_block(
     lists of floats are built as the iterator reaches it, so only the
     traces a caller keeps are held at once.
 
-    Each iteration takes one product of H with the columns still running.
-    Every column is checked, stopped and recorded on its own, as `solve`
+    Each iteration takes one product of H with the whole block. Every
+    column is checked, stopped and recorded on its own, as `solve`
     describes, so each gets bit for bit what `solve` gives on it alone: a
-    zero column leaves the block at m = 0 as "converged", a column that
-    diverges leaves it when it does, and a nonfinite residual in a running
-    column raises NumericError. reference is one signal for every column
-    (n,) or one per column (n x T). The history keeps per-column scalars
-    only: squared errors, whose square roots and quotients are taken once
-    at the end.
+    zero column stops at m = 0 as "converged", a column that diverges
+    when it does, and a nonfinite residual in a running column raises
+    NumericError. A stopped column stays in the block, stepping on with
+    the others, and nothing reads its later values. reference is one
+    signal for every column (n,) or one per column (n x T). The history
+    keeps per-column scalars only: squared errors, whose square roots and
+    quotients are taken once at the end.
     """
     method = cfg.method
     entry = prepare_params(h, method, params)[method]
@@ -388,96 +390,59 @@ def solve_block(
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape not in ((n,), (n, k)):
             raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
-        ref_live = _rows(reference)     # (n,) stays 1-D
-        ref_norm = _norms(ref_live)
+        ref_rows = _rows(reference)     # (n,) stays 1-D
+        ref_norm = _norms(ref_rows)
     # per column: the residual and the error (squared)
     parts = 1 + track
 
-    live = np.arange(k)                 # columns still running, ascending
-    last = np.zeros(k, dtype=np.int64)  # iteration of each column's last record
+    last = np.full(k, cfg.max_iter)     # iteration of each column's last record
     status = ["max_iter"] * k
-    out = None                          # solutions, once a column stops early
-    # squared norms by iteration, part and column, NaN once a column stopped;
-    # grown by doubling, so rows past the last iteration are never written
-    history = np.empty((min(cfg.max_iter, 255) + 1, parts, k))
-
-    def record(m, x, t):
-        """Write iteration m's squared norms and return the residuals. The
-        vectors are the C-contiguous rows of z, so one vecdot takes them
-        all, each as a dot over contiguous memory. z, its parts zs and
-        y_rows are made once per set of running columns, not once per
-        iteration."""
-        nonlocal history
-        if m == len(history):
-            history = np.concatenate([history, np.empty_like(history)])
-        np.subtract(t.T, y_rows, out=zs[0])
-        if track:
-            np.subtract(x.T, ref_live, out=zs[1])
-        if full:
-            sq = np.vecdot(z, z, out=history[m])
-        else:
-            sq = np.vecdot(z, z)
-            history[m] = np.nan
-            history[m][:, live] = sq
-        return np.sqrt(sq[0])
+    kept = []                           # each stop's columns and their iterates
+    # squared norms by iteration, part and column
+    history = np.empty((cfg.max_iter + 1, parts, k))
+    y_rows = ys.T
+    z = np.empty((parts, k, n))
+    zs = list(z)
 
     # a diverging iterate is allowed to overflow; it is reported through
     # the status / NumericError, not through numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        y_live, y_rows, full = ys, ys.T, True
-        z = np.empty((parts, k, n))
-        zs = list(z)
-        t = h.matvec(x)
-        resid = record(0, x, t)
-        # a zero column stops at m = 0; a running one once its residual
-        # is not <= bound
-        bound = DIVERGENCE_FACTOR * resid
-        m, limits = 0, None
-        stop = resid == 0.0
-        while True:
-            if any(stop):
-                stop = np.asarray(stop)
-                if m and np.isnan(resid).any():
-                    raise NumericError(method, m)
-                stopped = live[stop]
-                for j in stopped:
-                    status[j] = "diverged" if m else "converged"
-                last[stopped] = m
-                if out is None:
-                    out = np.empty((n, k))
-                out[:, stopped] = x[:, stop]
-                keep = ~stop
-                live, x, y_live = live[keep], x[:, keep], y_live[:, keep]
-                bound = bound[keep]
-                if track and ref_live.ndim == 2:
-                    ref_live = ref_live[keep]
-                if not live.size:
-                    break
-                step = entry.update(y_live)
-                limits, y_rows, full = None, y_live.T, False
-                z = z[:, keep]          # a copy; the next step reads its residuals
-                zs = list(z)
-            if m == cfg.max_iter:
-                break
-            if limits is None:
-                limits = bound.tolist()
-            m += 1
-            x = step(x, zs[0].T)
+        for m in range(cfg.max_iter + 1):
+            if m:
+                x = step(x, zs[0].T)
             if type(x) is tuple:
                 x, t = x
             else:
                 t = h.matvec(x)
-            resid = record(m, x, t)
-            # checked on floats, cheaper than array operations on a few
-            # columns; a NaN residual fails the comparison, so it stops its
-            # column and raises above
-            stop = [not r <= hi for r, hi in zip(resid.tolist(), limits)]
-        last[live] = m
-        if out is None:
-            out = x
-        else:
-            out[:, live] = x
-        del x, t, step
+            # residuals and errors as the C-contiguous rows of z: one vecdot
+            # writes all their squared norms, each a dot over contiguous memory
+            np.subtract(t.T, y_rows, out=zs[0])
+            if track:
+                np.subtract(x.T, ref_rows, out=zs[1])
+            resid = np.sqrt(np.vecdot(z, z, out=history[m])[0])
+            if m:
+                # checked on floats, cheaper than array operations on a few
+                # columns; a NaN residual fails the comparison, so it stops
+                # its column and raises below
+                stop = [hi is not None and not r <= hi
+                        for r, hi in zip(resid.tolist(), limits)]
+            else:
+                # a zero column stops at m = 0; a running one once its
+                # residual is not <= its limit, None once it stopped
+                limits = (DIVERGENCE_FACTOR * resid).tolist()
+                stop = resid == 0.0
+            if any(stop):
+                if m and np.isnan(resid[stop]).any():
+                    raise NumericError(method, m)
+                for j in np.flatnonzero(stop):
+                    status[j] = "diverged" if m else "converged"
+                    limits[j] = None
+                last[stop] = m
+                kept.append((stop, x[:, stop]))
+                if limits.count(None) == k:
+                    break
+        for cols, xs in kept:
+            x[:, cols] = xs
 
         norms = history[:last.max() + 1]
         np.sqrt(norms, out=norms)
@@ -496,7 +461,7 @@ def solve_block(
             tr.snrs = snr[rows, j].tolist()
         return tr
 
-    return out, map(trace, range(k))
+    return x, map(trace, range(k))
 
 
 def _snr_db(rel_error):
@@ -523,9 +488,10 @@ def iteration_matrix(h: GraphFilter, method: str,
     return LinearOperator((n, n), matvec=mv, dtype=np.float64)
 
 
-def spectral_radius(h: GraphFilter, method: str, params: dict | None = None,
-                    tol: float = 1e-9, max_iter: int = 3000) -> SpectralEstimate:
-    """Spectral radius of `iteration_matrix(h, method)`.
+def spectral_radius(h: GraphFilter, method: str,
+                    params: dict | None = None) -> SpectralEstimate:
+    """Spectral radius of `iteration_matrix(h, method)`, to ARPACK's
+    RADIUS_TOL within RADIUS_MAX_ITER restarts.
 
     pgda takes it through the LU factor (`_pgda_radius`) and opgd in closed
     form from its singular values; spgda and imia take it by Lanczos on
@@ -533,9 +499,9 @@ def spectral_radius(h: GraphFilter, method: str, params: dict | None = None,
     its own route does not hold.
     """
     entry = prepare_params(h, method, params)[method]
-    own = entry.radius(tol, max_iter) if entry.radius else None
+    own = entry.radius() if entry.radius else None
     if own is not None:
         return own
-    est = power_spectral_radius((h.graph.n, entry.error()), tol=tol,
-                                max_iter=max_iter)
+    est = power_spectral_radius((h.graph.n, entry.error()), tol=RADIUS_TOL,
+                                max_iter=RADIUS_MAX_ITER)
     return replace(est, fallback=entry.radius is not None)

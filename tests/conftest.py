@@ -18,6 +18,8 @@ from sdnfilt.preconditioners import (
 )
 from sdnfilt.solvers import prepare_params
 
+from filter_reference import entries
+
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     """Random tree plus a few extra edges; always connected."""
@@ -68,7 +70,7 @@ def dense_of(h: GraphFilter) -> np.ndarray:
     """Dense oracle reconstruction, independent of the CSR algebra paths."""
     n = h.graph.n
     out = np.zeros((n, n))
-    for i, j, v in h.entries():
+    for i, j, v in entries(h):
         out[i, j] = v
     return out
 

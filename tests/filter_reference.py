@@ -1,5 +1,6 @@
 """Reference filter code for the tests.
 
+entries reads a filter's (i, j, value) triplets off its CSR arrays.
 entries_width_by_levels is the level-by-level width search: it walks the
 hop levels (I+A)^0, (I+A)^1, ... until one holds every stored entry.
 sdnfilt.filters reads the width off the cached hop matrix instead, and
@@ -28,6 +29,14 @@ from sdnfilt.graphs import Graph, hop_levels
 from sdnfilt.preconditioners import SYMMETRY_TOL, build_spgda_preconditioner
 
 DOMINANCE_PASS_TOL = -1e-10
+
+
+def entries(h: GraphFilter):
+    """(i, j, value) of every stored entry, in the order of h.csr: row-major
+    with ascending column ids."""
+    csr = h.csr
+    rows = np.repeat(np.arange(h.graph.n), np.diff(csr.indptr))
+    return zip(rows.tolist(), csr.indices.tolist(), csr.data.tolist())
 
 
 def entries_width_by_levels(g: Graph, csr: sparse.csr_matrix) -> int:
@@ -133,7 +142,7 @@ def combinatorial_laplacian(g: Graph) -> GraphFilter:
 def write_filter_csv(path: str, h: GraphFilter) -> None:
     """The '# n=... width=...' header, then one i,j,value row per entry."""
     rows = [f"# n={h.graph.n} width={h.width}", "i,j,value"]
-    rows.extend(f"{i},{j},{v!r}" for i, j, v in h.entries())
+    rows.extend(f"{i},{j},{v!r}" for i, j, v in entries(h))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 

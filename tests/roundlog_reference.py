@@ -7,14 +7,11 @@ of the senders or about arrays shared between rounds. The streamed writer
 must produce the same bytes.
 """
 
-from itertools import repeat
-
-
-def reference_roundlog_text(rounds, include_values=True):
+def reference_roundlog_text(rounds):
     out = ["epoch,round,from,to,kind,value\n"]
     for r in rounds:
         head, kind = f"{r.epoch},{r.index},", f",{r.kind},"
-        tails = map(repr, r.sent[r.senders].tolist()) if include_values else repeat("")
+        tails = map(repr, r.sent[r.senders].tolist())
         out.extend(f"{head}{s},{t}{kind}{v}\n" for s, t, v in
                    zip(r.senders.tolist(), r.receivers.tolist(), tails))
     return "".join(out)

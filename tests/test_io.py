@@ -207,18 +207,7 @@ class TestExperimentArtifacts:
         kinds = {line.split(",")[4] for line in lines[1:]}
         assert kinds == {"d", "v", "x"}
 
-    def test_roundlog_value_suppression(self, tmp_path, rng):
-        g = random_connected_graph(rng, 5)
-        h = make_invertible(rng, g, 1)
-        net = SdnNetwork(g, h, Signal(g, rng.standard_normal(5)))
-        net.distributed_preconditioner()
-        path = str(tmp_path / "roundlog.csv")
-        write_roundlog_csv(path, net.rounds, include_values=False)
-        for line in open(path).read().splitlines()[1:]:
-            assert line.endswith(",")
-
-    @pytest.mark.parametrize("include_values", [True, False])
-    def test_roundlog_rows_match_reference(self, tmp_path, rng, include_values):
+    def test_roundlog_rows_match_reference(self, tmp_path, rng):
         # the streamed columnar log equals the per-message rows of the
         # dict-loop reference, formatted as one CSV line each
         g = random_connected_graph(rng, 9)
@@ -231,10 +220,10 @@ class TestExperimentArtifacts:
         expected = ["epoch,round,from,to,kind,value"]
         for index, (_, _, messages) in enumerate(ref.rounds):
             expected.extend(
-                f"3,{index},{s},{t},{kind},{repr(float(v)) if include_values else ''}"
+                f"3,{index},{s},{t},{kind},{repr(float(v))}"
                 for s, t, kind, v in messages)
         path = tmp_path / "roundlog.csv"
-        write_roundlog_csv(str(path), net.rounds, include_values=include_values)
+        write_roundlog_csv(str(path), net.rounds)
         assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_summary_json_deterministic(self, tmp_path):
@@ -254,32 +243,28 @@ class TestRoundlogWriter:
     """The streamed writer against the per-message reference writer."""
 
     @staticmethod
-    def assert_matches_reference(tmp_path, rounds, include_values):
+    def assert_matches_reference(tmp_path, rounds):
         path = tmp_path / "roundlog.csv"
-        write_roundlog_csv(str(path), rounds, include_values=include_values)
-        assert path.read_bytes() == \
-            reference_roundlog_text(rounds, include_values).encode()
+        write_roundlog_csv(str(path), rounds)
+        assert path.read_bytes() == reference_roundlog_text(rounds).encode()
 
-    @pytest.mark.parametrize("include_values", [True, False])
-    def test_distributed_fig1_two_networks(self, tmp_path, include_values):
+    def test_distributed_fig1_two_networks(self, tmp_path):
         agg = run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=1, iterations=4,
                                       methods=("pgda", "spgda"), distributed=True,
                                       roundlog=True, master_seed=5))
         # pgda's and spgda's networks: equal patterns in distinct arrays
         assert len({id(r.senders) for r in agg.rounds}) == 2
         assert {r.kind for r in agg.rounds} == {"d", "v", "x"}
-        self.assert_matches_reference(tmp_path, agg.rounds, include_values)
+        self.assert_matches_reference(tmp_path, agg.rounds)
 
-    @pytest.mark.parametrize("include_values", [True, False])
-    def test_time_varying_three_epochs(self, tmp_path, include_values):
+    def test_time_varying_three_epochs(self, tmp_path):
         agg = run_time_varying(ScenarioConfig(scenario="time_varying", n=48, epochs=3,
                                               iterations=3, master_seed=31,
                                               roundlog=True))
         assert {r.epoch for r in agg.rounds} == {0, 1, 2}
-        self.assert_matches_reference(tmp_path, agg.rounds, include_values)
+        self.assert_matches_reference(tmp_path, agg.rounds)
 
-    @pytest.mark.parametrize("include_values", [True, False])
-    def test_hand_built_rounds(self, tmp_path, include_values):
+    def test_hand_built_rounds(self, tmp_path):
         # senders not contiguous, a zero-message round, and values whose
         # repr is easy to get wrong
         sent = np.array([-0.0, 5e-324, 1.7976931348623157e308])
@@ -296,15 +281,14 @@ class TestRoundlogWriter:
             Round(epoch=1, index=2, kind="v", count=3, senders=_ids(1, 0, 0),
                   receivers=_ids(0, 1, 2), sent=sent),
         ]
-        self.assert_matches_reference(tmp_path, rounds, include_values)
+        self.assert_matches_reference(tmp_path, rounds)
         text = (tmp_path / "roundlog.csv").read_text().splitlines()
         assert len(text) == 1 + 4 + 4 + 3 + 3
-        if include_values:
-            assert text[1:5] == ["0,0,0,1,x,-0.0", "0,0,1,0,x,5e-324",
-                                 "0,0,0,2,x,-0.0", "0,0,2,0,x,1.7976931348623157e+308"]
-            assert text[5] == "1,0,0,1,d,0.0"
-            assert text[9:] == ["1,1,2,0,x,-0.0", "1,1,2,1,x,-0.0", "1,1,1,2,x,5e-324",
-                                "1,2,1,0,v,5e-324", "1,2,0,1,v,-0.0", "1,2,0,2,v,-0.0"]
+        assert text[1:5] == ["0,0,0,1,x,-0.0", "0,0,1,0,x,5e-324",
+                             "0,0,0,2,x,-0.0", "0,0,2,0,x,1.7976931348623157e+308"]
+        assert text[5] == "1,0,0,1,d,0.0"
+        assert text[9:] == ["1,1,2,0,x,-0.0", "1,1,2,1,x,-0.0", "1,1,1,2,x,5e-324",
+                            "1,2,1,0,v,5e-324", "1,2,0,1,v,-0.0", "1,2,0,2,v,-0.0"]
 
 
 class TestAtomicWrite:

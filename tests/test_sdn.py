@@ -8,7 +8,7 @@ from sdnfilt.sdn import RangeViolationError, SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import hop_row, make_invertible, make_spd, random_connected_graph
-from filter_reference import combinatorial_laplacian, from_dense
+from filter_reference import combinatorial_laplacian, entries, from_dense
 from graph_reference import geodesic_distance
 from sdn_reference import (
     ReferenceNetwork,
@@ -327,7 +327,7 @@ class TestCompiledLocality:
         with H(j,u) != 0, so agent j's copy of x(u) feeds its own update."""
         for i in rng.permutation(g.n):
             hood = set(hop_row(g, int(i), h.width))
-            for j, u, _ in h.entries():
+            for j, u, _ in entries(h):
                 if j != i and u not in hood:
                     return int(i), j, u
         pytest.skip("no vertex outside any ball")

@@ -35,7 +35,7 @@ from conftest import (
     random_filter,
     weighted_errors,
 )
-from filter_reference import from_dense
+from filter_reference import entries, from_dense
 
 
 def edge2():
@@ -310,14 +310,14 @@ class TestSpectralRadius:
 class TestOptimalStep:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 4)
-        assert optimal_step(GraphFilter.identity(g)) == pytest.approx(1.0, abs=1e-9)
+        assert optimal_step(GraphFilter.identity(g))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_by_two(self):
-        assert optimal_step(two_by_two(), tol=1e-13) == pytest.approx(0.2, abs=1e-8)
+        assert optimal_step(two_by_two(), tol=1e-13)[0] == pytest.approx(0.2, abs=1e-8)
 
     def test_diagonal(self):
         h = from_dense(edge2(), np.diag([5.0, 2.0]))
-        assert optimal_step(h, tol=1e-13) == pytest.approx(2.0 / 29.0, abs=1e-9)
+        assert optimal_step(h, tol=1e-13)[0] == pytest.approx(2.0 / 29.0, abs=1e-9)
 
     def test_near_singular_rejected(self):
         h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
@@ -525,12 +525,12 @@ class TestSolveBlock:
     def test_random_filter_with_early_stops(self, method, rng):
         # unit diagonal, random symmetric off-diagonal: indefinite, so spgda
         # and imia grow every error with a share along a negative
-        # eigenvector, each column leaving at its own iteration; pgda and
-        # opgd contract it, so only the zero column leaves early
+        # eigenvector, each column stopping at its own iteration; pgda and
+        # opgd contract it, so only the zero column stops early
         g = random_connected_graph(rng, 150)
         off = random_filter(rng, g, 2, symmetric=True)
         h = GraphFilter.from_entries(
-            g, {(i, j): 1.0 if i == j else v for i, j, v in off.entries()})
+            g, {(i, j): 1.0 if i == j else v for i, j, v in entries(off)})
         assert np.linalg.eigvalsh(dense_of(h)).min() < 0.0
         cols = [rng.standard_normal(150) * 10.0 ** rng.uniform(-3, 3)
                 for _ in range(5)]
@@ -597,8 +597,8 @@ class TestSolveBlock:
 
     def test_nan_in_diverged_column_does_not_raise(self, monkeypatch):
         # alone and unbounded, column 1 overflows to NaN long before the
-        # last iteration; in the block it diverged first and left, so the
-        # bounded column 0 runs on to max_iter
+        # last iteration; in the block it diverged first and stopped, so it
+        # steps on to NaN without raising while column 0 runs to max_iter
         h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
         with monkeypatch.context() as unbounded:
             unbounded.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
@@ -611,6 +611,26 @@ class TestSolveBlock:
         assert traces[1].status == "diverged"
         assert traces[0].status == "max_iter"
         assert traces[0].iterations == cfg.max_iter
+
+    def test_nan_in_stopped_column_ignored_at_a_later_stop(self, monkeypatch):
+        # two 2 x 2 blocks: spgda grows the error along [1,-1,0,0] by 4/3 a
+        # step and along [0,0,1,-1] by 2.02/2.01. Column 0 diverges first
+        # and steps on to NaN before column 1 diverges; column 1's stop
+        # checks its own residual alone
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        h = from_dense(g, [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                           [0.0, 0.0, 1.0, 1.01], [0.0, 0.0, 1.01, 1.0]])
+        ys = np.array([[-1e150, 0.0, 3.0], [1e150, 0.0, 3.0],
+                       [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+            with pytest.raises(NumericError) as alone:
+                solve(h, Signal(g, ys[:, 0].copy()),
+                      SolverConfig(method="spgda", max_iter=10000))
+        cfg = SolverConfig(method="spgda", max_iter=4000)
+        traces = assert_block_matches_single(h, ys, cfg)
+        assert [t.status for t in traces] == ["diverged", "diverged", "max_iter"]
+        assert traces[0].iterations < alone.value.iteration < traces[1].iterations
 
     def test_shape_checks(self, rng):
         g = random_connected_graph(rng, 6)
@@ -681,10 +701,10 @@ class TestSchurBound:
                 # the sparse product orders each row's entries its own way
                 assert solvers._schur_bound(h, q) == pytest.approx(
                     sparse_schur_bound(h, q), rel=1e-14, abs=0.0)
-                new = solvers._pgda_radius(h, q, 1e-9, 3000)
+                new = solvers._pgda_radius(h, q)
                 with monkeypatch.context() as patch:
                     patch.setattr(solvers, "_schur_bound", sparse_schur_bound)
-                    old = solvers._pgda_radius(h, q, 1e-9, 3000)
+                    old = solvers._pgda_radius(h, q)
                 assert new == old
                 checked += new is None
         assert checked >= 10   # the halved P fails the certificate
