@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""One fig1 trial at large n: a base revision against the working tree.
+
+    python3 scripts/scale.py --label NAME [--base HEAD] \
+        [--sizes 4096,16384,65536] [--pairs 5] [--out BENCH_scale_NAME.json]
+
+Both sides are copied into one temporary directory as `scripts/bench.py`
+copies them. For each size, `sdnfilt run` runs a centralized fig1 config
+of one trial with all four methods and 200 iterations, at the edge
+radius RADII gives for that n. Base and change alternate which side goes
+first, one process at a time, each with one BLAS thread. Sizes up to
+16384 get `--pairs` pairs; 65536 gets one pair, and the result says so.
+
+Each process runs under a small bootstrap that times the filter's LU
+factorization. Per run the result records:
+
+    wall_s        the process's wall time, interpreter start included
+    peak_rss_mb   the process's own peak RSS, from os.wait4
+    nnz_h         nonzeros of the filter H
+    factor_nnz    nonzeros of its LU factor (L and U together)
+    factor_s      the time of GraphFilter.lu's first call
+    pivots        (every pivot on the diagonal, negative pivots), where
+                  the side reads them (for spgda's radius certificate)
+    spectral_fallbacks  from summary.json
+
+Exit 3, which `sdnfilt run` returns after writing its outputs when a
+method diverges in a one-trial run, counts as a finished run. Each size
+also gets each side's median and quartiles of wall_s, peak_rss_mb and
+factor_s. The file records the base and head commits with a digest and
+line count of each side's src/, as `scripts/bench.py` does.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench import ROOT, export_base, export_worktree, git, quartiles, src_summary  # noqa: E402
+
+# fig1 edge radius per n: about the smallest that still draws a connected
+# graph within the generator's retry budget
+RADII = {4096: 0.035, 16384: 0.0206, 65536: 0.011}
+ONE_PAIR_FROM = 65536
+MASTER_SEED = 777016
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+             "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
+
+BOOTSTRAP = """
+import json, os, sys, time
+tree, report = sys.argv[1], sys.argv[2]
+sys.path.insert(0, os.path.join(tree, "src"))
+from sdnfilt import cli, filters
+lu, factors = filters.GraphFilter.lu, []
+def timed(self):
+    if self._lu is not None:
+        return lu(self)
+    start = time.perf_counter()
+    factor = lu(self)
+    factors.append((self, {"nnz_h": int(self.nnz), "factor_nnz": int(factor.nnz),
+                           "factor_s": time.perf_counter() - start}))
+    return factor
+filters.GraphFilter.lu = timed
+try:
+    code = cli.main(sys.argv[3:])
+finally:
+    with open(report, "w") as fh:
+        json.dump([{**info, "pivots": getattr(h, "_pivots", None)}
+                   for h, info in factors], fh)
+sys.exit(code)
+"""
+
+
+def run_side(tree, work, n):
+    """One `sdnfilt run` process of one fig1 trial at size n."""
+    config = os.path.join(work, f"fig1-{n}.json")
+    with open(config, "w") as fh:
+        json.dump({"scenario": "fig1", "n": n, "radius": RADII[n], "trials": 1,
+                   "iterations": 200, "master_seed": MASTER_SEED}, fh)
+    out, report = os.path.join(work, "out"), os.path.join(work, "factors.json")
+    shutil.rmtree(out, ignore_errors=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", BOOTSTRAP, tree, report, "run", "--config", config,
+         "--out", out], cwd=tree, env={**env, **CHILD_ENV},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    if code not in (0, 3):
+        raise RuntimeError(f"n={n} failed in {tree} (exit {code}):\n{stderr.decode()[-2000:]}")
+    with open(report) as fh:
+        (factor,) = json.load(fh)
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            **factor, "spectral_fallbacks": summary["spectral_fallbacks"]}
+
+
+def run_size(trees, work, n, pairs):
+    runs = []
+    for i in range(pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_side(trees[side], work, n)
+        runs.append(pair)
+        print(json.dumps({"n": n, **pair}), file=sys.stderr)
+    summary = {side: {key: quartiles([p[side][key] for p in runs])
+                      for key in ("wall_s", "peak_rss_mb", "factor_s")}
+               for side in ("base", "change")}
+    return {"radius": RADII[n], "pairs": len(runs), "summary": summary, "runs": runs}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--base", default="HEAD", help="git revision to compare with")
+    parser.add_argument("--sizes", default="4096,16384,65536",
+                        help=f"comma-separated subset of {sorted(RADII)}")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help=f"pairs per size below {ONE_PAIR_FROM}")
+    parser.add_argument("--out", default=None, help="default BENCH_scale_<label>.json")
+    args = parser.parse_args(argv)
+
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if not set(sizes) <= set(RADII):
+        parser.error(f"sizes must come from {sorted(RADII)}")
+    work = tempfile.mkdtemp(prefix="sdnfilt-scale-")
+    trees = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
+    results = {}
+    try:
+        export_base(args.base, trees["base"])
+        export_worktree(trees["change"])
+        for n in sizes:
+            pairs = 1 if n >= ONE_PAIR_FROM else args.pairs
+            results[str(n)] = run_size(trees, work, n, pairs)
+        sources = {side: src_summary(tree) for side, tree in trees.items()}
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    result = {
+        "label": args.label,
+        "config": {"scenario": "fig1", "trials": 1, "iterations": 200,
+                   "master_seed": MASTER_SEED, "methods": "pgda,spgda,opgd,imia",
+                   "child_env": CHILD_ENV},
+        "note": f"n >= {ONE_PAIR_FROM} runs one pair",
+        "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
+                 **sources["base"]},
+        "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
+                   "uncommitted_changes": dirty, **sources["change"]},
+        "sizes": results,
+    }
+    out = args.out or os.path.join(ROOT, f"BENCH_scale_{args.label}.json")
+    with open(out, "w") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for n, sec in results.items():
+        b, c = sec["summary"]["base"], sec["summary"]["change"]
+        print(f"n={n} ({sec['pairs']} pairs): wall {b['wall_s']['median']:.2f} -> "
+              f"{c['wall_s']['median']:.2f} s, peak RSS {b['peak_rss_mb']['median']:.0f} -> "
+              f"{c['peak_rss_mb']['median']:.0f} MB, factor {b['factor_s']['median']:.2f} -> "
+              f"{c['factor_s']['median']:.2f} s, fill {sec['runs'][0]['base']['factor_nnz']} -> "
+              f"{sec['runs'][0]['change']['factor_nnz']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

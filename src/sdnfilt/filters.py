@@ -40,6 +40,9 @@ __all__ = [
 # so arithmetic noise cannot inflate the recorded geodesic width
 COMPOSE_DROP_TOL = 1e-14
 
+# largest |H(i,j) - H(j,i)| of a filter taken as symmetric
+SYMMETRY_TOL = 1e-12
+
 
 @dataclass(eq=False)
 class Signal:
@@ -81,7 +84,9 @@ class GraphFilter:
         self.width = _width if _width is not None else _entries_width(graph, m, _within)
         self._product = csr_product(m)
         self._transpose: GraphFilter | None = None
+        self._asymmetry = None
         self._lu = None
+        self._pivots = None
         self._row_abs_sums = None
 
     # ---- constructors -------------------------------------------------
@@ -112,16 +117,67 @@ class GraphFilter:
     def nnz(self) -> int:
         return self.csr.nnz
 
+    def asymmetry(self) -> tuple[float, int, int]:
+        """The largest |H(i,j) - H(j,i)| and an entry (i, j) that reaches
+        it, (0.0, 0, 0) when none differ: the one symmetry test, O(nnz) on
+        the cached transpose and taken once per filter."""
+        if self._asymmetry is None:
+            diff = (self.csr - self.transpose().csr).tocoo()
+            k = int(np.argmax(np.abs(diff.data))) if diff.nnz else None
+            self._asymmetry = (0.0, 0, 0) if k is None else (
+                float(abs(diff.data[k])), int(diff.row[k]), int(diff.col[k]))
+        return self._asymmetry
+
+    @property
+    def symmetric(self) -> bool:
+        return self.asymmetry()[0] <= SYMMETRY_TOL
+
     def lu(self):
-        """Sparse LU factor (SuperLU, partial pivoting), computed once per
-        filter. A zero pivot raises LinAlgError."""
+        """Sparse LU factor of H, computed once per filter and shared by
+        every solve through it. A symmetric filter is factored in SuperLU's
+        symmetric mode: minimum degree on Hᵀ + H, and a diagonal pivot
+        wherever it is at least 0.1 of its column's largest entry, which
+        fills far less than COLAMD does on these filters. Any other filter,
+        and a symmetric one whose symmetric factorization raises, gets
+        COLAMD with partial pivoting. A zero pivot raises LinAlgError."""
         if self._lu is None:
-            try:
-                self._lu = splu(self.csr.tocsc())
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                raise np.linalg.LinAlgError(f"filter is singular to working "
-                                            f"precision (zero pivot: {exc})") from None
+            a = self.csr.tocsc()
+            if self.symmetric:
+                try:
+                    self._lu = splu(a, permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0.1,
+                                    options={"SymmetricMode": True})
+                except RuntimeError:
+                    pass                # COLAMD below
+            if self._lu is None:
+                try:
+                    self._lu = splu(a)
+                except RuntimeError as exc:  # "Factor is exactly singular"
+                    raise np.linalg.LinAlgError(
+                        f"filter is singular to working precision (zero "
+                        f"pivot: {exc})") from None
         return self._lu
+
+    def positive_definite(self) -> bool:
+        """Whether the LU factor certifies H ≻ 0. A symmetric H whose
+        pivots all stayed on the diagonal (perm_r == perm_c) is factored
+        as P H Pᵀ = L U with U = D Lᵀ, so by Sylvester's law of inertia it
+        is positive definite exactly when no pivot is negative. False for
+        a pivot taken off the diagonal, which certifies nothing, and for a
+        nonsymmetric filter or one with no factor."""
+        if not self.symmetric:
+            return False
+        try:
+            lu = self.lu()
+        except np.linalg.LinAlgError:
+            return False
+        if self._pivots is None:
+            # U's diagonal holds the pivots. Reading U makes SuperLU build
+            # and keep CSC copies of L and U, so it is read here alone, once
+            self._pivots = (bool(np.array_equal(lu.perm_r, lu.perm_c)),
+                            int(np.count_nonzero(lu.U.diagonal() < 0.0)))
+        diagonal, negative = self._pivots
+        return diagonal and negative == 0
 
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
@@ -356,10 +412,12 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
                             rng_seed: int = 0) -> SingularValues:
     """Largest and smallest singular values of a filter.
 
-    sigma_max^2 is the top eigenvalue of H^T H. sigma_min^2 is the
-    reciprocal of the top eigenvalue of (H^T H)^{-1} = H^{-1} H^{-T},
-    applied through the filter's cached LU factor. A filter that is
-    singular to working precision has sigma_min = 0.
+    sigma_max^2 is the top eigenvalue of H^T H. sigma_min is taken through
+    the filter's cached LU factor: for a symmetric H it is the smallest
+    |lambda(H)|, 1 / max |lambda(H^{-1})|, one solve per application;
+    otherwise sigma_min^2 is the reciprocal of the top eigenvalue of
+    (H^T H)^{-1} = H^{-1} H^{-T}, two solves per application. A filter
+    that is singular to working precision has sigma_min = 0.
     """
     n = h.graph.n
     ht = h.transpose()
@@ -372,10 +430,13 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
         lu = h.lu()
     except np.linalg.LinAlgError:
         return SingularValues(sigma_max, 0.0, top.converged)
-    inverse_gram = (n, lambda v: lu.solve(lu.solve(v, trans="T")))
-    bottom = power_spectral_radius(inverse_gram, tol=tol, max_iter=max_iter,
+    symmetric = h.symmetric
+    inverse = lu.solve if symmetric else (lambda v: lu.solve(lu.solve(v, trans="T")))
+    bottom = power_spectral_radius((n, inverse), tol=tol, max_iter=max_iter,
                                    rng_seed=rng_seed + 1)
-    sigma_min = float(1.0 / np.sqrt(bottom.value)) if bottom.value > 0 else 0.0
+    sigma_min = 0.0
+    if bottom.value > 0:
+        sigma_min = float(1.0 / (bottom.value if symmetric else np.sqrt(bottom.value)))
     return SingularValues(sigma_max, sigma_min, top.converged and bottom.converged)
 
 
@@ -401,19 +462,26 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
     pts = g.coordinates
     two_hop = hop_matrix(g, 2)        # pairs row-major, columns ascending
     pi = np.repeat(np.arange(g.n), np.diff(two_hop.indptr))
-    pj = two_hop.indices.astype(np.int64)
+    pj = two_hop.indices
     d2 = np.sum((pts[pi] - pts[pj]) ** 2, axis=1)
     s2 = np.sum((pts[pi] + pts[pj]) ** 2, axis=1)
     vals = np.exp(-2.0 * g.n * d2 - s2 / 2.0)
+    shape = (g.n, g.n)
     if gamma > 0:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
         noise = rng.uniform(-gamma, gamma, size=len(pi))
-        # symmetrize the i.i.d. draws: entry (i,j) gets (g_ij + g_ji)/2
-        mirror = np.searchsorted(pi * g.n + pj, pj * g.n + pi)
+        # symmetrize the i.i.d. draws: entry (i,j) gets (g_ij + g_ji)/2. The
+        # pattern is symmetric, so its transpose lists, at the position of
+        # each (i,j), the position of (j,i)
+        positions = sparse.csr_matrix((np.arange(len(pi)), pj, two_hop.indptr), shape)
+        mirror = positions.T.tocsr().data
         vals = vals + (noise + noise[mirror]) / 2.0
-    kernel = GraphFilter(g, sparse.coo_matrix((vals, (pi, pj)), shape=(g.n, g.n)),
-                         _within=2)
-    return kernel + _squared_normalized_laplacian(g)
+    # the Laplacian term lies on the two-hop pattern too; when the sum keeps
+    # every pair of it, the width is the pattern's largest hop count
+    m = sparse.csr_matrix((vals, pj, two_hop.indptr), shape) \
+        + _squared_normalized_laplacian(g).csr
+    return GraphFilter(g, m, _within=2,
+                       _width=int(two_hop.data.max()) if m.nnz == two_hop.nnz else None)
 
 
 def _squared_normalized_laplacian(g: Graph) -> GraphFilter:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from .filters import GraphFilter
+from .filters import SYMMETRY_TOL, GraphFilter
 from .graphs import hop_matrix
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "build_spgda_preconditioner",
     "normalized_filter",
 ]
-
-SYMMETRY_TOL = 1e-12
 
 
 def build_pgda_preconditioner(h: GraphFilter) -> np.ndarray:
@@ -52,13 +50,11 @@ def build_spgda_preconditioner(h: GraphFilter) -> np.ndarray:
     cached, read-only row sums. Requires a symmetric filter."""
     if h.nnz == 0:
         raise ValueError("cannot precondition an all-zero filter")
-    diff = (h.csr - h.transpose().csr).tocoo()
-    if diff.nnz and float(np.abs(diff.data).max()) > SYMMETRY_TOL:
-        k = int(np.argmax(np.abs(diff.data)))
-        i, j = int(diff.row[k]), int(diff.col[k])
+    if not h.symmetric:
+        gap, i, j = h.asymmetry()
         raise ValueError(
             f"filter is not symmetric: |H({i},{j}) - H({j},{i})| = "
-            f"{abs(diff.data[k]):.3e} exceeds {SYMMETRY_TOL:.0e}"
+            f"{gap:.3e} exceeds {SYMMETRY_TOL:.0e}"
         )
     p = h.row_abs_sums()
     if p.min() <= 0.0:

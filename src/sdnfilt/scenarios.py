@@ -339,10 +339,11 @@ def _routed(net: SdnNetwork, method: str) -> Method:
 
 def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
                       y: np.ndarray, method: str, reference: np.ndarray,
-                      epoch: int = 0):
+                      epoch: int | None = None):
     """Deploy a network holding the one observation y (n,) of h and solve
-    it with `method` through `solve_block`, one simulator round per step.
-    Returns the network, for its message counters and log, and the trace."""
+    it with `method` through `solve_block`, one simulator round per step;
+    `epoch` names a time_varying epoch. Returns the network, for its
+    message counters and log, and the trace."""
     net = SdnNetwork(graph, h, Signal(graph, y), comm_range=cfg.comm_range,
                      log_messages=cfg.roundlog, epoch=epoch)
     solver_cfg = SolverConfig(method=method, max_iter=cfg.iterations)

@@ -60,6 +60,8 @@ class SdnNetwork:
 
     comm_range must be at least the filter width, otherwise the exchange
     steps are physically impossible; this is checked before anything runs.
+    `epoch` names a time_varying epoch in that error and tags every round;
+    rounds of a network given none carry epoch 0.
     """
 
     def __init__(
@@ -69,7 +71,7 @@ class SdnNetwork:
         y: Signal,
         comm_range: int | None = None,
         log_messages: bool = True,
-        epoch: int = 0,
+        epoch: int | None = None,
     ):
         if h.graph is not graph:
             raise ValueError("filter built on a different graph")
@@ -78,14 +80,15 @@ class SdnNetwork:
         comm_range = h.width if comm_range is None else int(comm_range)
         if comm_range < h.width:
             raise RangeViolationError(
-                f"epoch {epoch}: communication range {comm_range} is below "
-                f"the filter width {h.width}; no message has been sent"
+                f"{'' if epoch is None else f'epoch {epoch}: '}communication "
+                f"range {comm_range} is below the filter width {h.width}; no "
+                "message has been sent"
             )
         self.graph = graph
         self.width = h.width
         self.comm_range = comm_range
         self.log_messages = log_messages
-        self.epoch = epoch
+        self.epoch = 0 if epoch is None else epoch
         self.rounds: list[Round] = []
         self._sent = 0
         self._deploy(h, y)

@@ -173,14 +173,19 @@ def _pgda_radius(h: GraphFilter, p: np.ndarray) -> SpectralEstimate | None:
         lu = h.lu()
     except np.linalg.LinAlgError:
         return None
-    inverse = (h.graph.n, lambda v: p * lu.solve(lu.solve(p * v, trans="T")))
-    est = power_spectral_radius(inverse, tol=RADIUS_TOL, max_iter=RADIUS_MAX_ITER)
-    if not 0.0 < est.value < np.inf:
+    lam = _lambda_min(h, lambda v: p * lu.solve(lu.solve(p * v, trans="T")))
+    if lam is None or _schur_bound(h, p) > 2.0 - lam.value:
         return None
-    lam_min = 1.0 / est.value
-    if _schur_bound(h, p) > 2.0 - lam_min:
-        return None
-    return replace(est, value=1.0 - lam_min)
+    return replace(lam, value=1.0 - lam.value)
+
+
+def _lambda_min(h: GraphFilter, inverse: Callable) -> SpectralEstimate | None:
+    """lambda_min(M) = 1 / lambda_max(M^{-1}) of a positive definite M on
+    h's vertices, given the matvec of M^{-1}; None unless that top
+    eigenvalue comes out a positive finite number."""
+    est = power_spectral_radius((h.graph.n, inverse), tol=RADIUS_TOL,
+                                max_iter=RADIUS_MAX_ITER)
+    return replace(est, value=1.0 / est.value) if 0.0 < est.value < np.inf else None
 
 
 def _schur_bound(h: GraphFilter, p: np.ndarray) -> float:
@@ -208,7 +213,25 @@ def _spgda(h: GraphFilter) -> Method:
         h_hat = normalized_filter(h, p)
         return lambda v: v - h_hat.matvec(v)
 
-    return Method(update, error)
+    return Method(update, error, radius=lambda: _spgda_radius(h, p))
+
+
+def _spgda_radius(h: GraphFilter, p: np.ndarray) -> SpectralEstimate | None:
+    """rho(I - M) for M = P^{-1/2} H P^{-1/2}, as 1 - lambda_min(M).
+
+    P - H and P + H are diagonally dominant with a nonnegative diagonal,
+    so the spectrum of M lies in [-1, 1] and rho(I - M) = 1 - lambda_min(M)
+    for every symmetric H. Where the LU factor certifies H positive
+    definite (`GraphFilter.positive_definite`), lambda_min(M) is
+    1 / lambda_max(P^{1/2} H^{-1} P^{1/2}), one solve per application.
+    None where it does not: a pivot off the diagonal, a negative pivot,
+    no factor, or an estimate that is not a positive finite number.
+    """
+    if not h.positive_definite():
+        return None
+    lu, root = h.lu(), np.sqrt(p)
+    lam = _lambda_min(h, lambda v: root * lu.solve(root * v))
+    return None if lam is None else replace(lam, value=1.0 - lam.value)
 
 
 def _opgd(h: GraphFilter) -> Method:
@@ -283,8 +306,8 @@ def imia_diagonal(h: GraphFilter) -> np.ndarray:
 
 
 def direct_solve_oracle(h: GraphFilter, y):
-    """Sparse LU solve with partial pivoting through the filter's cached
-    factor (`GraphFilter.lu`), used as ground truth. y is a Signal, and the
+    """Sparse LU solve through the filter's cached factor (`GraphFilter.lu`,
+    symmetric mode for a symmetric filter), used as ground truth. y is a Signal, and the
     solution comes back as one, or an n x T block of observations of h,
     solved at once into the n x T solutions; each column equals its own
     solve bit for bit.
@@ -351,6 +374,14 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
+def _scaled_norm(row: np.ndarray) -> float:
+    """2-norm of a row whose squared norm overflows: the norm of the row
+    divided by its largest magnitude, scaled back (inf for a row that
+    holds an inf)."""
+    top = np.abs(row).max()
+    return float(top * np.sqrt(np.vecdot(row / top, row / top))) if top < np.inf else np.inf
+
+
 def solve_block(
     h: GraphFilter,
     ys: np.ndarray,
@@ -373,7 +404,10 @@ def solve_block(
     the others, and nothing reads its later values. reference is one
     signal for every column (n,) or one per column (n x T). The history
     keeps per-column scalars only: squared errors, whose square roots and
-    quotients are taken once at the end.
+    quotients are taken once at the end. Where a squared residual norm
+    overflows (entries above about 1e154), the stop check retakes that
+    column's norm scaled, so a column of that size diverges when it would
+    at any other scale; its trace records the overflowed norm, inf.
     """
     method = cfg.method
     entry = prepare_params(h, method, params)[method]
@@ -426,9 +460,17 @@ def solve_block(
                 # its column and raises below
                 stop = [hi is not None and not r <= hi
                         for r, hi in zip(resid.tolist(), limits)]
+                if any(stop):
+                    # an infinite residual may be a squared norm that
+                    # overflowed: the column stops only if its norm does not
+                    # fit under the limit either
+                    for j in np.flatnonzero(np.isinf(resid) & stop):
+                        stop[j] = not _scaled_norm(zs[0][j]) <= limits[j]
             else:
                 # a zero column stops at m = 0; a running one once its
                 # residual is not <= its limit, None once it stopped
+                for j in np.flatnonzero(np.isinf(resid)):
+                    resid[j] = _scaled_norm(zs[0][j])
                 limits = (DIVERGENCE_FACTOR * resid).tolist()
                 stop = resid == 0.0
             if any(stop):
@@ -493,10 +535,10 @@ def spectral_radius(h: GraphFilter, method: str,
     """Spectral radius of `iteration_matrix(h, method)`, to ARPACK's
     RADIUS_TOL within RADIUS_MAX_ITER restarts.
 
-    pgda takes it through the LU factor (`_pgda_radius`) and opgd in closed
-    form from its singular values; spgda and imia take it by Lanczos on
-    the iteration matrix, and so does pgda, flagged as a fallback, where
-    its own route does not hold.
+    pgda (`_pgda_radius`) and spgda (`_spgda_radius`) take it through the
+    filter's LU factor and opgd in closed form from its singular values;
+    imia takes it by Lanczos on the iteration matrix, and so do pgda and
+    spgda, flagged as a fallback, where their own route does not hold.
     """
     entry = prepare_params(h, method, params)[method]
     own = entry.radius() if entry.radius else None

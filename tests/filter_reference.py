@@ -11,8 +11,10 @@ smallest eigenvalue of a symmetric operator by ARPACK, and check_dominance,
 which checks the relations the preconditioners rest on.
 
 Last, builders and writers only the tests need: a filter from a dense
-matrix, the combinatorial Laplacian D - A, and the filter and signal CSV
-writers that sdnfilt.io reads back.
+matrix, the combinatorial Laplacian D - A, the fig1 filter built by
+sorted-key search (the construction sdnfilt.filters must reproduce byte
+for byte), and the filter and signal CSV writers that sdnfilt.io reads
+back.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                   aslinearoperator, eigsh)
 
 from sdnfilt.filters import GraphFilter, Signal, SpectralEstimate, _start_vector
-from sdnfilt.graphs import Graph, hop_levels
+from sdnfilt.graphs import Graph, hop_levels, hop_matrix
 from sdnfilt.preconditioners import SYMMETRY_TOL, build_spgda_preconditioner
 
 DOMINANCE_PASS_TOL = -1e-10
@@ -137,6 +139,29 @@ def combinatorial_laplacian(g: Graph) -> GraphFilter:
     entries = {(i, i): float(len(nbrs)) for i, nbrs in enumerate(g.adjacency)}
     entries.update({(i, j): -1.0 for i, nbrs in enumerate(g.adjacency) for j in nbrs})
     return GraphFilter.from_entries(g, entries)
+
+
+def fig1_filter_by_search(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
+    """The fig1 filter with its kernel built as a filter of its own: the
+    noise symmetrized through a mirror index found by searching the sorted
+    pair keys, the kernel's width scanned from its entries, then the
+    squared normalized Laplacian added as a second filter."""
+    from sdnfilt.filters import _squared_normalized_laplacian
+
+    pts, n = g.coordinates, g.n
+    two_hop = hop_matrix(g, 2)
+    pi = np.repeat(np.arange(n), np.diff(two_hop.indptr))
+    pj = two_hop.indices.astype(np.int64)
+    d2 = np.sum((pts[pi] - pts[pj]) ** 2, axis=1)
+    s2 = np.sum((pts[pi] + pts[pj]) ** 2, axis=1)
+    vals = np.exp(-2.0 * n * d2 - s2 / 2.0)
+    if gamma > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
+        noise = rng.uniform(-gamma, gamma, size=len(pi))
+        mirror = np.searchsorted(pi * n + pj, pj * n + pi)
+        vals = vals + (noise + noise[mirror]) / 2.0
+    kernel = GraphFilter(g, sparse.coo_matrix((vals, (pi, pj)), shape=(n, n)))
+    return kernel + _squared_normalized_laplacian(g)
 
 
 def write_filter_csv(path: str, h: GraphFilter) -> None:

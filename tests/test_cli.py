@@ -206,8 +206,9 @@ class TestRun:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                    "--distributed", "--methods", "pgda"])
         assert rc == 2
-        assert "communication range 1 is below the filter width 2" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "communication range 1 is below the filter width 2" in err
+        assert "epoch" not in err   # a fig1 run has no epochs
 
     def test_comm_range_below_width_time_varying_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario="time_varying", n=64, epochs=1,

@@ -27,6 +27,7 @@ from filter_reference import (
     combinatorial_laplacian,
     entries,
     entries_width_by_levels,
+    fig1_filter_by_search,
     from_dense,
     is_symmetric,
     schur_norm,
@@ -477,6 +478,145 @@ class TestExtremeSingularValues:
         assert extreme_singular_values(h1) == extreme_singular_values(h2)
         assert extreme_singular_values(h1) == extreme_singular_values(h1)
 
+    @staticmethod
+    def two_solve_sigma_min(h):
+        lu = h.lu()
+        inverse_gram = (h.graph.n, lambda v: lu.solve(lu.solve(v, trans="T")))
+        return 1.0 / np.sqrt(power_spectral_radius(inverse_gram, rng_seed=1).value)
+
+    @pytest.mark.parametrize("n, radius", [(512, 0.0625), (4096, 0.035)])
+    def test_symmetric_sigma_min_from_one_solve(self, n, radius):
+        # sigma_min = 1 / max |lambda(H^{-1})| for a symmetric H agrees
+        # with the two-solve 1 / sqrt(lambda_max(H^{-1} H^{-T}))
+        g = generate_run_graph(n, radius, 777016)
+        h = build_fig1_filter(g, 0.05, _stream_seed(777016, 0, _STREAM_FILTER))
+        sv = extreme_singular_values(h)
+        assert sv.converged
+        assert sv.sigma_min == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
+
+    def test_symmetric_sigma_min_on_denoise_filter(self):
+        from sdnfilt.graphs import knn_graph
+        from sdnfilt.scenarios import synthetic_points
+
+        coords, _ = synthetic_points(218, rng_seed=3)
+        h = build_denoise_filter(knn_graph(coords, 5), 0.9075)
+        sv = extreme_singular_values(h)
+        assert sv.sigma_min == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
+        assert sv.sigma_min == pytest.approx(
+            np.linalg.eigvalsh(dense_of(h)).min(), rel=1e-10)
+
+    def test_indefinite_symmetric_sigma_min(self):
+        # eigenvalues 3 and -1: sigma_min is the smallest |lambda|
+        sv = extreme_singular_values(from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]]),
+                                     tol=1e-13)
+        assert sv.sigma_min == pytest.approx(1.0, rel=1e-12)
+        assert sv.sigma_max == pytest.approx(3.0, rel=1e-12)
+
+
+class TestFactor:
+    """One cached factor per filter: SuperLU's symmetric mode for a
+    symmetric filter, COLAMD otherwise, and the inertia certificate read
+    off its pivots."""
+
+    @staticmethod
+    def spy(monkeypatch, fail_symmetric=False):
+        import sdnfilt.filters as filters
+
+        calls, real = [], filters.splu
+
+        def splu(a, **options):
+            calls.append(options)
+            if fail_symmetric and options:
+                raise RuntimeError("Factor is exactly singular")
+            return real(a, **options)
+
+        monkeypatch.setattr(filters, "splu", splu)
+        return calls
+
+    def test_symmetric_filter_gets_symmetric_mode(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = generate_run_graph(512, float(np.sqrt(2.0 / 512)), 777016)
+        h = build_fig1_filter(g, 0.05, 3)
+        assert h.symmetric and h.lu() is h.lu()
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+                          "options": {"SymmetricMode": True}}]
+        # a fig1 filter factors with every pivot on the diagonal, none
+        # negative: the certificate holds
+        assert h.positive_definite() and h._pivots == (True, 0)
+        x = h.lu().solve(np.ones(g.n))
+        assert np.linalg.norm(h.matvec(x) - 1.0) <= 1e-12 * np.sqrt(g.n)
+
+    def test_nonsymmetric_filter_gets_colamd(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        h = make_invertible(rng, random_connected_graph(rng, 30), 2)
+        assert not h.symmetric
+        h.lu()
+        assert calls == [{}]
+        assert not h.positive_definite()
+
+    def test_raising_symmetric_factorization_falls_back_to_colamd(self, rng,
+                                                                   monkeypatch):
+        calls = self.spy(monkeypatch, fail_symmetric=True)
+        g = random_connected_graph(rng, 30)
+        h = make_invertible(rng, g, 2, symmetric=True)
+        y = rng.standard_normal(30)
+        x = h.lu().solve(y)
+        assert [bool(c) for c in calls] == [True, False]
+        assert h._pivots is None   # read only for the certificate
+        assert np.allclose(dense_of(h) @ x, y, rtol=1e-12, atol=1e-12)
+
+    def test_singular_filter_raises_after_both(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="pivot"):
+            h.lu()
+        assert [bool(c) for c in calls] == [True, False]
+        assert not h.positive_definite()
+
+    @pytest.mark.parametrize("dense, pivots, definite", [
+        ([[2.0, 1.0], [1.0, 2.0]], (True, 0), True),
+        # eigenvalues 3 and -1: one negative pivot
+        ([[1.0, 2.0], [2.0, 1.0]], (True, 1), False),
+        # positive definite, but 1 < 0.1 * 11 sends the pivot off the
+        # diagonal; the factor then certifies nothing
+        ([[200.0, 11.0], [11.0, 1.0]], (False, 1), False),
+        # indefinite with no negative pivot: only perm_r != perm_c tells
+        ([[0.0, 1.0], [1.0, 0.0]], (False, 0), False),
+    ])
+    def test_inertia_certificate(self, dense, pivots, definite):
+        h = from_dense(edge2(), dense)
+        assert h.positive_definite() is definite
+        assert h._pivots == pivots
+
+    def test_inertia_counts_negative_eigenvalues(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(5, 40))
+            g = random_connected_graph(rng, n)
+            h = random_filter(rng, g, 2, symmetric=True)
+            h = h + GraphFilter.identity(g).scaled(float(rng.uniform(1.0, 3.0)))
+            h.positive_definite()
+            if h._pivots is None:   # singular: no factor
+                continue
+            diagonal, negative = h._pivots
+            if diagonal:
+                assert negative == int((np.linalg.eigvalsh(dense_of(h)) < 0).sum())
+
+    def test_symmetry_test_taken_once(self, rng, monkeypatch):
+        g = random_connected_graph(rng, 20)
+        h = make_invertible(rng, g, 1, symmetric=True)
+        assert h.asymmetry() == (0.0, 0, 0) and h.symmetric
+        monkeypatch.setattr(type(h), "transpose", lambda self: 1 / 0)
+        h.lu()
+        assert h.symmetric
+
+    def test_asymmetry_names_the_worst_pair(self):
+        h = from_dense(edge2(), [[1.0, 0.5], [0.2, 1.0]])
+        gap, i, j = h.asymmetry()
+        assert gap == pytest.approx(0.3) and {i, j} == {0, 1}
+        assert not h.symmetric
+        tiny = from_dense(edge2(), [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert tiny.symmetric
+
 
 class TestFig1Filter:
     def build(self, gamma=0.0, seed=0, n=48):
@@ -536,6 +676,35 @@ class TestFig1Filter:
             for name in ("data", "indices", "indptr"):
                 assert getattr(h.csr, name).tobytes() == getattr(fresh.csr, name).tobytes()
             assert h.width == fresh.width
+
+    def test_matches_search_built_filter_byte_for_byte(self):
+        for n, seed in ((2, 1), (3, 2), (40, 3), (128, 4), (600, 5)):
+            radius = float(np.sqrt(2.0 / n)) * 1.6 if n > 3 else float("inf")
+            g = random_geometric_graph(n, radius, rng_seed=seed)
+            for gamma, filter_seed in ((0.0, 0), (0.05, 1), (0.6, 2)):
+                h = build_fig1_filter(g, gamma, filter_seed)
+                ref = fig1_filter_by_search(g, gamma, filter_seed)
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(h.csr, name).tobytes() == \
+                        getattr(ref.csr, name).tobytes()
+                assert h.width == ref.width
+
+    def test_width_rescanned_where_entries_cancel(self, monkeypatch):
+        # a Laplacian term that cancels every kernel entry two hops apart
+        # leaves a filter of width 1, found by the rescan
+        import sdnfilt.filters as filters
+        from sdnfilt.graphs import hop_matrix
+
+        g, _ = self.build()
+        monkeypatch.setattr(filters, "_squared_normalized_laplacian",
+                            lambda g: GraphFilter.identity(g).scaled(0.0))
+        kernel = build_fig1_filter(g, 0.0, 0).csr
+        far = kernel.multiply(hop_matrix(g, 2) == 2)
+        monkeypatch.setattr(filters, "_squared_normalized_laplacian",
+                            lambda g: GraphFilter(g, -far, _width=2))
+        h = build_fig1_filter(g, 0.0, 0)
+        assert h.nnz < hop_matrix(g, 2).nnz
+        assert h.width == entries_width_by_levels(g, h.csr) == 1
 
     @pytest.mark.parametrize("radius", [0.35, float("inf")])
     def test_width_read_off_hop_counts_is_exact(self, radius):

@@ -301,6 +301,21 @@ class TestTimeVarying:
         with pytest.raises(RangeViolationError, match="epoch 1"):
             SdnNetwork(g, h2, y, comm_range=1, epoch=1)
 
+    def test_width_beyond_range_without_epoch_names_none(self, rng):
+        # a network deployed outside time_varying has no epoch to name;
+        # its rounds carry epoch 0
+        g = random_connected_graph(rng, 20)
+        h2 = make_invertible(rng, g, 2)
+        if h2.width < 2:
+            pytest.skip("random instance came out narrower than 2")
+        y = Signal(g, rng.standard_normal(20))
+        with pytest.raises(RangeViolationError) as err:
+            SdnNetwork(g, h2, y, comm_range=1)
+        assert str(err.value).startswith("communication range 1 is below")
+        net = SdnNetwork(g, h2, y)
+        net.distributed_preconditioner()
+        assert net.epoch == 0 and {r.epoch for r in net.rounds} == {0}
+
 
 class TestNetworkSummary:
     def test_record_counts(self, rng):

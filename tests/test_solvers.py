@@ -210,8 +210,8 @@ class TestIterationMatrix:
 
 
 class TestSpectralRadius:
-    """pgda's radius through the LU factor and opgd's in closed form, each
-    against Lanczos on the iteration matrix."""
+    """pgda's and spgda's radii through the LU factor and opgd's in closed
+    form, each against Lanczos on the iteration matrix."""
 
     @staticmethod
     def lanczos(h, method, params):
@@ -249,15 +249,74 @@ class TestSpectralRadius:
             assert (h.csr != h.csr.T).nnz
             self.check_own_routes(h)
 
-    def test_spgda_and_imia_stay_on_lanczos(self, rng):
+    def test_imia_stays_on_lanczos(self, rng):
         g = random_connected_graph(rng, 20)
         h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
         params = {}
-        for method in ("spgda", "imia"):
-            est = spectral_radius(h, method, params)
-            assert not est.fallback
-            assert est == power_spectral_radius(iteration_matrix(h, method, params),
-                                                tol=1e-9, max_iter=3000)
+        est = spectral_radius(h, "imia", params)
+        assert not est.fallback
+        assert est == power_spectral_radius(iteration_matrix(h, "imia", params),
+                                            tol=1e-9, max_iter=3000)
+
+    def check_spgda_factor_route(self, h):
+        params = {}
+        est = spectral_radius(h, "spgda", params)
+        assert h.positive_definite() and not est.fallback and est.converged
+        lanczos = self.lanczos(h, "spgda", params)
+        assert est.value == pytest.approx(lanczos.value, rel=1e-12)
+        return est, lanczos
+
+    @pytest.mark.parametrize("n, radius", [(512, 0.0625), (4096, 0.035)])
+    def test_spgda_factor_route_on_fig1_filters(self, n, radius):
+        from sdnfilt.scenarios import generate_run_graph
+
+        g = generate_run_graph(n, radius, 777016)
+        for seed in (2, 3):
+            est, lanczos = self.check_spgda_factor_route(build_fig1_filter(g, 0.05, seed))
+            assert est.iterations <= 30 < lanczos.iterations
+
+    def test_indefinite_fig1_filter_falls_back(self):
+        # this n = 4096 filter has one negative eigenvalue (its factor
+        # takes a pivot off the diagonal); Lanczos finds spgda diverging
+        from sdnfilt.scenarios import generate_run_graph
+
+        h = build_fig1_filter(generate_run_graph(4096, 0.035, 777016), 0.05, 1)
+        est = spectral_radius(h, "spgda")
+        assert est.fallback and not h.positive_definite()
+        assert est.value > 1.0
+
+    def test_spgda_factor_route_on_denoise_filter(self):
+        from sdnfilt.graphs import knn_graph
+        from sdnfilt.scenarios import synthetic_points
+
+        coords, _ = synthetic_points(218, rng_seed=3)
+        self.check_spgda_factor_route(build_denoise_filter(knn_graph(coords, 5), 0.9075))
+
+    def test_spgda_factor_route_on_random_spd_filters(self, rng):
+        for _ in range(6):
+            g = random_connected_graph(rng, int(rng.integers(3, 40)))
+            self.check_spgda_factor_route(make_spd(rng, g, int(rng.integers(1, 3))))
+
+    @pytest.mark.parametrize("dense, above_one", [
+        # eigenvalues 3 and -1: a negative pivot; M has eigenvalue -1/3,
+        # so the radius is 4/3
+        ([[1.0, 2.0], [2.0, 1.0]], True),
+        # positive definite, but with a pivot off the diagonal
+        ([[200.0, 11.0], [11.0, 1.0]], False),
+    ])
+    def test_spgda_uncertified_filter_falls_back(self, dense, above_one):
+        h = from_dense(edge2(), dense)
+        params = {}
+        est = spectral_radius(h, "spgda", params)
+        assert est.fallback and not h.positive_definite()
+        assert est == dataclasses.replace(
+            power_spectral_radius(iteration_matrix(h, "spgda", params), tol=1e-9,
+                                  max_iter=3000), fallback=True)
+        assert (est.value > 1.0) is above_one
+        d = np.array(dense)
+        ps = np.abs(d).sum(axis=1)
+        oracle = np.abs(np.linalg.eigvalsh(np.eye(2) - d / np.sqrt(np.outer(ps, ps)))).max()
+        assert est.value == pytest.approx(oracle, rel=1e-10)
 
     def test_pgda_applications_at_n512(self):
         from sdnfilt.scenarios import generate_run_graph
@@ -304,7 +363,7 @@ class TestSpectralRadius:
                                           methods=("pgda", "spgda")), "rel_error")
         runs.prepare(singular)
         runs.prepare(make_invertible(rng, g, 1, symmetric=True))
-        assert runs.fallbacks == {"pgda": 1, "spgda": 0}
+        assert runs.fallbacks == {"pgda": 1, "spgda": 1}
 
 
 class TestOptimalStep:
@@ -631,6 +690,30 @@ class TestSolveBlock:
         traces = assert_block_matches_single(h, ys, cfg)
         assert [t.status for t in traces] == ["diverged", "diverged", "max_iter"]
         assert traces[0].iterations < alone.value.iteration < traces[1].iterations
+
+    def test_overflowing_residual_norm_diverges_on_time(self):
+        # spgda grows the error along [1, -1] by 4/3 a step. At +-1e300 the
+        # squared residual norm overflows from m = 0 on, yet the column
+        # stops "diverged" at the iteration it does at +-1e150 and at +-1,
+        # with its iterate still finite
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        cfg = SolverConfig(method="spgda", max_iter=200)
+        stops = {}
+        for scale in (1.0, 1e150, 1e300):
+            x, (trace,) = solve_block(h, np.array([[-scale], [scale]]), cfg)
+            assert trace.status == "diverged" and np.isfinite(x).all()
+            stops[scale] = trace.iterations
+        assert stops[1e300] == stops[1e150] == stops[1.0]
+        # the residual grows by 4/3 a step, so it first exceeds 1e6 times
+        # its start at m = ceil(log 1e6 / log 4/3) = 49
+        assert stops[1e300] == int(np.ceil(np.log(1e6) / np.log(4.0 / 3.0)))
+
+    def test_overflow_in_one_column_leaves_the_others_bit_identical(self):
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        ys = np.array([[-1e300, 1.0, 2.0], [1e300, 1.0, -1.0]])
+        traces = assert_block_matches_single(h, ys, SolverConfig("spgda", 100))
+        assert [t.status for t in traces] == ["diverged", "max_iter", "diverged"]
+        assert traces[0].iterations == traces[2].iterations
 
     def test_shape_checks(self, rng):
         g = random_connected_graph(rng, 6)
