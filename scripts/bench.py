@@ -2,7 +2,7 @@
 """Compare a base revision with the working tree on perfbench workloads.
 
     python3 scripts/bench.py --label NAME --workload denoise,fig1-central \
-        --base HEAD --seeds 101-110 [--seconds 0] [--out BENCH_NAME.json]
+        --base HEAD --seeds 101-110 [--seconds 0] [--trace] [--out BENCH_NAME.json]
 
 Both sides are copied into one temporary directory: the base revision by
 `git archive`, the working tree with its uncommitted changes (the tracked
@@ -27,6 +27,13 @@ verdicts, printed too, are:
     claim_holds   the change won at least 9 of 10 pairs, and its median
                   is better than the base median by more than the base
                   quartile spread q3 - q1
+
+With --trace, each side of each pair also runs `perfbench/run.py --trace
+1` right after its untraced run, and the section records every per-layer
+metric of BENCHMARK.json next to the end-to-end ones: each run's value
+and each side's median and quartiles, with the pairs each side won, but
+no verdict (the layers have no bounds). This is where a speed claim's
+trace evidence comes from: which layer a saving lands in.
 """
 
 import argparse
@@ -78,11 +85,11 @@ def src_summary(tree):
     return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seed, seconds, trace=0):
     """One perfbench run; returns its result line and reported environment."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=seconds + 300)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,8 +116,9 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_pairs(trees, workload, seeds, seconds):
-    """Alternating base/change runs of one workload, one pair per seed;
+def run_pairs(trees, workload, seeds, seconds, trace=False):
+    """Alternating base/change runs of one workload, one pair per seed,
+    each side's traced run right after its untraced one with trace;
     returns the pairs and the environment perfbench reported."""
     pairs, environment = [], None
     for i, seed in enumerate(seeds):
@@ -122,9 +130,28 @@ def run_pairs(trees, workload, seeds, seconds):
             pair[side] = {"correct": line["correct"], "attempted": line["attempted"],
                           "failed": line["failed"],
                           "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+            if trace:
+                line, _ = run_side(trees[side], workload, seed, seconds, trace=1)
+                pair[side]["traced_correct"] = line["correct"] and not line["failed"]
+                pair[side]["layers"] = {k: v["value"] for k, v in line["metrics"].items()}
         pairs.append(pair)
         print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
     return pairs, environment
+
+
+def compare(pairs, name, direction, section="metrics"):
+    """One metric of `section` on both sides: their quartiles and how many
+    pairs each side won (ties count for neither)."""
+    sign = 1.0 if direction == "higher" else -1.0
+    deltas = [sign * (p["change"][section][name] - p["base"][section][name])
+              for p in pairs]
+    return {
+        "better": direction,
+        "base": quartiles([p["base"][section][name] for p in pairs]),
+        "change": quartiles([p["change"][section][name] for p in pairs]),
+        "change_wins": sum(d > 0 for d in deltas),
+        "base_wins": sum(d < 0 for d in deltas),
+    }
 
 
 def summarize(pairs, metrics):
@@ -132,24 +159,25 @@ def summarize(pairs, metrics):
     the two verdicts of the module docstring."""
     summary = {}
     for name, (direction, bound) in metrics.items():
-        sign = 1.0 if direction == "higher" else -1.0
-        deltas = [sign * (p["change"]["metrics"][name] - p["base"]["metrics"][name])
-                  for p in pairs]
-        base = quartiles([p["base"]["metrics"][name] for p in pairs])
-        change = quartiles([p["change"]["metrics"][name] for p in pairs])
-        gain = sign * (change["median"] - base["median"])
-        wins = sum(d > 0 for d in deltas)
+        s = compare(pairs, name, direction)
+        base = s["base"]
+        gain = (1.0 if direction == "higher" else -1.0) * (s["change"]["median"]
+                                                           - base["median"])
         summary[name] = {
-            "better": direction,
+            **s,
             "bound": bound,
-            "base": base,
-            "change": change,
-            "change_wins": wins,
-            "base_wins": sum(d < 0 for d in deltas),
             "within_bound": gain >= -bound * abs(base["median"]),
-            "claim_holds": 10 * wins >= 9 * len(pairs) and gain > base["q3"] - base["q1"],
+            "claim_holds": (10 * s["change_wins"] >= 9 * len(pairs)
+                            and gain > base["q3"] - base["q1"]),
         }
     return summary
+
+
+def summarize_layers(pairs, layers):
+    """Per layer metric ({name: better}): each side's quartiles and the
+    pairs each side won, without verdicts."""
+    return {name: compare(pairs, name, direction, "layers")
+            for name, direction in layers.items()}
 
 
 def main(argv=None):
@@ -161,12 +189,15 @@ def main(argv=None):
     parser.add_argument("--seeds", default="1-10", help="e.g. 101-110 or 1,5,9")
     parser.add_argument("--seconds", type=float, default=0.0,
                         help="perfbench window per run; 0 runs two processes")
+    parser.add_argument("--trace", action="store_true",
+                        help="also record the per-layer metrics of a traced run")
     parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = {m["name"]: (m["better"], m["bound"])
-                   for m in json.load(fh)["end_to_end"]}
+        spec = json.load(fh)
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    layers = {m["name"]: m["better"] for m in spec["per_layer"]}
     seeds = parse_seeds(args.seeds)
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     work = tempfile.mkdtemp(prefix="sdnfilt-bench-")
@@ -176,14 +207,17 @@ def main(argv=None):
         export_base(args.base, trees["base"])
         export_worktree(trees["change"])
         for workload in workloads:
-            pairs, env = run_pairs(trees, workload, seeds, args.seconds)
+            pairs, env = run_pairs(trees, workload, seeds, args.seconds, args.trace)
             environment = environment or env
             sections[workload] = {
                 "all_correct": all(p[s]["correct"] and not p[s]["failed"]
+                                   and p[s].get("traced_correct", True)
                                    for p in pairs for s in ("base", "change")),
                 "summary": summarize(pairs, metrics),
                 "pairs": pairs,
             }
+            if args.trace:
+                sections[workload]["layers"] = summarize_layers(pairs, layers)
         sources = {side: src_summary(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -193,6 +227,7 @@ def main(argv=None):
         "label": args.label,
         "seeds": seeds,
         "seconds": args.seconds,
+        "trace": args.trace,
         "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
                  **sources["base"]},
         "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
@@ -215,6 +250,11 @@ def main(argv=None):
                   f"{'within' if s['within_bound'] else 'OUTSIDE'} the "
                   f"{s['bound']:.0%} bound, gain claim "
                   f"{'holds' if s['claim_holds'] else 'does not hold'}")
+        for name, s in sec.get("layers", {}).items():
+            if s["base"]["median"] or s["change"]["median"]:
+                print(f"{workload} {name}: base {s['base']['median']:.4g} -> change "
+                      f"{s['change']['median']:.4g}, change won "
+                      f"{s['change_wins']}/{len(sec['pairs'])}")
     print(f"wrote {out}")
     return 0
 

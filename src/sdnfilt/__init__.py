@@ -37,6 +37,7 @@ from .solvers import (
     optimal_step,
     solve,
     solve_block,
+    solve_stack,
     spectral_radius,
 )
 

@@ -167,17 +167,23 @@ class GraphFilter:
         nonsymmetric filter or one with no factor."""
         if not self.symmetric:
             return False
-        try:
-            lu = self.lu()
-        except np.linalg.LinAlgError:
-            return False
         if self._pivots is None:
+            try:
+                lu = self.lu()
+            except np.linalg.LinAlgError:
+                return False
             # U's diagonal holds the pivots. Reading U makes SuperLU build
             # and keep CSC copies of L and U, so it is read here alone, once
             self._pivots = (bool(np.array_equal(lu.perm_r, lu.perm_c)),
                             int(np.count_nonzero(lu.U.diagonal() < 0.0)))
         diagonal, negative = self._pivots
         return diagonal and negative == 0
+
+    def release_factor(self) -> None:
+        """Drop the cached LU factor, and with it the CSC copies of L and U
+        that reading the pivots made SuperLU keep; the pivot record stays,
+        and a later `lu()` factors H again."""
+        self._lu = None
 
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
@@ -463,8 +469,9 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
     two_hop = hop_matrix(g, 2)        # pairs row-major, columns ascending
     pi = np.repeat(np.arange(g.n), np.diff(two_hop.indptr))
     pj = two_hop.indices
-    d2 = np.sum((pts[pi] - pts[pj]) ** 2, axis=1)
-    s2 = np.sum((pts[pi] + pts[pj]) ** 2, axis=1)
+    # take(axis=0) gathers the same rows as pts[pi], several times faster
+    d2 = np.sum((pts.take(pi, axis=0) - pts.take(pj, axis=0)) ** 2, axis=1)
+    s2 = np.sum((pts.take(pi, axis=0) + pts.take(pj, axis=0)) ** 2, axis=1)
     vals = np.exp(-2.0 * g.n * d2 - s2 / 2.0)
     shape = (g.n, g.n)
     if gamma > 0:

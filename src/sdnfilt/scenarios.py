@@ -50,6 +50,7 @@ from .solvers import (
     _snr_db,
     direct_solve_oracle,
     solve_block,
+    solve_stack,
     spectral_radius,
 )
 
@@ -334,7 +335,7 @@ def _routed(net: SdnNetwork, method: str) -> Method:
 
         def step(x, e):
             return net.run_spgda(1).values[:, None]
-    return Method(update=lambda yv: step, error=None)
+    return Method(g=None, error=None, step=step)
 
 
 def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
@@ -356,9 +357,11 @@ class _MethodRuns:
     """Per-method results of one fig1, denoise or custom run.
 
     `run` solves a block of observations of one filter, one trial per
-    column, once per method through `solve_block`, and reads each trial's
-    curve of the scenario's metric ("rel_error" or "snr") from its trace.
-    A distributed config solves one trial at a time, trial-major, with one
+    column, with every method through `solve_stack`, and reads each
+    trial's curve of the scenario's metric ("rel_error" or "snr") from its
+    trace. A block of one observation (fig1, custom) is one stack of all
+    the methods; a block of several (denoise) is one stack per method. A
+    distributed config solves one trial at a time, trial-major, with one
     simulator round as the step. A diverged solve adds to `diverged`
     instead of to the curves.
     """
@@ -398,26 +401,44 @@ class _MethodRuns:
         """Solve the observations ys (n x trials) of h with every method and
         keep each trial's metric curve against reference (n,)."""
         field = "snrs" if self.metric_name == "snr" else "relative_errors"
-        blocks = np.hsplit(ys, ys.shape[1]) if self.cfg.distributed else [ys]
+        # the solves need no factor: dropped before the stacks are built
+        h.release_factor()
+        distributed, methods = self.cfg.distributed, self.cfg.methods
+        # one observation is one stack of every method. A block of several
+        # goes one method at a time: a stack of it would hold M copies of
+        # the block's working set at once, which ran slower. The simulator
+        # runs one method per network
+        stacks = ([methods] if ys.shape[1] == 1 and not distributed
+                  else [(m,) for m in methods])
+        blocks = np.hsplit(ys, ys.shape[1]) if distributed else [ys]
         for block in blocks:
             self.trials += block.shape[1]
-            for m in self.cfg.methods:
-                for trace in self._solve(graph, h, block, m, params, reference):
-                    if trace.status == "diverged":
-                        self.diverged[m] += 1
-                    else:  # as an array: a third of the memory of floats
-                        self.curves[m].append(np.array(getattr(trace, field)))
+            for stack in stacks:
+                self._record(self._solve(graph, h, block, stack, params, reference),
+                             field)
 
-    def _solve(self, graph, h, ys, method, params, reference):
+    def _solve(self, graph, h, ys, stack, params, reference):
+        """(method, traces) for each method of the stack, through one
+        simulator run for a distributed config."""
         if not self.cfg.distributed:
-            solver_cfg = SolverConfig(method=method, max_iter=self.cfg.iterations)
-            return solve_block(h, ys, solver_cfg, reference, params)[1]
+            solved = solve_stack(h, ys, stack, self.cfg.iterations, reference, params)
+            return [(m, traces) for m, (_, traces) in zip(stack, solved)]
+        (method,) = stack
         net, trace = _solve_on_network(self.cfg, graph, h, ys[:, 0],
                                        method, reference)
         self.messages[method] += net.total_messages()
         if self.cfg.roundlog:
             self.rounds.extend(net.rounds)
-        return [trace]
+        return [(method, [trace])]
+
+    def _record(self, solved, field):
+        """Count each diverged trace; keep every other one's metric curve."""
+        for m, traces in solved:
+            for trace in traces:
+                if trace.status == "diverged":
+                    self.diverged[m] += 1
+                else:  # as an array: a third of the memory of floats
+                    self.curves[m].append(np.array(getattr(trace, field)))
 
     def aggregate(self, scenario: str, graph_info: dict,
                   **extra) -> TrialAggregate:

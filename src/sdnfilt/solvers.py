@@ -12,13 +12,15 @@ with a different approximate inverse G each:
     imia   G = diag(H(i,i) / sum_j H(i,j)^2)
 
 Each method is defined once, as a `Method` built from its G per filter;
-`solve_block` runs its update, `iteration_matrix` takes its error
+`solve_stack` runs its step, `iteration_matrix` takes its error
 operator and `spectral_radius` the radius of that operator. The
-iteration is linear in y, so `solve_block` runs all observations of one
-filter together as the columns of one block, and `solve` is its
-one-column case. The pgda and spgda updates are arranged
-entry-for-entry like the vertex-level message-passing algorithms so the
-distributed simulator reproduces these iterates bit for bit.
+iteration is linear in y, so all observations of one filter run
+together as the columns of one block, and several methods on it as one
+stack of blocks: `solve_stack` is that loop, `solve_block` its
+one-method case and `solve` its one-column case. The pgda and spgda
+updates are arranged entry-for-entry like the vertex-level
+message-passing algorithms so the distributed simulator reproduces
+these iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "NumericError",
     "solve",
     "solve_block",
+    "solve_stack",
     "iteration_matrix",
     "spectral_radius",
     "optimal_step",
@@ -129,10 +132,15 @@ class SolveTrace:
 class Method:
     """One method's approximate inverse G, built once per filter.
 
-    update(Y) gives the step (X, E) -> next X for the block of
-    observations Y (n x T, one per column), E = H X - Y being the residual
-    block `solve_block` has already formed for its record; a step that
-    forms H X' for its next X' itself returns the pair (X', H X').
+    A step takes x to x - G e, e = H x - y being the residual that
+    `solve_stack` has already formed for its record. g is the sparse part
+    of G as a CSR matrix: pgda's P^{-2} H^T, opgd's H^T and imia's
+    diagonal act on e. A method with a shift acts on x instead, as
+    x - G e = (x + G y) - G H x: spgda's g is P^{-1} H, and shift(Y) its
+    P^{-1} y, added to x before g's product is taken off. opgd's beta
+    scales g's product (`scale`). A routed method has no g: its `step`
+    takes (x, e) to the next x, or to the pair (x', H x') where it forms
+    H x' itself.
     error() gives the matvec of I - G H in symmetric similarity form.
     radius(), where a method has a route of its own, gives
     the spectral radius of that operator, or None where the route does
@@ -140,18 +148,20 @@ class Method:
     the singular values its step came from.
     """
 
-    update: Callable
+    g: sparse.csr_matrix | None
     error: Callable | None
     radius: Callable | None = None
     singular_values: SingularValues | None = None
+    scale: float = 1.0
+    shift: Callable | None = None
+    step: Callable | None = None
 
 
 def _pgda(h: GraphFilter) -> Method:
     p = build_pgda_preconditioner(h)
     ht = h.transpose()
-    scaled_ht = csr_product(_scale_rows_by_division(ht.csr, p * p))
     return Method(
-        update=lambda yv: lambda x, e: x - scaled_ht(e),
+        g=_scale_rows_by_division(ht.csr, p * p),
         error=lambda: lambda v: v - ht.matvec(h.matvec(v / p)) / p,
         radius=lambda: _pgda_radius(h, p),
     )
@@ -202,18 +212,16 @@ def _schur_bound(h: GraphFilter, p: np.ndarray) -> float:
 
 def _spgda(h: GraphFilter) -> Method:
     p = build_spgda_preconditioner(h)
-    h_tilde = csr_product(_scale_rows_by_division(h.csr, p))
-
-    def update(yv):
-        y_tilde = yv / p[:, None]
-        # association fixed as (x + y~) - H~ x to mirror the vertex update
-        return lambda x, e: (x + y_tilde) - h_tilde(x)
 
     def error():
         h_hat = normalized_filter(h, p)
         return lambda v: v - h_hat.matvec(v)
 
-    return Method(update, error, radius=lambda: _spgda_radius(h, p))
+    # x - P^{-1} (H x - y) associated as (x + P^{-1} y) - P^{-1} H x, to
+    # mirror the vertex update
+    return Method(g=_scale_rows_by_division(h.csr, p), error=error,
+                  radius=lambda: _spgda_radius(h, p),
+                  shift=lambda ys: ys / p[:, None])
 
 
 def _spgda_radius(h: GraphFilter, p: np.ndarray) -> SpectralEstimate | None:
@@ -242,10 +250,11 @@ def _opgd(h: GraphFilter) -> Method:
     smax2, smin2 = sv.sigma_max**2, sv.sigma_min**2
     radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged)
     return Method(
-        update=lambda yv: lambda x, e: x - beta * ht.matvec(e),
+        g=ht.csr,
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
         radius=lambda: radius,
         singular_values=sv,
+        scale=beta,
     )
 
 
@@ -261,8 +270,9 @@ def _imia(h: GraphFilter) -> Method:
         sq = np.sqrt(d)
         return lambda v: v - sq * h.matvec(sq * v)
 
-    dc = d[:, None]
-    return Method(lambda yv: lambda x, e: x - dc * e, error)
+    n = h.graph.n
+    return Method(g=sparse.csr_matrix((d, np.arange(n), np.arange(n + 1)), shape=(n, n)),
+                  error=error)
 
 
 _TABLE = {"pgda": _pgda, "spgda": _spgda, "opgd": _opgd, "imia": _imia}
@@ -393,67 +403,130 @@ def solve_block(
     observations of the filter h, and return (solutions, traces): an n x T
     array and an iterator over one SolveTrace per column. Each trace's
     lists of floats are built as the iterator reaches it, so only the
-    traces a caller keeps are held at once.
-
-    Each iteration takes one product of H with the whole block. Every
-    column is checked, stopped and recorded on its own, as `solve`
-    describes, so each gets bit for bit what `solve` gives on it alone: a
-    zero column stops at m = 0 as "converged", a column that diverges
-    when it does, and a nonfinite residual in a running column raises
-    NumericError. A stopped column stays in the block, stepping on with
-    the others, and nothing reads its later values. reference is one
-    signal for every column (n,) or one per column (n x T). The history
-    keeps per-column scalars only: squared errors, whose square roots and
-    quotients are taken once at the end. Where a squared residual norm
-    overflows (entries above about 1e154), the stop check retakes that
-    column's norm scaled, so a column of that size diverges when it would
-    at any other scale; its trace records the overflowed norm, inf.
+    traces a caller keeps are held at once. The one-method case of
+    `solve_stack`, which describes the checks.
     """
-    method = cfg.method
-    entry = prepare_params(h, method, params)[method]
-    n = h.graph.n
+    return solve_stack(h, ys, (cfg.method,), cfg.max_iter, reference, params)[0]
+
+
+def _block_rows(mats, cols: int, remap) -> sparse.csr_matrix:
+    """One CSR matrix of `cols` columns holding the rows of mats one block
+    after another, column c of block b moved to remap(b, c)."""
+    ends = np.cumsum([m.nnz for m in mats])
+    return sparse.csr_matrix(
+        (np.concatenate([m.data for m in mats]),
+         np.concatenate([remap(b, m.indices) for b, m in enumerate(mats)]),
+         np.concatenate([[0]] + [m.indptr[1:] + end - m.nnz
+                                 for m, end in zip(mats, ends)])),
+        shape=(sum(m.shape[0] for m in mats), cols))
+
+
+def solve_stack(
+    h: GraphFilter,
+    ys: np.ndarray,
+    methods,
+    max_iter: int,
+    reference: np.ndarray | None = None,
+    params: dict | None = None,
+):
+    """Run the iterations of several methods on the columns of ys (n x T),
+    T observations of the filter h, as one stack, and return one
+    (solutions, traces) pair per method, as `solve_block` describes it.
+
+    The M methods' iterates form one (M n) x T state. Each iteration takes
+    one product of the block diagonal diag(H, ..., H) with it, and one of
+    the block diagonal of the methods' G matrices with the state and its
+    residual (`Method`); for one method these are H and its own G. Every
+    column of every method is checked, stopped and recorded on its own,
+    as `solve` describes, so each gets bit for bit what `solve` gives on
+    it alone: a zero column stops at m = 0 as "converged", a column that
+    diverges when it does, and a nonfinite residual in a running column
+    raises NumericError naming its method. A stopped column stays in the
+    stack, stepping on with the others, and nothing reads its later
+    values. reference is one signal for every column (n,) or one per
+    column (n x T). The history keeps per-column scalars only: squared
+    errors, whose square roots and quotients are taken once at the end.
+    Where a squared residual norm overflows (entries above about 1e154),
+    the stop check retakes that column's norm scaled, so a column of that
+    size diverges when it would at any other scale; its trace records the
+    overflowed norm, inf.
+    """
+    names = [SolverConfig(method, max_iter).method for method in methods]
+    params = {} if params is None else params
+    entries = [prepare_params(h, method, params)[method] for method in names]
+    n, M = h.graph.n, len(names)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] != n:
         raise ValueError(f"observation block must be {n} x T, got {ys.shape}")
     k = ys.shape[1]
-    x = np.zeros((n, k))
-    step = entry.update(ys)
-
     track = reference is not None
     if track:
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape not in ((n,), (n, k)):
             raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
-        ref_rows = _rows(reference)     # (n,) stays 1-D
-        ref_norm = _norms(ref_rows)
+        ref_norm = _norms(_rows(reference))     # one norm, or one per column
+        ref_stack = np.tile(reference.reshape(n, -1), (M, 1))
     # per column: the residual and the error (squared)
     parts = 1 + track
+    # the iterates, residuals and errors of every method, in place
+    # throughout: w[0] = X, w[1] = H X - Y, w[2] = X - reference
+    w = np.zeros((1 + parts, M * n, k))
+    x, e, err = w[0], w[1], w[-1]
+    x3 = x.reshape(M, n, k)
+    y_stack = ys if M == 1 else np.tile(ys, (M, 1))
+    h_stack = h.matvec if M == 1 else csr_product(
+        _block_rows([h.csr] * M, M * n, lambda b, c: c + b * n))
+    routed = entries[0].step if M == 1 else None
+    if routed is None:
+        # on [X; E]: each g reads its own block of X or of E
+        g_stack = csr_product(_block_rows(
+            [entry.g for entry in entries], 2 * M * n,
+            lambda b, c: c + (b if entries[b].shift else M + b) * n))
+        pair = w[:2].reshape(2 * M * n, k)
+        blocks = [slice(b * n, (b + 1) * n) for b in range(M)]
+        scales = [(block, entry.scale) for block, entry in zip(blocks, entries)
+                  if entry.scale != 1.0]
+        shifts = [(x[block], entry.shift(ys)) for block, entry in zip(blocks, entries)
+                  if entry.shift is not None]
 
-    last = np.full(k, cfg.max_iter)     # iteration of each column's last record
-    status = ["max_iter"] * k
+    K = M * k                           # the stack's columns, method-major
+    # residuals and errors as C-contiguous rows, one per method and column,
+    # so that one vecdot writes all their squared norms, each a dot over
+    # contiguous memory: a view of w for one column, a copy for several
+    source = w[1:].reshape(parts, M, n, k).transpose(0, 1, 3, 2)
+    copy = None if source.flags.c_contiguous else np.empty(source.shape)
+    rows = (source if copy is None else copy).reshape(parts, K, n)
+    x_rows = x3.transpose(0, 2, 1)
+
+    last = np.full(K, max_iter)         # iteration of each column's last record
+    status = ["max_iter"] * K
     kept = []                           # each stop's columns and their iterates
     # squared norms by iteration, part and column
-    history = np.empty((cfg.max_iter + 1, parts, k))
-    y_rows = ys.T
-    z = np.empty((parts, k, n))
-    zs = list(z)
+    history = np.empty((max_iter + 1, parts, K))
 
     # a diverging iterate is allowed to overflow; it is reported through
     # the status / NumericError, not through numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(cfg.max_iter + 1):
-            if m:
-                x = step(x, zs[0].T)
-            if type(x) is tuple:
-                x, t = x
-            else:
-                t = h.matvec(x)
-            # residuals and errors as the C-contiguous rows of z: one vecdot
-            # writes all their squared norms, each a dot over contiguous memory
-            np.subtract(t.T, y_rows, out=zs[0])
+        for m in range(max_iter + 1):
+            t = None
+            if m and routed is not None:
+                new = routed(x, e)
+                if type(new) is tuple:
+                    new, t = new
+                np.copyto(x, new)
+            elif m:
+                g = g_stack(pair)
+                for block, beta in scales:
+                    g[block] *= beta
+                for x_block, shift in shifts:
+                    x_block += shift
+                x -= g
+            np.subtract(h_stack(x) if t is None else t, y_stack, out=e)
             if track:
-                np.subtract(x.T, ref_rows, out=zs[1])
-            resid = np.sqrt(np.vecdot(z, z, out=history[m])[0])
+                np.subtract(x, ref_stack, out=err)
+            if copy is not None:
+                np.copyto(copy, source)
+            resid = np.sqrt(np.vecdot(rows, rows, out=history[m])[0])
             if m:
                 # checked on floats, cheaper than array operations on a few
                 # columns; a NaN residual fails the comparison, so it stops
@@ -465,45 +538,47 @@ def solve_block(
                     # overflowed: the column stops only if its norm does not
                     # fit under the limit either
                     for j in np.flatnonzero(np.isinf(resid) & stop):
-                        stop[j] = not _scaled_norm(zs[0][j]) <= limits[j]
+                        stop[j] = not _scaled_norm(rows[0, j]) <= limits[j]
             else:
                 # a zero column stops at m = 0; a running one once its
                 # residual is not <= its limit, None once it stopped
                 for j in np.flatnonzero(np.isinf(resid)):
-                    resid[j] = _scaled_norm(zs[0][j])
+                    resid[j] = _scaled_norm(rows[0, j])
                 limits = (DIVERGENCE_FACTOR * resid).tolist()
                 stop = resid == 0.0
             if any(stop):
-                if m and np.isnan(resid[stop]).any():
-                    raise NumericError(method, m)
+                nan = np.flatnonzero(np.isnan(resid) & stop) if m else ()
+                if len(nan):
+                    raise NumericError(names[nan[0] // k], m)
                 for j in np.flatnonzero(stop):
                     status[j] = "diverged" if m else "converged"
                     limits[j] = None
                 last[stop] = m
-                kept.append((stop, x[:, stop]))
-                if limits.count(None) == k:
+                cols = np.reshape(stop, (M, k))
+                kept.append((cols, x_rows[cols]))
+                if limits.count(None) == K:
                     break
         for cols, xs in kept:
-            x[:, cols] = xs
+            x_rows[cols] = xs
 
         norms = history[:last.max() + 1]
         np.sqrt(norms, out=norms)
         res = norms[:, 0]
         if track:
-            err = norms[:, 1]
-            rel = err / np.where(ref_norm > 0.0, ref_norm, 1.0)
+            # every method's block of columns shares the reference norms
+            rel = norms[:, 1] / np.tile(np.where(ref_norm > 0.0, ref_norm, 1.0), M)
             snr = _snr_db(rel)
 
     def trace(j):
-        rows = slice(0, last[j] + 1)
-        tr = SolveTrace(method=method, residuals=res[rows, j].tolist(),
+        upto = slice(0, last[j] + 1)
+        tr = SolveTrace(method=names[j // k], residuals=res[upto, j].tolist(),
                         status=status[j])
         if track:
-            tr.relative_errors = rel[rows, j].tolist()
-            tr.snrs = snr[rows, j].tolist()
+            tr.relative_errors = rel[upto, j].tolist()
+            tr.snrs = snr[upto, j].tolist()
         return tr
 
-    return x, map(trace, range(k))
+    return [(x3[b].copy(), map(trace, range(b * k, (b + 1) * k))) for b in range(M)]
 
 
 def _snr_db(rel_error):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter, Signal
+from sdnfilt.filters import GraphFilter, Signal, csr_product
 from sdnfilt.graphs import Graph, hop_matrix
 from sdnfilt.preconditioners import (
     build_pgda_preconditioner,
@@ -101,18 +101,31 @@ def make_well_conditioned_spd(rng: np.random.Generator, g: Graph,
     return GraphFilter.identity(g) + h.scaled(spread / s)
 
 
+def method_step(h: GraphFilter, method: str, ys: np.ndarray, params=None):
+    """The step (x, e) -> x - G e of the method table's entry for the
+    observations ys, e being the residual H x - y, as `Method` defines it:
+    x - scale (g e), or (x + shift) - scale (g x) for a method with a
+    shift."""
+    entry = prepare_params(h, method, params)[method]
+    g = csr_product(entry.g)
+    if entry.shift is None:
+        return lambda x, e: x - entry.scale * g(e)
+    shift = entry.shift(ys)
+    return lambda x, e: (x + shift) - entry.scale * g(x)
+
+
 def weighted_errors(h: GraphFilter, y: Signal, method: str, reference: Signal,
                     iterations: int) -> list[float]:
     """||W (x_m - x*)|| for m = 0..iterations, the norm Theorems 2 and 3
     contract: W = P for pgda and P_sym^{1/2} for spgda. The iterates step
-    the method table's update from x_0 = 0 on the residual H x - y, as
+    the method table's step from x_0 = 0 on the residual H x - y, as
     `solve` does, but never stop early."""
     if method == "pgda":
         weight = build_pgda_preconditioner(h)
     else:
         weight = np.sqrt(build_spgda_preconditioner(h))
     ys = y.values[:, None]
-    step = prepare_params(h, method)[method].update(ys)
+    step = method_step(h, method, ys)
     x = np.zeros_like(ys)
     out = []
     for m in range(iterations + 1):

@@ -17,7 +17,9 @@ from sdnfilt.filters import Signal, build_denoise_filter
 from sdnfilt.graphs import knn_graph
 from sdnfilt.io import read_points_csv
 from sdnfilt.scenarios import _STREAM_OBS, _snr, _stream_seed, add_uniform_noise
-from sdnfilt.solvers import DIVERGENCE_FACTOR, direct_solve_oracle, prepare_params
+from sdnfilt.solvers import DIVERGENCE_FACTOR, direct_solve_oracle
+
+from conftest import method_step
 
 
 def denoise_reference(cfg):
@@ -35,7 +37,7 @@ def denoise_reference(cfg):
                               _stream_seed(cfg.master_seed, trial, _STREAM_OBS))
         limit_snrs.append(snr(direct_solve_oracle(h, b).values))
         for m in cfg.methods:
-            step = prepare_params(h, m, params)[m].update(b.values[:, None])
+            step = method_step(h, m, b.values[:, None], params)
             x = np.zeros((graph.n, 1))
             t = h.matvec(x)
             resid0 = np.linalg.norm(t[:, 0] - b.values)

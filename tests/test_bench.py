@@ -73,3 +73,39 @@ def test_claim_needs_gain_above_base_spread(bench):
     assert s["change_wins"] == 10
     assert s["base"]["q3"] - s["base"]["q1"] == pytest.approx(4.0)
     assert not s["claim_holds"]
+
+
+def test_layers_summarized_without_verdicts(bench):
+    layer_pairs = [{"base": {"layers": {"solvers.self_s": b}},
+                    "change": {"layers": {"solvers.self_s": c}}}
+                   for b, c in zip([12.0, 13.0, 12.5, 12.0], [9.0, 9.5, 13.0, 12.0])]
+    s = bench.summarize_layers(layer_pairs, {"solvers.self_s": "lower"})["solvers.self_s"]
+    assert s["base"]["median"] == 12.25 and s["change"]["median"] == 10.75
+    assert (s["change_wins"], s["base_wins"]) == (2, 1)
+    assert "within_bound" not in s and "claim_holds" not in s
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_traced_runs_follow_each_untraced_one(bench, monkeypatch, trace):
+    calls = []
+
+    def run_side(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, seed, trace))
+        value = {"base": 2.0, "change": 1.0}[tree]
+        names = ["scenarios.trial_s", "solvers.self_s"] if trace else ["run_s"]
+        return ({"correct": True, "attempted": 3, "failed": 0,
+                 "metrics": {k: {"value": value} for k in names}}, None)
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    pairs, _ = bench.run_pairs({"base": "base", "change": "change"}, "fig1-central",
+                               [7, 8], 0.0, trace)
+    untraced = [("base", 7), ("change", 7), ("change", 8), ("base", 8)]
+    if trace:
+        assert calls == [c + (t,) for c in untraced for t in (0, 1)]
+        assert pairs[1]["change"]["layers"] == {"scenarios.trial_s": 1.0,
+                                                "solvers.self_s": 1.0}
+        assert pairs[1]["change"]["traced_correct"]
+    else:
+        assert calls == [c + (0,) for c in untraced]
+        assert "layers" not in pairs[0]["base"]
+    assert pairs[0]["base"]["metrics"] == {"run_s": 2.0}

@@ -546,6 +546,19 @@ class TestFactor:
         x = h.lu().solve(np.ones(g.n))
         assert np.linalg.norm(h.matvec(x) - 1.0) <= 1e-12 * np.sqrt(g.n)
 
+    def test_released_factor_keeps_the_pivot_record(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = generate_run_graph(128, float(np.sqrt(2.0 / 128)), 31)
+        h = build_fig1_filter(g, 0.05, 3)
+        assert h.positive_definite()
+        first = h.lu()
+        h.release_factor()
+        assert h._lu is None and len(calls) == 1
+        # the certificate is read off the kept record, with no new factor
+        assert h.positive_definite() and len(calls) == 1
+        # a later solve factors H again
+        assert h.lu() is not first and len(calls) == 2
+
     def test_nonsymmetric_filter_gets_colamd(self, rng, monkeypatch):
         calls = self.spy(monkeypatch)
         h = make_invertible(rng, random_connected_graph(rng, 30), 2)

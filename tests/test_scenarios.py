@@ -25,7 +25,7 @@ from sdnfilt.scenarios import (
     run_custom,
     synthetic_points,
 )
-from sdnfilt.solvers import SolverConfig, direct_solve_oracle, solve
+from sdnfilt.solvers import METHODS, SolverConfig, direct_solve_oracle, solve
 
 from conftest import dense_of, write_two_vertex_custom
 from scenario_reference import denoise_reference
@@ -531,6 +531,66 @@ class TestDistributedScenarioRouting:
         assert routed.relative_errors == central.relative_errors
         assert routed.status == central.status
         assert len(net.rounds) == 1 + 2 * 20
+
+
+class TestMethodStacks:
+    """A centralized block of one observation is one stack of every method;
+    a block of several (denoise) and a distributed run solve one method at
+    a time."""
+
+    def count(self, monkeypatch):
+        import sdnfilt.scenarios as scenarios
+
+        calls = {"stack": [], "block": []}
+        stack, block = scenarios.solve_stack, scenarios.solve_block
+
+        def counted_stack(h, ys, methods, *rest):
+            calls["stack"].append((tuple(methods), ys.shape[1]))
+            return stack(h, ys, methods, *rest)
+
+        def counted_block(h, ys, cfg, *rest):
+            calls["block"].append((cfg.method, ys.shape[1]))
+            return block(h, ys, cfg, *rest)
+
+        monkeypatch.setattr(scenarios, "solve_stack", counted_stack)
+        monkeypatch.setattr(scenarios, "solve_block", counted_block)
+        return calls
+
+    def test_fig1_and_custom_stack_every_method(self, monkeypatch, tmp_path):
+        calls = self.count(monkeypatch)
+        run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=2, iterations=10,
+                                master_seed=2024))
+        assert calls == {"stack": [(METHODS, 1)] * 2, "block": []}
+        calls["stack"].clear()
+        base = write_two_vertex_custom(tmp_path)
+        run_custom(ScenarioConfig(**{**base, "methods": ("imia", "pgda")}, iterations=10))
+        assert calls == {"stack": [(("imia", "pgda"), 1)], "block": []}
+
+    def test_factor_released_before_the_solves(self, monkeypatch):
+        import sdnfilt.scenarios as scenarios
+
+        factors, stack = [], scenarios.solve_stack
+        monkeypatch.setattr(scenarios, "solve_stack",
+                            lambda h, *rest: factors.append(h._lu) or stack(h, *rest))
+        run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=2, iterations=10,
+                                master_seed=2024))
+        assert factors == [None, None]
+
+    def test_denoise_solves_one_method_at_a_time(self, monkeypatch, tmp_path):
+        coords, values = synthetic_points(40, rng_seed=3)
+        path = str(tmp_path / "points.csv")
+        write_points_csv(path, coords, values)
+        calls = self.count(monkeypatch)
+        run_denoise(ScenarioConfig(scenario="denoise", points_csv=path, eta=35.0,
+                                   trials=5, iterations=10, master_seed=9))
+        assert calls == {"stack": [((m,), 5) for m in METHODS], "block": []}
+
+    def test_distributed_solves_one_method_at_a_time(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=2, iterations=10,
+                                master_seed=2024, distributed=True,
+                                methods=("pgda", "spgda")))
+        assert calls == {"stack": [], "block": [("pgda", 1), ("spgda", 1)] * 2}
 
 
 class TestSimulatorDivergence:

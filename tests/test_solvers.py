@@ -18,6 +18,7 @@ from sdnfilt.solvers import (
     prepare_params,
     solve,
     solve_block,
+    solve_stack,
     spectral_radius,
 )
 from sdnfilt.filters import (
@@ -31,6 +32,7 @@ from conftest import (
     make_invertible,
     make_spd,
     make_well_conditioned_spd,
+    method_step,
     random_connected_graph,
     random_filter,
     weighted_errors,
@@ -570,7 +572,7 @@ def fast_column(h, method):
     than a random one. The step with y = 0 is e -> (I - G H) e."""
     n = h.graph.n
     eye = np.eye(n)
-    step = prepare_params(h, method)[method].update(np.zeros((n, n)))
+    step = method_step(h, method, np.zeros((n, n)))
     lam, vecs = np.linalg.eig(step(eye, h.matvec(eye)))
     v = np.real(vecs[:, np.argmin(np.abs(lam))])
     return h.matvec(v)
@@ -849,3 +851,112 @@ class TestOneOperatorLayer:
             calls.clear()
             est = spectral_radius(h, method, params)
             assert est.iterations > 1 and len(calls) == est.iterations - 1, method
+
+
+def fig1_trials(n, master_seed, trials, gamma=0.05):
+    """(h, y, x) of the first trials of a fig1 run, drawn as run_fig1 draws
+    them: the filter, the observation (n, 1) and the clean signal."""
+    from sdnfilt.scenarios import (_STREAM_FILTER, _STREAM_SIGNAL, _stream_seed,
+                                   add_uniform_noise, blockwise_polynomial,
+                                   generate_run_graph)
+
+    g = generate_run_graph(n, float(np.sqrt(2.0 / n)), master_seed)
+    base = blockwise_polynomial(g)
+    for t in range(trials):
+        h = build_fig1_filter(g, gamma, _stream_seed(master_seed, t, _STREAM_FILTER))
+        x = add_uniform_noise(base, 0.2, _stream_seed(master_seed, t, _STREAM_SIGNAL))
+        yield h, h.matvec(x.values)[:, None], x.values
+
+
+class TestSolveStack:
+    """A stack of methods on one filter gives, method by method, what each
+    method's own solve gives, bit for bit."""
+
+    def assert_stack_matches_alone(self, h, ys, methods, max_iter, reference=None):
+        """The stack's iterates and traces against `solve` on each method
+        and column alone; returns the stack's traces by method."""
+        params = {}
+        stacked = solve_stack(h, ys, methods, max_iter, reference, params)
+        out = {}
+        for method, (xs, traces) in zip(methods, stacked):
+            traces = list(traces)
+            assert xs.shape == ys.shape and len(traces) == ys.shape[1]
+            for j, trace in enumerate(traces):
+                ref = None if reference is None else Signal(h.graph, reference)
+                x, alone = solve(h, Signal(h.graph, ys[:, j].copy()),
+                                 SolverConfig(method, max_iter), ref, params)
+                assert bits(xs[:, j]) == bits(x.values), method
+                assert dataclasses.asdict(trace) == dataclasses.asdict(alone), method
+                assert bits(trace.residuals) == bits(alone.residuals), method
+                if reference is not None:
+                    assert bits(trace.relative_errors) == bits(alone.relative_errors)
+            out[method] = traces
+        return out
+
+    @pytest.mark.parametrize("n, master_seed, trials", [(128, 31, 3), (512, 777016, 1)])
+    def test_fig1_trials(self, n, master_seed, trials):
+        # (512, 777016, 1) is the reference study's first trial
+        for h, y, x in fig1_trials(n, master_seed, trials):
+            traces = self.assert_stack_matches_alone(h, y, METHODS, 200, x)
+            assert all(t[0].status == "max_iter" for t in traces.values())
+            # and each equals the plain iteration of the method's own step
+            xs = dict(zip(METHODS, (x for x, _ in solve_stack(h, y, METHODS, 200))))
+            for method in METHODS:
+                step, xm = method_step(h, method, y), np.zeros_like(y)
+                for _ in range(200):
+                    xm = step(xm, h.matvec(xm) - y)
+                assert bits(xs[method]) == bits(xm), method
+
+    def test_overflow_of_a_diverged_method_leaves_the_others_alone(self):
+        # at gamma = 0.6 the filter is indefinite: spgda's radius falls back
+        # to Lanczos and comes out above 1, and spgda and imia diverge. Their
+        # stopped blocks step on until their iterates overflow, while pgda
+        # and opgd run to max_iter
+        (h, y, x), = fig1_trials(128, 777016, 1, gamma=0.6)
+        assert not h.positive_definite()
+        max_iter = 5000
+        traces = self.assert_stack_matches_alone(h, y, METHODS, max_iter, x)
+        for method in ("spgda", "imia"):
+            (trace,) = traces[method]
+            assert trace.status == "diverged" and trace.iterations < 200
+            rho = spectral_radius(h, method).value
+            grown = np.log(trace.residuals[-1]) + (max_iter - trace.iterations) * np.log(rho)
+            assert grown > np.log(np.finfo(float).max), method
+        assert [traces[m][0].status for m in ("pgda", "opgd")] == ["max_iter"] * 2
+
+    def test_nan_in_one_method_raises_naming_it(self, monkeypatch):
+        # on [[1,2],[2,1]] spgda grows the error along [1,-1] by 4/3 a step
+        # and imia by 6/5; pgda and opgd contract it
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", float("inf"))
+        y = np.array([[-1.0], [1.0]])
+        alone = {}
+        for method in ("spgda", "imia"):
+            with pytest.raises(NumericError) as exc:
+                solve_block(h, y, SolverConfig(method, 10000))
+            alone[method] = exc.value.iteration
+        assert alone["spgda"] < alone["imia"]
+        for stack, first in ((METHODS, "spgda"), (("pgda", "opgd", "imia"), "imia")):
+            with pytest.raises(NumericError) as exc:
+                solve_stack(h, y, stack, 10000)
+            assert exc.value.iteration == alone[first]
+            assert str(exc.value) == f"{first}: nonfinite values at iteration {alone[first]}"
+
+    def test_zero_observation_converges_at_once(self, rng):
+        g = random_connected_graph(rng, 30)
+        h = make_invertible(rng, g, 2, symmetric=True)
+        traces = self.assert_stack_matches_alone(h, np.zeros((30, 1)), METHODS, 50,
+                                                 np.zeros(30))
+        for method, (trace,) in traces.items():
+            assert (trace.status, trace.iterations) == ("converged", 0), method
+
+    def test_columns_and_early_stops(self, rng):
+        # several columns in a stack keep every method's early stops
+        h = from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]])
+        ys = np.column_stack([[3.0, 3.0], [-1.0, 1.0], [0.0, 0.0], rng.standard_normal(2)])
+        stacked = solve_stack(h, ys, METHODS, 300)
+        for method, (xs, traces) in zip(METHODS, stacked):
+            x, alone = solve_block(h, ys, SolverConfig(method, 300))
+            assert bits(xs) == bits(x), method
+            assert [dataclasses.asdict(t) for t in traces] == \
+                [dataclasses.asdict(t) for t in alone], method
