@@ -7,9 +7,11 @@
 Both sides are copied into one temporary directory as `scripts/bench.py`
 copies them. For each size, `sdnfilt run` runs a centralized fig1 config
 of one trial with all four methods and 200 iterations, at the edge
-radius RADII gives for that n. Base and change alternate which side goes
-first, one process at a time, each with one BLAS thread. Sizes up to
-16384 get `--pairs` pairs; 65536 gets one pair, and the result says so.
+radius RADII gives for that n. Sizes up to DISTRIBUTED_UP_TO then run the
+same config through the vertex-level simulator (`--distributed --methods
+pgda,spgda`). Base and change alternate which side goes first, one
+process at a time, each with one BLAS thread. Sizes up to 16384 get
+`--pairs` pairs; 65536 gets one pair, and the result says so.
 
 Each process runs under a small bootstrap that times the filter's LU
 factorization. Per run the result records:
@@ -22,12 +24,15 @@ factorization. Per run the result records:
     pivots        (every pivot on the diagonal, negative pivots), where
                   the side reads them (for spgda's radius certificate)
     spectral_fallbacks  from summary.json
+    message_totals      from summary.json (zeros for a centralized run)
 
 Exit 3, which `sdnfilt run` returns after writing its outputs when a
 method diverges in a one-trial run, counts as a finished run. Each size
 also gets each side's median and quartiles of wall_s, peak_rss_mb and
-factor_s. The file records the base and head commits with a digest and
-line count of each side's src/, as `scripts/bench.py` does.
+factor_s. Centralized sections go under "sizes" and simulator sections
+under "distributed", keyed by n. The file records the base and head
+commits with a digest and line count of each side's src/, as
+`scripts/bench.py` does.
 """
 
 import argparse
@@ -46,6 +51,8 @@ from bench import ROOT, export_base, export_worktree, git, quartiles, src_summar
 # graph within the generator's retry budget
 RADII = {4096: 0.035, 16384: 0.0206, 65536: 0.011}
 ONE_PAIR_FROM = 65536
+DISTRIBUTED_UP_TO = 16384
+DISTRIBUTED_ARGV = ["--distributed", "--methods", "pgda,spgda"]
 MASTER_SEED = 777016
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
@@ -75,8 +82,9 @@ sys.exit(code)
 """
 
 
-def run_side(tree, work, n):
-    """One `sdnfilt run` process of one fig1 trial at size n."""
+def run_side(tree, work, n, argv):
+    """One `sdnfilt run` process of one fig1 trial at size n, with the extra
+    `sdnfilt run` arguments argv."""
     config = os.path.join(work, f"fig1-{n}.json")
     with open(config, "w") as fh:
         json.dump({"scenario": "fig1", "n": n, "radius": RADII[n], "trials": 1,
@@ -87,7 +95,7 @@ def run_side(tree, work, n):
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-c", BOOTSTRAP, tree, report, "run", "--config", config,
-         "--out", out], cwd=tree, env={**env, **CHILD_ENV},
+         "--out", out, *argv], cwd=tree, env={**env, **CHILD_ENV},
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     stderr = proc.stderr.read()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -100,18 +108,19 @@ def run_side(tree, work, n):
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-            **factor, "spectral_fallbacks": summary["spectral_fallbacks"]}
+            **factor, "spectral_fallbacks": summary["spectral_fallbacks"],
+            "message_totals": summary["message_totals"]}
 
 
-def run_size(trees, work, n, pairs):
+def run_size(trees, work, n, pairs, argv=()):
     runs = []
     for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_side(trees[side], work, n)
+            pair[side] = run_side(trees[side], work, n, argv)
         runs.append(pair)
-        print(json.dumps({"n": n, **pair}), file=sys.stderr)
+        print(json.dumps({"n": n, "argv": argv, **pair}), file=sys.stderr)
     summary = {side: {key: quartiles([p[side][key] for p in runs])
                       for key in ("wall_s", "peak_rss_mb", "factor_s")}
                for side in ("base", "change")}
@@ -134,13 +143,15 @@ def main(argv=None):
         parser.error(f"sizes must come from {sorted(RADII)}")
     work = tempfile.mkdtemp(prefix="sdnfilt-scale-")
     trees = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
-    results = {}
+    results, distributed = {}, {}
     try:
         export_base(args.base, trees["base"])
         export_worktree(trees["change"])
         for n in sizes:
             pairs = 1 if n >= ONE_PAIR_FROM else args.pairs
             results[str(n)] = run_size(trees, work, n, pairs)
+            if n <= DISTRIBUTED_UP_TO:
+                distributed[str(n)] = run_size(trees, work, n, pairs, DISTRIBUTED_ARGV)
         sources = {side: src_summary(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -150,21 +161,26 @@ def main(argv=None):
         "label": args.label,
         "config": {"scenario": "fig1", "trials": 1, "iterations": 200,
                    "master_seed": MASTER_SEED, "methods": "pgda,spgda,opgd,imia",
-                   "child_env": CHILD_ENV},
+                   "child_env": CHILD_ENV,
+                   "distributed_argv": " ".join(DISTRIBUTED_ARGV),
+                   "distributed_up_to": DISTRIBUTED_UP_TO},
         "note": f"n >= {ONE_PAIR_FROM} runs one pair",
         "base": {"rev": args.base, "sha": git("rev-parse", args.base, text=True).strip(),
                  **sources["base"]},
         "change": {"head": git("rev-parse", "HEAD", text=True).strip(),
                    "uncommitted_changes": dirty, **sources["change"]},
         "sizes": results,
+        "distributed": distributed,
     }
     out = args.out or os.path.join(ROOT, f"BENCH_scale_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    for n, sec in results.items():
+    sections = [(n, "", sec) for n, sec in results.items()]
+    sections += [(n, " distributed", sec) for n, sec in distributed.items()]
+    for n, mode, sec in sections:
         b, c = sec["summary"]["base"], sec["summary"]["change"]
-        print(f"n={n} ({sec['pairs']} pairs): wall {b['wall_s']['median']:.2f} -> "
+        print(f"n={n}{mode} ({sec['pairs']} pairs): wall {b['wall_s']['median']:.2f} -> "
               f"{c['wall_s']['median']:.2f} s, peak RSS {b['peak_rss_mb']['median']:.0f} -> "
               f"{c['peak_rss_mb']['median']:.0f} MB, factor {b['factor_s']['median']:.2f} -> "
               f"{c['factor_s']['median']:.2f} s, fill {sec['runs'][0]['base']['factor_nnz']} -> "

@@ -150,7 +150,15 @@ def _cmd_ingest(args) -> int:
 def _cmd_report(args) -> int:
     path = os.path.join(args.out, "summary.json")
     with open(path) as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(summary, dict):
+        raise IngestError(f"{path}: expected a JSON object")
+    for key in ("scenario", "trials", "master_seed", "metric", "methods"):
+        if key not in summary:
+            raise IngestError(f"{path}: missing key {key!r}")
     print(f"scenario: {summary['scenario']}  trials: {summary['trials']}  "
           f"seed: {summary['master_seed']}")
     print(f"metric: {summary['metric']}")
@@ -162,7 +170,7 @@ def _cmd_report(args) -> int:
     print(header)
     for m in summary["methods"]:
         radius = radii.get(m)
-        print(f"{m:8} {radius if radius is None else f'{radius:.4f}':>10} "
+        print(f"{m:8} {'None' if radius is None else f'{radius:.4f}':>10} "
               f"{str(to5.get(m)):>8} {str(plat.get(m)):>8} "
               f"{str(diverged.get(m, 0)):>9}")
     if summary.get("limit_snr") is not None:

@@ -59,13 +59,18 @@ def _vertex_id(text: str, n: int) -> int:
     return i
 
 
+# write buffer of the temp file: a streamed round log reaches the kernel in
+# writes of this size, not one per round
+_WRITE_BUFFER = 256 * 1024
+
+
 def atomic_write_text(path: str, text) -> None:
     """Write a string, or an iterable of string chunks, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", buffering=_WRITE_BUFFER) as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -262,32 +267,39 @@ def _same(a, b) -> bool:
 
 
 def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
-    """(s, ["s,t," per message]) for each contiguous run of equal sender."""
-    return [(s, [f"{s},{t}," for _, t in run]) for s, run in
+    """([s per run], [["s,t," per message] per run]) for each contiguous run
+    of equal sender. Every run but the last ends in an empty field, so its
+    join ends with the separator that starts the next run's first row."""
+    runs = [(s, [f"{s},{t}," for _, t in run]) for s, run in
             groupby(zip(senders.tolist(), receivers.tolist()), key=itemgetter(0))]
+    for _, fields in runs[:-1]:
+        fields.append("")
+    return [s for s, _ in runs], [fields for _, fields in runs]
 
 
 def write_roundlog_csv(path: str, rounds) -> None:
     """One row per logged message, streamed one round at a time.
 
     Message k of a round carries sent[senders[k]], so a run of messages
-    from one sender shares its value: each run is one str.join of its
-    prebuilt "s,t," fields. The runs are rebuilt only when the
-    (senders, receivers) pattern differs from the previous round's; all
-    rounds of one network share the same arrays."""
+    from one sender shares its value: the run is one str.join of its
+    prebuilt "s,t," fields with the separator "kind,value\nepoch,round,",
+    which ends each row and starts the next. The runs are rebuilt only
+    when the (senders, receivers) pattern differs from the previous
+    round's; all rounds of one network share the same arrays. Each round
+    is one chunk; the file's write buffer batches them."""
     def chunks():
         yield "epoch,round,from,to,kind,value\n"
-        senders = receivers = runs = None
+        senders = receivers = None
         for r in rounds:
             if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
                 senders, receivers = r.senders, r.receivers
-                runs = _sender_runs(senders, receivers)
-            head, sent = f"{r.epoch},{r.index},", r.sent.tolist()
-            parts = []
-            for s, fields in runs:
-                tail = f"{r.kind},{sent[s]!r}\n"
-                parts.append(f"{head}{(tail + head).join(fields)}{tail}")
-            yield "".join(parts)
+                run_senders, run_fields = _sender_runs(senders, receivers)
+            if not run_senders:
+                continue
+            head, kind, sent = f"{r.epoch},{r.index},", r.kind, r.sent.tolist()
+            seps = [f"{kind},{sent[s]!r}\n{head}" for s in run_senders]
+            yield "".join([head, *map(str.join, seps, run_fields),
+                           seps[-1][:-len(head)]])
     atomic_write_text(path, chunks())
 
 

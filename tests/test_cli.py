@@ -318,3 +318,26 @@ class TestReport:
 
     def test_report_missing_dir_exit_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 4
+
+    def test_report_time_varying_prints_table(self, tmp_path, capsys):
+        # time_varying records no spectral radius; its column reads None
+        cfg = write_config(tmp_path, scenario="time_varying", n=32, epochs=1,
+                           iterations=5, master_seed=5)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == 0
+        row = capsys.readouterr().out.splitlines()[3].split()
+        assert row[:2] == ["pgda", "None"]
+
+    def test_report_summary_missing_key_exit_4(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text("{}\n")
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'summary.json'}: missing key 'scenario'" in err
+
+    def test_report_truncated_summary_exit_4(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text('{\n  "scenario": ')
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'summary.json'}:2: Expecting value" in err

@@ -290,6 +290,52 @@ class TestRoundlogWriter:
         assert text[9:] == ["1,1,2,0,x,-0.0", "1,1,2,1,x,-0.0", "1,1,1,2,x,5e-324",
                             "1,2,1,0,v,5e-324", "1,2,0,1,v,-0.0", "1,2,0,2,v,-0.0"]
 
+    def test_nonfinite_values(self, tmp_path):
+        sent = np.array([np.nan, np.inf, -np.inf])
+        rounds = [Round(epoch=0, index=0, kind="x", count=4, senders=_ids(0, 0, 1, 2),
+                        receivers=_ids(1, 2, 0, 0), sent=sent)]
+        self.assert_matches_reference(tmp_path, rounds)
+        assert (tmp_path / "roundlog.csv").read_text().splitlines()[1:] == [
+            "0,0,0,1,x,nan", "0,0,0,2,x,nan", "0,0,1,0,x,inf", "0,0,2,0,x,-inf"]
+
+    def test_round_with_one_message(self, tmp_path):
+        rounds = [Round(epoch=2, index=7, kind="v", count=1, senders=_ids(1),
+                        receivers=_ids(0), sent=np.array([0.5, -1.25]))]
+        self.assert_matches_reference(tmp_path, rounds)
+        assert (tmp_path / "roundlog.csv").read_text() == (
+            "epoch,round,from,to,kind,value\n2,7,1,0,v,-1.25\n")
+
+    def test_last_run_with_one_message(self, tmp_path):
+        sent = np.array([0.1, 0.2, 0.3])
+        rounds = [Round(epoch=0, index=i, kind="d", count=4,
+                        senders=_ids(0, 0, 1, 2), receivers=_ids(1, 2, 2, 1),
+                        sent=sent * (i + 1)) for i in range(2)]
+        self.assert_matches_reference(tmp_path, rounds)
+        assert (tmp_path / "roundlog.csv").read_text().splitlines()[4] == (
+            "0,0,2,1,d,0.3")
+
+    def test_single_sender(self, tmp_path):
+        rounds = [Round(epoch=1, index=i, kind="x", count=3, senders=_ids(2, 2, 2),
+                        receivers=_ids(0, 1, 3), sent=np.array([9.0, 8.0, 0.1 * i, 6.0]))
+                  for i in range(3)]
+        self.assert_matches_reference(tmp_path, rounds)
+        assert (tmp_path / "roundlog.csv").read_text().splitlines()[7:] == [
+            "1,2,2,0,x,0.2", "1,2,2,1,x,0.2", "1,2,2,3,x,0.2"]
+
+    def test_alternating_patterns(self, tmp_path):
+        # patterns A, B, A, A: the cached runs are rebuilt at each change
+        # and reused while the pattern repeats, by identity and by value
+        a = (_ids(0, 0, 1, 2, 2), _ids(1, 2, 0, 0, 1))
+        b = (_ids(2, 1, 1), _ids(0, 0, 2))
+        patterns = [a, b, a, (a[0].copy(), a[1].copy())]
+        rounds = [Round(epoch=0, index=i, kind="xvdx"[i], count=len(s), senders=s,
+                        receivers=t, sent=np.array([1.5, -2.0, 1e-300]) * (i + 1))
+                  for i, (s, t) in enumerate(patterns)]
+        self.assert_matches_reference(tmp_path, rounds)
+        lines = (tmp_path / "roundlog.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5 + 3 + 5 + 5
+        assert lines[6:9] == ["0,1,2,0,v,2e-300", "0,1,1,0,v,-4.0", "0,1,1,2,v,-4.0"]
+
 
 class TestAtomicWrite:
     def test_no_temp_files_left(self, tmp_path):
@@ -299,3 +345,26 @@ class TestAtomicWrite:
         assert open(path).read() == "world\n"
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
+
+
+    @pytest.mark.parametrize("chunks_before_error", [0, 128])
+    def test_failed_write_keeps_previous_file(self, tmp_path, chunks_before_error):
+        # 128 chunks of 4 KB pass the 256 KB write buffer, so part of the
+        # data has reached the temp file when the iterator raises
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "previous\n")
+        written = []
+
+        def chunks():
+            for _ in range(chunks_before_error):
+                yield "x" * 4096
+            temps = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+            written.extend(os.path.getsize(tmp_path / f) for f in temps)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            atomic_write_text(str(path), chunks())
+        assert len(written) == 1
+        assert (written[0] > 0) == (chunks_before_error > 0)
+        assert path.read_bytes() == b"previous\n"
+        assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
