@@ -13,11 +13,13 @@ pgda,spgda`). Base and change alternate which side goes first, one
 process at a time, each with one BLAS thread. Sizes up to 16384 get
 `--pairs` pairs; 65536 gets one pair, and the result says so.
 
-Each process runs under a small bootstrap that times the filter's LU
-factorization. Per run the result records:
+Each process runs under a small bootstrap that times the graph draw and
+the filter's LU factorization. Per run the result records:
 
     wall_s        the process's wall time, interpreter start included
     peak_rss_mb   the process's own peak RSS, from os.wait4
+    graph_s       the time of scenarios.generate_run_graph
+    graph_rss_mb  the process's peak RSS (ru_maxrss) right after it
     nnz_h         nonzeros of the filter H
     factor_nnz    nonzeros of its LU factor (L and U together)
     factor_s      the time of GraphFilter.lu's first call
@@ -28,11 +30,11 @@ factorization. Per run the result records:
 
 Exit 3, which `sdnfilt run` returns after writing its outputs when a
 method diverges in a one-trial run, counts as a finished run. Each size
-also gets each side's median and quartiles of wall_s, peak_rss_mb and
-factor_s. Centralized sections go under "sizes" and simulator sections
-under "distributed", keyed by n. The file records the base and head
-commits with a digest and line count of each side's src/, as
-`scripts/bench.py` does.
+also gets each side's median and quartiles of wall_s, peak_rss_mb,
+graph_s, graph_rss_mb and factor_s. Centralized sections go under
+"sizes" and simulator sections under "distributed", keyed by n. The file
+records the base and head commits with a digest and line count of each
+side's src/, as `scripts/bench.py` does.
 """
 
 import argparse
@@ -58,11 +60,19 @@ CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 BOOTSTRAP = """
-import json, os, sys, time
+import json, os, resource, sys, time
 tree, report = sys.argv[1], sys.argv[2]
 sys.path.insert(0, os.path.join(tree, "src"))
-from sdnfilt import cli, filters
+from sdnfilt import cli, filters, scenarios
 lu, factors = filters.GraphFilter.lu, []
+generate, graphs = scenarios.generate_run_graph, []
+def timed_graph(*args):
+    start = time.perf_counter()
+    g = generate(*args)
+    graphs.append({"graph_s": time.perf_counter() - start, "graph_rss_mb":
+                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+    return g
+scenarios.generate_run_graph = timed_graph
 def timed(self):
     if self._lu is not None:
         return lu(self)
@@ -76,8 +86,8 @@ try:
     code = cli.main(sys.argv[3:])
 finally:
     with open(report, "w") as fh:
-        json.dump([{**info, "pivots": getattr(h, "_pivots", None)}
-                   for h, info in factors], fh)
+        json.dump({"graphs": graphs, "factors": [
+            {**info, "pivots": getattr(h, "_pivots", None)} for h, info in factors]}, fh)
 sys.exit(code)
 """
 
@@ -104,11 +114,12 @@ def run_side(tree, work, n, argv):
     if code not in (0, 3):
         raise RuntimeError(f"n={n} failed in {tree} (exit {code}):\n{stderr.decode()[-2000:]}")
     with open(report) as fh:
-        (factor,) = json.load(fh)
+        record = json.load(fh)
+    (graph,), (factor,) = record["graphs"], record["factors"]
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-            **factor, "spectral_fallbacks": summary["spectral_fallbacks"],
+            **graph, **factor, "spectral_fallbacks": summary["spectral_fallbacks"],
             "message_totals": summary["message_totals"]}
 
 
@@ -122,7 +133,8 @@ def run_size(trees, work, n, pairs, argv=()):
         runs.append(pair)
         print(json.dumps({"n": n, "argv": argv, **pair}), file=sys.stderr)
     summary = {side: {key: quartiles([p[side][key] for p in runs])
-                      for key in ("wall_s", "peak_rss_mb", "factor_s")}
+                      for key in ("wall_s", "peak_rss_mb", "graph_s", "graph_rss_mb",
+                                  "factor_s")}
                for side in ("base", "change")}
     return {"radius": RADII[n], "pairs": len(runs), "summary": summary, "runs": runs}
 
@@ -182,7 +194,9 @@ def main(argv=None):
         b, c = sec["summary"]["base"], sec["summary"]["change"]
         print(f"n={n}{mode} ({sec['pairs']} pairs): wall {b['wall_s']['median']:.2f} -> "
               f"{c['wall_s']['median']:.2f} s, peak RSS {b['peak_rss_mb']['median']:.0f} -> "
-              f"{c['peak_rss_mb']['median']:.0f} MB, factor {b['factor_s']['median']:.2f} -> "
+              f"{c['peak_rss_mb']['median']:.0f} MB, graph {b['graph_s']['median']:.2f} -> "
+              f"{c['graph_s']['median']:.2f} s, {b['graph_rss_mb']['median']:.0f} -> "
+              f"{c['graph_rss_mb']['median']:.0f} MB, factor {b['factor_s']['median']:.2f} -> "
               f"{c['factor_s']['median']:.2f} s, fill {sec['runs'][0]['base']['factor_nnz']} -> "
               f"{sec['runs'][0]['change']['factor_nnz']}")
     print(f"wrote {out}")

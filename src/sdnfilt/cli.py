@@ -147,6 +147,10 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cmd_report(args) -> int:
     path = os.path.join(args.out, "summary.json")
     with open(path) as fh:
@@ -159,10 +163,30 @@ def _cmd_report(args) -> int:
     for key in ("scenario", "trials", "master_seed", "metric", "methods"):
         if key not in summary:
             raise IngestError(f"{path}: missing key {key!r}")
+    if not (isinstance(summary["methods"], list)
+            and all(isinstance(m, str) for m in summary["methods"])):
+        raise IngestError(f"{path}: key 'methods' must be a list of method names")
+    for key in ("mean_spectral_radius", "iterations_to_5pct", "iterations_to_plateau",
+                "diverged", "spectral_unconverged"):
+        if not isinstance(summary.get(key) or {}, dict):
+            raise IngestError(f"{path}: key {key!r} must be an object")
+    # the values the report formats as numbers or reads keys of
+    radii = summary.get("mean_spectral_radius") or {}
+    if not all(r is None or _is_number(r) for r in radii.values()):
+        raise IngestError(f"{path}: key 'mean_spectral_radius' must map methods to numbers")
+    limit = summary.get("limit_snr")
+    if not (limit is None or _is_number(limit)):
+        raise IngestError(f"{path}: key 'limit_snr' must be a number")
+    kappas = summary.get("condition_numbers") or []
+    if not (isinstance(kappas, list) and all(map(_is_number, kappas))):
+        raise IngestError(f"{path}: key 'condition_numbers' must be a list of numbers")
+    missed = summary.get("spectral_unconverged")
+    if missed and not {"radius", "singular_values"} <= missed.keys():
+        raise IngestError(
+            f"{path}: key 'spectral_unconverged' must hold 'radius' and 'singular_values'")
     print(f"scenario: {summary['scenario']}  trials: {summary['trials']}  "
           f"seed: {summary['master_seed']}")
     print(f"metric: {summary['metric']}")
-    radii = summary.get("mean_spectral_radius") or {}
     to5 = summary.get("iterations_to_5pct") or {}
     plat = summary.get("iterations_to_plateau") or {}
     diverged = summary.get("diverged") or {}
@@ -173,14 +197,12 @@ def _cmd_report(args) -> int:
         print(f"{m:8} {'None' if radius is None else f'{radius:.4f}':>10} "
               f"{str(to5.get(m)):>8} {str(plat.get(m)):>8} "
               f"{str(diverged.get(m, 0)):>9}")
-    if summary.get("limit_snr") is not None:
-        print(f"limit snr: {summary['limit_snr']:.4f} dB")
-    kappas = summary.get("condition_numbers") or []
+    if limit is not None:
+        print(f"limit snr: {limit:.4f} dB")
     if kappas:
         arr = np.array(kappas)
         print(f"condition numbers: median {np.median(arr):.1f}, "
               f"range [{arr.min():.1f}, {arr.max():.1f}]")
-    missed = summary.get("spectral_unconverged")
     if missed:
         print(f"spectral estimates unconverged: radius {missed['radius']}, "
               f"singular values {missed['singular_values']}")

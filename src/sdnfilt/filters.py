@@ -11,7 +11,6 @@ taken by `csr_product`, which calls scipy's CSR kernels directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
@@ -338,7 +337,7 @@ def laplacians(g: Graph) -> GraphFilter:
             "requires positive degrees"
         )
     tails = np.repeat(np.arange(g.n), deg)
-    heads = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64)
+    heads = g.indices
     rows = np.concatenate([np.arange(g.n), tails])
     cols = np.concatenate([np.arange(g.n), heads])
     vals = np.concatenate([np.ones(g.n),

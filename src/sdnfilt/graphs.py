@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sparse
@@ -34,26 +34,29 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Connected, undirected, unweighted graph.
+    """Connected, undirected, unweighted graph in CSR form.
 
     Attributes
     ----------
     n : int
         Vertex count; vertices are 0..n-1.
-    adjacency : tuple of tuples
-        adjacency[i] lists the neighbors of i, sorted ascending.
+    indptr, indices : ndarray of int64, read-only
+        The neighbors of i are indices[indptr[i]:indptr[i+1]], ascending;
+        each undirected edge is stored in both of its rows.
     coordinates : ndarray of shape (n, 2), optional
-        Planar positions in [0, 1]^2 when the graph was built from points.
+        Planar positions when the graph was built from points.
     generator_seed : (int, int), optional
         (entropy, attempt) pair accepted by a retrying random generator.
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     coordinates: np.ndarray | None = None
     generator_seed: tuple[int, int] | None = None
     # products of the graph alone, built once and shared: hop matrices by
-    # radius, and the squared normalized Laplacian of the fig1 filter
+    # radius, the adjacency view, and the squared normalized Laplacian of
+    # the fig1 filter
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -64,19 +67,23 @@ class Graph:
         coordinates: np.ndarray | None = None,
         generator_seed: tuple[int, int] | None = None,
     ) -> "Graph":
-        """Build and validate a graph from an iterable of undirected edges."""
+        """Build and validate a graph from undirected edges: an iterable of
+        pairs or an (m, 2) integer array. An edge given more than once, in
+        either orientation, is kept once."""
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            neighbor_sets[i].add(j)
-            neighbor_sets[j].add(i)
-        adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.shape[1:] != (2,) and edges.size:
+            raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
+        i, j = edges.reshape(-1, 2).T
+        bad = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n) | (i == j))
+        if len(bad):
+            a, b = int(i[bad[0]]), int(j[bad[0]])
+            if a == b and 0 <= a < n:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
         if coordinates is not None:
             coordinates = np.asarray(coordinates, dtype=np.float64)
             if coordinates.shape != (n, 2):
@@ -85,29 +92,48 @@ class Graph:
                 )
             coordinates = coordinates.copy()
             coordinates.setflags(write=False)
-        g = cls(n=n, adjacency=adjacency, coordinates=coordinates,
-                generator_seed=generator_seed)
-        if not g.is_connected():
+        if not _is_connected(n, i, j):
             raise GenerationError("graph is not connected")
-        return g
+        # both orientations of every edge; scipy's conversion to CSR sorts
+        # each row and merges repeats, with the sparse code every filter
+        # build runs anyway (np.unique took 181 ms at 808k edges, and
+        # np.sort loads 256 KB more of numpy's code)
+        adj = sparse.csr_matrix(
+            (np.ones(2 * len(i)), (np.concatenate((i, j)), np.concatenate((j, i)))),
+            shape=(n, n))
+        adj.sum_duplicates()
+        indptr, indices = adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(n=n, indptr=indptr, indices=indices, coordinates=coordinates,
+                   generator_seed=generator_seed)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """adjacency[i] lists the neighbors of i, ascending: a view of
+        indptr/indices as tuples, built on first use."""
+        view = self._cache.get("adjacency")
+        if view is None:
+            nbrs, ptr = self.indices.tolist(), self.indptr.tolist()
+            view = self._cache["adjacency"] = tuple(
+                tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return view
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def edges(self):
-        """Yield undirected edges as (i, j) with i < j, sorted."""
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
+        """Iterate over the undirected edges as (i, j) with i < j, sorted."""
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def is_connected(self) -> bool:
         heads = np.repeat(np.arange(self.n), self.degrees())
-        tails = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
-        return self.n > 0 and _is_connected(self.n, heads, tails)
+        return _is_connected(self.n, heads, self.indices)
 
 
 def hop_levels(g: Graph):
@@ -115,9 +141,7 @@ def hop_levels(g: Graph):
     pair within s hops. Each level costs one sparse product."""
     n = g.n
     step = sparse.csr_matrix(
-        (np.ones(2 * g.num_edges(), dtype=np.int64),
-         np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64),
-         np.concatenate(([0], np.cumsum(g.degrees())))),
+        (np.ones(len(g.indices), dtype=np.int64), g.indices, g.indptr),
         shape=(n, n)) + sparse.identity(n, dtype=np.int64, format="csr")
     reach = sparse.identity(n, dtype=np.int64, format="csr")
     while True:
@@ -144,30 +168,45 @@ def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
     return cached
 
 
-def _close_pairs(pts: np.ndarray, radius: float):
-    """Arrays (i, j) of every unordered pair of points in [0,1)^2 with
-    dist2 <= radius * radius, each pair once, in O(n + candidates) memory.
+def _close_pairs(pts: np.ndarray, radius: float, box=(0.0, 1.0)):
+    """Arrays (i, j) of every unordered pair of points with
+    dist2 <= radius * radius, each pair once, in O(n + candidates) time and
+    memory. Every point lies in the square [lo, lo + extent]^2 of
+    box = (lo, extent), by default the unit square.
 
-    Points are binned into m x m square cells of side at least
-    radius * (1 + 1e-12) + 1e-15, so that no rounding puts a kept pair two
-    cells apart, and sorted by cell key cx * (m + 1) + cy; m is capped so
-    that keys fit in int64. A point's candidates are two runs of that
-    order: the later points of its own column up to cell cy+1, and cells
-    cy-1..cy+1 of the next column. The unused key cy = m ends each column.
+    Points are binned into m x m square cells of width extent / m, at least
+    radius * (1 + 1e-12) + 1e-15 * extent so that no rounding puts a kept
+    pair two cells apart. m is at most sqrt(n): the grid keeps O(n) cells,
+    and fewer, wider cells only add candidates. A counting table of the
+    cell keys cx * (m + 1) + cy gives each cell's start in the points'
+    order by key; the unused key cy = m ends each column. A point's
+    candidates are two runs of that order: the later points of its own
+    column up to cell cy+1, and cells cy-1..cy+1 of the next column.
     """
-    m = int(min(max(1.0 / (radius * (1 + 1e-12) + 1e-15), 1.0), 2.0 ** 31))
-    cx, cy = np.minimum((pts * m).astype(np.int64), m - 1).T
+    n = len(pts)
+    lo, extent = box
+    side = radius * (1 + 1e-12) + 1e-15 * extent
+    m = int(min(extent / side, np.sqrt(n))) if extent > side else 1
+    cx, cy = np.minimum(((pts - lo) * (m / extent)).astype(np.int64), m - 1).T
     key = cx * (m + 1) + cy
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    lo = np.concatenate((np.arange(1, len(key) + 1), np.searchsorted(key, key + m)))
-    hi = np.searchsorted(key, np.concatenate((key + 1, key + m + 2)), side="right")
-    counts = hi - lo
-    i = np.repeat(np.concatenate((order, order)), counts)
-    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(i))]
-    d = pts.take(i, axis=0) - pts.take(j, axis=0)   # pts[i] - pts[j], faster
-    keep = np.einsum("ij,ij->i", d, d) <= radius * radius
-    return i[keep], j[keep]
+    cells = (m + 1) ** 2
+    # keys that fit in int16 sort by radix, in O(n)
+    order = np.argsort(key.astype(np.int16) if cells <= 2**15 else key, kind="stable")
+    start = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=cells), out=start[1:])
+    key = key.take(order)
+    first = np.concatenate((np.arange(1, n + 1), start.take(key + m)))
+    counts = np.concatenate((start.take(key + 2), start.take(key + (m + 3)))) - first
+    # candidate pairs (a, b) as positions in that order
+    a = np.repeat(np.tile(np.arange(n), 2), counts)
+    b = np.arange(len(a))
+    b += np.repeat(first - np.cumsum(counts) + counts, counts)
+    pts = pts.take(order, axis=0)
+    d = pts.take(a, axis=0)
+    d -= pts.take(b, axis=0)
+    d *= d
+    keep = np.flatnonzero(d[:, 0] + d[:, 1] <= radius * radius)
+    return order.take(a.take(keep)), order.take(b.take(keep))
 
 
 def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
@@ -191,8 +230,9 @@ def random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:
     Points are drawn i.i.d. uniform; disconnected draws are retried with
     sub-seeds derived from (rng_seed, attempt) up to RGG_MAX_ATTEMPTS, and
     the accepted (rng_seed, attempt) pair is recorded on the graph. A draw
-    with an isolated vertex or two components is rejected from its pair
-    arrays, before any Graph is built.
+    with an isolated vertex is rejected from its pair arrays, and one with
+    two components by `Graph.from_edges`' connectivity check, which comes
+    before the CSR arrays are built.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
@@ -204,11 +244,12 @@ def random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:
         )
         pts = rng.random((n, 2))
         i, j = _close_pairs(pts, radius)
-        if np.bincount(np.concatenate((i, j)), minlength=n).min() > 0 \
-                and _is_connected(n, i, j):
-            return Graph.from_edges(
-                n, zip(i, j), coordinates=pts, generator_seed=(int(rng_seed), attempt)
-            )
+        if np.bincount(np.concatenate((i, j)), minlength=n).min() > 0:
+            try:
+                return Graph.from_edges(n, np.column_stack((i, j)), coordinates=pts,
+                                        generator_seed=(int(rng_seed), attempt))
+            except GenerationError:
+                pass
     raise GenerationError(
         f"no connected random geometric graph with n={n}, radius={radius} "
         f"after {RGG_MAX_ATTEMPTS} attempts (seed {rng_seed})"
@@ -221,6 +262,11 @@ def knn_graph(points, k: int) -> Graph:
     The directed k-NN relation is symmetrized by union: an undirected edge
     exists when either endpoint lists the other among its k nearest by
     Euclidean distance. Distance ties are broken by lower vertex id.
+
+    Candidates come from `_close_pairs`, its radius doubled until every
+    point has at least k of them: a point's k nearest then all lie within
+    the radius. Once the radius reaches the points' extent, every pair is
+    a candidate.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -230,18 +276,28 @@ def knn_graph(points, k: int) -> Graph:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= m:
         raise ValueError(f"k-NN graph needs at least k+1={k + 1} points, got {m}")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(dist2, np.inf)
-    ids = np.arange(m)
-    edges = set()
-    for i in range(m):
-        # lexsort: primary key distance, secondary key vertex id
-        order = np.lexsort((ids, dist2[i]))
-        for j in order[:k]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+    lo = pts.min(axis=0)
+    extent = float((pts.max(axis=0) - lo).max())
+    radius = extent * np.sqrt(k / m)
+    while radius < extent:
+        i, j = _close_pairs(pts, radius, (lo, extent))
+        if np.bincount(np.concatenate((i, j)), minlength=m).min() >= k:
+            break
+        radius = 2 * radius or extent
+    else:
+        i, j = np.triu_indices(m, 1)
+    d = pts.take(i, axis=0) - pts.take(j, axis=0)
+    d *= d
+    dist2 = np.tile(d[:, 0] + d[:, 1], 2)
+    src, dst = np.concatenate((i, j)), np.concatenate((j, i))
+    # each point's candidates by distance, then vertex id; keep its first k
+    order = np.lexsort((dst, dist2, src))
+    src, dst = src.take(order), dst.take(order)
+    counts = np.bincount(src, minlength=m)
+    rank = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
     try:
-        return Graph.from_edges(m, sorted(edges), coordinates=pts)
+        return Graph.from_edges(m, np.column_stack((src, dst))[rank < k],
+                                coordinates=pts)
     except GenerationError:
         raise GenerationError(
             f"k-NN graph with k={k} is not connected; increase k"

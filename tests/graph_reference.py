@@ -10,6 +10,13 @@ Every attempt builds the full n x n x 2 difference tensor, keeps each pair
 i < j whose squared distance is <= radius * radius, and checks connectivity
 with a breadth-first search before it builds a Graph. The grid generator
 must agree with it on adjacency, coordinates and generator_seed.
+
+sweep_pairs finds the same pairs as dense_pairs in O(n * window) for large
+point sets.
+
+dense_knn_graph is the dense O(n^2) form of sdnfilt.graphs.knn_graph: the
+full n x n distance matrix, and one lexsort per point by distance, then
+vertex id.
 """
 
 from __future__ import annotations
@@ -52,6 +59,20 @@ def dense_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
 
 
+def sweep_pairs(pts: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """dense_pairs by a sweep in x, for many points and a small radius: each
+    point is checked against the later points within 2 * radius in x."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    counts = np.searchsorted(xs, xs + 2 * radius, side="right") - np.arange(1, len(xs) + 1)
+    a = np.repeat(np.arange(len(xs)), counts)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[a], order[b]
+    d = pts[i] - pts[j]
+    keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius
+    return sorted(zip(np.minimum(i, j)[keep].tolist(), np.maximum(i, j)[keep].tolist()))
+
+
 def bfs_connected(n: int, edges) -> bool:
     """Whether vertex 0 reaches all n vertices over the undirected edges."""
     nbrs = [[] for _ in range(n)]
@@ -81,4 +102,23 @@ def dense_random_geometric_graph(n: int, radius: float, rng_seed: int) -> Graph:
         if bfs_connected(n, edges):
             return Graph.from_edges(n, edges, coordinates=pts,
                                     generator_seed=(int(rng_seed), attempt))
-    raise GenerationError(f"no connected graph after {RGG_MAX_ATTEMPTS} attempts")
+    raise GenerationError(
+        f"no connected random geometric graph with n={n}, radius={radius} "
+        f"after {RGG_MAX_ATTEMPTS} attempts (seed {rng_seed})"
+    )
+
+
+def dense_knn_graph(points, k: int) -> Graph:
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(dist2, np.inf)
+    ids = np.arange(m)
+    edges = set()
+    for i in range(m):
+        # lexsort: primary key distance, secondary key vertex id
+        order = np.lexsort((ids, dist2[i]))
+        for j in order[:k]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    return Graph.from_edges(m, sorted(edges), coordinates=pts)

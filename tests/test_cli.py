@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from sdnfilt.cli import main
 from sdnfilt.io import write_points_csv
 from sdnfilt.scenarios import synthetic_points
@@ -335,6 +337,30 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert f"{tmp_path / 'summary.json'}: missing key 'scenario'" in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("methods", 3, "key 'methods' must be a list"),
+        ("methods", [1, 2], "key 'methods' must be a list"),
+        ("mean_spectral_radius", [0.5], "key 'mean_spectral_radius' must be an object"),
+        ("mean_spectral_radius", "0.5", "key 'mean_spectral_radius' must be an object"),
+        ("diverged", 2, "key 'diverged' must be an object"),
+        ("mean_spectral_radius", {"pgda": "x"},
+         "key 'mean_spectral_radius' must map methods to numbers"),
+        ("mean_spectral_radius", {"pgda": True},
+         "key 'mean_spectral_radius' must map methods to numbers"),
+        ("limit_snr", "x", "key 'limit_snr' must be a number"),
+        ("condition_numbers", ["x"], "key 'condition_numbers' must be a list of numbers"),
+        ("condition_numbers", 3.0, "key 'condition_numbers' must be a list of numbers"),
+        ("spectral_unconverged", {"a": 1},
+         "key 'spectral_unconverged' must hold 'radius' and 'singular_values'"),
+    ])
+    def test_report_summary_bad_type_exit_4(self, tmp_path, capsys, key, value, message):
+        summary = {"scenario": "fig1", "trials": 1, "master_seed": 5,
+                   "metric": "rel_error", "methods": ["pgda"], key: value}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'summary.json'}: {message}" in err
 
     def test_report_truncated_summary_exit_4(self, tmp_path, capsys):
         (tmp_path / "summary.json").write_text('{\n  "scenario": ')
