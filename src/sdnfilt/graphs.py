@@ -131,10 +131,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.indices) // 2
 
-    def is_connected(self) -> bool:
-        heads = np.repeat(np.arange(self.n), self.degrees())
-        return _is_connected(self.n, heads, self.indices)
-
 
 def hop_levels(g: Graph):
     """Yield, for s = 0, 1, 2, ..., the sorted CSR pattern of (I+A)^s: every

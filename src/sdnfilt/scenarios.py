@@ -18,6 +18,7 @@ byte-identical across reruns.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -353,6 +354,47 @@ def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
     return net, trace
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _concurrent_map(fn, items: list) -> list:
+    """[fn(item) for item in items], on min(len(items), _cpus()) threads:
+    the calling thread and as many more, each taking the next item not
+    yet started. The first failure in item order is raised once every
+    started call has ended, and no item after a failed one is started."""
+    results, errors = [None] * len(items), [None] * len(items)
+    lock, order = threading.Lock(), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+            if i is None or any(err is not None for err in errors[:i]):
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(len(items), _cpus()) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        with lock:              # an interrupt: start no further item
+            order = iter(())
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 class _MethodRuns:
     """Per-method results of one fig1, denoise or custom run.
 
@@ -360,10 +402,10 @@ class _MethodRuns:
     column, with every method through `solve_stack`, and reads each
     trial's curve of the scenario's metric ("rel_error" or "snr") from its
     trace. A block of one observation (fig1, custom) is one stack of all
-    the methods; a block of several (denoise) is one stack per method. A
-    distributed config solves one trial at a time, trial-major, with one
-    simulator round as the step. A diverged solve adds to `diverged`
-    instead of to the curves.
+    the methods; a block of several (denoise) is one stack per method, the
+    stacks solved concurrently (`_concurrent_map`). A distributed config
+    solves one trial at a time, trial-major, with one simulator round as
+    the step. A diverged solve adds to `diverged` instead of to the curves.
     """
 
     def __init__(self, cfg: ScenarioConfig, metric_name: str):
@@ -405,17 +447,20 @@ class _MethodRuns:
         h.release_factor()
         distributed, methods = self.cfg.distributed, self.cfg.methods
         # one observation is one stack of every method. A block of several
-        # goes one method at a time: a stack of it would hold M copies of
+        # is one stack per method: a stack of it would hold M copies of
         # the block's working set at once, which ran slower. The simulator
-        # runs one method per network
+        # runs one method per network, one network at a time. A centralized
+        # block's stacks share nothing but read-only inputs, and their
+        # products and ufuncs release the GIL, so they run on threads
         stacks = ([methods] if ys.shape[1] == 1 and not distributed
                   else [(m,) for m in methods])
         blocks = np.hsplit(ys, ys.shape[1]) if distributed else [ys]
+        solve_all = map if distributed else _concurrent_map
         for block in blocks:
             self.trials += block.shape[1]
-            for stack in stacks:
-                self._record(self._solve(graph, h, block, stack, params, reference),
-                             field)
+            for solved in solve_all(lambda stack: self._solve(
+                    graph, h, block, stack, params, reference), stacks):
+                self._record(solved, field)
 
     def _solve(self, graph, h, ys, stack, params, reference):
         """(method, traces) for each method of the stack, through one

@@ -77,6 +77,10 @@ DIVERGENCE_FACTOR = 1e6
 RADIUS_TOL = 1e-9
 RADIUS_MAX_ITER = 3000
 
+# vertices per tile of `solve_stack`'s transposed copies: the columns of a
+# tile of an n x T block stay in cache from one row of the copy to the next
+ROW_TILE = 512
+
 
 class NumericError(RuntimeError):
     """Nonfinite values appeared during an iteration."""
@@ -464,18 +468,33 @@ def solve_stack(
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape not in ((n,), (n, k)):
             raise ValueError(f"reference must be {n} or {n} x {k}, got {reference.shape}")
-        ref_norm = _norms(_rows(reference))     # one norm, or one per column
-        ref_stack = np.tile(reference.reshape(n, -1), (M, 1))
+        ref_rows = _rows(reference.reshape(n, -1))
+        ref_norm = _norms(ref_rows)     # one norm, or one per column
     # per column: the residual and the error (squared)
     parts = 1 + track
-    # the iterates, residuals and errors of every method, in place
-    # throughout: w[0] = X, w[1] = H X - Y, w[2] = X - reference
-    w = np.zeros((1 + parts, M * n, k))
-    x, e, err = w[0], w[1], w[-1]
+    K = M * k                           # the stack's columns, method-major
+    # the iterates and residuals of every method, in place throughout:
+    # w[0] = X, w[1] = H X - Y. Their squared norms come from C-contiguous
+    # rows, one per method and column, so that one vecdot writes them all,
+    # each a dot over contiguous memory. For one column the residual rows
+    # are w[1] itself and the error rows w[2]; for several they fill a
+    # buffer of their own, ROW_TILE vertices at a time, so that each tile
+    # of the transpose is read while it is still in cache
+    w = np.zeros((1 + parts if k == 1 else 2, M * n, k))
+    x, e = w[0], w[1]
+    rows = w[1:].reshape(parts, K, n) if k == 1 else np.empty((parts, K, n))
     x3 = x.reshape(M, n, k)
+    x_rows, e_rows = x3.transpose(0, 2, 1), e.reshape(M, n, k).transpose(0, 2, 1)
+    res_rows, err_rows = rows[0].reshape(M, k, n), rows[-1].reshape(M, k, n)
+    tiles = [slice(lo, lo + ROW_TILE) for lo in range(0, n, ROW_TILE)] if k > 1 else []
+    # per tile: (rows, E) to copy, and (X, reference, rows) to subtract
+    res_tiles = [(res_rows[..., t], e_rows[..., t]) for t in tiles]
+    err_tiles = ([] if not track
+                 else [(x, np.tile(reference.reshape(n, 1), (M, 1)), w[2])] if k == 1
+                 else [(x_rows[..., t], ref_rows[..., t], err_rows[..., t]) for t in tiles])
     y_stack = ys if M == 1 else np.tile(ys, (M, 1))
-    h_stack = h.matvec if M == 1 else csr_product(
-        _block_rows([h.csr] * M, M * n, lambda b, c: c + b * n))
+    h_stack = csr_product(h.csr if M == 1 else _block_rows(
+        [h.csr] * M, M * n, lambda b, c: c + b * n))
     routed = entries[0].step if M == 1 else None
     if routed is None:
         # on [X; E]: each g reads its own block of X or of E
@@ -488,15 +507,6 @@ def solve_stack(
                   if entry.scale != 1.0]
         shifts = [(x[block], entry.shift(ys)) for block, entry in zip(blocks, entries)
                   if entry.shift is not None]
-
-    K = M * k                           # the stack's columns, method-major
-    # residuals and errors as C-contiguous rows, one per method and column,
-    # so that one vecdot writes all their squared norms, each a dot over
-    # contiguous memory: a view of w for one column, a copy for several
-    source = w[1:].reshape(parts, M, n, k).transpose(0, 1, 3, 2)
-    copy = None if source.flags.c_contiguous else np.empty(source.shape)
-    rows = (source if copy is None else copy).reshape(parts, K, n)
-    x_rows = x3.transpose(0, 2, 1)
 
     last = np.full(K, max_iter)         # iteration of each column's last record
     status = ["max_iter"] * K
@@ -522,10 +532,10 @@ def solve_stack(
                     x_block += shift
                 x -= g
             np.subtract(h_stack(x) if t is None else t, y_stack, out=e)
-            if track:
-                np.subtract(x, ref_stack, out=err)
-            if copy is not None:
-                np.copyto(copy, source)
+            for rows_tile, e_tile in res_tiles:
+                np.copyto(rows_tile, e_tile)
+            for x_tile, ref_tile, rows_tile in err_tiles:
+                np.subtract(x_tile, ref_tile, out=rows_tile)
             resid = np.sqrt(np.vecdot(rows, rows, out=history[m])[0])
             if m:
                 # checked on floats, cheaper than array operations on a few
@@ -566,7 +576,8 @@ def solve_stack(
         res = norms[:, 0]
         if track:
             # every method's block of columns shares the reference norms
-            rel = norms[:, 1] / np.tile(np.where(ref_norm > 0.0, ref_norm, 1.0), M)
+            rel = (norms[:, 1].reshape(-1, M, k)
+                   / np.where(ref_norm > 0.0, ref_norm, 1.0)).reshape(-1, K)
             snr = _snr_db(rel)
 
     def trace(j):

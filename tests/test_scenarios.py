@@ -507,10 +507,11 @@ class TestDistributedScenarioRouting:
         assert routed.iterations_to_5pct == central.iterations_to_5pct
 
 
-    def test_routed_pgda_trace_and_products(self, rng):
+    def test_routed_pgda_trace_and_products(self, rng, monkeypatch):
         # a routed pgda round hands back its agents' H x: the trace equals
         # the centralized one entry for entry, residuals included, and the
         # loop's own product is taken for the initial residual only
+        import sdnfilt.solvers as solvers
         from conftest import make_invertible, random_connected_graph
         from sdnfilt.scenarios import _solve_on_network
 
@@ -522,9 +523,14 @@ class TestDistributedScenarioRouting:
                              methods=("pgda",))
         _, central = solve(h, Signal(g, y), SolverConfig("pgda", max_iter=20),
                            Signal(g, ref))
-        products = []
-        real = h.matvec
-        h.matvec = lambda v: products.append(1) or real(v)
+        # every product the loop takes comes from solvers.csr_product
+        products, real = [], solvers.csr_product
+
+        def counted(m):
+            product = real(m)
+            return lambda v: products.append(1) or product(v)
+
+        monkeypatch.setattr(solvers, "csr_product", counted)
         net, routed = _solve_on_network(cfg, g, h, y, "pgda", ref)
         assert len(products) == 1
         assert routed.residuals == central.residuals
@@ -576,14 +582,28 @@ class TestMethodStacks:
                                 master_seed=2024))
         assert factors == [None, None]
 
-    def test_denoise_solves_one_method_at_a_time(self, monkeypatch, tmp_path):
+    def run_denoise_on(self, workers, monkeypatch, tmp_path):
+        import sdnfilt.scenarios as scenarios
+
         coords, values = synthetic_points(40, rng_seed=3)
         path = str(tmp_path / "points.csv")
         write_points_csv(path, coords, values)
+        monkeypatch.setattr(scenarios, "_cpus", lambda: workers)
         calls = self.count(monkeypatch)
         run_denoise(ScenarioConfig(scenario="denoise", points_csv=path, eta=35.0,
                                    trials=5, iterations=10, master_seed=9))
+        return calls
+
+    def test_denoise_solves_one_method_at_a_time(self, monkeypatch, tmp_path):
+        # on one worker, in method order
+        calls = self.run_denoise_on(1, monkeypatch, tmp_path)
         assert calls == {"stack": [((m,), 5) for m in METHODS], "block": []}
+
+    def test_denoise_stacks_on_two_workers(self, monkeypatch, tmp_path):
+        # the same stacks, in an order the threads decide
+        calls = self.run_denoise_on(2, monkeypatch, tmp_path)
+        assert sorted(calls["stack"]) == sorted(((m,), 5) for m in METHODS)
+        assert calls["block"] == []
 
     def test_distributed_solves_one_method_at_a_time(self, monkeypatch):
         calls = self.count(monkeypatch)
@@ -591,6 +611,111 @@ class TestMethodStacks:
                                 master_seed=2024, distributed=True,
                                 methods=("pgda", "spgda")))
         assert calls == {"stack": [], "block": [("pgda", 1), ("spgda", 1)] * 2}
+
+
+class TestConcurrentStacks:
+    """A denoise block's per-method stacks run on up to `_cpus()` threads;
+    what a run writes or raises does not depend on how many."""
+
+    def test_outputs_identical_on_one_and_two_workers(self, monkeypatch, tmp_path):
+        import sdnfilt.scenarios as scenarios
+
+        coords, values = synthetic_points(80, rng_seed=4)
+        path = str(tmp_path / "points.csv")
+        write_points_csv(path, coords, values)
+        cfg = ScenarioConfig(scenario="denoise", points_csv=path, eta=35.0,
+                             trials=6, iterations=30, master_seed=12)
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(scenarios, "_cpus", lambda w=workers: w)
+            out = tmp_path / f"out{workers}"
+            emit_outputs(run_denoise(cfg), str(out))
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        assert {"curves.csv", "summary.json"} <= set(written[0])
+
+    def test_every_item_once_in_order_under_contention(self, monkeypatch):
+        # more threads than cores, switching every microsecond: each item
+        # is taken by one thread only, and its result lands in its place
+        import sys
+        import threading
+        import time
+
+        import sdnfilt.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "_cpus", lambda: 8)
+        calls, names = [0] * 300, set()
+
+        def fn(i):
+            calls[i] += 1
+            names.add(threading.current_thread().name)
+            time.sleep(1e-4)            # lets the other threads take items
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = scenarios._concurrent_map(fn, list(range(300)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * i for i in range(300)]
+        assert calls == [1] * 300
+        assert len(names) > 1
+        assert threading.active_count() == 1
+
+    def solve_failing(self, workers, fails, monkeypatch, tmp_path, gate=None):
+        """Run a denoise block through `_MethodRuns.run` on `workers`
+        threads, each method a step that keeps x, except that method m
+        steps to NaN at iteration fails[m]; return the NumericError. With
+        a gate, the first failing method waits for the second's NaN step
+        before its own."""
+        import itertools
+        import threading
+
+        import sdnfilt.scenarios as scenarios
+        from sdnfilt.scenarios import _MethodRuns
+        from sdnfilt.solvers import Method, NumericError
+
+        monkeypatch.setattr(scenarios, "_cpus", lambda: workers)
+        coords, values = synthetic_points(30, rng_seed=2)
+        g = knn_graph(coords, 5)
+        h = build_denoise_filter(g, 0.9075)
+        ys = values[:, None] + np.random.default_rng(1).uniform(-35.0, 35.0, (30, 4))
+        first, *later = sorted(fails, key=METHODS.index)
+        nan_stepped = threading.Event()
+
+        def method(name):
+            count = itertools.count(1)
+
+            def step(x, e):
+                if next(count) != fails.get(name):
+                    return x
+                if gate and name == first:
+                    assert nan_stepped.wait(timeout=30)
+                nan_stepped.set()
+                return np.full_like(x, np.nan)
+            return Method(g=None, error=None, step=step)
+
+        runs = _MethodRuns(ScenarioConfig(scenario="denoise", points_csv="points.csv",
+                                          iterations=50), "snr")
+        with pytest.raises(NumericError) as exc:
+            runs.run(g, h, ys, {m: method(m) for m in METHODS}, values)
+        return exc.value
+
+    def test_numeric_error_in_a_threaded_stack(self, monkeypatch, tmp_path):
+        errors = [self.solve_failing(workers, {"spgda": 7}, monkeypatch, tmp_path)
+                  for workers in (1, 2)]
+        assert [(str(e), e.iteration) for e in errors] == \
+            [("spgda: nonfinite values at iteration 7", 7)] * 2
+
+    def test_first_failure_in_method_order_wins(self, monkeypatch, tmp_path):
+        # on two workers imia fails first in time, while spgda waits for it
+        fails = {"spgda": 20, "imia": 1}
+        sequential = self.solve_failing(1, fails, monkeypatch, tmp_path)
+        threaded = self.solve_failing(2, fails, monkeypatch, tmp_path, gate=True)
+        for err in (sequential, threaded):
+            assert (str(err), err.iteration) == \
+                ("spgda: nonfinite values at iteration 20", 20)
 
 
 class TestSimulatorDivergence:

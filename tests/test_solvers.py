@@ -5,8 +5,9 @@ import pytest
 
 import sdnfilt.solvers as solvers
 from sdnfilt.filters import GraphFilter, Signal, extreme_singular_values
-from sdnfilt.graphs import Graph, random_geometric_graph
+from sdnfilt.graphs import Graph, knn_graph, random_geometric_graph
 from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
+from sdnfilt.scenarios import synthetic_points
 from sdnfilt.solvers import (
     METHODS,
     NumericError,
@@ -882,7 +883,8 @@ class TestSolveStack:
             traces = list(traces)
             assert xs.shape == ys.shape and len(traces) == ys.shape[1]
             for j, trace in enumerate(traces):
-                ref = None if reference is None else Signal(h.graph, reference)
+                ref = None if reference is None else Signal(
+                    h.graph, reference if reference.ndim == 1 else reference[:, j])
                 x, alone = solve(h, Signal(h.graph, ys[:, j].copy()),
                                  SolverConfig(method, max_iter), ref, params)
                 assert bits(xs[:, j]) == bits(x.values), method
@@ -941,6 +943,18 @@ class TestSolveStack:
                 solve_stack(h, y, stack, 10000)
             assert exc.value.iteration == alone[first]
             assert str(exc.value) == f"{first}: nonfinite values at iteration {alone[first]}"
+
+    def test_block_over_several_row_tiles(self, rng):
+        # n spans three tiles of the transposed row copies, the last one
+        # partial; one reference for every column, and one per column
+        n = 2 * solvers.ROW_TILE + 77
+        coords, values = synthetic_points(n, rng_seed=5)
+        h = build_denoise_filter(knn_graph(coords, 7), 0.9075)
+        ys = values[:, None] + rng.uniform(-35.0, 35.0, (n, 3))
+        for reference in (values, ys - 1.0):
+            self.assert_stack_matches_alone(h, ys, METHODS, 30, reference)
+            for method in METHODS:
+                self.assert_stack_matches_alone(h, ys, (method,), 30, reference)
 
     def test_zero_observation_converges_at_once(self, rng):
         g = random_connected_graph(rng, 30)
