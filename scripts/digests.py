@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Digest of every file a fixed matrix of sdnfilt runs writes.
+
+    python3 scripts/digests.py > head.txt
+    PYTHONPATH=OTHER/src python3 scripts/digests.py > base.txt
+    diff base.txt head.txt
+
+Imports the sdnfilt that PYTHONPATH names, or else this tree's src/, runs
+the matrix below through `cli.main` in one process, inside a temporary
+directory with paths relative to it (a summary.json echoes them), and
+prints one line per written file:
+
+    scenario file sha256 bytes
+
+sorted by scenario and file name, then removes the directory. Two trees
+whose lines match wrote the same bytes. The matrix:
+
+    gen-graph-rgg          gen-graph --kind rgg, n=128
+    gen-graph-knn          gen-graph --kind knn, 218 points, seed 818
+    fig1, fig1-sdn         fig1, n=128, 3 trials; centralized, and
+                           --distributed --roundlog with pgda and spgda
+    denoise, denoise-sdn   218 synthetic points (seed 818), 20 trials;
+                           centralized, and --distributed with pgda and spgda
+    custom, custom-sdn     a fig1 filter on an n=64 graph and its
+                           observation, from CSV files; centralized, and
+                           --distributed with pgda and spgda
+    tv, tv-roundlog        time_varying, n=64, 3 epochs, 100 iterations;
+                           without and with --roundlog
+
+The exit code of every run is printed as an `exit` line of its scenario,
+so a run that fails shows in the diff too.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.append(os.path.join(ROOT, "src"))  # after PYTHONPATH's entries
+
+from sdnfilt import cli, scenarios  # noqa: E402
+from sdnfilt.filters import apply, build_fig1_filter  # noqa: E402
+from sdnfilt.io import atomic_write_text, write_edges_csv, write_points_csv  # noqa: E402
+
+SDN = ["--distributed", "--methods", "pgda,spgda"]
+POINTS_SEED = 818
+
+
+def write_custom_inputs():
+    """edges.csv, filter.csv and signal.csv of a fig1 filter on an n=64
+    graph and its observation of the blockwise polynomial."""
+    graph = scenarios.generate_run_graph(64, 2.0 ** -2.5, 64)
+    h = build_fig1_filter(graph, 0.05, 7)
+    y = apply(h, scenarios.blockwise_polynomial(graph))
+    write_edges_csv("edges.csv", graph)
+    rows = [f"# n={graph.n} width={h.width}", "i,j,value"]
+    csr = h.csr
+    for i in range(graph.n):
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        rows.extend(f"{i},{j},{v!r}" for j, v in
+                    zip(csr.indices[lo:hi].tolist(), csr.data[lo:hi].tolist()))
+    atomic_write_text("filter.csv", "\n".join(rows) + "\n")
+    signal = ["id,value"] + [f"{i},{v!r}" for i, v in enumerate(y.values.tolist())]
+    atomic_write_text("signal.csv", "\n".join(signal) + "\n")
+
+
+def matrix():
+    """(scenario, argv) of every run, its inputs written to the current
+    directory."""
+    def config(name, **kv):
+        path = f"{name}.json"
+        with open(path, "w") as fh:
+            json.dump(kv, fh)
+        return path
+
+    points = "points.csv"
+    write_points_csv(points, *scenarios.synthetic_points(218, POINTS_SEED))
+    write_custom_inputs()
+    fig1 = config("fig1", scenario="fig1", n=128, trials=3, iterations=40, master_seed=5)
+    denoise = config("denoise", scenario="denoise", points_csv=points, k=5,
+                     alpha=0.9075, eta=35.0, trials=20, iterations=80, master_seed=818)
+    own = config("custom", scenario="custom", edges_csv="edges.csv",
+                 filter_csv="filter.csv", signal_csv="signal.csv", trials=1,
+                 iterations=100)
+    tv = config("tv", scenario="time_varying", n=64, epochs=3, iterations=100,
+                master_seed=31)
+    return [
+        ("gen-graph-rgg", ["gen-graph", "--kind", "rgg", "--n", "128", "--seed", "3"]),
+        ("gen-graph-knn", ["gen-graph", "--kind", "knn", "--n", "218",
+                           "--seed", str(POINTS_SEED)]),
+        ("fig1", ["run", "--config", fig1]),
+        ("fig1-sdn", ["run", "--config", fig1, *SDN, "--roundlog"]),
+        ("denoise", ["run", "--config", denoise]),
+        ("denoise-sdn", ["run", "--config", denoise, *SDN]),
+        ("custom", ["run", "--config", own]),
+        ("custom-sdn", ["run", "--config", own, *SDN]),
+        ("tv", ["run", "--config", tv]),
+        ("tv-roundlog", ["run", "--config", tv, "--roundlog"]),
+    ]
+
+
+def digest(path):
+    sha, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+            size += len(chunk)
+    return sha.hexdigest(), size
+
+
+def main():
+    print(f"sdnfilt from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="sdnfilt-digests-") as work:
+        os.chdir(work)
+        for scenario, argv in matrix():
+            out = os.path.join("out", scenario)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--out", out])
+            print(f"{scenario} exit {code}")
+            for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+                print(scenario, name, *digest(os.path.join(out, name)))
+        os.chdir(ROOT)
+
+
+if __name__ == "__main__":
+    main()

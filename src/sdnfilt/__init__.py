@@ -36,7 +36,6 @@ from .solvers import (
     iteration_matrix,
     optimal_step,
     solve,
-    solve_block,
     solve_stack,
     spectral_radius,
 )

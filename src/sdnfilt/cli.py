@@ -27,6 +27,7 @@ from .scenarios import (
     emit_outputs,
     generate_run_graph,
     run_scenario,
+    synthetic_points,
 )
 from .sdn import RangeViolationError
 from .solvers import NumericError
@@ -52,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="edge radius; defaults to sqrt(2/n)")
     gen.add_argument("--k", type=int, default=5, help="k for k-NN graphs")
     gen.add_argument("--points", default=None,
-                     help="points CSV for k-NN graphs (random points if omitted)")
+                     help="points CSV for k-NN graphs (if omitted, synthetic points "
+                          "with values)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
 
@@ -79,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_graph(args) -> int:
+    values = None
     if args.kind == "rgg":
         radius = args.radius if args.radius is not None else float(np.sqrt(2.0 / args.n))
         g = generate_run_graph(args.n, radius, args.seed)
@@ -86,11 +89,10 @@ def _cmd_gen_graph(args) -> int:
         if args.points:
             coords, _ = read_points_csv(args.points)
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
-            coords = rng.random((args.n, 2))
+            coords, values = synthetic_points(args.n, args.seed)
         g = knn_graph(coords, args.k)
     write_edges_csv(os.path.join(args.out, "edges.csv"), g)
-    write_points_csv(os.path.join(args.out, "points.csv"), g.coordinates)
+    write_points_csv(os.path.join(args.out, "points.csv"), g.coordinates, values)
     print(f"wrote {g.n} vertices, {g.num_edges()} edges to {args.out}")
     return EXIT_OK
 

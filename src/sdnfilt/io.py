@@ -59,6 +59,25 @@ def _vertex_id(text: str, n: int) -> int:
     return i
 
 
+def _records(path: str, lines, start: int, width: int, parse):
+    """(lineno, parse(*fields)) for each nonblank line of lines, the first
+    numbered start, one at a time as the caller asks, so that the caller's
+    own checks of a line run before the next line is read. A line without
+    `width` comma-separated fields, or whose stripped fields parse rejects
+    with ValueError, raises IngestError at its path:line."""
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        parts = [c.strip() for c in line.split(",")]
+        if len(parts) != width:
+            raise IngestError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            record = parse(*parts)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, record
+
+
 # write buffer of the temp file: a streamed round log reaches the kernel in
 # writes of this size, not one per round
 _WRITE_BUFFER = 256 * 1024
@@ -98,23 +117,9 @@ def read_points_csv(path: str):
             f"{path}:1: expected header 'id,x,y' or 'id,x,y,value', got {lines[0]!r}"
         )
     has_value = len(header) == 4
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != len(header):
-            raise IngestError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
-        try:
-            ident = int(parts[0])
-            x = _finite(parts[1])
-            y = _finite(parts[2])
-            value = _finite(parts[3]) if has_value else None
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
-        rows.append((ident, x, y, value, lineno))
+    rows = [(*row, lineno) for lineno, row in _records(
+        path, lines[1:], 2, len(header),
+        lambda i, x, y, *v: (int(i), _finite(x), _finite(y), *map(_finite, v)))]
     if not rows:
         raise IngestError(f"{path}:2: no data rows")
     seen = set()
@@ -158,16 +163,7 @@ def read_edges_csv(path: str, n: int | None = None):
     if not lines or lines[0].strip() != "i,j":
         raise IngestError(f"{path}:1: expected header 'i,j'")
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IngestError(f"{path}:{lineno}: expected 2 fields")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (i, j) in _records(path, lines[1:], 2, 2, lambda i, j: (int(i), int(j))):
         if not 0 <= i < j:
             raise IngestError(f"{path}:{lineno}: edges must satisfy 0 <= i < j")
         edges.append((i, j))
@@ -196,18 +192,8 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
         raise IngestError(f"{path}: filter is for n={n}, graph has n={graph.n}")
     if lines[1].strip() != "i,j,value":
         raise IngestError(f"{path}:2: expected header 'i,j,value'")
-    entries = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise IngestError(f"{path}:{lineno}: expected 3 fields")
-        try:
-            entries.append((_vertex_id(parts[0], n), _vertex_id(parts[1], n),
-                            _finite(parts[2])))
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
+    entries = [entry for _, entry in _records(path, lines[2:], 3, 3, lambda i, j, v: (
+        _vertex_id(i, n), _vertex_id(j, n), _finite(v)))]
     h = GraphFilter.from_entries(graph, entries)
     if h.width != width:
         raise IngestError(
@@ -229,20 +215,12 @@ def read_signal_csv(path: str, graph: Graph) -> Signal:
         raise IngestError(f"{path}:1: expected header 'id,value'")
     values = np.zeros(graph.n)
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IngestError(f"{path}:{lineno}: expected 2 fields")
-        try:
-            i = _vertex_id(parts[0], graph.n)
-            values[i] = _finite(parts[1])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (i, value) in _records(path, lines[1:], 2, 2,
+                                       lambda i, v: (_vertex_id(i, graph.n), _finite(v))):
         if i in seen:
             raise IngestError(f"{path}:{lineno}: duplicate vertex id {i}")
         seen.add(i)
+        values[i] = value
     if len(seen) != graph.n:
         raise IngestError(f"{path}: expected {graph.n} rows, got {len(seen)}")
     return Signal(graph, values)

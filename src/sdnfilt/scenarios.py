@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -47,10 +47,8 @@ from .sdn import SdnNetwork
 from .solvers import (
     METHODS,
     Method,
-    SolverConfig,
     _snr_db,
     direct_solve_oracle,
-    solve_block,
     solve_stack,
     spectral_radius,
 )
@@ -321,7 +319,7 @@ def _snr(clean: np.ndarray):
 
 
 def _routed(net: SdnNetwork, method: str) -> Method:
-    """`method` with one simulator round as its step, for `solve_block` to
+    """`method` with one simulator round as its step, for `solve_stack` to
     drive from the zero initial on the one observation the network holds.
     The gathered iterates equal the centralized ones bit for bit. A pgda
     round hands back the H x its agents formed for their next residual,
@@ -337,21 +335,6 @@ def _routed(net: SdnNetwork, method: str) -> Method:
         def step(x, e):
             return net.run_spgda(1).values[:, None]
     return Method(g=None, error=None, step=step)
-
-
-def _solve_on_network(cfg: ScenarioConfig, graph: Graph, h: GraphFilter,
-                      y: np.ndarray, method: str, reference: np.ndarray,
-                      epoch: int | None = None):
-    """Deploy a network holding the one observation y (n,) of h and solve
-    it with `method` through `solve_block`, one simulator round per step;
-    `epoch` names a time_varying epoch. Returns the network, for its
-    message counters and log, and the trace."""
-    net = SdnNetwork(graph, h, Signal(graph, y), comm_range=cfg.comm_range,
-                     log_messages=cfg.roundlog, epoch=epoch)
-    solver_cfg = SolverConfig(method=method, max_iter=cfg.iterations)
-    _, (trace,) = solve_block(h, y[:, None], solver_cfg, reference,
-                              {method: _routed(net, method)})
-    return net, trace
 
 
 def _cpus() -> int:
@@ -396,7 +379,7 @@ def _concurrent_map(fn, items: list) -> list:
 
 
 class _MethodRuns:
-    """Per-method results of one fig1, denoise or custom run.
+    """Per-method results of one run, of every scenario.
 
     `run` solves a block of observations of one filter, one trial per
     column, with every method through `solve_stack`, and reads each
@@ -404,8 +387,10 @@ class _MethodRuns:
     trace. A block of one observation (fig1, custom) is one stack of all
     the methods; a block of several (denoise) is one stack per method, the
     stacks solved concurrently (`_concurrent_map`). A distributed config
-    solves one trial at a time, trial-major, with one simulator round as
-    the step. A diverged solve adds to `diverged` instead of to the curves.
+    solves one trial at a time, trial-major, on a network deployed for it,
+    with one simulator round as the step; a time_varying epoch is such a
+    trial, and its row goes to `epoch_rows`. A diverged solve adds to
+    `diverged` instead of to the curves.
     """
 
     def __init__(self, cfg: ScenarioConfig, metric_name: str):
@@ -420,6 +405,7 @@ class _MethodRuns:
         self.diverged = {m: 0 for m in cfg.methods}
         self.messages = {m: 0 for m in cfg.methods}
         self.rounds = []
+        self.epoch_rows = []
 
     def prepare(self, h: GraphFilter):
         """Prepare every method for h and record the spectral radius of each
@@ -438,10 +424,11 @@ class _MethodRuns:
         self.unconverged["singular_values"] += not sv.converged
         return params, sv
 
-    def run(self, graph: Graph, h: GraphFilter, ys: np.ndarray, params: dict,
-            reference: np.ndarray) -> None:
+    def run(self, graph: Graph, h: GraphFilter, ys: np.ndarray, params: dict | None,
+            reference: np.ndarray, epoch: int | None = None) -> None:
         """Solve the observations ys (n x trials) of h with every method and
-        keep each trial's metric curve against reference (n,)."""
+        keep each trial's metric curve against reference (n,); `epoch`
+        names the time_varying epoch of a distributed trial."""
         field = "snrs" if self.metric_name == "snr" else "relative_errors"
         # the solves need no factor: dropped before the stacks are built
         h.release_factor()
@@ -459,21 +446,31 @@ class _MethodRuns:
         for block in blocks:
             self.trials += block.shape[1]
             for solved in solve_all(lambda stack: self._solve(
-                    graph, h, block, stack, params, reference), stacks):
+                    graph, h, block, stack, params, reference, epoch), stacks):
                 self._record(solved, field)
 
-    def _solve(self, graph, h, ys, stack, params, reference):
-        """(method, traces) for each method of the stack, through one
-        simulator run for a distributed config."""
-        if not self.cfg.distributed:
-            solved = solve_stack(h, ys, stack, self.cfg.iterations, reference, params)
+    def _solve(self, graph, h, ys, stack, params, reference, epoch):
+        """(method, traces) for each method of the stack. For a distributed
+        config the stack is one method on one observation, solved on a
+        network that holds it, whose messages, rounds and epoch row are
+        recorded here."""
+        cfg = self.cfg
+        if cfg.distributed:
+            (method,) = stack
+            net = SdnNetwork(graph, h, Signal(graph, ys[:, 0]), comm_range=cfg.comm_range,
+                             log_messages=cfg.roundlog, epoch=epoch)
+            params = {method: _routed(net, method)}
+        solved = solve_stack(h, ys, stack, cfg.iterations, reference, params)
+        if not cfg.distributed:
             return [(m, traces) for m, (_, traces) in zip(stack, solved)]
-        (method,) = stack
-        net, trace = _solve_on_network(self.cfg, graph, h, ys[:, 0],
-                                       method, reference)
+        [(_, (trace,))] = solved
         self.messages[method] += net.total_messages()
-        if self.cfg.roundlog:
+        if cfg.roundlog:
             self.rounds.extend(net.rounds)
+        if epoch is not None:
+            self.epoch_rows.append({"epoch": epoch, "rel_error": trace.relative_errors[-1],
+                                    "messages": net.total_messages(),
+                                    "rounds": len(net.rounds)})
         return [(method, [trace])]
 
     def _record(self, solved, field):
@@ -586,43 +583,34 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
 
 
 def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
-    """One pgda solve per epoch, each on a network deployed for that
-    epoch's filter, as a --distributed fig1 run solves a trial."""
+    """One pgda solve per epoch, each a --distributed trial on a network
+    deployed for that epoch's filter. An epoch's final relative error is
+    kept whether or not it diverged."""
     graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base = blockwise_polynomial(graph)
     x = add_uniform_noise(base, cfg.eta, _stream_seed(cfg.master_seed, 0, _STREAM_SIGNAL))
 
-    rows, rounds, diverged = [], [], 0
+    runs = _MethodRuns(replace(cfg, methods=("pgda",), distributed=True), "rel_error")
     for t in range(cfg.epochs):
         h = build_fig1_filter(
             graph, cfg.gamma, _stream_seed(cfg.master_seed, t, _STREAM_EPOCH)
         )
         y = apply(h, x)
         oracle = direct_solve_oracle(h, y)
-        net, trace = _solve_on_network(cfg, graph, h, y.values, "pgda",
-                                       oracle.values, epoch=t)
-        diverged += trace.status == "diverged"
-        rows.append({
-            "epoch": t,
-            "rel_error": trace.relative_errors[-1],
-            "messages": net.total_messages(),
-            "rounds": len(net.rounds),
-        })
-        if cfg.roundlog:
-            rounds.extend(net.rounds)
+        runs.run(graph, h, y.values[:, None], None, oracle.values, epoch=t)
 
     return TrialAggregate(
         scenario="time_varying",
         methods=("pgda",),
         metric_name="rel_error",
-        trials=cfg.epochs,
+        trials=runs.trials,
         master_seed=cfg.master_seed,
-        curves={"pgda": [r["rel_error"] for r in rows]},
-        diverged={"pgda": diverged},
-        epoch_rows=rows,
+        curves={"pgda": [r["rel_error"] for r in runs.epoch_rows]},
+        diverged=runs.diverged,
+        epoch_rows=runs.epoch_rows,
         graph_info=_rgg_info(graph),
-        message_totals={"pgda": sum(r["messages"] for r in rows)},
-        rounds=rounds if cfg.roundlog else None,
+        message_totals=runs.messages,
+        rounds=runs.rounds if cfg.roundlog else None,
         config_echo=cfg.echo(),
     )
 

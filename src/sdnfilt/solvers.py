@@ -16,11 +16,10 @@ Each method is defined once, as a `Method` built from its G per filter;
 operator and `spectral_radius` the radius of that operator. The
 iteration is linear in y, so all observations of one filter run
 together as the columns of one block, and several methods on it as one
-stack of blocks: `solve_stack` is that loop, `solve_block` its
-one-method case and `solve` its one-column case. The pgda and spgda
-updates are arranged entry-for-entry like the vertex-level
-message-passing algorithms so the distributed simulator reproduces
-these iterates bit for bit.
+stack of blocks: `solve_stack` is that loop, and `solve` its case of one
+method on one column. The pgda and spgda updates are arranged
+entry-for-entry like the vertex-level message-passing algorithms so the
+distributed simulator reproduces these iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "Method",
     "NumericError",
     "solve",
-    "solve_block",
     "solve_stack",
     "iteration_matrix",
     "spectral_radius",
@@ -94,10 +92,10 @@ class NumericError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """The method and iteration budget of `solve` and `solve_block`, which
-    iterate from x_0 = 0. A solve ends with status "converged" only when
-    its residual is exactly zero at m = 0, "diverged" as soon as the
-    residual exceeds DIVERGENCE_FACTOR times its initial value, and
+    """The method and iteration budget of `solve`, which iterates from
+    x_0 = 0, as `solve_stack` does. A solve ends with status "converged"
+    only when its residual is exactly zero at m = 0, "diverged" as soon as
+    the residual exceeds DIVERGENCE_FACTOR times its initial value, and
     "max_iter" after max_iter iterations otherwise.
     """
 
@@ -362,7 +360,7 @@ def solve(
     params: dict | None = None,
 ):
     """Run the configured iteration and return (solution, trace): the
-    one-column case of `solve_block`.
+    case of `solve_stack` with one method and one column.
 
     The iteration is fully deterministic: identical inputs and config give
     bit-identical traces. It stops at m = 0 on a zero residual (status
@@ -373,7 +371,8 @@ def solve(
     if y.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
     ref = None if reference is None else reference.values
-    x, (trace,) = solve_block(h, y.values[:, None], cfg, ref, params)
+    x, (trace,) = solve_stack(h, y.values[:, None], (cfg.method,), cfg.max_iter,
+                              ref, params)[0]
     return Signal(h.graph, x[:, 0]), trace
 
 
@@ -394,23 +393,6 @@ def _scaled_norm(row: np.ndarray) -> float:
     holds an inf)."""
     top = np.abs(row).max()
     return float(top * np.sqrt(np.vecdot(row / top, row / top))) if top < np.inf else np.inf
-
-
-def solve_block(
-    h: GraphFilter,
-    ys: np.ndarray,
-    cfg: SolverConfig,
-    reference: np.ndarray | None = None,
-    params: dict | None = None,
-):
-    """Run the configured iteration on the columns of ys (n x T), T
-    observations of the filter h, and return (solutions, traces): an n x T
-    array and an iterator over one SolveTrace per column. Each trace's
-    lists of floats are built as the iterator reaches it, so only the
-    traces a caller keeps are held at once. The one-method case of
-    `solve_stack`, which describes the checks.
-    """
-    return solve_stack(h, ys, (cfg.method,), cfg.max_iter, reference, params)[0]
 
 
 def _block_rows(mats, cols: int, remap) -> sparse.csr_matrix:
@@ -435,7 +417,9 @@ def solve_stack(
 ):
     """Run the iterations of several methods on the columns of ys (n x T),
     T observations of the filter h, as one stack, and return one
-    (solutions, traces) pair per method, as `solve_block` describes it.
+    (solutions, traces) pair per method: an n x T array, and an iterator
+    that builds one SolveTrace per column as it reaches it, so only the
+    traces a caller keeps are held at once.
 
     The M methods' iterates form one (M n) x T state. Each iteration takes
     one product of the block diagonal diag(H, ..., H) with it, and one of

@@ -53,6 +53,21 @@ class TestGenGraph:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "edges.csv"))
 
+    def test_knn_without_points_starts_a_denoise_run(self, tmp_path):
+        # the synthetic points come with their values, so the written
+        # points file is a denoise run's input as it stands
+        out = str(tmp_path / "g")
+        rc = main(["gen-graph", "--kind", "knn", "--n", "30", "--seed", "8",
+                   "--out", out])
+        assert rc == 0
+        expected = str(tmp_path / "expected.csv")
+        write_points_csv(expected, *synthetic_points(30, rng_seed=8))
+        points = os.path.join(out, "points.csv")
+        assert open(points).read() == open(expected).read()
+        cfg = write_config(tmp_path, scenario="denoise", points_csv=points, eta=10.0,
+                           trials=2, iterations=5, master_seed=1)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
 
 class TestIngest:
     def test_valid_points(self, tmp_path, capsys):

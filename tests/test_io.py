@@ -184,6 +184,35 @@ class TestSignalCsv:
             read_signal_csv(str(path), g)
 
 
+class TestRecordLines:
+    """Each reader's data lines: a wrong field count is reported with its
+    path:line, and of several bad lines the first in the file is, whichever
+    check finds it."""
+
+    G = Graph.from_edges(2, [(0, 1)])
+    READERS = {"points": read_points_csv, "edges": read_edges_csv,
+               "filter": lambda path: read_filter_csv(path, TestRecordLines.G),
+               "signal": lambda path: read_signal_csv(path, TestRecordLines.G)}
+
+    @pytest.mark.parametrize("kind,text,line,problem", [
+        ("points", "id,x,y,value\n0,0.1,0.2,1.0\n\n1,0.3,0.4\n", 4,
+         "expected 4 fields, got 3"),
+        ("edges", "i,j\n0,1\n0,1,2\n", 3, "expected 2 fields, got 3"),
+        ("filter", "# n=2 width=1\ni,j,value\n0,0,1.0\n0,1\n", 4,
+         "expected 3 fields, got 2"),
+        ("signal", "id,value\n0\n", 2, "expected 2 fields, got 1"),
+        # a line's own check comes before the next line is read
+        ("edges", "i,j\n1,0\n0,x\n", 2, "edges must satisfy 0 <= i < j"),
+        ("signal", "id,value\n0,1.0\n0,2.0\n1\n", 3, "duplicate vertex id 0"),
+        ("filter", "# n=2 width=1\ni,j,value\n0,2,1.0\n0,1\n", 3, "vertex id 2"),
+    ])
+    def test_first_bad_line_reported(self, tmp_path, kind, text, line, problem):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=rf"r\.csv:{line}: {problem}"):
+            self.READERS[kind](str(path))
+
+
 class TestExperimentArtifacts:
     def test_curves_row_count(self, tmp_path):
         path = str(tmp_path / "curves.csv")

@@ -404,6 +404,27 @@ class TestRunTimeVarying:
                     for i, kind in enumerate(["d"] + ["v", "x"] * 3)]
         assert [(r.epoch, r.index, r.kind) for r in agg.rounds] == expected
 
+    def test_diverged_epoch_is_kept_and_counted(self, monkeypatch, tmp_path):
+        # a residual that must shrink a thousandfold at once: every solve
+        # stops "diverged" at m = 1. An epoch keeps its row and its final
+        # error and counts as diverged; a fig1 trial only counts
+        import sdnfilt.solvers as solvers
+
+        monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", 1e-3)
+        agg = run_time_varying(ScenarioConfig(**self.CFG))
+        emit_outputs(agg, str(tmp_path))
+        rows = open(tmp_path / "epochs.csv").read().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["epoch", "0", "1"]
+        assert agg.curves["pgda"] == [r["rel_error"] for r in agg.epoch_rows]
+        assert [float(row.split(",")[1]) for row in rows[1:]] == agg.curves["pgda"]
+        assert all(r["rounds"] == 1 + 2 * 1 for r in agg.epoch_rows)
+        assert agg.diverged == {"pgda": 2}
+        fig1 = run_fig1(ScenarioConfig(scenario="fig1", n=48, trials=2, iterations=40,
+                                       master_seed=31, distributed=True,
+                                       methods=("pgda",)))
+        assert fig1.curves == {"pgda": []}
+        assert fig1.diverged == {"pgda": 2}
+
 
 class TestRunCustom:
     def test_round_trip_through_files(self, tmp_path, rng):
@@ -513,14 +534,14 @@ class TestDistributedScenarioRouting:
         # loop's own product is taken for the initial residual only
         import sdnfilt.solvers as solvers
         from conftest import make_invertible, random_connected_graph
-        from sdnfilt.scenarios import _solve_on_network
+        from sdnfilt.scenarios import _MethodRuns
 
         g = random_connected_graph(rng, 25)
         h = make_invertible(rng, g, 2)
         y = rng.standard_normal(25)
         ref = direct_solve_oracle(h, Signal(g, y)).values
-        cfg = ScenarioConfig(scenario="fig1", iterations=20, distributed=True,
-                             methods=("pgda",))
+        runs = _MethodRuns(ScenarioConfig(scenario="fig1", iterations=20, distributed=True,
+                                          roundlog=True, methods=("pgda",)), "rel_error")
         _, central = solve(h, Signal(g, y), SolverConfig("pgda", max_iter=20),
                            Signal(g, ref))
         # every product the loop takes comes from solvers.csr_product
@@ -530,13 +551,17 @@ class TestDistributedScenarioRouting:
             product = real(m)
             return lambda v: products.append(1) or product(v)
 
+        recorded, record = [], runs._record
+        monkeypatch.setattr(runs, "_record",
+                            lambda solved, field: recorded.extend(solved) or record(solved, field))
         monkeypatch.setattr(solvers, "csr_product", counted)
-        net, routed = _solve_on_network(cfg, g, h, y, "pgda", ref)
+        runs.run(g, h, y[:, None], None, ref)
+        [(_, [routed])] = recorded
         assert len(products) == 1
         assert routed.residuals == central.residuals
         assert routed.relative_errors == central.relative_errors
         assert routed.status == central.status
-        assert len(net.rounds) == 1 + 2 * 20
+        assert len(runs.rounds) == 1 + 2 * 20
 
 
 class TestMethodStacks:
@@ -547,30 +572,24 @@ class TestMethodStacks:
     def count(self, monkeypatch):
         import sdnfilt.scenarios as scenarios
 
-        calls = {"stack": [], "block": []}
-        stack, block = scenarios.solve_stack, scenarios.solve_block
+        calls, stack = [], scenarios.solve_stack
 
         def counted_stack(h, ys, methods, *rest):
-            calls["stack"].append((tuple(methods), ys.shape[1]))
+            calls.append((tuple(methods), ys.shape[1]))
             return stack(h, ys, methods, *rest)
 
-        def counted_block(h, ys, cfg, *rest):
-            calls["block"].append((cfg.method, ys.shape[1]))
-            return block(h, ys, cfg, *rest)
-
         monkeypatch.setattr(scenarios, "solve_stack", counted_stack)
-        monkeypatch.setattr(scenarios, "solve_block", counted_block)
         return calls
 
     def test_fig1_and_custom_stack_every_method(self, monkeypatch, tmp_path):
         calls = self.count(monkeypatch)
         run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=2, iterations=10,
                                 master_seed=2024))
-        assert calls == {"stack": [(METHODS, 1)] * 2, "block": []}
-        calls["stack"].clear()
+        assert calls == [(METHODS, 1)] * 2
+        calls.clear()
         base = write_two_vertex_custom(tmp_path)
         run_custom(ScenarioConfig(**{**base, "methods": ("imia", "pgda")}, iterations=10))
-        assert calls == {"stack": [(("imia", "pgda"), 1)], "block": []}
+        assert calls == [(("imia", "pgda"), 1)]
 
     def test_factor_released_before_the_solves(self, monkeypatch):
         import sdnfilt.scenarios as scenarios
@@ -597,20 +616,19 @@ class TestMethodStacks:
     def test_denoise_solves_one_method_at_a_time(self, monkeypatch, tmp_path):
         # on one worker, in method order
         calls = self.run_denoise_on(1, monkeypatch, tmp_path)
-        assert calls == {"stack": [((m,), 5) for m in METHODS], "block": []}
+        assert calls == [((m,), 5) for m in METHODS]
 
     def test_denoise_stacks_on_two_workers(self, monkeypatch, tmp_path):
         # the same stacks, in an order the threads decide
         calls = self.run_denoise_on(2, monkeypatch, tmp_path)
-        assert sorted(calls["stack"]) == sorted(((m,), 5) for m in METHODS)
-        assert calls["block"] == []
+        assert sorted(calls) == sorted(((m,), 5) for m in METHODS)
 
     def test_distributed_solves_one_method_at_a_time(self, monkeypatch):
         calls = self.count(monkeypatch)
         run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=2, iterations=10,
                                 master_seed=2024, distributed=True,
                                 methods=("pgda", "spgda")))
-        assert calls == {"stack": [], "block": [("pgda", 1), ("spgda", 1)] * 2}
+        assert calls == [(("pgda",), 1), (("spgda",), 1)] * 2
 
 
 class TestConcurrentStacks:

@@ -18,7 +18,6 @@ from sdnfilt.solvers import (
     optimal_step,
     prepare_params,
     solve,
-    solve_block,
     solve_stack,
     spectral_radius,
 )
@@ -544,9 +543,9 @@ def bits(values):
 
 
 def assert_block_matches_single(h, ys, cfg, reference=None):
-    """solve_block on the columns of ys equals solve on each column alone,
-    bit for bit; returns the block's traces."""
-    xs, traces = solve_block(h, ys, cfg, reference)
+    """One method's solve_stack on the columns of ys equals solve on each
+    column alone, bit for bit; returns the block's traces."""
+    xs, traces = solve_stack(h, ys, (cfg.method,), cfg.max_iter, reference)[0]
     traces = list(traces)
     assert xs.shape == ys.shape and len(traces) == ys.shape[1]
     for j, trace in enumerate(traces):
@@ -654,7 +653,7 @@ class TestSolveBlock:
             solve(h, Signal(h.graph, np.array([-1.0, 1.0])), cfg)
         ys = np.array([[3.0, -1.0], [3.0, 1.0]])
         with pytest.raises(NumericError) as block:
-            solve_block(h, ys, cfg)
+            solve_stack(h, ys, (cfg.method,), cfg.max_iter)[0]
         assert block.value.iteration == single.value.iteration
 
     def test_nan_in_diverged_column_does_not_raise(self, monkeypatch):
@@ -703,7 +702,8 @@ class TestSolveBlock:
         cfg = SolverConfig(method="spgda", max_iter=200)
         stops = {}
         for scale in (1.0, 1e150, 1e300):
-            x, (trace,) = solve_block(h, np.array([[-scale], [scale]]), cfg)
+            x, (trace,) = solve_stack(h, np.array([[-scale], [scale]]), (cfg.method,),
+                                      cfg.max_iter)[0]
             assert trace.status == "diverged" and np.isfinite(x).all()
             stops[scale] = trace.iterations
         assert stops[1e300] == stops[1e150] == stops[1.0]
@@ -723,9 +723,9 @@ class TestSolveBlock:
         h = make_spd(rng, g, 1)
         cfg = SolverConfig(method="imia", max_iter=2)
         with pytest.raises(ValueError, match="observation block"):
-            solve_block(h, np.zeros(6), cfg)
+            solve_stack(h, np.zeros(6), (cfg.method,), cfg.max_iter)[0]
         with pytest.raises(ValueError, match="reference must be"):
-            solve_block(h, np.zeros((6, 2)), cfg, np.zeros((6, 3)))
+            solve_stack(h, np.zeros((6, 2)), (cfg.method,), cfg.max_iter, np.zeros((6, 3)))[0]
 
 
 class TestWeightedErrors:
@@ -935,7 +935,7 @@ class TestSolveStack:
         alone = {}
         for method in ("spgda", "imia"):
             with pytest.raises(NumericError) as exc:
-                solve_block(h, y, SolverConfig(method, 10000))
+                solve_stack(h, y, (method,), 10000)[0]
             alone[method] = exc.value.iteration
         assert alone["spgda"] < alone["imia"]
         for stack, first in ((METHODS, "spgda"), (("pgda", "opgd", "imia"), "imia")):
@@ -970,7 +970,7 @@ class TestSolveStack:
         ys = np.column_stack([[3.0, 3.0], [-1.0, 1.0], [0.0, 0.0], rng.standard_normal(2)])
         stacked = solve_stack(h, ys, METHODS, 300)
         for method, (xs, traces) in zip(METHODS, stacked):
-            x, alone = solve_block(h, ys, SolverConfig(method, 300))
+            x, alone = solve_stack(h, ys, (method,), 300)[0]
             assert bits(xs) == bits(x), method
             assert [dataclasses.asdict(t) for t in traces] == \
                 [dataclasses.asdict(t) for t in alone], method
