@@ -17,8 +17,12 @@ whose lines match wrote the same bytes. The matrix:
 
     gen-graph-rgg          gen-graph --kind rgg, n=128
     gen-graph-knn          gen-graph --kind knn, 218 points, seed 818
+    gen-graph-knn-points   gen-graph --kind knn --points on the denoise
+                           runs' points.csv (id,x,y,value)
     fig1, fig1-sdn         fig1, n=128, 3 trials; centralized, and
                            --distributed --roundlog with pgda and spgda
+    fig1-fallback          fig1 centralized with gamma 0.6, where spgda's
+                           radius falls back to Lanczos in every trial
     denoise, denoise-sdn   218 synthetic points (seed 818), 20 trials;
                            centralized, and --distributed with pgda and spgda
     custom, custom-sdn     a fig1 filter on an n=64 graph and its
@@ -80,7 +84,9 @@ def matrix():
     points = "points.csv"
     write_points_csv(points, *scenarios.synthetic_points(218, POINTS_SEED))
     write_custom_inputs()
-    fig1 = config("fig1", scenario="fig1", n=128, trials=3, iterations=40, master_seed=5)
+    fig1_cfg = dict(scenario="fig1", n=128, trials=3, iterations=40, master_seed=5)
+    fig1 = config("fig1", **fig1_cfg)
+    fallback = config("fig1-fallback", **{**fig1_cfg, "gamma": 0.6})
     denoise = config("denoise", scenario="denoise", points_csv=points, k=5,
                      alpha=0.9075, eta=35.0, trials=20, iterations=80, master_seed=818)
     own = config("custom", scenario="custom", edges_csv="edges.csv",
@@ -92,8 +98,10 @@ def matrix():
         ("gen-graph-rgg", ["gen-graph", "--kind", "rgg", "--n", "128", "--seed", "3"]),
         ("gen-graph-knn", ["gen-graph", "--kind", "knn", "--n", "218",
                            "--seed", str(POINTS_SEED)]),
+        ("gen-graph-knn-points", ["gen-graph", "--kind", "knn", "--points", points]),
         ("fig1", ["run", "--config", fig1]),
         ("fig1-sdn", ["run", "--config", fig1, *SDN, "--roundlog"]),
+        ("fig1-fallback", ["run", "--config", fallback]),
         ("denoise", ["run", "--config", denoise]),
         ("denoise-sdn", ["run", "--config", denoise, *SDN]),
         ("custom", ["run", "--config", own]),

@@ -87,7 +87,7 @@ def _cmd_gen_graph(args) -> int:
         g = generate_run_graph(args.n, radius, args.seed)
     else:
         if args.points:
-            coords, _ = read_points_csv(args.points)
+            coords, values = read_points_csv(args.points)
         else:
             coords, values = synthetic_points(args.n, args.seed)
         g = knn_graph(coords, args.k)

@@ -207,11 +207,6 @@ class GraphFilter:
         return GraphFilter(self.graph, self.csr + other.csr,
                            _within=max(self.width, other.width))
 
-    def __sub__(self, other: "GraphFilter") -> "GraphFilter":
-        self._check_same_graph(other)
-        return GraphFilter(self.graph, self.csr - other.csr,
-                           _within=max(self.width, other.width))
-
     def scaled(self, alpha: float) -> "GraphFilter":
         if alpha == 0.0:
             return GraphFilter(self.graph, sparse.csr_matrix((self.graph.n,) * 2),

@@ -156,8 +156,8 @@ def write_edges_csv(path: str, g: Graph) -> None:
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
-def read_edges_csv(path: str, n: int | None = None):
-    """Return (n, edges). When n is not given it is inferred as max id + 1."""
+def read_edges_csv(path: str):
+    """Return (n, edges), n inferred as max id + 1."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "i,j":
@@ -167,9 +167,9 @@ def read_edges_csv(path: str, n: int | None = None):
         if not 0 <= i < j:
             raise IngestError(f"{path}:{lineno}: edges must satisfy 0 <= i < j")
         edges.append((i, j))
-    if n is None:
-        n = max(max(e) for e in edges) + 1 if edges else 0
-    return n, edges
+    if not edges:
+        raise IngestError(f"{path}:2: no edges")
+    return max(j for _, j in edges) + 1, edges
 
 
 # ---------------------------------------------------------------------------

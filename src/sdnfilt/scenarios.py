@@ -120,6 +120,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
+        if isinstance(self.methods, str):
+            raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ConfigError("methods list is empty")
@@ -190,22 +192,19 @@ class ScenarioConfig:
     def resolved_radius(self) -> float:
         return float(np.sqrt(2.0 / self.n)) if self.radius is None else self.radius
 
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["methods"] = list(self.methods)
-        return d
-
 
 @dataclass
 class TrialAggregate:
-    """Cross-trial statistics of one scenario run."""
+    """One scenario run's record. Each field but the last three is a key of
+    summary.json; those three go to files of their own."""
 
     scenario: str
     methods: tuple
-    metric_name: str
+    metric: str                                          # "rel_error" or "snr"
     trials: int
     master_seed: int
-    curves: dict = field(default_factory=dict)           # method -> mean metric per m
+    graph: dict
+    config: dict
     mean_spectral_radius: dict = field(default_factory=dict)
     iterations_to_5pct: dict = field(default_factory=dict)
     iterations_to_plateau: dict = field(default_factory=dict)
@@ -214,11 +213,10 @@ class TrialAggregate:
     condition_numbers: list = field(default_factory=list)
     spectral_unconverged: dict = field(default_factory=dict)
     spectral_fallbacks: dict = field(default_factory=dict)
-    graph_info: dict = field(default_factory=dict)
     message_totals: dict = field(default_factory=dict)
-    epoch_rows: list = field(default_factory=list)       # time_varying only
-    rounds: list | None = None                           # message log, if kept
-    config_echo: dict = field(default_factory=dict)
+    curves: dict = field(default_factory=dict)           # curves.csv: method -> mean per m
+    epoch_rows: list = field(default_factory=list)       # epochs.csv, time_varying only
+    rounds: list = field(default_factory=list)           # roundlog.csv, empty unless kept
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +391,9 @@ class _MethodRuns:
     `diverged` instead of to the curves.
     """
 
-    def __init__(self, cfg: ScenarioConfig, metric_name: str):
+    def __init__(self, cfg: ScenarioConfig, metric: str):
         self.cfg = cfg
-        self.metric_name = metric_name
+        self.metric = metric
         self.trials = 0
         self.curves = {m: [] for m in cfg.methods}
         self.radii = {m: [] for m in cfg.methods}
@@ -429,7 +427,7 @@ class _MethodRuns:
         """Solve the observations ys (n x trials) of h with every method and
         keep each trial's metric curve against reference (n,); `epoch`
         names the time_varying epoch of a distributed trial."""
-        field = "snrs" if self.metric_name == "snr" else "relative_errors"
+        field = "snrs" if self.metric == "snr" else "relative_errors"
         # the solves need no factor: dropped before the stacks are built
         h.release_factor()
         distributed, methods = self.cfg.distributed, self.cfg.methods
@@ -482,31 +480,30 @@ class _MethodRuns:
                 else:  # as an array: a third of the memory of floats
                     self.curves[m].append(np.array(getattr(trace, field)))
 
-    def aggregate(self, scenario: str, graph_info: dict,
-                  **extra) -> TrialAggregate:
-        """Cross-trial means, plus iterations to 5% for error curves or to
-        the limit-SNR plateau for SNR curves."""
-        cfg, metric_name = self.cfg, self.metric_name
-        agg = TrialAggregate(
-            scenario=scenario,
-            methods=cfg.methods,
-            metric_name=metric_name,
-            trials=self.trials,
-            master_seed=cfg.master_seed,
+    def record(self, scenario: str, graph: dict, config: dict,
+               **fields) -> TrialAggregate:
+        """The run's record, with the fields every scenario shares filled
+        from this run; `fields` are the scenario's own."""
+        return TrialAggregate(
+            scenario=scenario, methods=self.cfg.methods, metric=self.metric,
+            trials=self.trials, master_seed=self.cfg.master_seed, graph=graph,
+            config=config, diverged=self.diverged, message_totals=self.messages,
+            rounds=self.rounds, **fields)
+
+    def aggregate(self, scenario: str, graph: dict, **fields) -> TrialAggregate:
+        """The record with cross-trial means, plus iterations to 5% for error
+        curves or to the limit-SNR plateau for SNR curves."""
+        agg = self.record(
+            scenario, graph, asdict(self.cfg),
             curves={m: np.mean(np.array(rows), axis=0).tolist() if rows else []
                     for m, rows in self.curves.items()},
             mean_spectral_radius={m: float(np.mean(r)) for m, r in self.radii.items()},
             spectral_unconverged=self.unconverged,
             spectral_fallbacks=self.fallbacks,
-            diverged=self.diverged,
-            graph_info=graph_info,
-            message_totals=self.messages,
-            rounds=self.rounds if cfg.roundlog else None,
-            config_echo=cfg.echo(),
-            **extra,
+            **fields,
         )
         for m, curve in agg.curves.items():
-            if metric_name == "snr":
+            if self.metric == "snr":
                 gaps = [abs(v - agg.limit_snr) for v in curve]
                 agg.iterations_to_plateau[m] = iterations_to_threshold(gaps, PLATEAU_DB)
             else:
@@ -599,20 +596,9 @@ def run_time_varying(cfg: ScenarioConfig) -> TrialAggregate:
         oracle = direct_solve_oracle(h, y)
         runs.run(graph, h, y.values[:, None], None, oracle.values, epoch=t)
 
-    return TrialAggregate(
-        scenario="time_varying",
-        methods=("pgda",),
-        metric_name="rel_error",
-        trials=runs.trials,
-        master_seed=cfg.master_seed,
-        curves={"pgda": [r["rel_error"] for r in runs.epoch_rows]},
-        diverged=runs.diverged,
-        epoch_rows=runs.epoch_rows,
-        graph_info=_rgg_info(graph),
-        message_totals=runs.messages,
-        rounds=runs.rounds if cfg.roundlog else None,
-        config_echo=cfg.echo(),
-    )
+    return runs.record("time_varying", _rgg_info(graph), asdict(cfg),
+                       curves={"pgda": [r["rel_error"] for r in runs.epoch_rows]},
+                       epoch_rows=runs.epoch_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -660,24 +646,8 @@ def emit_outputs(agg: TrialAggregate, out_dir: str) -> list[str]:
     write_curves_csv(curves_path, agg.curves)
     written.append(curves_path)
 
-    summary = {
-        "scenario": agg.scenario,
-        "methods": list(agg.methods),
-        "metric": agg.metric_name,
-        "trials": agg.trials,
-        "master_seed": agg.master_seed,
-        "mean_spectral_radius": agg.mean_spectral_radius,
-        "iterations_to_5pct": agg.iterations_to_5pct,
-        "iterations_to_plateau": agg.iterations_to_plateau,
-        "limit_snr": agg.limit_snr,
-        "diverged": agg.diverged,
-        "condition_numbers": agg.condition_numbers,
-        "spectral_unconverged": agg.spectral_unconverged,
-        "spectral_fallbacks": agg.spectral_fallbacks,
-        "graph": agg.graph_info,
-        "message_totals": agg.message_totals,
-        "config": agg.config_echo,
-    }
+    payloads = ("curves", "epoch_rows", "rounds")
+    summary = {k: v for k, v in vars(agg).items() if k not in payloads}
     summary_path = os.path.join(out_dir, "summary.json")
     write_summary_json(summary_path, summary)
     written.append(summary_path)

@@ -17,7 +17,8 @@ REMOVED_MEMBERS = {
     "sdnfilt.sdn.SdnNetwork": ("agents", "_agent", "expected_messages_per_exchange",
                                "max_message_distance"),
     "sdnfilt.sdn.Round": ("values",),
-    "sdnfilt.filters.GraphFilter": ("from_dense", "to_dense", "entry", "T", "entries"),
+    "sdnfilt.filters.GraphFilter": ("from_dense", "to_dense", "entry", "T", "entries",
+                                    "__sub__"),
     "sdnfilt.filters.Signal": ("norm",),
     "sdnfilt.graphs.Graph": ("degree",),
 }

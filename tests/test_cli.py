@@ -53,6 +53,16 @@ class TestGenGraph:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "edges.csv"))
 
+    @pytest.mark.parametrize("with_values", [True, False])
+    def test_knn_points_keep_their_columns(self, tmp_path, with_values):
+        # id,x,y,value in gives the same values out; id,x,y in, id,x,y out
+        coords, values = synthetic_points(30, rng_seed=4)
+        pts = str(tmp_path / "pts.csv")
+        write_points_csv(pts, coords, values if with_values else None)
+        out = str(tmp_path / "g")
+        assert main(["gen-graph", "--kind", "knn", "--points", pts, "--out", out]) == 0
+        assert open(os.path.join(out, "points.csv")).read() == open(pts).read()
+
     def test_knn_without_points_starts_a_denoise_run(self, tmp_path):
         # the synthetic points come with their values, so the written
         # points file is a denoise run's input as it stands
@@ -110,6 +120,13 @@ class TestRun:
     def test_config_error_empty_methods(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", methods=[])
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_methods_as_one_string_exit_2(self, tmp_path, capsys):
+        # a string is not split into one-letter method names
+        cfg = write_config(tmp_path, scenario="fig1", methods="pgda")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'pgda'" in err and "'p'" not in err
 
     def test_config_error_without_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,
@@ -284,6 +301,14 @@ class TestRun:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 4
         assert f"{raw['filter_csv']}:4" in capsys.readouterr().err
+
+    def test_edges_without_rows_exit_4(self, tmp_path, capsys):
+        raw = write_two_vertex_custom(tmp_path)
+        (tmp_path / "e.csv").write_text("i,j\n")
+        cfg = write_config(tmp_path, **raw)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"{raw['edges_csv']}:2: no edges" in capsys.readouterr().err
 
     def test_distributed_flag_with_unsupported_method(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,

@@ -105,7 +105,7 @@ class TestGraphFilterBasics:
             g = random_connected_graph(rng, int(rng.integers(1, 30)))
             a = random_filter(rng, g, int(rng.integers(0, 4)), keep_prob=0.3)
             b = random_filter(rng, g, int(rng.integers(0, 3)), keep_prob=0.3)
-            for h in (a, b, a + b, a - a, a.scaled(float(rng.uniform(-2, 2))),
+            for h in (a, b, a + b, a + a.scaled(-1.0), a.scaled(float(rng.uniform(-2, 2))),
                       compose(a, b), from_dense(g, dense_of(a).T)):
                 assert h.width == entries_width_by_levels(g, h.csr)
 

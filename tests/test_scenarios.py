@@ -164,7 +164,7 @@ class TestRunFig1Small:
             assert len(agg.curves[m]) == 41
             assert agg.curves[m][0] == pytest.approx(1.0)
         assert len(agg.condition_numbers) == 2
-        assert agg.graph_info["n"] == 64
+        assert agg.graph["n"] == 64
 
     def test_noiseless_curves_decrease(self):
         cfg = ScenarioConfig(scenario="fig1", n=64, trials=1, iterations=30,
@@ -478,6 +478,34 @@ class TestEmitOutputs:
         paths = emit_outputs(agg, out)
         assert any(p.endswith("roundlog.csv") for p in paths)
         assert any(p.endswith("epochs.csv") for p in paths)
+
+    SUMMARY_KEYS = {
+        "scenario", "methods", "metric", "trials", "master_seed", "graph", "config",
+        "mean_spectral_radius", "iterations_to_5pct", "iterations_to_plateau",
+        "limit_snr", "diverged", "condition_numbers", "spectral_unconverged",
+        "spectral_fallbacks", "message_totals",
+    }
+
+    def test_summary_key_set(self, tmp_path):
+        # a new summary key is a deliberate edit of this set; the curves,
+        # epoch rows and message log go to their own files only
+        points = str(tmp_path / "points.csv")
+        write_points_csv(points, *synthetic_points(40, rng_seed=3))
+        runs = {
+            "fig1": run_fig1(ScenarioConfig(scenario="fig1", n=48, trials=1,
+                                            iterations=5, master_seed=3)),
+            "denoise": run_denoise(ScenarioConfig(scenario="denoise", points_csv=points,
+                                                  eta=10.0, trials=2, iterations=5)),
+            "time_varying": run_time_varying(ScenarioConfig(
+                scenario="time_varying", n=48, epochs=1, iterations=3, master_seed=31,
+                roundlog=True)),
+            "custom": run_custom(ScenarioConfig(**write_two_vertex_custom(tmp_path),
+                                                iterations=5)),
+        }
+        for name, agg in runs.items():
+            emit_outputs(agg, str(tmp_path / name))
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert set(summary) == self.SUMMARY_KEYS, name
 
 
 class TestHelpers:
