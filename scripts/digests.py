@@ -25,9 +25,12 @@ whose lines match wrote the same bytes. The matrix:
                            radius falls back to Lanczos in every trial
     denoise, denoise-sdn   218 synthetic points (seed 818), 20 trials;
                            centralized, and --distributed with pgda and spgda
+    denoise-alpha0         the denoise config with alpha 0: the identity
+                           filter
     custom, custom-sdn     a fig1 filter on an n=64 graph and its
                            observation, from CSV files; centralized, and
                            --distributed with pgda and spgda
+    custom-points          the custom run with the graph's points.csv
     tv, tv-roundlog        time_varying, n=64, 3 epochs, 100 iterations;
                            without and with --roundlog
 
@@ -55,12 +58,14 @@ POINTS_SEED = 818
 
 
 def write_custom_inputs():
-    """edges.csv, filter.csv and signal.csv of a fig1 filter on an n=64
-    graph and its observation of the blockwise polynomial."""
+    """edges.csv, custom-points.csv, filter.csv and signal.csv of a fig1
+    filter on an n=64 graph and its observation of the blockwise
+    polynomial."""
     graph = scenarios.generate_run_graph(64, 2.0 ** -2.5, 64)
     h = build_fig1_filter(graph, 0.05, 7)
     y = apply(h, scenarios.blockwise_polynomial(graph))
     write_edges_csv("edges.csv", graph)
+    write_points_csv("custom-points.csv", graph.coordinates)
     rows = [f"# n={graph.n} width={h.width}", "i,j,value"]
     csr = h.csr
     for i in range(graph.n):
@@ -87,11 +92,14 @@ def matrix():
     fig1_cfg = dict(scenario="fig1", n=128, trials=3, iterations=40, master_seed=5)
     fig1 = config("fig1", **fig1_cfg)
     fallback = config("fig1-fallback", **{**fig1_cfg, "gamma": 0.6})
-    denoise = config("denoise", scenario="denoise", points_csv=points, k=5,
-                     alpha=0.9075, eta=35.0, trials=20, iterations=80, master_seed=818)
-    own = config("custom", scenario="custom", edges_csv="edges.csv",
-                 filter_csv="filter.csv", signal_csv="signal.csv", trials=1,
-                 iterations=100)
+    denoise_cfg = dict(scenario="denoise", points_csv=points, k=5, alpha=0.9075,
+                       eta=35.0, trials=20, iterations=80, master_seed=818)
+    denoise = config("denoise", **denoise_cfg)
+    alpha0 = config("denoise-alpha0", **{**denoise_cfg, "alpha": 0.0})
+    own_cfg = dict(scenario="custom", edges_csv="edges.csv", filter_csv="filter.csv",
+                   signal_csv="signal.csv", trials=1, iterations=100)
+    own = config("custom", **own_cfg)
+    own_points = config("custom-points", **own_cfg, points_csv="custom-points.csv")
     tv = config("tv", scenario="time_varying", n=64, epochs=3, iterations=100,
                 master_seed=31)
     return [
@@ -104,8 +112,10 @@ def matrix():
         ("fig1-fallback", ["run", "--config", fallback]),
         ("denoise", ["run", "--config", denoise]),
         ("denoise-sdn", ["run", "--config", denoise, *SDN]),
+        ("denoise-alpha0", ["run", "--config", alpha0]),
         ("custom", ["run", "--config", own]),
         ("custom-sdn", ["run", "--config", own, *SDN]),
+        ("custom-points", ["run", "--config", own_points]),
         ("tv", ["run", "--config", tv]),
         ("tv-roundlog", ["run", "--config", tv, "--roundlog"]),
     ]

@@ -33,7 +33,6 @@ from .solvers import (
     SolverConfig,
     direct_solve_oracle,
     imia_diagonal,
-    iteration_matrix,
     optimal_step,
     solve,
     solve_stack,

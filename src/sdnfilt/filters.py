@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                  aslinearoperator, eigsh, splu)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .graphs import Graph, hop_matrix
 
@@ -208,9 +207,6 @@ class GraphFilter:
                            _within=max(self.width, other.width))
 
     def scaled(self, alpha: float) -> "GraphFilter":
-        if alpha == 0.0:
-            return GraphFilter(self.graph, sparse.csr_matrix((self.graph.n,) * 2),
-                               _width=0)
         # width recomputed: scaling can underflow an entry to exact zero
         return GraphFilter(self.graph, self.csr * float(alpha), _within=self.width)
 
@@ -346,17 +342,6 @@ def laplacians(g: Graph) -> GraphFilter:
 # ---------------------------------------------------------------------------
 
 
-def _as_operator(m):
-    """(n, matvec) of a GraphFilter, of an (n, matvec) pair itself, or of
-    anything aslinearoperator accepts."""
-    if isinstance(m, GraphFilter):
-        return m.graph.n, m.matvec
-    if isinstance(m, tuple):
-        return m
-    op = aslinearoperator(m)
-    return op.shape[0], op.matvec
-
-
 def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,))
@@ -365,13 +350,12 @@ def _start_vector(n: int, rng_seed: int, stream: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
+def power_spectral_radius(op: tuple, tol: float = 1e-10, max_iter: int = 5000,
                           rng_seed: int = 0) -> SpectralEstimate:
-    """Spectral radius of a symmetric operator (a GraphFilter, an (n, matvec)
-    pair or anything `aslinearoperator` accepts), the eigenvalue largest in
-    magnitude, by ARPACK's implicitly restarted Lanczos method. The one
-    LinearOperator layer is the counting one handed to ARPACK; a pair's
-    matvec runs under it directly.
+    """Spectral radius of the symmetric operator given as an (n, matvec)
+    pair, the eigenvalue largest in magnitude, by ARPACK's implicitly
+    restarted Lanczos method. The one LinearOperator layer is the counting
+    one handed to ARPACK; the matvec runs under it directly.
 
     The start vector and ARPACK's restart stream are seeded by rng_seed,
     so reruns are bit-identical. `iterations` counts operator applications.
@@ -381,7 +365,7 @@ def power_spectral_radius(m, tol: float = 1e-10, max_iter: int = 5000,
     vector that the operator annihilates is replaced once by a fresh one;
     if that one is annihilated too, the operator is taken as zero.
     """
-    n, matvec = _as_operator(m)
+    n, matvec = op
     bounds = []  # |A v|/|v|, one per application
 
     def counted(v):
@@ -501,8 +485,6 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
     definite with width 1 for alpha > 0 (width 0 at alpha = 0)."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return GraphFilter.identity(g)
     return GraphFilter.identity(g) + laplacians(g).scaled(alpha)
 
 

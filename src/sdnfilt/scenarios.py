@@ -18,7 +18,6 @@ byte-identical across reruns.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -47,6 +46,8 @@ from .sdn import SdnNetwork
 from .solvers import (
     METHODS,
     Method,
+    _norms,
+    _rows,
     _snr_db,
     direct_solve_oracle,
     solve_stack,
@@ -304,35 +305,19 @@ def iterations_to_threshold(curve, threshold: float):
     return next((m for m, v in enumerate(curve) if v <= threshold), None)
 
 
-def _relative_error(ref: np.ndarray):
-    """Metric x_m -> ||x_m - ref|| / ||ref|| (plain ||x_m|| for ref = 0)."""
-    ref_norm = np.linalg.norm(ref) or 1.0
-    return lambda xm: float(np.linalg.norm(xm - ref) / ref_norm)
-
-
-def _snr(clean: np.ndarray):
-    """Metric x_m -> SNR in dB of x_m against the clean values."""
-    rel = _relative_error(clean)
-    return lambda xm: float(_snr_db(rel(xm)))
-
-
 def _routed(net: SdnNetwork, method: str) -> Method:
     """`method` with one simulator round as its step, for `solve_stack` to
     drive from the zero initial on the one observation the network holds.
-    The gathered iterates equal the centralized ones bit for bit. A pgda
-    round hands back the H x its agents formed for their next residual,
-    so the loop takes no product of its own."""
+    Its iterates and their H x (`SdnNetwork.filtered`, which a pgda round
+    reads for its next residual too) equal the centralized ones bit for bit."""
     if method == "pgda":
         net.distributed_preconditioner()
-
-        def step(x, e):
-            return net.run_pgda(1).values[:, None], net.filtered()[:, None]
+        run = net.run_pgda
     else:
         net.spgda_setup()
-
-        def step(x, e):
-            return net.run_spgda(1).values[:, None]
-    return Method(g=None, error=None, step=step)
+        run = net.run_spgda
+    return Method(g=None, error=None,
+                  step=lambda x, e: (run(1).values[:, None], net.filtered()[:, None]))
 
 
 def _cpus() -> int:
@@ -341,39 +326,17 @@ def _cpus() -> int:
 
 
 def _concurrent_map(fn, items: list) -> list:
-    """[fn(item) for item in items], on min(len(items), _cpus()) threads:
-    the calling thread and as many more, each taking the next item not
-    yet started. The first failure in item order is raised once every
-    started call has ended, and no item after a failed one is started."""
-    results, errors = [None] * len(items), [None] * len(items)
-    lock, order = threading.Lock(), iter(range(len(items)))
-
-    def work():
-        while True:
-            with lock:
-                i = next(order, None)
-            if i is None or any(err is not None for err in errors[:i]):
-                return
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:
-                errors[i] = exc
-
-    threads = [threading.Thread(target=work)
-               for _ in range(min(len(items), _cpus()) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
-        with lock:              # an interrupt: start no further item
-            order = iter(())
-        for thread in threads:
-            thread.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results
+    """[fn(item) for item in items], on min(len(items), _cpus()) pool
+    threads, or on the calling thread where that is one. The first failure
+    in item order is raised once the started calls end, every item not
+    yet started cancelled; an interrupt cancels them too."""
+    workers = min(len(items), _cpus())
+    if workers < 2:
+        return list(map(fn, items))
+    # imported here, so that a run which starts no pool does not load it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 class _MethodRuns:
@@ -387,8 +350,8 @@ class _MethodRuns:
     stacks solved concurrently (`_concurrent_map`). A distributed config
     solves one trial at a time, trial-major, on a network deployed for it,
     with one simulator round as the step; a time_varying epoch is such a
-    trial, and its row goes to `epoch_rows`. A diverged solve adds to
-    `diverged` instead of to the curves.
+    trial, and its row goes to `epoch_rows` in place of a curve. A
+    diverged solve adds to `diverged` instead of to the curves.
     """
 
     def __init__(self, cfg: ScenarioConfig, metric: str):
@@ -445,7 +408,7 @@ class _MethodRuns:
             self.trials += block.shape[1]
             for solved in solve_all(lambda stack: self._solve(
                     graph, h, block, stack, params, reference, epoch), stacks):
-                self._record(solved, field)
+                self._record(solved, field, keep=epoch is None)
 
     def _solve(self, graph, h, ys, stack, params, reference, epoch):
         """(method, traces) for each method of the stack. For a distributed
@@ -471,13 +434,13 @@ class _MethodRuns:
                                     "rounds": len(net.rounds)})
         return [(method, [trace])]
 
-    def _record(self, solved, field):
-        """Count each diverged trace; keep every other one's metric curve."""
+    def _record(self, solved, field, keep):
+        """Count each diverged trace; keep every other one's curve where `keep`."""
         for m, traces in solved:
             for trace in traces:
                 if trace.status == "diverged":
                     self.diverged[m] += 1
-                else:  # as an array: a third of the memory of floats
+                elif keep:  # as an array: a third of the memory of floats
                     self.curves[m].append(np.array(getattr(trace, field)))
 
     def record(self, scenario: str, graph: dict, config: dict,
@@ -554,7 +517,6 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     graph = knn_graph(coords, cfg.k)
     h = build_denoise_filter(graph, cfg.alpha)
     clean = Signal(graph, values)
-    snr = _snr(values)
     runs = _MethodRuns(cfg, "snr")
     params, _ = runs.prepare(h)
 
@@ -565,7 +527,8 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
         ys[:, trial] = add_uniform_noise(
             clean, cfg.eta, _stream_seed(cfg.master_seed, trial, _STREAM_OBS)
         ).values
-    limit_snrs = [snr(x) for x in direct_solve_oracle(h, ys).T]
+    limit_snrs = _snr_db(_norms(_rows(direct_solve_oracle(h, ys) - values[:, None]))
+                         / (np.linalg.norm(values) or 1.0))
     runs.run(graph, h, ys, params, values)
 
     return runs.aggregate(
@@ -611,6 +574,9 @@ def run_custom(cfg: ScenarioConfig) -> TrialAggregate:
     coords = None
     if cfg.points_csv:
         coords, _ = read_points_csv(cfg.points_csv)
+        if len(coords) != n:
+            raise IngestError(f"{cfg.points_csv}: {len(coords)} points, but "
+                              f"{cfg.edges_csv} has {n} vertices")
     graph = Graph.from_edges(n, edges, coordinates=coords)
     h = read_filter_csv(cfg.filter_csv, graph)
     y = read_signal_csv(cfg.signal_csv, graph)

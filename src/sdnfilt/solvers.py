@@ -12,14 +12,14 @@ with a different approximate inverse G each:
     imia   G = diag(H(i,i) / sum_j H(i,j)^2)
 
 Each method is defined once, as a `Method` built from its G per filter;
-`solve_stack` runs its step, `iteration_matrix` takes its error
-operator and `spectral_radius` the radius of that operator. The
-iteration is linear in y, so all observations of one filter run
-together as the columns of one block, and several methods on it as one
-stack of blocks: `solve_stack` is that loop, and `solve` its case of one
-method on one column. The pgda and spgda updates are arranged
-entry-for-entry like the vertex-level message-passing algorithms so the
-distributed simulator reproduces these iterates bit for bit.
+`solve_stack` runs its step and `spectral_radius` takes the radius of
+its error operator. The iteration is linear in y, so all observations
+of one filter run together as the columns of one block, and several
+methods on it as one stack of blocks: `solve_stack` is that loop, and
+`solve` its case of one method on one column. The pgda and spgda
+updates are arranged entry-for-entry like the vertex-level
+message-passing algorithms so the distributed simulator reproduces
+these iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator
 
 from .filters import (
     GraphFilter,
@@ -55,7 +54,6 @@ __all__ = [
     "NumericError",
     "solve",
     "solve_stack",
-    "iteration_matrix",
     "spectral_radius",
     "optimal_step",
     "imia_diagonal",
@@ -141,8 +139,7 @@ class Method:
     x - G e = (x + G y) - G H x: spgda's g is P^{-1} H, and shift(Y) its
     P^{-1} y, added to x before g's product is taken off. opgd's beta
     scales g's product (`scale`). A routed method has no g: its `step`
-    takes (x, e) to the next x, or to the pair (x', H x') where it forms
-    H x' itself.
+    takes (x, e) to the pair (x', H x'), forming H x' itself.
     error() gives the matvec of I - G H in symmetric similarity form.
     radius(), where a method has a route of its own, gives
     the spectral radius of that operator, or None where the route does
@@ -504,9 +501,7 @@ def solve_stack(
         for m in range(max_iter + 1):
             t = None
             if m and routed is not None:
-                new = routed(x, e)
-                if type(new) is tuple:
-                    new, t = new
+                new, t = routed(x, e)
                 np.copyto(x, new)
             elif m:
                 g = g_stack(pair)
@@ -585,29 +580,14 @@ def _snr_db(rel_error):
     return np.where(rel <= 0.0, SNR_CAP_DB, snr)
 
 
-def iteration_matrix(h: GraphFilter, method: str,
-                     params: dict | None = None) -> LinearOperator:
-    """Error-propagation operator of a method, in symmetric similarity form
-    so its spectral radius can be taken by a symmetric eigensolver.
-
-    pgda:  I - P^{-1} H^T H P^{-1}
-    spgda: I - P^{-1/2} H P^{-1/2}
-    opgd:  I - beta H^T H
-    imia:  I - D^{1/2} H D^{1/2}   (requires positive diagonal D)
-    """
-    n = h.graph.n
-    mv = prepare_params(h, method, params)[method].error()
-    return LinearOperator((n, n), matvec=mv, dtype=np.float64)
-
-
 def spectral_radius(h: GraphFilter, method: str,
                     params: dict | None = None) -> SpectralEstimate:
-    """Spectral radius of `iteration_matrix(h, method)`, to ARPACK's
-    RADIUS_TOL within RADIUS_MAX_ITER restarts.
+    """Spectral radius of `method`'s error operator I - G H (`Method`),
+    to ARPACK's RADIUS_TOL within RADIUS_MAX_ITER restarts.
 
     pgda (`_pgda_radius`) and spgda (`_spgda_radius`) take it through the
     filter's LU factor and opgd in closed form from its singular values;
-    imia takes it by Lanczos on the iteration matrix, and so do pgda and
+    imia takes it by Lanczos on the error operator, and so do pgda and
     spgda, flagged as a fallback, where their own route does not hold.
     """
     entry = prepare_params(h, method, params)[method]

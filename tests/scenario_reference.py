@@ -16,10 +16,17 @@ import numpy as np
 from sdnfilt.filters import Signal, build_denoise_filter
 from sdnfilt.graphs import knn_graph
 from sdnfilt.io import read_points_csv
-from sdnfilt.scenarios import _STREAM_OBS, _snr, _stream_seed, add_uniform_noise
-from sdnfilt.solvers import DIVERGENCE_FACTOR, direct_solve_oracle
+from sdnfilt.scenarios import _STREAM_OBS, _stream_seed, add_uniform_noise
+from sdnfilt.solvers import DIVERGENCE_FACTOR, _snr_db, direct_solve_oracle
 
 from conftest import method_step
+
+
+def _snr(clean: np.ndarray):
+    """Metric x_m -> SNR in dB of x_m against the clean values: -20 log10
+    of ||x_m - clean|| / ||clean|| (plain ||x_m|| for clean = 0), capped."""
+    ref_norm = np.linalg.norm(clean) or 1.0
+    return lambda xm: float(_snr_db(np.linalg.norm(xm - clean) / ref_norm))
 
 
 def denoise_reference(cfg):

@@ -25,7 +25,6 @@ from sdnfilt.solvers import (
     METHODS,
     SolverConfig,
     direct_solve_oracle,
-    iteration_matrix,
     solve,
 )
 
@@ -40,6 +39,7 @@ from conftest import (
 )
 from filter_reference import from_dense
 from sdn_reference import max_message_distance, messages_per_exchange
+from solver_reference import iteration_matrix
 
 REFERENCE_RADII = {"spgda": 0.9786, "pgda": 0.9996, "opgd": 0.9993, "imia": 0.9566}
 

@@ -11,7 +11,7 @@ MODULES = ("sdnfilt", "sdnfilt.cli", "sdnfilt.filters", "sdnfilt.graphs",
            "sdnfilt.sdn", "sdnfilt.solvers")
 
 REMOVED = ("AgentState", "_Agents", "DiagonalPreconditioner", "geodesic_width",
-           "write_filter_csv", "write_signal_csv")
+           "write_filter_csv", "write_signal_csv", "iteration_matrix")
 
 REMOVED_MEMBERS = {
     "sdnfilt.sdn.SdnNetwork": ("agents", "_agent", "expected_messages_per_exchange",

@@ -310,6 +310,18 @@ class TestRun:
         assert rc == 4
         assert f"{raw['edges_csv']}:2: no edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_custom_points_count_mismatch_exit_4(self, tmp_path, capsys, points):
+        # a custom run's points file holds one point per vertex of edges.csv
+        raw = write_two_vertex_custom(tmp_path)
+        path = tmp_path / "p.csv"
+        path.write_text("id,x,y\n" + "".join(f"{i},0.{i},0.5\n" for i in range(points)))
+        cfg = write_config(tmp_path, **raw, points_csv=str(path))
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert (f"{path}: {points} points, but {raw['edges_csv']} has 2 vertices"
+                in capsys.readouterr().err)
+
     def test_distributed_flag_with_unsupported_method(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,
                            iterations=5, methods=["opgd"])

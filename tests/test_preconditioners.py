@@ -8,7 +8,6 @@ from sdnfilt.preconditioners import (
     build_spgda_preconditioner,
     normalized_filter,
 )
-from sdnfilt.solvers import iteration_matrix
 
 from conftest import dense_of, make_invertible, make_spd, random_connected_graph, random_filter
 from filter_reference import (
@@ -17,6 +16,7 @@ from filter_reference import (
     from_dense,
     schur_norm,
 )
+from solver_reference import iteration_matrix
 
 
 def path3():

@@ -379,6 +379,22 @@ class TestRunTimeVarying:
                 oracle.values)
             assert row["rel_error"] == rel
 
+    def test_epoch_keeps_its_row_and_no_curve(self):
+        from sdnfilt.filters import build_fig1_filter
+        from sdnfilt.scenarios import _MethodRuns, generate_run_graph
+
+        cfg = ScenarioConfig(**self.CFG)
+        graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
+        h = build_fig1_filter(graph, cfg.gamma, 1)
+        y = apply(h, blockwise_polynomial(graph))
+        runs = _MethodRuns(dataclasses.replace(cfg, methods=("pgda",), distributed=True),
+                           "rel_error")
+        runs.run(graph, h, y.values[:, None], None, direct_solve_oracle(h, y).values,
+                 epoch=0)
+        assert [row["epoch"] for row in runs.epoch_rows] == [0]
+        assert runs.curves == {"pgda": []}
+        assert runs.diverged == {"pgda": 0}
+
     def test_message_counts_constant_across_epochs(self):
         agg = run_time_varying(ScenarioConfig(**self.CFG))
         counts = [r["messages"] for r in agg.epoch_rows]
@@ -580,8 +596,8 @@ class TestDistributedScenarioRouting:
             return lambda v: products.append(1) or product(v)
 
         recorded, record = [], runs._record
-        monkeypatch.setattr(runs, "_record",
-                            lambda solved, field: recorded.extend(solved) or record(solved, field))
+        monkeypatch.setattr(runs, "_record", lambda solved, field, keep:
+                            recorded.extend(solved) or record(solved, field, keep))
         monkeypatch.setattr(solvers, "csr_product", counted)
         runs.run(g, h, y[:, None], None, ref)
         [(_, [routed])] = recorded
@@ -709,6 +725,44 @@ class TestConcurrentStacks:
         assert len(names) > 1
         assert threading.active_count() == 1
 
+    def test_one_item_runs_on_the_calling_thread(self, monkeypatch):
+        # a fig1 or custom trial is one stack: it starts no thread, whose
+        # stack and arena would add to the run's peak memory
+        import threading
+
+        import sdnfilt.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "_cpus", lambda: 4)
+        started, real = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or real(self))
+        me = threading.get_ident()
+        assert scenarios._concurrent_map(lambda i: (i, threading.get_ident()), [7]) == [(7, me)]
+        assert started == []
+
+    def test_failure_starts_no_further_item(self, monkeypatch):
+        # item 0 fails while item 1 holds the other thread; its own thread
+        # may take item 2 before the failure is raised, and every later
+        # item is cancelled before either thread is free again
+        import threading
+
+        import sdnfilt.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "_cpus", lambda: 2)
+        started, hold = set(), threading.Event()
+
+        def fn(i):
+            started.add(i)
+            if i == 0:
+                raise ValueError("item 0")
+            hold.wait(timeout=0.5)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            scenarios._concurrent_map(fn, list(range(50)))
+        assert started <= {0, 1, 2}
+        assert threading.active_count() == 1
+
     def solve_failing(self, workers, fails, monkeypatch, tmp_path, gate=None):
         """Run a denoise block through `_MethodRuns.run` on `workers`
         threads, each method a step that keeps x, except that method m
@@ -735,11 +789,12 @@ class TestConcurrentStacks:
 
             def step(x, e):
                 if next(count) != fails.get(name):
-                    return x
+                    return x, h.matvec(x)
                 if gate and name == first:
                     assert nan_stepped.wait(timeout=30)
                 nan_stepped.set()
-                return np.full_like(x, np.nan)
+                nan = np.full_like(x, np.nan)
+                return nan, h.matvec(nan)
             return Method(g=None, error=None, step=step)
 
         runs = _MethodRuns(ScenarioConfig(scenario="denoise", points_csv="points.csv",

@@ -14,7 +14,6 @@ from sdnfilt.solvers import (
     SolverConfig,
     direct_solve_oracle,
     imia_diagonal,
-    iteration_matrix,
     optimal_step,
     prepare_params,
     solve,
@@ -38,6 +37,7 @@ from conftest import (
     weighted_errors,
 )
 from filter_reference import entries, from_dense
+from solver_reference import iteration_matrix
 
 
 def edge2():
