@@ -33,6 +33,9 @@ whose lines match wrote the same bytes. The matrix:
     custom-points          the custom run with the graph's points.csv
     tv, tv-roundlog        time_varying, n=64, 3 epochs, 100 iterations;
                            without and with --roundlog
+    tv-roundlog-500        time_varying, n=64, 1 epoch, 500 iterations,
+                           --roundlog: perfbench's tv-roundlog config,
+                           whose log has values in every float-text zone
 
 The exit code of every run is printed as an `exit` line of its scenario,
 so a run that fails shows in the diff too.
@@ -102,6 +105,8 @@ def matrix():
     own_points = config("custom-points", **own_cfg, points_csv="custom-points.csv")
     tv = config("tv", scenario="time_varying", n=64, epochs=3, iterations=100,
                 master_seed=31)
+    tv500 = config("tv-500", scenario="time_varying", n=64, gamma=0.05, eta=0.2,
+                   epochs=1, iterations=500, master_seed=777016)
     return [
         ("gen-graph-rgg", ["gen-graph", "--kind", "rgg", "--n", "128", "--seed", "3"]),
         ("gen-graph-knn", ["gen-graph", "--kind", "knn", "--n", "218",
@@ -118,6 +123,7 @@ def matrix():
         ("custom-points", ["run", "--config", own_points]),
         ("tv", ["run", "--config", tv]),
         ("tv-roundlog", ["run", "--config", tv, "--roundlog"]),
+        ("tv-roundlog-500", ["run", "--config", tv500, "--roundlog"]),
     ]
 
 

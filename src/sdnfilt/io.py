@@ -2,8 +2,12 @@
 experiment curves and round logs.
 
 All writes are atomic (temp file in the target directory, then rename), so
-a crashed run never leaves a half-written artifact. Floats are written with
-repr, which round-trips exactly through float().
+a crashed run never leaves a half-written artifact, and a file gets the
+mode a plain open(path, "w") would give it. Floats are written with repr,
+which round-trips exactly through float(). The round log's text is the
+same repr text; it comes from orjson's shortest round-trip formatting
+(Ryu) in the zones where that notation equals repr's, and from repr
+elsewhere.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from itertools import groupby
 from operator import itemgetter
 
@@ -87,7 +90,10 @@ def atomic_write_text(path: str, text) -> None:
     """Write a string, or an iterable of string chunks, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # mode 0o666 less the umask, as open(path, "w") creates a file;
+    # tempfile.mkstemp would give 0o600
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", buffering=_WRITE_BUFFER) as fh:
             fh.writelines([text] if isinstance(text, str) else text)
@@ -240,6 +246,47 @@ def write_curves_csv(path: str, curves: dict) -> None:
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
+# orjson writes repr's text for |x| below _REPR_BELOW (zero and two-digit
+# negative exponents) and in [_REPR_FROM, _REPR_UNTIL) (positional
+# notation); outside them it writes 1.5e-6, 0.0000418, 1e16 and null
+# where repr writes 1.5e-06, 4.18e-05, 1e+16 and nan or inf
+_REPR_BELOW, _REPR_FROM, _REPR_UNTIL = 1e-9, 1e-4, 1e16
+# values formatted per orjson.dumps call: 16 rounds of an n=64 network.
+# One call per round costs more in numpy overhead; larger batches are no
+# faster and hold more strings at once
+_DUMPS_VALUES = 1024
+
+
+def _float_texts(values) -> list:
+    """[repr(float(x)) for x in values], formatted by one orjson.dumps
+    call, with repr kept for the values outside orjson's repr zones."""
+    # imported here, so that a run which writes no round log does not load it
+    import orjson
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    a = np.abs(values)
+    other = np.flatnonzero(~((a < _REPR_BELOW) | ((a >= _REPR_FROM) & (a < _REPR_UNTIL))))
+    for i, x in zip(other.tolist(), values[other].tolist()):
+        texts[i] = repr(x)
+    return texts
+
+
+def _batches(rounds):
+    """Consecutive rounds in lists of at least _DUMPS_VALUES sent values,
+    the last list maybe fewer."""
+    batch, size = [], 0
+    for r in rounds:
+        batch.append(r)
+        size += r.sent.size
+        if size >= _DUMPS_VALUES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
 def _same(a, b) -> bool:
     return a is b or np.array_equal(a, b)
 
@@ -256,28 +303,34 @@ def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
 
 
 def write_roundlog_csv(path: str, rounds) -> None:
-    """One row per logged message, streamed one round at a time.
+    """One row per logged message, streamed one batch of rounds at a time.
 
-    Message k of a round carries sent[senders[k]], so a run of messages
-    from one sender shares its value: the run is one str.join of its
-    prebuilt "s,t," fields with the separator "kind,value\nepoch,round,",
-    which ends each row and starts the next. The runs are rebuilt only
-    when the (senders, receivers) pattern differs from the previous
-    round's; all rounds of one network share the same arrays. Each round
-    is one chunk; the file's write buffer batches them."""
+    The sent values of a batch of rounds (_batches) are formatted
+    together by _float_texts. Message k of a round carries sent[senders[k]],
+    so a run of messages from one sender shares its value: the run is one
+    str.join of its prebuilt "s,t," fields with the separator
+    "kind,value\nepoch,round,", which ends each row and starts the next.
+    The runs are rebuilt only when the (senders, receivers) pattern
+    differs from the previous round's; all rounds of one network share the
+    same arrays. Each round is one chunk; the file's write buffer batches
+    them."""
     def chunks():
         yield "epoch,round,from,to,kind,value\n"
         senders = receivers = None
-        for r in rounds:
-            if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
-                senders, receivers = r.senders, r.receivers
-                run_senders, run_fields = _sender_runs(senders, receivers)
-            if not run_senders:
-                continue
-            head, kind, sent = f"{r.epoch},{r.index},", r.kind, r.sent.tolist()
-            seps = [f"{kind},{sent[s]!r}\n{head}" for s in run_senders]
-            yield "".join([head, *map(str.join, seps, run_fields),
-                           seps[-1][:-len(head)]])
+        for batch in _batches(rounds):
+            texts = _float_texts(np.concatenate([r.sent for r in batch]))
+            stop = 0
+            for r in batch:
+                start, stop = stop, stop + r.sent.size
+                if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
+                    senders, receivers = r.senders, r.receivers
+                    run_senders, run_fields = _sender_runs(senders, receivers)
+                if not run_senders:
+                    continue
+                head, kind, sent = f"{r.epoch},{r.index},", r.kind, texts[start:stop]
+                seps = [f"{kind},{sent[s]}\n{head}" for s in run_senders]
+                yield "".join([head, *map(str.join, seps, run_fields),
+                               seps[-1][:-len(head)]])
     atomic_write_text(path, chunks())
 
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from sdnfilt import io as sdnio
 from sdnfilt.filters import Signal
 from sdnfilt.graphs import Graph
 from sdnfilt.io import (
@@ -351,6 +355,30 @@ class TestRoundlogWriter:
         assert (tmp_path / "roundlog.csv").read_text().splitlines()[7:] == [
             "1,2,2,0,x,0.2", "1,2,2,1,x,0.2", "1,2,2,3,x,0.2"]
 
+    def test_every_zone_across_batches(self, tmp_path):
+        # 100 values per round, so the first batch closes after 11 rounds;
+        # the pattern changes inside it and at its boundary
+        n = 100
+        per_batch = -(-sdnio._DUMPS_VALUES // n)
+        zones = [0.0, -0.0, 5e-324, -1e-300, 3.3e-10, np.nextafter(1e-9, 0), 1e-9,
+                 -1.5e-6, 4.18e-5, np.nextafter(1e-4, 0), 1e-4, 0.5, -123.0, 1e15,
+                 np.nextafter(1e16, 0), 1e16, -2.5e300, np.nan, np.inf, -np.inf]
+        everyone = np.arange(n)
+
+        def pattern(*offsets):
+            return (np.repeat(everyone, len(offsets)),
+                    np.sort((everyone[:, None] + offsets) % n, axis=1).ravel())
+
+        a, b = pattern(1, 2), pattern(3)
+        rounds = [Round(epoch=0, index=i, kind="xvd"[i % 3], count=len(s), senders=s,
+                        receivers=t, sent=np.roll(np.resize(zones, n), i))
+                  for i, (s, t) in enumerate([a] * 5 + [b] * (per_batch - 5) + [a] * 10)]
+        assert [len(batch) for batch in sdnio._batches(rounds)] == [per_batch, 10]
+        self.assert_matches_reference(tmp_path, rounds)
+        values = {line.rsplit(",", 1)[1] for line in
+                  (tmp_path / "roundlog.csv").read_text().splitlines()[1:]}
+        assert values == {repr(float(x)) for x in zones}
+
     def test_alternating_patterns(self, tmp_path):
         # patterns A, B, A, A: the cached runs are rebuilt at each change
         # and reused while the pattern repeats, by identity and by value
@@ -364,6 +392,78 @@ class TestRoundlogWriter:
         lines = (tmp_path / "roundlog.csv").read_text().splitlines()
         assert len(lines) == 1 + 5 + 3 + 5 + 5
         assert lines[6:9] == ["0,1,2,0,v,2e-300", "0,1,1,0,v,-4.0", "0,1,1,2,v,-4.0"]
+
+
+class TestFloatTexts:
+    """The round log's float text against repr(float(x)), at and around
+    the edges of the zones where orjson's notation is repr's."""
+
+    @staticmethod
+    def assert_repr(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert sdnio._float_texts(values) == [repr(x) for x in values.tolist()]
+
+    def test_signed_zeros_subnormals_and_nonfinite(self):
+        info = np.finfo(np.float64)
+        tiny = [info.smallest_subnormal, 3 * info.smallest_subnormal,
+                info.smallest_normal - info.smallest_subnormal, info.smallest_normal]
+        self.assert_repr([0.0, -0.0, *tiny, *np.negative(tiny), np.nan, -np.nan,
+                          np.inf, -np.inf])
+
+    def test_integer_valued(self):
+        values = [1.0, 2.0, 10.0, 123456789.0, 2.0 ** 52, 2.0 ** 53, 2.0 ** 53 + 2,
+                  1e15, 9999999999999998.0, 1e16, 1e17, 1e22, 1e23, 2.0 ** 100,
+                  np.finfo(np.float64).max]
+        self.assert_repr(values + [-x for x in values])
+
+    @pytest.mark.parametrize("edge", [1e-9, 1e-4, 1e16])
+    def test_zone_edges(self, edge):
+        # the edge and its three float neighbours on either side, both signs
+        below = [edge]
+        above = [edge]
+        for _ in range(3):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        values = below[::-1] + above[1:]
+        self.assert_repr(values + [-x for x in values])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2027).integers(0, 2 ** 64, size=10 ** 5,
+                                                    dtype=np.uint64)
+        self.assert_repr(bits.view(np.float64))
+
+    def test_random_magnitudes_across_the_zones(self):
+        # bit patterns rarely fall near the zones; these span 1e-12..1e19
+        rng = np.random.default_rng(2028)
+        values = 10.0 ** rng.uniform(-12, 19, 10 ** 5)
+        self.assert_repr(values * rng.choice([-1.0, 1.0], values.size))
+
+    def test_empty(self):
+        assert sdnio._float_texts(np.empty(0)) == []
+
+
+def test_orjson_loaded_only_for_a_round_log(tmp_path):
+    # a run without a round log loads nothing the writer imports
+    code = textwrap.dedent("""
+        import json, sys
+        import sdnfilt.cli as cli
+        print("orjson" in sys.modules)
+        with open("fig1.json", "w") as fh:
+            json.dump({"scenario": "fig1", "n": 32, "trials": 1, "iterations": 5,
+                       "master_seed": 5}, fh)
+        assert cli.main(["run", "--config", "fig1.json", "--out", "central"]) == 0
+        print("orjson" in sys.modules)
+        assert cli.main(["run", "--config", "fig1.json", "--out", "sdn",
+                         "--distributed", "--methods", "pgda", "--roundlog"]) == 0
+        print("orjson" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
+    assert (tmp_path / "sdn" / "roundlog.csv").exists()
 
 
 class TestAtomicWrite:
@@ -397,3 +497,17 @@ class TestAtomicWrite:
         assert (written[0] > 0) == (chunks_before_error > 0)
         assert path.read_bytes() == b"previous\n"
         assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "text.txt"), "text\n")
+            atomic_write_text(str(tmp_path / "chunks.txt"), iter(["a", "b\n"]))
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("plain\n")
+        finally:
+            os.umask(old)
+        for name in ("text.txt", "chunks.txt", "plain.txt"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode
