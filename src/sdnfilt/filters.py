@@ -10,7 +10,7 @@ taken by `csr_product`, which calls scipy's CSR kernels directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -242,21 +242,28 @@ class GraphFilter:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """An estimate taken with `iterations` operator applications.
-    `fallback` marks a method's radius taken by Lanczos on its iteration
-    matrix because the method's own route did not hold."""
+    """An estimate taken with `iterations` operator applications, by its
+    `route`: "lanczos" (`power_spectral_radius`), "factor" (Lanczos on an
+    inverse applied through a filter's LU factor), "closed_form" (no
+    application), or "fallback" (Lanczos on a method's iteration matrix
+    because the method's own route did not hold)."""
 
     value: float
     iterations: int
     converged: bool
-    fallback: bool = False
+    route: str = "lanczos"
 
 
 @dataclass(frozen=True)
 class SingularValues:
-    sigma_max: float
-    sigma_min: float
-    converged: bool
+    """The extreme singular values, each an estimate of its own."""
+
+    sigma_max: SpectralEstimate
+    sigma_min: SpectralEstimate
+
+    @property
+    def converged(self) -> bool:
+        return self.sigma_max.converged and self.sigma_min.converged
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +407,21 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
     the filter's cached LU factor: for a symmetric H it is the smallest
     |lambda(H)|, 1 / max |lambda(H^{-1})|, one solve per application;
     otherwise sigma_min^2 is the reciprocal of the top eigenvalue of
-    (H^T H)^{-1} = H^{-1} H^{-T}, two solves per application. A filter
-    that is singular to working precision has sigma_min = 0.
+    (H^T H)^{-1} = H^{-1} H^{-T}, two solves per application. Each value
+    keeps its own applications and converged flag. A filter that is
+    singular to working precision has sigma_min = 0, after no application.
     """
     n = h.graph.n
     ht = h.transpose()
     gram = (n, lambda v: ht.matvec(h.matvec(v)))
     top = power_spectral_radius(gram, tol=tol, max_iter=max_iter, rng_seed=rng_seed)
-    if top.value == 0.0:
-        return SingularValues(0.0, 0.0, top.converged)
-    sigma_max = float(np.sqrt(top.value))
+    sigma_max = replace(top, value=float(np.sqrt(top.value)))
     try:
-        lu = h.lu()
+        lu = h.lu() if top.value else None
     except np.linalg.LinAlgError:
-        return SingularValues(sigma_max, 0.0, top.converged)
+        lu = None
+    if lu is None:
+        return SingularValues(sigma_max, SpectralEstimate(0.0, 0, True, "factor"))
     symmetric = h.symmetric
     inverse = lu.solve if symmetric else (lambda v: lu.solve(lu.solve(v, trans="T")))
     bottom = power_spectral_radius((n, inverse), tol=tol, max_iter=max_iter,
@@ -421,7 +429,7 @@ def extreme_singular_values(h: GraphFilter, tol: float = 1e-10, max_iter: int = 
     sigma_min = 0.0
     if bottom.value > 0:
         sigma_min = float(1.0 / (bottom.value if symmetric else np.sqrt(bottom.value)))
-    return SingularValues(sigma_max, sigma_min, top.converged and bottom.converged)
+    return SingularValues(sigma_max, replace(bottom, value=sigma_min, route="factor"))
 
 
 # ---------------------------------------------------------------------------

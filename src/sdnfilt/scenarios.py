@@ -116,7 +116,7 @@ class ScenarioConfig:
     roundlog: bool = False
 
     def __post_init__(self):
-        self._check_numbers()
+        self._check_fields()
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
@@ -155,10 +155,16 @@ class ScenarioConfig:
                 raise ConfigError("comm_range needs --distributed: a centralized "
                                   f"{self.scenario} run sends no messages")
 
-    def _check_numbers(self) -> None:
-        """Type and range of every numeric field. Comparisons are written so
-        that NaN fails them; only `radius` may be infinite (a complete
-        graph)."""
+    def _check_fields(self) -> None:
+        """Type and range of every numeric field, and the type of every flag
+        and path field. Comparisons are written so that NaN fails them;
+        only `radius` may be infinite (a complete graph)."""
+        for key in ("distributed", "roundlog"):
+            if not isinstance(value := getattr(self, key), bool):
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
+        for key in ("output_dir", "points_csv", "edges_csv", "filter_csv", "signal_csv"):
+            if not isinstance(value := getattr(self, key), (str, type(None))):
+                raise ConfigError(f"{key} must be a path string or null, got {value!r}")
         for key, low in (("n", 1), ("k", 1), ("iterations", 1), ("trials", 1),
                          ("epochs", 1), ("master_seed", 0), ("comm_range", 0)):
             value = getattr(self, key)
@@ -310,14 +316,11 @@ def _routed(net: SdnNetwork, method: str) -> Method:
     drive from the zero initial on the one observation the network holds.
     Its iterates and their H x (`SdnNetwork.filtered`, which a pgda round
     reads for its next residual too) equal the centralized ones bit for bit."""
-    if method == "pgda":
-        net.distributed_preconditioner()
-        run = net.run_pgda
-    else:
-        net.spgda_setup()
-        run = net.run_spgda
+    setup, run = ((net.distributed_preconditioner, net.run_pgda) if method == "pgda"
+                  else (net.spgda_setup, net.run_spgda))
+    setup()
     return Method(g=None, error=None,
-                  step=lambda x, e: (run(1).values[:, None], net.filtered()[:, None]))
+                  step=lambda x, e: (run().values[:, None], net.filtered()[:, None]))
 
 
 def _cpus() -> int:
@@ -359,31 +362,22 @@ class _MethodRuns:
         self.metric = metric
         self.trials = 0
         self.curves = {m: [] for m in cfg.methods}
-        self.radii = {m: [] for m in cfg.methods}
-        self.unconverged = {"radius": dict.fromkeys(cfg.methods, 0),
-                            "singular_values": 0}
-        self.fallbacks = dict.fromkeys(cfg.methods, 0)
+        self.spectra = []       # per filter: ({method: radius}, singular values)
         self.diverged = {m: 0 for m in cfg.methods}
         self.messages = {m: 0 for m in cfg.methods}
         self.rounds = []
         self.epoch_rows = []
 
-    def prepare(self, h: GraphFilter):
-        """Prepare every method for h and record the spectral radius of each
-        iteration matrix. Returns the method table and the extreme singular
-        values, opgd's when it runs. Every estimate that missed its
-        tolerance is counted in `unconverged`, and every radius that fell
-        back to Lanczos in `fallbacks`."""
+    def prepare(self, h: GraphFilter) -> dict:
+        """Prepare every method for h and return the method table. The
+        spectral radius of each iteration matrix and the extreme singular
+        values, opgd's when it runs, go to `spectra` as one entry."""
         params = {}
-        for m in self.cfg.methods:
-            est = spectral_radius(h, m, params)
-            self.radii[m].append(est.value)
-            self.unconverged["radius"][m] += not est.converged
-            self.fallbacks[m] += est.fallback
+        radii = {m: spectral_radius(h, m, params) for m in self.cfg.methods}
         opgd = params.get("opgd")
-        sv = opgd.singular_values if opgd else extreme_singular_values(h)
-        self.unconverged["singular_values"] += not sv.converged
-        return params, sv
+        self.spectra.append((radii, opgd.singular_values if opgd
+                             else extreme_singular_values(h)))
+        return params
 
     def run(self, graph: Graph, h: GraphFilter, ys: np.ndarray, params: dict | None,
             reference: np.ndarray, epoch: int | None = None) -> None:
@@ -455,14 +449,21 @@ class _MethodRuns:
 
     def aggregate(self, scenario: str, graph: dict, **fields) -> TrialAggregate:
         """The record with cross-trial means, plus iterations to 5% for error
-        curves or to the limit-SNR plateau for SNR curves."""
+        curves or to the limit-SNR plateau for SNR curves. The spectral keys
+        come from `spectra`: each radius's mean, and the count of estimates
+        that missed their tolerance or fell back to Lanczos."""
+        radii, methods = [r for r, _ in self.spectra], self.cfg.methods
         agg = self.record(
             scenario, graph, asdict(self.cfg),
             curves={m: np.mean(np.array(rows), axis=0).tolist() if rows else []
                     for m, rows in self.curves.items()},
-            mean_spectral_radius={m: float(np.mean(r)) for m, r in self.radii.items()},
-            spectral_unconverged=self.unconverged,
-            spectral_fallbacks=self.fallbacks,
+            mean_spectral_radius={m: float(np.mean([r[m].value for r in radii]))
+                                  for m in methods},
+            spectral_unconverged={
+                "radius": {m: sum(not r[m].converged for r in radii) for m in methods},
+                "singular_values": sum(not sv.converged for _, sv in self.spectra)},
+            spectral_fallbacks={m: sum(r[m].route == "fallback" for r in radii)
+                                for m in methods},
             **fields,
         )
         for m, curve in agg.curves.items():
@@ -484,15 +485,12 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
     graph = generate_run_graph(cfg.n, cfg.resolved_radius(), cfg.master_seed)
     base_signal = blockwise_polynomial(graph)
     runs = _MethodRuns(cfg, "rel_error")
-    kappas = []
 
     for trial in range(cfg.trials):
         h = build_fig1_filter(
             graph, cfg.gamma, _stream_seed(cfg.master_seed, trial, _STREAM_FILTER)
         )
-        params, sv = runs.prepare(h)
-        kappas.append(float(sv.sigma_max / sv.sigma_min))
-
+        params = runs.prepare(h)
         x = add_uniform_noise(
             base_signal, cfg.eta, _stream_seed(cfg.master_seed, trial, _STREAM_SIGNAL)
         )
@@ -500,7 +498,8 @@ def run_fig1(cfg: ScenarioConfig) -> TrialAggregate:
         direct_solve_oracle(h, y)  # residual gate before any error curve
         runs.run(graph, h, y.values[:, None], params, x.values)
 
-    return runs.aggregate("fig1", _rgg_info(graph), condition_numbers=kappas)
+    return runs.aggregate("fig1", _rgg_info(graph), condition_numbers=[
+        sv.sigma_max.value / sv.sigma_min.value for _, sv in runs.spectra])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def run_denoise(cfg: ScenarioConfig) -> TrialAggregate:
     h = build_denoise_filter(graph, cfg.alpha)
     clean = Signal(graph, values)
     runs = _MethodRuns(cfg, "snr")
-    params, _ = runs.prepare(h)
+    params = runs.prepare(h)
 
     # the trials share h, so their observations are solved as one block,
     # by the oracle and by every method
@@ -583,18 +582,14 @@ def run_custom(cfg: ScenarioConfig) -> TrialAggregate:
     oracle = direct_solve_oracle(h, y)
 
     runs = _MethodRuns(cfg, "rel_error")
-    runs.run(graph, h, y.values[:, None], runs.prepare(h)[0], oracle.values)
+    runs.run(graph, h, y.values[:, None], runs.prepare(h), oracle.values)
     return runs.aggregate("custom", {"n": graph.n, "edges": graph.num_edges()})
 
 
 def run_scenario(cfg: ScenarioConfig) -> TrialAggregate:
-    runner = {
-        "fig1": run_fig1,
-        "denoise": run_denoise,
-        "time_varying": run_time_varying,
-        "custom": run_custom,
-    }[cfg.scenario]
-    return runner(cfg)
+    runners = {"fig1": run_fig1, "denoise": run_denoise,
+               "time_varying": run_time_varying, "custom": run_custom}
+    return runners[cfg.scenario](cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -177,25 +177,21 @@ class SdnNetwork:
 
     # ---- Algorithm: distributed PGDA --------------------------------------
 
-    def run_pgda(self, iterations: int) -> Signal:
-        """Vertex-level preconditioned gradient descent from zero initial.
-
-        Per iteration: local residual v(i) = y(i) - sum_j H(i,j) x(j), a
-        v-exchange, the local update x(i) += sum_j H(j,i)/P(i,i)^2 * v(j),
-        and an x-exchange (also after the final iteration, so every agent
-        ends up holding x(j) for its whole neighborhood).
+    def run_pgda(self) -> Signal:
+        """One round of vertex-level preconditioned gradient descent, the
+        first from zero initial: local residual v(i) = y(i) - sum_j H(i,j)
+        x(j), a v-exchange, the local update x(i) += sum_j H(j,i)/P(i,i)^2
+        * v(j), and an x-exchange, so every agent ends up holding x(j) for
+        its whole neighborhood. Returns the gathered iterate.
         """
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if self._pgda_step is None:
             raise RuntimeError(
                 "preconditioner values missing; run "
                 "distributed_preconditioner() first"
             )
-        for _ in range(iterations):
-            v = self._y - self.filtered()
-            x = self._x[self._own] + self._pgda_step(self._exchange("v", v))
-            self._x, self._hx = self._exchange("x", x), None
+        v = self._y - self.filtered()
+        x = self._x[self._own] + self._pgda_step(self._exchange("v", v))
+        self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
     # ---- Algorithm: distributed SPGDA -------------------------------------
@@ -209,17 +205,15 @@ class SdnNetwork:
         self._spgda_step = csr_product(self._local(self._csr, self._row_slots, p))
         self._y_scaled = self._y / p
 
-    def run_spgda(self, iterations: int) -> Signal:
-        """Vertex-level symmetric preconditioned gradient descent from zero
-        initial: one local update and one x-exchange per iteration (half the
-        traffic of run_pgda)."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
+    def run_spgda(self) -> Signal:
+        """One round of vertex-level symmetric preconditioned gradient
+        descent, the first from zero initial: one local update and one
+        x-exchange (half the traffic of run_pgda). Returns the gathered
+        iterate."""
         if self._spgda_step is None:
             self.spgda_setup()
-        for _ in range(iterations):
-            x = (self._x[self._own] + self._y_scaled) - self._spgda_step(self._x)
-            self._x, self._hx = self._exchange("x", x), None
+        x = (self._x[self._own] + self._y_scaled) - self._spgda_step(self._x)
+        self._x, self._hx = self._exchange("x", x), None
         return self.gather()
 
     # ---- outputs ----------------------------------------------------------

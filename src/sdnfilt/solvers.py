@@ -194,7 +194,8 @@ def _lambda_min(h: GraphFilter, inverse: Callable) -> SpectralEstimate | None:
     eigenvalue comes out a positive finite number."""
     est = power_spectral_radius((h.graph.n, inverse), tol=RADIUS_TOL,
                                 max_iter=RADIUS_MAX_ITER)
-    return replace(est, value=1.0 / est.value) if 0.0 < est.value < np.inf else None
+    return (replace(est, value=1.0 / est.value, route="factor")
+            if 0.0 < est.value < np.inf else None)
 
 
 def _schur_bound(h: GraphFilter, p: np.ndarray) -> float:
@@ -246,8 +247,9 @@ def _opgd(h: GraphFilter) -> Method:
     ht = h.transpose()
     # I - beta H^T H has eigenvalues 1 - beta sigma^2, largest in magnitude
     # at sigma_max and sigma_min alike: no operator application needed
-    smax2, smin2 = sv.sigma_max**2, sv.sigma_min**2
-    radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged)
+    smax2, smin2 = sv.sigma_max.value**2, sv.sigma_min.value**2
+    radius = SpectralEstimate((smax2 - smin2) / (smax2 + smin2), 0, sv.converged,
+                              "closed_form")
     return Method(
         g=ht.csr,
         error=lambda: lambda v: v - beta * ht.matvec(h.matvec(v)),
@@ -287,18 +289,18 @@ def prepare_params(h: GraphFilter, method: str,
     return params
 
 
-def optimal_step(h: GraphFilter, tol: float = 1e-10, max_iter: int = 20000,
-                 rng_seed: int = 0) -> tuple[float, SingularValues]:
+def optimal_step(h: GraphFilter) -> tuple[float, SingularValues]:
     """Constant step length beta = 2 / (sigma_max^2 + sigma_min^2), the
     minimizer of the spectral radius of I - beta H^T H, and the singular
     values it came from."""
-    sv = extreme_singular_values(h, tol=tol, max_iter=max_iter, rng_seed=rng_seed)
-    if sv.sigma_max == 0.0 or sv.sigma_min / sv.sigma_max < 1e-10:
+    sv = extreme_singular_values(h)
+    smax, smin = sv.sigma_max.value, sv.sigma_min.value
+    if smax == 0.0 or smin / smax < 1e-10:
         raise ValueError(
-            f"filter is numerically singular (sigma_min={sv.sigma_min:.3e}, "
-            f"sigma_max={sv.sigma_max:.3e}); no stable step length exists"
+            f"filter is numerically singular (sigma_min={smin:.3e}, "
+            f"sigma_max={smax:.3e}); no stable step length exists"
         )
-    return 2.0 / (sv.sigma_max**2 + sv.sigma_min**2), sv
+    return 2.0 / (smax**2 + smin**2), sv
 
 
 def imia_diagonal(h: GraphFilter) -> np.ndarray:
@@ -588,7 +590,7 @@ def spectral_radius(h: GraphFilter, method: str,
     pgda (`_pgda_radius`) and spgda (`_spgda_radius`) take it through the
     filter's LU factor and opgd in closed form from its singular values;
     imia takes it by Lanczos on the error operator, and so do pgda and
-    spgda, flagged as a fallback, where their own route does not hold.
+    spgda, with route "fallback", where their own route does not hold.
     """
     entry = prepare_params(h, method, params)[method]
     own = entry.radius() if entry.radius else None
@@ -596,4 +598,4 @@ def spectral_radius(h: GraphFilter, method: str,
         return own
     est = power_spectral_radius((h.graph.n, entry.error()), tol=RADIUS_TOL,
                                 max_iter=RADIUS_MAX_ITER)
-    return replace(est, fallback=entry.radius is not None)
+    return replace(est, route="fallback") if entry.radius else est

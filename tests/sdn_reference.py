@@ -10,10 +10,11 @@ geodesic_distance, not from the sparse hop matrix. The compiled simulator
 must agree with it on iterates, preconditioner, per-round counts and every
 logged message.
 
-The functions after it are the locality instruments: each agent's local
-storage read out of a network's compiled slot arrays, the coefficients of
-a bound local update, and the message count and hop distances that the
-simulator's counters and logs must respect.
+`run_rounds` runs several rounds of the compiled simulator, which takes
+one per call. The functions after it are the locality instruments: each
+agent's local storage read out of a network's compiled slot arrays, the
+coefficients of a bound local update, and the message count and hop
+distances that the simulator's counters and logs must respect.
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ class ReferenceNetwork:
 
     def gather(self):
         return np.array([self.x_local[i][i] for i in range(self.graph.n)])
+
+
+def run_rounds(run, rounds):
+    """Call a one-round simulator step, `SdnNetwork.run_pgda` or
+    `run_spgda`, `rounds` times; returns the last gathered iterate."""
+    for _ in range(rounds):
+        x = run()
+    return x
 
 
 def agents(net):

@@ -38,7 +38,7 @@ from conftest import (
     weighted_errors,
 )
 from filter_reference import from_dense
-from sdn_reference import max_message_distance, messages_per_exchange
+from sdn_reference import max_message_distance, messages_per_exchange, run_rounds
 from solver_reference import iteration_matrix
 
 REFERENCE_RADII = {"spgda": 0.9786, "pgda": 0.9996, "opgd": 0.9993, "imia": 0.9566}
@@ -176,7 +176,7 @@ def test_criterion_5_distributed_equivalence():
         central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=M))
         net = SdnNetwork(g, h, y, comm_range=h.width, log_messages=True)
         p_dist = net.distributed_preconditioner()
-        x_dist = net.run_pgda(M)
+        x_dist = run_rounds(net.run_pgda, M)
         per_ex = messages_per_exchange(net)
         if not (np.array_equal(x_dist.values, central.values)
                 and np.array_equal(p_dist, build_pgda_preconditioner(h))):
@@ -189,7 +189,7 @@ def test_criterion_5_distributed_equivalence():
         if spd:
             central_s, _ = solve(h, y, SolverConfig(method="spgda", max_iter=M))
             net_s = SdnNetwork(g, h, y, comm_range=h.width, log_messages=True)
-            x_s = net_s.run_spgda(M)
+            x_s = run_rounds(net_s.run_spgda, M)
             if not np.array_equal(x_s.values, central_s.values):
                 mismatches += 1
             if net_s.total_messages() != M * messages_per_exchange(net_s):

@@ -20,6 +20,7 @@ REMOVED_MEMBERS = {
     "sdnfilt.filters.GraphFilter": ("from_dense", "to_dense", "entry", "T", "entries",
                                     "__sub__"),
     "sdnfilt.filters.Signal": ("norm",),
+    "sdnfilt.filters.SpectralEstimate": ("fallback",),
     "sdnfilt.graphs.Graph": ("degree",),
 }
 

@@ -173,6 +173,21 @@ class TestRun:
         assert rc == 2
         assert "radius must be a number, got '0.3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("distributed", "false"), ("roundlog", 1), ("output_dir", 5), ("points_csv", 7),
+        ("edges_csv", ["e.csv"]), ("filter_csv", 3.0), ("signal_csv", True),
+    ])
+    def test_flag_or_path_of_wrong_type_exit_2(self, tmp_path, capsys, key, value):
+        # a flag must be a JSON bool and a path a string or null; "false"
+        # would run the simulator, 7 would open file descriptor 7
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5,
+                           **{key: value})
+        out = [] if key == "output_dir" else ["--out", str(tmp_path / "o")]
+        assert main(["run", "--config", cfg, *out]) == 2
+        kind = "true or false" if key in ("distributed", "roundlog") else "a path string or null"
+        assert f"config error: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

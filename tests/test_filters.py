@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from sdnfilt.filters import (
     GraphFilter,
     Signal,
+    SingularValues,
+    SpectralEstimate,
     apply,
     build_denoise_filter,
     build_fig1_filter,
@@ -419,19 +421,19 @@ class TestCsrProduct:
 class TestExtremeSingularValues:
     def test_identity(self):
         sv = extreme_singular_values(GraphFilter.identity(path3()))
-        assert sv.sigma_max == pytest.approx(1.0, abs=1e-10)
-        assert sv.sigma_min == pytest.approx(1.0, abs=1e-10)
+        assert sv.sigma_max.value == pytest.approx(1.0, abs=1e-10)
+        assert sv.sigma_min.value == pytest.approx(1.0, abs=1e-10)
 
     def test_two_by_two(self):
         sv = extreme_singular_values(two_by_two(), tol=1e-13)
-        assert sv.sigma_max == pytest.approx(3.0, abs=1e-8)
-        assert sv.sigma_min == pytest.approx(1.0, abs=1e-8)
+        assert sv.sigma_max.value == pytest.approx(3.0, abs=1e-8)
+        assert sv.sigma_min.value == pytest.approx(1.0, abs=1e-8)
 
     def test_diagonal(self):
         h = from_dense(edge2(), np.diag([5.0, 2.0]))
         sv = extreme_singular_values(h, tol=1e-13)
-        assert sv.sigma_max == pytest.approx(5.0, abs=1e-8)
-        assert sv.sigma_min == pytest.approx(2.0, abs=1e-8)
+        assert sv.sigma_max.value == pytest.approx(5.0, abs=1e-8)
+        assert sv.sigma_min.value == pytest.approx(2.0, abs=1e-8)
 
     def test_against_dense_svd(self, rng):
         for _ in range(10):
@@ -440,8 +442,8 @@ class TestExtremeSingularValues:
             h = random_filter(rng, g, 1)
             oracle = np.linalg.svd(dense_of(h), compute_uv=False)
             sv = extreme_singular_values(h, tol=1e-13, max_iter=100000)
-            assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-8, abs=1e-8)
-            assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-6, abs=1e-7)
+            assert sv.sigma_max.value == pytest.approx(oracle[0], rel=1e-8, abs=1e-8)
+            assert sv.sigma_min.value == pytest.approx(oracle[-1], rel=1e-6, abs=1e-7)
 
     def test_match_dense_svd_to_rel_1e10(self, rng):
         for _ in range(10):
@@ -450,8 +452,8 @@ class TestExtremeSingularValues:
             oracle = np.linalg.svd(dense_of(h), compute_uv=False)
             sv = extreme_singular_values(h)
             assert sv.converged
-            assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-10)
-            assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-10)
+            assert sv.sigma_max.value == pytest.approx(oracle[0], rel=1e-10)
+            assert sv.sigma_min.value == pytest.approx(oracle[-1], rel=1e-10)
 
     def test_fig1_trial0_filter_matches_dense_svd(self):
         g = generate_run_graph(512, float(np.sqrt(2.0 / 512)), 777016)
@@ -459,17 +461,17 @@ class TestExtremeSingularValues:
         oracle = np.linalg.svd(dense_of(h), compute_uv=False)
         sv = extreme_singular_values(h)
         assert sv.converged
-        assert sv.sigma_max == pytest.approx(oracle[0], rel=1e-10)
-        assert sv.sigma_min == pytest.approx(oracle[-1], rel=1e-10)
+        assert sv.sigma_max.value == pytest.approx(oracle[0], rel=1e-10)
+        assert sv.sigma_min.value == pytest.approx(oracle[-1], rel=1e-10)
 
     def test_singular_filter_has_zero_sigma_min(self):
         sv = extreme_singular_values(from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]]))
-        assert sv.sigma_max == pytest.approx(2.0, abs=1e-12)
-        assert sv.sigma_min == 0.0
+        assert sv.sigma_max.value == pytest.approx(2.0, abs=1e-12)
+        assert sv.sigma_min.value == 0.0
 
     def test_zero_filter(self):
         sv = extreme_singular_values(GraphFilter.identity(path3()).scaled(0.0))
-        assert (sv.sigma_max, sv.sigma_min, sv.converged) == (0.0, 0.0, True)
+        assert (sv.sigma_max.value, sv.sigma_min.value, sv.converged) == (0.0, 0.0, True)
 
     def test_reruns_bit_identical(self, rng):
         g = random_connected_graph(rng, 50)
@@ -492,7 +494,7 @@ class TestExtremeSingularValues:
         h = build_fig1_filter(g, 0.05, _stream_seed(777016, 0, _STREAM_FILTER))
         sv = extreme_singular_values(h)
         assert sv.converged
-        assert sv.sigma_min == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
+        assert sv.sigma_min.value == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
 
     def test_symmetric_sigma_min_on_denoise_filter(self):
         from sdnfilt.graphs import knn_graph
@@ -501,16 +503,47 @@ class TestExtremeSingularValues:
         coords, _ = synthetic_points(218, rng_seed=3)
         h = build_denoise_filter(knn_graph(coords, 5), 0.9075)
         sv = extreme_singular_values(h)
-        assert sv.sigma_min == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
-        assert sv.sigma_min == pytest.approx(
+        assert sv.sigma_min.value == pytest.approx(self.two_solve_sigma_min(h), rel=1e-12)
+        assert sv.sigma_min.value == pytest.approx(
             np.linalg.eigvalsh(dense_of(h)).min(), rel=1e-10)
 
     def test_indefinite_symmetric_sigma_min(self):
         # eigenvalues 3 and -1: sigma_min is the smallest |lambda|
         sv = extreme_singular_values(from_dense(edge2(), [[1.0, 2.0], [2.0, 1.0]]),
                                      tol=1e-13)
-        assert sv.sigma_min == pytest.approx(1.0, rel=1e-12)
-        assert sv.sigma_max == pytest.approx(3.0, rel=1e-12)
+        assert sv.sigma_min.value == pytest.approx(1.0, rel=1e-12)
+        assert sv.sigma_max.value == pytest.approx(3.0, rel=1e-12)
+
+    def test_pair_of_estimates(self):
+        # each singular value is an estimate with its own route and
+        # applications: sigma_min's are the solves through the factor
+        g = generate_run_graph(128, float(np.sqrt(2.0 / 128)), 777016)
+        h = build_fig1_filter(g, 0.05, _stream_seed(777016, 0, _STREAM_FILTER))
+        sv = extreme_singular_values(h)
+        top = power_spectral_radius((g.n, lambda v: h.transpose().matvec(h.matvec(v))),
+                                    max_iter=20000)
+        bottom = power_spectral_radius((g.n, h.lu().solve), max_iter=20000, rng_seed=1)
+        assert sv.sigma_max == SpectralEstimate(float(np.sqrt(top.value)), top.iterations,
+                                                True, "lanczos")
+        assert sv.sigma_min == SpectralEstimate(1.0 / bottom.value, bottom.iterations,
+                                                True, "factor")
+        assert sv.sigma_min.iterations > 0 and sv.converged
+
+    def test_pair_converged_only_when_both_are(self):
+        est = SpectralEstimate(1.0, 3, True)
+        missed = SpectralEstimate(1.0, 3, False)
+        assert SingularValues(est, est).converged
+        assert not SingularValues(missed, est).converged
+        assert not SingularValues(est, missed).converged
+        assert not SingularValues(missed, missed).converged
+
+    @pytest.mark.parametrize("dense", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_no_factor_gives_zero_sigma_min(self, dense):
+        # a singular or zero filter has no factor: sigma_min is 0 after no
+        # application, and the pair's convergence is sigma_max's
+        sv = extreme_singular_values(from_dense(edge2(), dense))
+        assert sv.sigma_min == SpectralEstimate(0.0, 0, True, "factor")
+        assert sv.converged == sv.sigma_max.converged
 
 
 class TestFactor:

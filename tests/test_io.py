@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from sdnfilt.sdn import Round, SdnNetwork
 from conftest import dense_of, make_invertible, random_connected_graph
 from filter_reference import write_filter_csv, write_signal_csv
 from roundlog_reference import reference_roundlog_text
-from sdn_reference import ReferenceNetwork
+from sdn_reference import ReferenceNetwork, run_rounds
 
 
 class TestPoints:
@@ -96,7 +97,7 @@ class TestEdges:
         g = random_connected_graph(rng, 12)
         path = str(tmp_path / "edges.csv")
         write_edges_csv(path, g)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "i,j"
         for line in lines[1:]:
             i, j = map(int, line.split(","))
@@ -133,7 +134,8 @@ class TestFilterCsv:
         h = make_invertible(rng, g, 1)
         path = str(tmp_path / "filter.csv")
         write_filter_csv(path, h)
-        first = open(path).readline().strip()
+        with open(path) as fh:
+            first = fh.readline().strip()
         assert first == f"# n=7 width={h.width}"
 
     def test_wrong_graph_size(self, tmp_path, rng):
@@ -221,7 +223,7 @@ class TestExperimentArtifacts:
     def test_curves_row_count(self, tmp_path):
         path = str(tmp_path / "curves.csv")
         write_curves_csv(path, {"pgda": [1.0, 0.5], "imia": [1.0, 0.25]})
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "method,m,mean_metric"
         assert len(lines) == 1 + 2 * 2
 
@@ -231,10 +233,10 @@ class TestExperimentArtifacts:
         y = Signal(g, rng.standard_normal(6))
         net = SdnNetwork(g, h, y, log_messages=True)
         net.distributed_preconditioner()
-        net.run_pgda(1)
+        net.run_pgda()
         path = str(tmp_path / "roundlog.csv")
         write_roundlog_csv(path, net.rounds)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "epoch,round,from,to,kind,value"
         assert len(lines) == 1 + net.total_messages()
         kinds = {line.split(",")[4] for line in lines[1:]}
@@ -249,7 +251,8 @@ class TestExperimentArtifacts:
         net, ref = SdnNetwork(g, h, y, epoch=3), ReferenceNetwork(g, h, y)
         for sim in (net, ref):
             sim.distributed_preconditioner()
-            sim.run_pgda(2)
+        run_rounds(net.run_pgda, 2)
+        ref.run_pgda(2)
         expected = ["epoch,round,from,to,kind,value"]
         for index, (_, _, messages) in enumerate(ref.rounds):
             expected.extend(
@@ -262,9 +265,9 @@ class TestExperimentArtifacts:
     def test_summary_json_deterministic(self, tmp_path):
         path = str(tmp_path / "summary.json")
         write_summary_json(path, {"b": 1, "a": [1, 2]})
-        text1 = open(path).read()
+        text1 = Path(path).read_text()
         write_summary_json(path, {"a": [1, 2], "b": 1})
-        assert open(path).read() == text1
+        assert Path(path).read_text() == text1
         assert json.loads(text1) == {"a": [1, 2], "b": 1}
 
 
@@ -471,7 +474,7 @@ class TestAtomicWrite:
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "hello\n")
         atomic_write_text(path, "world\n")
-        assert open(path).read() == "world\n"
+        assert Path(path).read_text() == "world\n"
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
 

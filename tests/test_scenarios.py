@@ -197,10 +197,17 @@ class TestRunFig1Small:
             return lambda *a, **kw: dataclasses.replace(estimator(*a, **kw),
                                                         converged=False)
 
+        def missed_pair(estimator):
+            def pair(*a, **kw):
+                sv = estimator(*a, **kw)
+                return dataclasses.replace(sv, sigma_min=dataclasses.replace(
+                    sv.sigma_min, converged=False))
+            return pair
+
         monkeypatch.setattr(solvers, "power_spectral_radius",
                             missed(solvers.power_spectral_radius))
         monkeypatch.setattr(scenarios, "extreme_singular_values",
-                            missed(scenarios.extreme_singular_values))
+                            missed_pair(scenarios.extreme_singular_values))
         cfg = ScenarioConfig(**{**self.CFG, "methods": ("pgda", "spgda")})
         agg = run_fig1(cfg)
         assert agg.spectral_unconverged == {"radius": {"pgda": 2, "spgda": 2},

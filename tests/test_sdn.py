@@ -16,6 +16,7 @@ from sdn_reference import (
     local_coefficients,
     max_message_distance,
     messages_per_exchange,
+    run_rounds,
 )
 
 
@@ -96,7 +97,7 @@ class TestDistributedPgda:
         y = Signal(g, rng.standard_normal(8))
         net = SdnNetwork(g, GraphFilter.identity(g), y)
         net.distributed_preconditioner()
-        x = net.run_pgda(1)
+        x = net.run_pgda()
         assert np.array_equal(x.values, y.values)
 
     def test_two_by_two_matches_centralized(self):
@@ -105,7 +106,7 @@ class TestDistributedPgda:
         central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=2))
         net = SdnNetwork(h.graph, h, y)
         net.distributed_preconditioner()
-        x = net.run_pgda(2)
+        x = run_rounds(net.run_pgda, 2)
         assert np.array_equal(x.values, central.values)
 
     def test_requires_preconditioner(self, rng):
@@ -113,7 +114,7 @@ class TestDistributedPgda:
         h = make_invertible(rng, g, 1)
         net = SdnNetwork(g, h, Signal(g, np.zeros(5)))
         with pytest.raises(RuntimeError, match="preconditioner"):
-            net.run_pgda(1)
+            net.run_pgda()
 
     def test_message_count_formula(self, rng):
         g = random_connected_graph(rng, 17)
@@ -123,7 +124,7 @@ class TestDistributedPgda:
         net.distributed_preconditioner()
         per_exchange = messages_per_exchange(net)
         M = 7
-        net.run_pgda(M)
+        run_rounds(net.run_pgda, M)
         assert net.total_messages() == per_exchange + M * 2 * per_exchange
 
     def test_neighborhood_outputs_consistent(self, rng):
@@ -134,7 +135,7 @@ class TestDistributedPgda:
         y = Signal(g, rng.standard_normal(12))
         net = SdnNetwork(g, h, y)
         net.distributed_preconditioner()
-        x = net.run_pgda(3)
+        x = run_rounds(net.run_pgda, 3)
         for agent in agents(net):
             for j in agent.neighborhood:
                 assert agent.x_local[j] == x.values[j]
@@ -161,7 +162,7 @@ class TestDistributedSpgda:
         g = random_connected_graph(rng, 6)
         y = Signal(g, rng.standard_normal(6))
         net = SdnNetwork(g, GraphFilter.identity(g), y)
-        x = net.run_spgda(1)
+        x = net.run_spgda()
         assert np.array_equal(x.values, y.values)
         assert net.total_messages() == 0
 
@@ -171,10 +172,10 @@ class TestDistributedSpgda:
         y = Signal(g, rng.standard_normal(14))
         M = 5
         net_s = SdnNetwork(g, h, y)
-        net_s.run_spgda(M)
+        run_rounds(net_s.run_spgda, M)
         net_p = SdnNetwork(g, h, y)
         net_p.distributed_preconditioner()
-        net_p.run_pgda(M)
+        run_rounds(net_p.run_pgda, M)
         pgda_iteration_msgs = net_p.total_messages() - messages_per_exchange(net_p)
         assert net_s.total_messages() * 2 == pgda_iteration_msgs
 
@@ -184,7 +185,7 @@ class TestDistributedSpgda:
         y = Signal(g, rng.standard_normal(11))
         central, _ = solve(h, y, SolverConfig(method="spgda", max_iter=50))
         net = SdnNetwork(g, h, y)
-        x = net.run_spgda(50)
+        x = run_rounds(net.run_spgda, 50)
         assert np.array_equal(x.values, central.values)
 
 
@@ -201,12 +202,12 @@ class TestBitEquality:
             central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=M))
             net = SdnNetwork(g, h, y)
             net.distributed_preconditioner()
-            assert np.array_equal(net.run_pgda(M).values, central.values)
+            assert np.array_equal(run_rounds(net.run_pgda, M).values, central.values)
 
             hs = make_spd(rng, g, width)
             central_s, _ = solve(hs, y, SolverConfig(method="spgda", max_iter=M))
             net_s = SdnNetwork(g, hs, y)
-            assert np.array_equal(net_s.run_spgda(M).values, central_s.values)
+            assert np.array_equal(run_rounds(net_s.run_spgda, M).values, central_s.values)
 
 
 class TestRangeAndLocality:
@@ -216,7 +217,7 @@ class TestRangeAndLocality:
         y = Signal(g, rng.standard_normal(20))
         net = SdnNetwork(g, h, y, comm_range=max(h.width, 2))
         net.distributed_preconditioner()
-        net.run_pgda(3)
+        run_rounds(net.run_pgda, 3)
         assert max_message_distance(net) <= net.comm_range
 
     def test_max_message_distance_without_log(self, rng):
@@ -225,7 +226,7 @@ class TestRangeAndLocality:
         net = SdnNetwork(g, h, Signal(g, rng.standard_normal(12)),
                          log_messages=False)
         net.distributed_preconditioner()
-        net.run_pgda(2)
+        run_rounds(net.run_pgda, 2)
         assert net.total_messages() > 0
         assert max_message_distance(net) == 0
 
@@ -271,7 +272,7 @@ class TestRangeAndLocality:
         for yv in (y1, y2):
             net = SdnNetwork(g, h, Signal(g, yv))
             net.distributed_preconditioner()
-            outputs.append(net.run_pgda(1).values[v])
+            outputs.append(net.run_pgda().values[v])
         assert outputs[0] == outputs[1]
 
 
@@ -287,7 +288,7 @@ class TestTimeVarying:
         for t, h in enumerate(filters):
             net = SdnNetwork(g, h, y, comm_range=comm_range, epoch=t)
             net.distributed_preconditioner()
-            x = net.run_pgda(20)
+            x = run_rounds(net.run_pgda, 20)
             central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=20))
             assert np.array_equal(x.values, central.values)
             assert {r.epoch for r in net.rounds} == {t}
@@ -323,7 +324,7 @@ class TestNetworkSummary:
         h = make_invertible(rng, g, 1)
         net = SdnNetwork(g, h, Signal(g, rng.standard_normal(9)))
         net.distributed_preconditioner()
-        net.run_pgda(2)
+        run_rounds(net.run_pgda, 2)
         assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
         assert sum(r.count for r in net.rounds) == net.total_messages()
         assert len(agents(net)) == 9
@@ -355,10 +356,10 @@ class TestCompiledLocality:
         y = Signal(g, rng.standard_normal(30))
         i, j, u = self.far_pair(rng, g, h)
         clean, dirty = SdnNetwork(g, h, y), SdnNetwork(g, h, y)
-        clean.run_spgda(2)
-        dirty.run_spgda(2)
+        run_rounds(clean.run_spgda, 2)
+        run_rounds(dirty.run_spgda, 2)
         dirty._x[slot(dirty, j, u)] += 5.0
-        a, b = clean.run_spgda(1).values, dirty.run_spgda(1).values
+        a, b = clean.run_spgda().values, dirty.run_spgda().values
         assert a[i] == b[i]
         assert a[j] != b[j]
 
@@ -376,9 +377,9 @@ class TestCompiledLocality:
         nets = [SdnNetwork(g, h, y), SdnNetwork(g, h, y)]
         for net in nets:
             net.distributed_preconditioner()
-            net.run_pgda(2)
+            run_rounds(net.run_pgda, 2)
         nets[1]._x[slot(nets[1], j, j)] += 5.0
-        a, b = (net.run_pgda(1).values for net in nets)
+        a, b = (net.run_pgda().values for net in nets)
         assert a[i] == b[i]
         assert a[j] != b[j]
 
@@ -428,13 +429,13 @@ class TestMatchesReference:
             ref = ReferenceNetwork(g, h, y, comm_range=comm)
             assert np.array_equal(net.distributed_preconditioner(),
                                   ref.distributed_preconditioner())
-            self.check(net, ref, net.run_pgda(M), ref.run_pgda(M))
+            self.check(net, ref, run_rounds(net.run_pgda, M), ref.run_pgda(M))
             assert {r.epoch for r in net.rounds} == {k}
 
             hs = make_spd(rng, g, width)
             net_s = SdnNetwork(g, hs, y, comm_range=comm)
             ref_s = ReferenceNetwork(g, hs, y, comm_range=comm)
-            self.check(net_s, ref_s, net_s.run_spgda(M), ref_s.run_spgda(M))
+            self.check(net_s, ref_s, run_rounds(net_s.run_spgda, M), ref_s.run_spgda(M))
             # the agents divide by the filter's own absolute row sums
             assert np.array_equal(hs.row_abs_sums(), ref_s.p)
 
@@ -451,10 +452,10 @@ class TestMatchesReference:
             for net in (stepped, whole):
                 net.distributed_preconditioner()
             for _ in range(5):
-                x = stepped.run_pgda(1).values
+                x = stepped.run_pgda().values
                 assert np.array_equal(stepped.filtered(), h.csr @ x)
                 assert np.array_equal(stepped.filtered(), h.matvec(x[:, None])[:, 0])
-            assert np.array_equal(whole.run_pgda(5).values, x)
+            assert np.array_equal(run_rounds(whole.run_pgda, 5).values, x)
             assert self.rows(stepped) == self.rows(whole)
 
     def test_log_off_keeps_counts(self, rng):
@@ -465,7 +466,7 @@ class TestMatchesReference:
         loud = SdnNetwork(g, h, y)
         for net in (quiet, loud):
             net.distributed_preconditioner()
-            net.run_pgda(3)
+            run_rounds(net.run_pgda, 3)
         assert [r.count for r in quiet.rounds] == [r.count for r in loud.rounds]
         assert all(len(r.sent[r.senders]) == 0 for r in quiet.rounds)
         assert np.array_equal(quiet.gather().values, loud.gather().values)

@@ -224,7 +224,7 @@ class TestSpectralRadius:
         params = {}
         for method in ("pgda", "opgd"):
             est = spectral_radius(h, method, params)
-            assert not est.fallback and est.converged
+            assert est.route != "fallback" and est.converged
             assert abs(est.value - self.lanczos(h, method, params).value) <= 1e-12
         assert spectral_radius(h, "opgd", params).iterations == 0
 
@@ -256,14 +256,14 @@ class TestSpectralRadius:
         h = make_well_conditioned_spd(rng, g, 2, spread=0.6)
         params = {}
         est = spectral_radius(h, "imia", params)
-        assert not est.fallback
+        assert est.route != "fallback"
         assert est == power_spectral_radius(iteration_matrix(h, "imia", params),
                                             tol=1e-9, max_iter=3000)
 
     def check_spgda_factor_route(self, h):
         params = {}
         est = spectral_radius(h, "spgda", params)
-        assert h.positive_definite() and not est.fallback and est.converged
+        assert h.positive_definite() and est.route != "fallback" and est.converged
         lanczos = self.lanczos(h, "spgda", params)
         assert est.value == pytest.approx(lanczos.value, rel=1e-12)
         return est, lanczos
@@ -284,7 +284,7 @@ class TestSpectralRadius:
 
         h = build_fig1_filter(generate_run_graph(4096, 0.035, 777016), 0.05, 1)
         est = spectral_radius(h, "spgda")
-        assert est.fallback and not h.positive_definite()
+        assert est.route == "fallback" and not h.positive_definite()
         assert est.value > 1.0
 
     def test_spgda_factor_route_on_denoise_filter(self):
@@ -310,10 +310,10 @@ class TestSpectralRadius:
         h = from_dense(edge2(), dense)
         params = {}
         est = spectral_radius(h, "spgda", params)
-        assert est.fallback and not h.positive_definite()
+        assert est.route == "fallback" and not h.positive_definite()
         assert est == dataclasses.replace(
             power_spectral_radius(iteration_matrix(h, "spgda", params), tol=1e-9,
-                                  max_iter=3000), fallback=True)
+                                  max_iter=3000), route="fallback")
         assert (est.value > 1.0) is above_one
         d = np.array(dense)
         ps = np.abs(d).sum(axis=1)
@@ -325,7 +325,7 @@ class TestSpectralRadius:
 
         g = generate_run_graph(512, np.sqrt(2.0 / 512), 777016)
         est = spectral_radius(build_fig1_filter(g, 0.05, 5), "pgda")
-        assert est.converged and not est.fallback
+        assert est.converged and est.route != "fallback"
         assert est.iterations <= 30
 
     def test_failed_factor_falls_back(self):
@@ -334,11 +334,11 @@ class TestSpectralRadius:
         h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
         params = {}
         est = spectral_radius(h, "pgda", params)
-        assert est.fallback
+        assert est.route == "fallback"
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est == dataclasses.replace(
             power_spectral_radius(iteration_matrix(h, "pgda", params), tol=1e-9,
-                                  max_iter=3000), fallback=True)
+                                  max_iter=3000), route="fallback")
 
     def test_failed_certificate_falls_back(self, rng, monkeypatch):
         # halving P breaks P^2 >= H^T H: the Schur bound a b exceeds
@@ -350,11 +350,25 @@ class TestSpectralRadius:
         h = make_invertible(rng, g, 1)
         params = {}
         est = spectral_radius(h, "pgda", params)
-        assert est.fallback
+        assert est.route == "fallback"
         assert est == dataclasses.replace(
             power_spectral_radius(iteration_matrix(h, "pgda", params), tol=1e-9,
-                                  max_iter=3000), fallback=True)
+                                  max_iter=3000), route="fallback")
         assert est.value > 1.0
+
+    def test_routes_on_fig1_filter(self):
+        from sdnfilt.scenarios import generate_run_graph
+
+        h = build_fig1_filter(generate_run_graph(128, np.sqrt(2.0 / 128), 777016), 0.05, 1)
+        params = {}
+        routes = {m: spectral_radius(h, m, params).route for m in METHODS}
+        assert routes == {"pgda": "factor", "spgda": "factor", "opgd": "closed_form",
+                          "imia": "lanczos"}
+
+    @pytest.mark.parametrize("method", ["pgda", "spgda"])
+    def test_singular_filter_falls_back(self, method):
+        h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0]])
+        assert spectral_radius(h, method).route == "fallback"
 
     def test_fallbacks_counted_per_method(self, rng):
         from sdnfilt.scenarios import ScenarioConfig, _MethodRuns
@@ -365,7 +379,7 @@ class TestSpectralRadius:
                                           methods=("pgda", "spgda")), "rel_error")
         runs.prepare(singular)
         runs.prepare(make_invertible(rng, g, 1, symmetric=True))
-        assert runs.fallbacks == {"pgda": 1, "spgda": 1}
+        assert runs.aggregate("fig1", {}).spectral_fallbacks == {"pgda": 1, "spgda": 1}
 
 
 class TestOptimalStep:
@@ -374,11 +388,11 @@ class TestOptimalStep:
         assert optimal_step(GraphFilter.identity(g))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_by_two(self):
-        assert optimal_step(two_by_two(), tol=1e-13)[0] == pytest.approx(0.2, abs=1e-8)
+        assert optimal_step(two_by_two())[0] == pytest.approx(0.2, abs=1e-8)
 
     def test_diagonal(self):
         h = from_dense(edge2(), np.diag([5.0, 2.0]))
-        assert optimal_step(h, tol=1e-13)[0] == pytest.approx(2.0 / 29.0, abs=1e-9)
+        assert optimal_step(h)[0] == pytest.approx(2.0 / 29.0, abs=1e-9)
 
     def test_near_singular_rejected(self):
         h = from_dense(edge2(), [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
