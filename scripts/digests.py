@@ -31,6 +31,9 @@ whose lines match wrote the same bytes. The matrix:
                            observation, from CSV files; centralized, and
                            --distributed with pgda and spgda
     custom-points          the custom run with the graph's points.csv
+    custom-nonsym-sdn      the custom run on the fig1 filter's diagonal and
+                           upper-triangle entries (width 2), --distributed
+                           --roundlog with pgda: a nonsymmetric pattern
     tv, tv-roundlog        time_varying, n=64, 3 epochs, 100 iterations;
                            without and with --roundlog
     tv-roundlog-500        time_varying, n=64, 1 epoch, 500 iterations,
@@ -63,19 +66,22 @@ POINTS_SEED = 818
 def write_custom_inputs():
     """edges.csv, custom-points.csv, filter.csv and signal.csv of a fig1
     filter on an n=64 graph and its observation of the blockwise
-    polynomial."""
+    polynomial, and filter-upper.csv of that filter's entries (i, j) with
+    j >= i."""
     graph = scenarios.generate_run_graph(64, 2.0 ** -2.5, 64)
     h = build_fig1_filter(graph, 0.05, 7)
     y = apply(h, scenarios.blockwise_polynomial(graph))
     write_edges_csv("edges.csv", graph)
     write_points_csv("custom-points.csv", graph.coordinates)
-    rows = [f"# n={graph.n} width={h.width}", "i,j,value"]
     csr = h.csr
-    for i in range(graph.n):
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        rows.extend(f"{i},{j},{v!r}" for j, v in
-                    zip(csr.indices[lo:hi].tolist(), csr.data[lo:hi].tolist()))
-    atomic_write_text("filter.csv", "\n".join(rows) + "\n")
+    for path, upper in (("filter.csv", False), ("filter-upper.csv", True)):
+        rows = [f"# n={graph.n} width={h.width}", "i,j,value"]
+        for i in range(graph.n):
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            rows.extend(f"{i},{j},{v!r}" for j, v in
+                        zip(csr.indices[lo:hi].tolist(), csr.data[lo:hi].tolist())
+                        if j >= i or not upper)
+        atomic_write_text(path, "\n".join(rows) + "\n")
     signal = ["id,value"] + [f"{i},{v!r}" for i, v in enumerate(y.values.tolist())]
     atomic_write_text("signal.csv", "\n".join(signal) + "\n")
 
@@ -103,6 +109,7 @@ def matrix():
                    signal_csv="signal.csv", trials=1, iterations=100)
     own = config("custom", **own_cfg)
     own_points = config("custom-points", **own_cfg, points_csv="custom-points.csv")
+    nonsym = config("custom-nonsym", **{**own_cfg, "filter_csv": "filter-upper.csv"})
     tv = config("tv", scenario="time_varying", n=64, epochs=3, iterations=100,
                 master_seed=31)
     tv500 = config("tv-500", scenario="time_varying", n=64, gamma=0.05, eta=0.2,
@@ -121,6 +128,8 @@ def matrix():
         ("custom", ["run", "--config", own]),
         ("custom-sdn", ["run", "--config", own, *SDN]),
         ("custom-points", ["run", "--config", own_points]),
+        ("custom-nonsym-sdn", ["run", "--config", nonsym, "--distributed",
+                               "--methods", "pgda", "--roundlog"]),
         ("tv", ["run", "--config", tv]),
         ("tv-roundlog", ["run", "--config", tv, "--roundlog"]),
         ("tv-roundlog-500", ["run", "--config", tv500, "--roundlog"]),

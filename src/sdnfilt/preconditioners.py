@@ -23,9 +23,10 @@ __all__ = [
 ]
 
 
-def build_pgda_preconditioner(h: GraphFilter) -> np.ndarray:
+def build_pgda_preconditioner(h: GraphFilter, exchange=None) -> np.ndarray:
     """The diagonal P(i,i) = max of d(k) = max(absolute row sum, absolute
-    column sum) of k over the width-neighborhood of i.
+    column sum) of k over the width-neighborhood of i: of d[B.indices], B
+    the width-ball pattern, or of exchange(d), the simulator's "d" round.
 
     Every entry must come out positive, otherwise the preconditioner would
     be singular and the gradient iteration undefined.
@@ -33,9 +34,9 @@ def build_pgda_preconditioner(h: GraphFilter) -> np.ndarray:
     if h.nnz == 0:
         raise ValueError("cannot precondition an all-zero filter")
     d = np.maximum(h.row_abs_sums(), h.col_abs_sums())
-    g = h.graph
-    ball = hop_matrix(g, h.width)
-    p = np.maximum.reduceat(d[ball.indices], ball.indptr[:-1])
+    ball = hop_matrix(h.graph, h.width)
+    heard = d[ball.indices] if exchange is None else exchange(d)
+    p = np.maximum.reduceat(heard, ball.indptr[:-1])
     if p.min() <= 0.0:
         bad = int(np.argmin(p))
         raise ValueError(

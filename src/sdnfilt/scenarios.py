@@ -71,6 +71,12 @@ __all__ = [
 ]
 
 SCENARIOS = ("fig1", "denoise", "time_varying", "custom")
+# the scenarios that read each scenario-specific key; all read the others
+_READERS = {"points_csv": ("denoise", "custom"), "edges_csv": ("custom",),
+            "filter_csv": ("custom",), "signal_csv": ("custom",), "k": ("denoise",),
+            "alpha": ("denoise",), "epochs": ("time_varying",),
+            **dict.fromkeys(("n", "radius", "gamma"), ("fig1", "time_varying")),
+            "eta": ("fig1", "denoise", "time_varying")}
 
 # spawn-key stream tags so graph, filter noise and signal noise never share
 # a random stream
@@ -192,9 +198,13 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**raw)
+            cfg = cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
+        unread = sorted(k for k in raw if cfg.scenario not in _READERS.get(k, SCENARIOS))
+        if unread:
+            raise ConfigError(f"the {cfg.scenario} scenario never reads {unread}")
+        return cfg
 
     def resolved_radius(self) -> float:
         return float(np.sqrt(2.0 / self.n)) if self.radius is None else self.radius

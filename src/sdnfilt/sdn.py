@@ -7,11 +7,13 @@ the filter's geodesic width. All messages sent in a round read pre-round
 state. The exchanges are compiled once, at deploy: agent i keeps its copies
 in the slots B.indptr[i]:B.indptr[i+1] of the sorted width-ball pattern
 B = pattern((I+A)^width), every filter entry it uses maps to one of its own
-slots, and every (sender, receiver) pair is checked against the hop range.
-A round is the gather payload[B.indices] plus per-agent CSR rows over the
-slots, taken by `filters.csr_product`; csr_matvec sums each row in stored
-(ascending neighbor id) order from 0.0, so the gathered results are
-bit-identical to the centralized solvers.
+slots, and every (sender, receiver) pair lies within the width, which the
+hop range must cover. A round is the gather payload[B.indices] plus
+per-agent CSR rows over the slots, taken by `filters.csr_product`: H's for
+the residual, and for each method the centralized G (`solvers.Method.g`),
+placed on the slots. csr_matvec sums each row in stored (ascending
+neighbor id) order from 0.0, so the gathered results are bit-identical to
+the centralized solvers.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import scipy.sparse as sparse
 
 from .filters import GraphFilter, Signal, csr_product
 from .graphs import Graph, hop_levels, hop_matrix
+from .preconditioners import build_pgda_preconditioner
+from .solvers import _pgda, _spgda
 
 __all__ = [
     "Round",
@@ -96,31 +100,24 @@ class SdnNetwork:
     # ---- construction ----------------------------------------------------
 
     def _deploy(self, h: GraphFilter, y: Signal) -> None:
-        """Compile the exchanges and each agent's local filter data."""
+        """Compile the exchanges and H's residual product on the slots."""
         n = self.graph.n
         ball = hop_matrix(self.graph, self.width)
         owner = np.repeat(np.arange(n), np.diff(ball.indptr))
-        if ball.data.max() > self.comm_range:
-            k = np.argmax(ball.data)
-            raise RangeViolationError(
-                f"message {owner[k]} -> {ball.indices[k]} travels {ball.data[k]} "
-                f"hops, beyond the communication range {self.comm_range}")
         self._ball, self._gather = ball, ball.indices.astype(np.intp)
         self._keys = owner * n + ball.indices
         sent = ball.indices != owner
         self._senders, self._receivers = owner[sent], ball.indices[sent]
         self._own = np.flatnonzero(~sent)      # agent i's slot for x(i)
-        self._h, self._csr, self._csc = h, h.csr, h.transpose().csr
-        self._row_slots = self._slots(self._csr)
-        self._col_slots = self._slots(self._csc)
-        self._residual = csr_product(self._local(self._csr, self._row_slots))
+        self._h, self._residual = h, self._on_slots(h.csr)
         self._y = y.values.copy()
         self._x = np.zeros(ball.nnz)           # every agent's copies of x, by slot
         self._hx = None                        # H x over those copies, once formed
         self._pgda_step = self._spgda_step = None  # the local updates, once set up
 
-    def _slots(self, m) -> np.ndarray:
-        """Slot, in agent i's own range, of every stored entry (i, j) of m.
+    def _on_slots(self, m: sparse.csr_matrix):
+        """The product of a vertex CSR matrix m over the slots: row i is
+        agent i's, each stored entry (i, j) reading its own copy of x(j).
         An entry outside the width ball raises before any message is sent."""
         n = self.graph.n
         keys = np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
@@ -133,14 +130,8 @@ class SdnNetwork:
             raise RangeViolationError(
                 f"agent {i} needs vertex {j}, {hops} hops away, outside its "
                 f"width-{self.width} ball; no message has been sent")
-        return pos
-
-    def _local(self, m, slots, divisors=None) -> sparse.csr_matrix:
-        """Row i holds agent i's entries of m, optionally divided by
-        divisors[i], as coefficients on its own slots."""
-        data = m.data if divisors is None else m.data / np.repeat(divisors, np.diff(m.indptr))
-        return sparse.csr_matrix((data, slots, m.indptr),
-                                 shape=(self.graph.n, self._ball.nnz))
+        return csr_product(sparse.csr_matrix((m.data, pos, m.indptr),
+                                             shape=(n, len(self._keys))))
 
     # ---- messaging -------------------------------------------------------
 
@@ -166,13 +157,11 @@ class SdnNetwork:
     def distributed_preconditioner(self) -> np.ndarray:
         """Hop-local preconditioner: each agent takes the larger of its
         absolute row and column sums, shares it once with its
-        width-neighborhood, and keeps the maximum it hears."""
-        # row_abs_sums sums each row over its own stored entries, as the
-        # agent holding that row does
-        d = np.maximum(self._h.row_abs_sums(), self._h.col_abs_sums())
-        heard = self._exchange("d", d)
-        p = np.maximum.reduceat(heard, self._ball.indptr[:-1])
-        self._pgda_step = csr_product(self._local(self._csc, self._col_slots, p * p))
+        width-neighborhood, and keeps the maximum it hears. p is
+        `build_pgda_preconditioner`'s, taken from the values heard, and
+        the local update is pgda's G for it on the slots."""
+        p = build_pgda_preconditioner(self._h, lambda d: self._exchange("d", d))
+        self._pgda_step = self._on_slots(_pgda(self._h, p).g)
         return p
 
     # ---- Algorithm: distributed PGDA --------------------------------------
@@ -197,13 +186,12 @@ class SdnNetwork:
     # ---- Algorithm: distributed SPGDA -------------------------------------
 
     def spgda_setup(self) -> None:
-        """Purely local normalization: p_sym(i) = sum_j |H(i,j)|, scaled row
-        H(i,j)/p_sym(i) and scaled observation y(i)/p_sym(i). No messages."""
-        p = self._h.row_abs_sums()
-        if p.min() == 0.0:
-            raise ValueError(f"row {np.argmin(p)} of the filter is all zero")
-        self._spgda_step = csr_product(self._local(self._csr, self._row_slots, p))
-        self._y_scaled = self._y / p
+        """Purely local normalization, no messages: spgda's G, each row
+        H(i,j) scaled by p_sym(i) = sum_j |H(i,j)|, on the slots, and its
+        shift, the scaled observation y(i)/p_sym(i)."""
+        spgda = _spgda(self._h)
+        self._spgda_step = self._on_slots(spgda.g)
+        self._y_scaled = spgda.shift(self._y[:, None])[:, 0]
 
     def run_spgda(self) -> Signal:
         """One round of vertex-level symmetric preconditioned gradient

@@ -156,8 +156,8 @@ class Method:
     step: Callable | None = None
 
 
-def _pgda(h: GraphFilter) -> Method:
-    p = build_pgda_preconditioner(h)
+def _pgda(h: GraphFilter, p: np.ndarray | None = None) -> Method:
+    p = build_pgda_preconditioner(h) if p is None else p
     ht = h.transpose()
     return Method(
         g=_scale_rows_by_division(ht.csr, p * p),

@@ -119,15 +119,15 @@ def agents(net):
     its width ball (ascending, itself included), the nonzero entries of
     its filter row and column by ascending neighbor id, and its copies of
     x by vertex."""
-    views = []
+    views, csr, csc = [], net._h.csr, net._h.transpose().csr
     for i in range(net.graph.n):
         own, row, col = (slice(m.indptr[i], m.indptr[i + 1])
-                         for m in (net._ball, net._csr, net._csc))
+                         for m in (net._ball, csr, csc))
         hood = net._ball.indices[own].tolist()
         views.append(SimpleNamespace(
             vertex=i, neighborhood=hood,
-            row_ids=net._csr.indices[row], row_vals=net._csr.data[row],
-            col_ids=net._csc.indices[col], col_vals=net._csc.data[col],
+            row_ids=csr.indices[row], row_vals=csr.data[row],
+            col_ids=csc.indices[col], col_vals=csc.data[col],
             x_local=dict(zip(hood, net._x[own].tolist()))))
     return views
 

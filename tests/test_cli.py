@@ -173,6 +173,14 @@ class TestRun:
         assert rc == 2
         assert "radius must be a number, got '0.3'" in capsys.readouterr().err
 
+    def test_key_the_scenario_never_reads_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5,
+                           edges_csv="nope.csv", alpha=0.5)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: the fig1 scenario never reads ['alpha', 'edges_csv']"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("key, value", [
         ("distributed", "false"), ("roundlog", 1), ("output_dir", 5), ("points_csv", 7),
         ("edges_csv", ["e.csv"]), ("filter_csv", 3.0), ("signal_csv", True),

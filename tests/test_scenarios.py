@@ -92,6 +92,36 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ScenarioConfig.from_dict({"scenario": "fig1", "bogus": 1})
 
+    def test_key_the_scenario_never_reads_rejected(self):
+        # each scenario-specific key is accepted where a scenario reads it
+        # and rejected, naming key and scenario, everywhere else; the
+        # shared keys are accepted everywhere
+        required = {"fig1": {}, "time_varying": {}, "denoise": {"points_csv": "p.csv"},
+                    "custom": {"edges_csv": "e.csv", "filter_csv": "f.csv",
+                               "signal_csv": "s.csv"}}
+        readers = {"points_csv": "denoise custom", "edges_csv": "custom",
+                   "filter_csv": "custom", "signal_csv": "custom", "k": "denoise",
+                   "alpha": "denoise", "epochs": "time_varying",
+                   "n": "fig1 time_varying", "radius": "fig1 time_varying",
+                   "gamma": "fig1 time_varying", "eta": "fig1 denoise time_varying"}
+        values = {"points_csv": "q.csv", "edges_csv": "d.csv", "filter_csv": "g.csv",
+                  "signal_csv": "t.csv", "k": 3, "alpha": 0.5, "epochs": 2, "n": 16,
+                  "radius": 0.5, "gamma": 0.1, "eta": 0.3}
+        shared = {"trials": 2, "master_seed": 3, "iterations": 4, "methods": ["pgda"],
+                  "output_dir": "o", "distributed": True, "roundlog": True,
+                  "comm_range": 2}
+        for scenario, base in required.items():
+            cfg = ScenarioConfig.from_dict({**base, "scenario": scenario, **shared})
+            assert (cfg.trials, cfg.comm_range) == (2, 2)
+            for key, value in values.items():
+                raw = {**base, "scenario": scenario, key: value}
+                if scenario in readers[key].split():
+                    assert getattr(ScenarioConfig.from_dict(raw), key) == value
+                else:
+                    with pytest.raises(ConfigError, match=rf"the {scenario} scenario "
+                                       rf"never reads \['{key}'\]"):
+                        ScenarioConfig.from_dict(raw)
+
     def test_empty_methods_rejected(self):
         with pytest.raises(ConfigError, match="methods"):
             ScenarioConfig(methods=())
@@ -150,9 +180,12 @@ class TestScenarioConfig:
         # time_varying: a centralized fig1 run rejects any comm_range
         cfg = ScenarioConfig.from_dict({"scenario": "time_varying",
                                         "radius": float("inf"),
-                                        "gamma": 0, "eta": 1, "alpha": 0.0,
-                                        "comm_range": 0})
+                                        "gamma": 0, "eta": 1, "comm_range": 0})
         assert cfg.radius == float("inf") and cfg.gamma == 0
+        # alpha is denoise's alone
+        cfg = ScenarioConfig.from_dict({"scenario": "denoise", "points_csv": "p.csv",
+                                        "alpha": 0.0})
+        assert cfg.alpha == 0.0
 
 
 class TestRunFig1Small:

@@ -74,6 +74,22 @@ class TestDistributedPreconditioner:
             centralized = build_pgda_preconditioner(h)
             assert np.array_equal(distributed, centralized)
 
+    def test_zero_neighbourhood_rejected_as_centralized(self):
+        # vertex 0 has no nonzero row or column within one hop: p(0) = 0,
+        # which build_pgda_preconditioner rejects after the d-round
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        h = GraphFilter.from_entries(g, {(2, 2): 1.0, (2, 3): 0.5, (3, 2): 0.5,
+                                         (3, 3): 1.0})
+        with pytest.raises(ValueError, match="entry at vertex 0 is zero") as central:
+            build_pgda_preconditioner(h)
+        net = SdnNetwork(g, h, Signal(g, np.ones(4)))
+        with pytest.raises(ValueError) as err:
+            net.distributed_preconditioner()
+        assert str(err.value) == str(central.value)
+        assert [r.kind for r in net.rounds] == ["d"]
+        with pytest.raises(RuntimeError, match="preconditioner values missing"):
+            net.run_pgda()
+
     def test_doubled_filter_doubles_preconditioner(self, rng):
         g = random_connected_graph(rng, 10)
         h = make_invertible(rng, g, 1)
@@ -157,6 +173,31 @@ class TestDistributedSpgda:
         # the middle agent's p_sym is 4: its row (-1, 2, -1) scaled by 1/4
         assert np.array_equal(local_coefficients(net, net._spgda_step, 1),
                               np.array([-0.25, 0.5, -0.25]))
+        # pgda's agent i holds column i of H over its ball, scaled by
+        # 1/p(i)^2; only a nonsymmetric pattern, the upper triangle here,
+        # tells a column from a row
+        upper = GraphFilter.from_entries(g, [(i, j, v) for i, j, v in entries(lap) if j >= i])
+        for h in (lap, upper):
+            net = SdnNetwork(g, h, Signal(g, np.zeros(3)))
+            p, dense = net.distributed_preconditioner(), h.csr.toarray()
+            for i in range(3):
+                ball = net._ball.indices[net._ball.indptr[i]:net._ball.indptr[i + 1]]
+                assert np.array_equal(local_coefficients(net, net._pgda_step, i),
+                                      dense[ball, i] / (p[i] * p[i]))
+
+    def test_nonsymmetric_filter_rejected_as_centralized(self):
+        # the setup is spgda's centralized Method, symmetry check included
+        g = path3()
+        h = GraphFilter.from_entries(g, {(0, 0): 2.0, (0, 1): -1.0, (1, 1): 2.0,
+                                         (1, 2): -1.0, (2, 2): 2.0})
+        with pytest.raises(ValueError, match="filter is not symmetric") as central:
+            build_spgda_preconditioner(h)
+        net = SdnNetwork(g, h, Signal(g, np.ones(3)))
+        for setup in (net.spgda_setup, net.run_spgda):
+            with pytest.raises(ValueError) as err:
+                setup()
+            assert str(err.value) == str(central.value)
+        assert net.total_messages() == 0
 
     def test_identity_one_iteration_no_messages(self, rng):
         g = random_connected_graph(rng, 6)
