@@ -34,6 +34,9 @@ whose lines match wrote the same bytes. The matrix:
     custom-nonsym-sdn      the custom run on the fig1 filter's diagonal and
                            upper-triangle entries (width 2), --distributed
                            --roundlog with pgda: a nonsymmetric pattern
+    custom-nonsym-imia     the same filter centralized with pgda, opgd and
+                           imia: imia's radius rejects a nonsymmetric
+                           filter (exit 2)
     tv, tv-roundlog        time_varying, n=64, 3 epochs, 100 iterations;
                            without and with --roundlog
     tv-roundlog-500        time_varying, n=64, 1 epoch, 500 iterations,
@@ -130,6 +133,8 @@ def matrix():
         ("custom-points", ["run", "--config", own_points]),
         ("custom-nonsym-sdn", ["run", "--config", nonsym, "--distributed",
                                "--methods", "pgda", "--roundlog"]),
+        ("custom-nonsym-imia", ["run", "--config", nonsym,
+                                "--methods", "pgda,opgd,imia"]),
         ("tv", ["run", "--config", tv]),
         ("tv-roundlog", ["run", "--config", tv, "--roundlog"]),
         ("tv-roundlog-500", ["run", "--config", tv500, "--roundlog"]),

@@ -9,7 +9,6 @@ from .filters import (
     apply,
     build_denoise_filter,
     build_fig1_filter,
-    compose,
     extreme_singular_values,
     laplacians,
     power_spectral_radius,
@@ -23,7 +22,6 @@ from .graphs import (
 from .preconditioners import (
     build_pgda_preconditioner,
     build_spgda_preconditioner,
-    normalized_filter,
 )
 from .sdn import RangeViolationError, Round, SdnNetwork
 from .solvers import (

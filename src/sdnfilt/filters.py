@@ -26,7 +26,6 @@ __all__ = [
     "SingularValues",
     "apply",
     "csr_product",
-    "compose",
     "laplacians",
     "power_spectral_radius",
     "extreme_singular_values",
@@ -34,8 +33,8 @@ __all__ = [
     "build_denoise_filter",
 ]
 
-# magnitude below which entries produced by filter composition are dropped,
-# so arithmetic noise cannot inflate the recorded geodesic width
+# magnitude below which entries of the squared normalized Laplacian are
+# dropped, so arithmetic noise cannot inflate the recorded geodesic width
 COMPOSE_DROP_TOL = 1e-14
 
 # largest |H(i,j) - H(j,i)| of a filter taken as symmetric
@@ -86,28 +85,6 @@ class GraphFilter:
         self._lu = None
         self._pivots = None
         self._row_abs_sums = None
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def from_entries(cls, graph: Graph, entries) -> "GraphFilter":
-        """Build from a {(i, j): value} mapping or (i, j, value) iterable."""
-        if isinstance(entries, dict):
-            items = [(i, j, v) for (i, j), v in entries.items()]
-        else:
-            items = [(i, j, v) for i, j, v in entries]
-        rows = np.array([t[0] for t in items], dtype=np.int64)
-        cols = np.array([t[1] for t in items], dtype=np.int64)
-        vals = np.array([t[2] for t in items], dtype=np.float64)
-        if len(items) and (rows.min() < 0 or rows.max() >= graph.n
-                           or cols.min() < 0 or cols.max() >= graph.n):
-            raise ValueError("filter entry index out of range")
-        m = sparse.coo_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
-        return cls(graph, m)
-
-    @classmethod
-    def identity(cls, graph: Graph) -> "GraphFilter":
-        return cls(graph, sparse.identity(graph.n, format="csr"), _width=0)
 
     # ---- basic queries -------------------------------------------------
 
@@ -201,15 +178,6 @@ class GraphFilter:
             self._transpose = t
         return self._transpose
 
-    def __add__(self, other: "GraphFilter") -> "GraphFilter":
-        self._check_same_graph(other)
-        return GraphFilter(self.graph, self.csr + other.csr,
-                           _within=max(self.width, other.width))
-
-    def scaled(self, alpha: float) -> "GraphFilter":
-        # width recomputed: scaling can underflow an entry to exact zero
-        return GraphFilter(self.graph, self.csr * float(alpha), _within=self.width)
-
     def row_sums(self, data: np.ndarray) -> np.ndarray:
         """Per-row sums of `data`, an array aligned with the stored entries;
         each row summed over its own entry array, so a local agent holding
@@ -234,10 +202,6 @@ class GraphFilter:
 
     def col_abs_sums(self) -> np.ndarray:
         return self.transpose().row_abs_sums()
-
-    def _check_same_graph(self, other) -> None:
-        if other.graph is not self.graph:
-            raise ValueError("filters must share the same graph instance")
 
 
 @dataclass(frozen=True)
@@ -306,21 +270,6 @@ def apply(h: GraphFilter, x: Signal) -> Signal:
     if x.graph is not h.graph:
         raise ValueError("filter and signal must share the same graph instance")
     return Signal(h.graph, h.matvec(x.values))
-
-
-def compose(a: GraphFilter, b: GraphFilter) -> GraphFilter:
-    """Sparse filter product a @ b; entries below COMPOSE_DROP_TOL in
-    magnitude are dropped so the width metadata stays truthful."""
-    a._check_same_graph(b)
-    m = (a.csr @ b.csr).tocsr()
-    m.sum_duplicates()
-    if m.nnz:
-        m.data[np.abs(m.data) < COMPOSE_DROP_TOL] = 0.0
-        m.eliminate_zeros()
-    out = GraphFilter(a.graph, m, _within=a.width + b.width)
-    if out.width > a.width + b.width:
-        raise AssertionError("composition widened beyond the sum of widths")
-    return out
 
 
 def laplacians(g: Graph) -> GraphFilter:
@@ -479,12 +428,15 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
 
 def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
     """L_sym L_sym, which depends on the graph alone: built on the first
-    call and cached on the graph next to its hop matrices. Shared, so
-    callers must not modify it."""
+    call and cached on the graph next to its hop matrices. Entries below
+    COMPOSE_DROP_TOL in magnitude are dropped. Shared, so callers must not
+    modify it."""
     square = g._cache.get("lap_sym_squared")
     if square is None:
-        lap_sym = laplacians(g)
-        square = g._cache["lap_sym_squared"] = compose(lap_sym, lap_sym)
+        lap_sym = laplacians(g).csr
+        m = lap_sym @ lap_sym
+        m.data[np.abs(m.data) < COMPOSE_DROP_TOL] = 0.0
+        square = g._cache["lap_sym_squared"] = GraphFilter(g, m, _within=2)
     return square
 
 
@@ -493,7 +445,8 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
     definite with width 1 for alpha > 0 (width 0 at alpha = 0)."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return GraphFilter.identity(g) + laplacians(g).scaled(alpha)
+    return GraphFilter(g, sparse.identity(g.n, format="csr")
+                       + laplacians(g).csr * float(alpha))
 
 
 # ---------------------------------------------------------------------------

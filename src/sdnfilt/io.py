@@ -19,6 +19,7 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .filters import GraphFilter, Signal
 from .graphs import Graph
@@ -198,9 +199,14 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
         raise IngestError(f"{path}: filter is for n={n}, graph has n={graph.n}")
     if lines[1].strip() != "i,j,value":
         raise IngestError(f"{path}:2: expected header 'i,j,value'")
-    entries = [entry for _, entry in _records(path, lines[2:], 3, 3, lambda i, j, v: (
-        _vertex_id(i, n), _vertex_id(j, n), _finite(v)))]
-    h = GraphFilter.from_entries(graph, entries)
+    entries = {}
+    for lineno, (i, j, v) in _records(path, lines[2:], 3, 3, lambda i, j, v: (
+            _vertex_id(i, n), _vertex_id(j, n), _finite(v))):
+        if (i, j) in entries:
+            raise IngestError(f"{path}:{lineno}: duplicate entry ({i}, {j})")
+        entries[i, j] = v
+    ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    h = GraphFilter(graph, sparse.coo_matrix((list(entries.values()), ij.T), shape=(n, n)))
     if h.width != width:
         raise IngestError(
             f"{path}: recorded width {width} does not match entries "

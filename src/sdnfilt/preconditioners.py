@@ -11,7 +11,6 @@ to the filter's geodesic width.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .filters import SYMMETRY_TOL, GraphFilter
 from .graphs import hop_matrix
@@ -19,7 +18,6 @@ from .graphs import hop_matrix
 __all__ = [
     "build_pgda_preconditioner",
     "build_spgda_preconditioner",
-    "normalized_filter",
 ]
 
 
@@ -62,12 +60,3 @@ def build_spgda_preconditioner(h: GraphFilter) -> np.ndarray:
         bad = int(np.argmin(p))
         raise ValueError(f"row {bad} of the filter is all zero")
     return p
-
-
-def normalized_filter(h: GraphFilter, p: np.ndarray) -> GraphFilter:
-    """Symmetric normalization H(i,j) / sqrt(P(i,i) P(j,j)) by the spgda
-    diagonal p; same sparsity and width as the input."""
-    coo = h.csr.tocoo()
-    vals = coo.data / np.sqrt(p[coo.row] * p[coo.col])
-    m = sparse.coo_matrix((vals, (coo.row, coo.col)), shape=h.csr.shape)
-    return GraphFilter(h.graph, m, _width=h.width)

@@ -42,7 +42,6 @@ from .filters import (
 from .preconditioners import (
     build_pgda_preconditioner,
     build_spgda_preconditioner,
-    normalized_filter,
 )
 
 __all__ = [
@@ -214,8 +213,12 @@ def _spgda(h: GraphFilter) -> Method:
     p = build_spgda_preconditioner(h)
 
     def error():
-        h_hat = normalized_filter(h, p)
-        return lambda v: v - h_hat.matvec(v)
+        # P^{-1/2} H P^{-1/2} on H's own pattern: H(i,j) / sqrt(p_i p_j)
+        m = h.csr
+        rows = np.repeat(np.arange(h.graph.n), np.diff(m.indptr))
+        h_hat = csr_product(sparse.csr_matrix(
+            (m.data / np.sqrt(p[rows] * p[m.indices]), m.indices, m.indptr), shape=m.shape))
+        return lambda v: v - h_hat(v)
 
     # x - P^{-1} (H x - y) associated as (x + P^{-1} y) - P^{-1} H x, to
     # mirror the vertex update
@@ -268,6 +271,9 @@ def _imia(h: GraphFilter) -> Method:
                 "imia diagonal has nonpositive entries; no symmetric "
                 "similarity form exists"
             )
+        if not h.symmetric:
+            raise ValueError("filter is not symmetric; imia's similarity form "
+                             "D^{1/2} H D^{1/2} is not symmetric either")
         sq = np.sqrt(d)
         return lambda v: v - sq * h.matvec(sq * v)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from sdnfilt.filters import GraphFilter, Signal, csr_product
 from sdnfilt.graphs import Graph, hop_matrix
@@ -18,7 +19,7 @@ from sdnfilt.preconditioners import (
 )
 from sdnfilt.solvers import prepare_params
 
-from filter_reference import entries
+from filter_reference import entries, filter_of
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -63,7 +64,7 @@ def random_filter(
             entries[(i, j)] = v
             if symmetric:
                 entries[(j, i)] = v
-    return GraphFilter.from_entries(g, entries)
+    return filter_of(g, entries)
 
 
 def dense_of(h: GraphFilter) -> np.ndarray:
@@ -80,7 +81,7 @@ def make_invertible(rng: np.random.Generator, g: Graph, width: int,
     """Random filter made strictly diagonally dominant by an identity shift."""
     h = random_filter(rng, g, width, symmetric=symmetric)
     shift = float(np.abs(dense_of(h)).sum(axis=1).max()) + margin
-    return h + GraphFilter.identity(g).scaled(shift)
+    return GraphFilter(g, h.csr + sparse.identity(g.n, format="csr") * shift)
 
 
 def make_spd(rng: np.random.Generator, g: Graph, width: int,
@@ -88,7 +89,7 @@ def make_spd(rng: np.random.Generator, g: Graph, width: int,
     """Random symmetric filter shifted to be positive definite."""
     h = random_filter(rng, g, width, symmetric=True)
     lam_min = float(np.linalg.eigvalsh(dense_of(h)).min())
-    return h + GraphFilter.identity(g).scaled(abs(lam_min) + margin)
+    return GraphFilter(g, h.csr + sparse.identity(g.n, format="csr") * (abs(lam_min) + margin))
 
 
 def make_well_conditioned_spd(rng: np.random.Generator, g: Graph,
@@ -98,7 +99,7 @@ def make_well_conditioned_spd(rng: np.random.Generator, g: Graph,
     tight enough that every iteration method contracts quickly."""
     h = random_filter(rng, g, width, symmetric=True)
     s = float(np.abs(dense_of(h)).sum(axis=1).max())
-    return GraphFilter.identity(g) + h.scaled(spread / s)
+    return GraphFilter(g, sparse.identity(g.n, format="csr") + h.csr * (spread / s))
 
 
 def method_step(h: GraphFilter, method: str, ys: np.ndarray, params=None):

@@ -11,10 +11,10 @@ smallest eigenvalue of a symmetric operator by ARPACK, and check_dominance,
 which checks the relations the preconditioners rest on.
 
 Last, builders and writers only the tests need: a filter from a dense
-matrix, the combinatorial Laplacian D - A, the fig1 filter built by
-sorted-key search (the construction sdnfilt.filters must reproduce byte
-for byte), and the filter and signal CSV writers that sdnfilt.io reads
-back.
+matrix or from its entries, the identity, the combinatorial Laplacian
+D - A, the fig1 filter built by sorted-key search (the construction
+sdnfilt.filters must reproduce byte for byte), and the filter and signal
+CSV writers that sdnfilt.io reads back.
 """
 
 from __future__ import annotations
@@ -134,11 +134,25 @@ def from_dense(g: Graph, dense) -> GraphFilter:
     return GraphFilter(g, sparse.csr_matrix(np.asarray(dense, dtype=np.float64)))
 
 
+def filter_of(g: Graph, entries) -> GraphFilter:
+    """The filter with the given entries, a {(i, j): value} dict or an
+    iterable of (i, j, value) triplets."""
+    triplets = ([(i, j, v) for (i, j), v in entries.items()]
+                if isinstance(entries, dict) else list(entries))
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return GraphFilter(g, sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)))
+
+
+def identity(g: Graph) -> GraphFilter:
+    """The identity filter, width 0."""
+    return GraphFilter(g, sparse.identity(g.n, format="csr"))
+
+
 def combinatorial_laplacian(g: Graph) -> GraphFilter:
     """L = D - A, width 1 on any graph with an edge."""
     entries = {(i, i): float(len(nbrs)) for i, nbrs in enumerate(g.adjacency)}
     entries.update({(i, j): -1.0 for i, nbrs in enumerate(g.adjacency) for j in nbrs})
-    return GraphFilter.from_entries(g, entries)
+    return filter_of(g, entries)
 
 
 def fig1_filter_by_search(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
@@ -161,7 +175,7 @@ def fig1_filter_by_search(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
         mirror = np.searchsorted(pi * n + pj, pj * n + pi)
         vals = vals + (noise + noise[mirror]) / 2.0
     kernel = GraphFilter(g, sparse.coo_matrix((vals, (pi, pj)), shape=(n, n)))
-    return kernel + _squared_normalized_laplacian(g)
+    return GraphFilter(g, kernel.csr + _squared_normalized_laplacian(g).csr)
 
 
 def write_filter_csv(path: str, h: GraphFilter) -> None:

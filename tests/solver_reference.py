@@ -21,6 +21,6 @@ def iteration_matrix(h: GraphFilter, method: str, params: dict | None = None):
     pgda:  I - P^{-1} H^T H P^{-1}
     spgda: I - P^{-1/2} H P^{-1/2}
     opgd:  I - beta H^T H
-    imia:  I - D^{1/2} H D^{1/2}   (requires positive diagonal D)
+    imia:  I - D^{1/2} H D^{1/2}   (requires positive diagonal D and symmetric H)
     """
     return h.graph.n, prepare_params(h, method, params)[method].error()

@@ -227,9 +227,9 @@ class TestRun:
     def test_divergence_single_trial_exit_3(self, tmp_path, rng):
         # symmetric indefinite filter: spgda diverges; one trial -> exit 3
         from conftest import random_connected_graph
-        from sdnfilt.filters import GraphFilter, Signal
+        from sdnfilt.filters import Signal
         from sdnfilt.io import write_edges_csv
-        from filter_reference import write_filter_csv, write_signal_csv
+        from filter_reference import filter_of, write_filter_csv, write_signal_csv
 
         g = random_connected_graph(rng, 8)
         entries = {}
@@ -237,7 +237,7 @@ class TestRun:
             entries[(i, i)] = 1.0
             for j in g.adjacency[i]:
                 entries[(i, j)] = 2.0
-        h = GraphFilter.from_entries(g, entries)
+        h = filter_of(g, entries)
         e, f, s = (str(tmp_path / n) for n in ("e.csv", "f.csv", "s.csv"))
         write_edges_csv(e, g)
         write_filter_csv(f, h)
@@ -315,6 +315,17 @@ class TestRun:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_imia_on_nonsymmetric_filter_exit_2(self, tmp_path, capsys):
+        # imia's radius is taken on its symmetric similarity form, which a
+        # nonsymmetric filter does not have
+        raw = write_two_vertex_custom(tmp_path)
+        (tmp_path / "f.csv").write_text(
+            "# n=2 width=1\ni,j,value\n0,0,2.0\n0,1,1.0\n1,1,2.0\n")
+        cfg = write_config(tmp_path, **{**raw, "methods": ["pgda", "imia"]})
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "not symmetric" in capsys.readouterr().err
 
     def test_out_of_range_filter_index_exit_4(self, tmp_path, capsys):
         raw = write_two_vertex_custom(tmp_path)

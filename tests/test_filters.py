@@ -14,7 +14,6 @@ from sdnfilt.filters import (
     apply,
     build_denoise_filter,
     build_fig1_filter,
-    compose,
     csr_product,
     extreme_singular_values,
     laplacians,
@@ -23,13 +22,22 @@ from sdnfilt.filters import (
 from sdnfilt.graphs import Graph, random_geometric_graph
 from sdnfilt.scenarios import _STREAM_FILTER, _stream_seed, generate_run_graph
 
-from conftest import dense_of, make_invertible, random_connected_graph, random_filter
+from conftest import (
+    dense_of,
+    make_invertible,
+    make_spd,
+    make_well_conditioned_spd,
+    random_connected_graph,
+    random_filter,
+)
 from filter_reference import (
     combinatorial_laplacian,
     entries,
     entries_width_by_levels,
     fig1_filter_by_search,
+    filter_of,
     from_dense,
+    identity,
     is_symmetric,
     schur_norm,
     smallest_eigenvalue,
@@ -69,51 +77,74 @@ def dense_matvec_oracle(dense: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class TestGraphFilterBasics:
     def test_zero_entries_not_stored(self):
-        h = GraphFilter.from_entries(path3(), {(0, 0): 0.0, (1, 1): 2.0})
+        m = sparse.coo_matrix(([0.0, 2.0], ([0, 1], [0, 1])), shape=(3, 3))
+        assert m.nnz == 2
+        h = GraphFilter(path3(), m)
         assert h.nnz == 1
 
     def test_width_identity(self):
-        assert GraphFilter.identity(path3()).width == 0
+        assert identity(path3()).width == 0
 
     def test_width_adjacency(self):
         g = path3()
-        adj = GraphFilter.from_entries(
-            g, {(i, j): 1.0 for i in range(3) for j in g.adjacency[i]}
-        )
+        adj = filter_of(g, {(i, j): 1.0 for i in range(3) for j in g.adjacency[i]})
         assert adj.width == 1
 
     def test_width_of_squared_adjacency(self):
         # A^2 on the path has a corner-to-corner entry two hops apart
         g = path3()
-        adj = GraphFilter.from_entries(
-            g, {(i, j): 1.0 for i in range(3) for j in g.adjacency[i]}
-        )
-        sq = compose(adj, adj)
+        adj = filter_of(g, {(i, j): 1.0 for i in range(3) for j in g.adjacency[i]})
+        sq = GraphFilter(g, adj.csr @ adj.csr)
         assert np.allclose(dense_of(sq), [[1, 0, 1], [0, 2, 0], [1, 0, 1]])
         assert sq.width == 2
 
     def test_geodesic_width_free_function(self):
-        # the geodesic width of an entry set, as from_entries records it
+        # the geodesic width of an entry set: the farthest stored entry's
+        # hop distance, a zero entry not counted
         g = path3()
-        assert GraphFilter.from_entries(g, {(0, 0): 1.0, (2, 2): 3.0}).width == 0
-        assert GraphFilter.from_entries(g, {(0, 2): 1.0}).width == 2
-        assert GraphFilter.from_entries(g, {(0, 2): 0.0, (0, 1): 1.0}).width == 1
+        assert filter_of(g, {(0, 0): 1.0, (2, 2): 3.0}).width == 0
+        assert filter_of(g, {(0, 2): 1.0}).width == 2
+        assert filter_of(g, {(0, 2): 0.0, (0, 1): 1.0}).width == 1
+
+    def test_width_recomputed_after_underflow(self):
+        # 1e-300 * 1e-30 underflows to zero: the two-hop entry is gone and
+        # the width is the diagonal's
+        h = filter_of(path3(), {(0, 0): 1.0, (0, 2): 1e-300})
+        assert h.width == 2
+        scaled = GraphFilter(h.graph, h.csr * 1e-30)
+        assert scaled.nnz == 1 and scaled.width == 0
 
     def test_width_matches_level_reference(self, rng):
         # the width read off the cached hop matrix equals the level-by-level
-        # search, for every constructor that derives one, whether or not
-        # its first hop radius holds every entry
+        # search, whether or not the first hop radius holds every entry
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(1, 30)))
-            a = random_filter(rng, g, int(rng.integers(0, 4)), keep_prob=0.3)
-            b = random_filter(rng, g, int(rng.integers(0, 3)), keep_prob=0.3)
-            for h in (a, b, a + b, a + a.scaled(-1.0), a.scaled(float(rng.uniform(-2, 2))),
-                      compose(a, b), from_dense(g, dense_of(a).T)):
+            a = random_filter(rng, g, int(rng.integers(0, 4)), keep_prob=0.3).csr
+            b = random_filter(rng, g, int(rng.integers(0, 3)), keep_prob=0.3).csr
+            for m in (a, b, a + b, a - a, a * float(rng.uniform(-2, 2)), a @ b, a.T):
+                h = GraphFilter(g, m, _within=int(rng.integers(0, 4)))
                 assert h.width == entries_width_by_levels(g, h.csr)
 
     def test_entries_sorted_row_major(self):
-        h = GraphFilter.from_entries(path3(), {(1, 2): 1.0, (1, 0): 2.0, (0, 0): 3.0})
+        h = filter_of(path3(), {(1, 2): 1.0, (1, 0): 2.0, (0, 0): 3.0})
         assert [(i, j) for i, j, _ in entries(h)] == [(0, 0), (1, 0), (1, 2)]
+
+    def test_builders_shift_the_random_filter(self, rng):
+        # make_invertible, make_spd and make_well_conditioned_spd are the
+        # random filter plus a multiple of I, or I plus a multiple of it
+        g = random_connected_graph(rng, 15)
+        for build in (make_invertible, make_spd, make_well_conditioned_spd):
+            state = rng.bit_generator.state
+            h = build(rng, g, 2)
+            rng.bit_generator.state = state
+            base = dense_of(random_filter(rng, g, 2, symmetric=build is not make_invertible))
+            if build is make_invertible:
+                expected = base + np.eye(15) * (np.abs(base).sum(axis=1).max() + 0.5)
+            elif build is make_spd:
+                expected = base + np.eye(15) * (abs(np.linalg.eigvalsh(base).min()) + 0.3)
+            else:
+                expected = np.eye(15) + base * (0.25 / np.abs(base).sum(axis=1).max())
+            assert np.array_equal(dense_of(h), expected)
 
     def test_row_abs_sums_bit_identical_to_per_row_sums(self):
         # numpy's pairwise summation changes order at 8 and at 128 entries;
@@ -170,7 +201,7 @@ class TestApply:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 9)
         x = Signal(g, rng.standard_normal(9))
-        y = apply(GraphFilter.identity(g), x)
+        y = apply(identity(g), x)
         assert np.array_equal(y.values, x.values)
 
     def test_laplacian_kills_constants(self):
@@ -205,7 +236,7 @@ class TestSchurNorm:
         assert schur_norm(combinatorial_laplacian(path3())) == 4.0
 
     def test_identity(self):
-        assert schur_norm(GraphFilter.identity(path3())) == 1.0
+        assert schur_norm(identity(path3())) == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), alpha=st.floats(-8, 8, allow_nan=False))
@@ -213,7 +244,7 @@ class TestSchurNorm:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, int(rng.integers(2, 20)))
         h = random_filter(rng, g, 1)
-        assert schur_norm(h.scaled(alpha)) == pytest.approx(
+        assert schur_norm(GraphFilter(g, h.csr * alpha)) == pytest.approx(
             abs(alpha) * schur_norm(h), rel=1e-12, abs=1e-300
         )
 
@@ -226,21 +257,6 @@ class TestSchurNorm:
             assert np.linalg.norm(h.matvec(x)) <= (
                 schur_norm(h) * np.linalg.norm(x) + 1e-12
             )
-
-
-class TestCompose:
-    def test_identity_neutral(self, rng):
-        g = random_connected_graph(rng, 12)
-        h = random_filter(rng, g, 1)
-        out = compose(GraphFilter.identity(g), h)
-        assert np.array_equal(dense_of(out), dense_of(h))
-
-    def test_width_subadditive(self, rng):
-        for _ in range(10):
-            g = random_connected_graph(rng, int(rng.integers(3, 25)))
-            lap = combinatorial_laplacian(g)
-            sq = compose(lap, lap)
-            assert sq.width <= 2
 
 
 class TestLaplacians:
@@ -420,7 +436,7 @@ class TestCsrProduct:
 
 class TestExtremeSingularValues:
     def test_identity(self):
-        sv = extreme_singular_values(GraphFilter.identity(path3()))
+        sv = extreme_singular_values(identity(path3()))
         assert sv.sigma_max.value == pytest.approx(1.0, abs=1e-10)
         assert sv.sigma_min.value == pytest.approx(1.0, abs=1e-10)
 
@@ -470,7 +486,7 @@ class TestExtremeSingularValues:
         assert sv.sigma_min.value == 0.0
 
     def test_zero_filter(self):
-        sv = extreme_singular_values(GraphFilter.identity(path3()).scaled(0.0))
+        sv = extreme_singular_values(GraphFilter(path3(), sparse.csr_matrix((3, 3))))
         assert (sv.sigma_max.value, sv.sigma_min.value, sv.converged) == (0.0, 0.0, True)
 
     def test_reruns_bit_identical(self, rng):
@@ -639,7 +655,8 @@ class TestFactor:
             n = int(rng.integers(5, 40))
             g = random_connected_graph(rng, n)
             h = random_filter(rng, g, 2, symmetric=True)
-            h = h + GraphFilter.identity(g).scaled(float(rng.uniform(1.0, 3.0)))
+            shift = sparse.identity(n, format="csr") * rng.uniform(1.0, 3.0)
+            h = GraphFilter(g, h.csr + shift)
             h.positive_definite()
             if h._pivots is None:   # singular: no factor
                 continue
@@ -686,9 +703,8 @@ class TestFig1Filter:
             coordinates=np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]),
         )
         h = build_fig1_filter(g, gamma=0.0, rng_seed=0)
-        lap_sym = laplacians(g)
-        sq = compose(lap_sym, lap_sym)
-        assert h.csr[0, 0] == pytest.approx(1.0 + sq.csr[0, 0], abs=1e-14)
+        lap_sym = laplacians(g).csr
+        assert h.csr[0, 0] == pytest.approx(1.0 + (lap_sym @ lap_sym)[0, 0], abs=1e-14)
 
     def test_requires_coordinates(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -710,9 +726,9 @@ class TestFig1Filter:
         import sdnfilt.filters as filters
 
         calls = []
-        real = filters.compose
-        monkeypatch.setattr(filters, "compose",
-                            lambda a, b: calls.append(1) or real(a, b))
+        real = filters.laplacians
+        monkeypatch.setattr(filters, "laplacians",
+                            lambda g: calls.append(1) or real(g))
         g, _ = self.build()
         cached = [build_fig1_filter(g, 0.05, rng_seed=s) for s in (11, 12)]
         assert len(calls) == 1
@@ -743,7 +759,7 @@ class TestFig1Filter:
 
         g, _ = self.build()
         monkeypatch.setattr(filters, "_squared_normalized_laplacian",
-                            lambda g: GraphFilter.identity(g).scaled(0.0))
+                            lambda g: GraphFilter(g, sparse.csr_matrix((g.n, g.n))))
         kernel = build_fig1_filter(g, 0.0, 0).csr
         far = kernel.multiply(hop_matrix(g, 2) == 2)
         monkeypatch.setattr(filters, "_squared_normalized_laplacian",

@@ -151,6 +151,7 @@ class TestFilterCsv:
         ("0,1,nan", "non-finite"),
         ("0,3,1.0", "vertex id 3 outside"),
         ("-1,0,1.0", "vertex id -1 outside"),
+        ("0,0,0.25", r"duplicate entry \(0, 0\)"),
     ])
     def test_bad_entry_reports_line(self, tmp_path, row, problem):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -158,6 +159,27 @@ class TestFilterCsv:
         path.write_text(f"# n=3 width=1\ni,j,value\n0,0,1.0\n{row}\n")
         with pytest.raises(IngestError, match=rf"f\.csv:4: {problem}"):
             read_filter_csv(str(path), g)
+
+    def test_header_only_is_the_empty_filter(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("# n=3 width=0\ni,j,value\n")
+        h = read_filter_csv(str(path), Graph.from_edges(3, [(0, 1), (1, 2)]))
+        assert (h.nnz, h.width) == (0, 0)
+
+    def test_shuffled_lines_read_to_the_same_csr(self, tmp_path, rng):
+        g = random_connected_graph(rng, 15)
+        path = tmp_path / "f.csv"
+        write_filter_csv(str(path), make_invertible(rng, g, 2))
+        h = read_filter_csv(str(path), g)
+        lines = path.read_text().splitlines()
+        body = lines[2:]
+        rng.shuffle(body)
+        path.write_text("\n".join(lines[:2] + body) + "\n")
+        shuffled = read_filter_csv(str(path), g)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(h.csr, name), getattr(shuffled.csr, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert shuffled.width == h.width
 
 
 class TestSignalCsv:

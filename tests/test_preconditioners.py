@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from sdnfilt.filters import GraphFilter, laplacians, power_spectral_radius
+import sdnfilt.solvers as solvers
+from sdnfilt.filters import laplacians, power_spectral_radius
 from sdnfilt.graphs import Graph
-from sdnfilt.preconditioners import (
-    build_pgda_preconditioner,
-    build_spgda_preconditioner,
-    normalized_filter,
-)
+from sdnfilt.preconditioners import build_pgda_preconditioner, build_spgda_preconditioner
 
 from conftest import dense_of, make_invertible, make_spd, random_connected_graph, random_filter
 from filter_reference import (
     check_dominance,
     combinatorial_laplacian,
+    filter_of,
     from_dense,
+    identity,
     schur_norm,
 )
 from solver_reference import iteration_matrix
@@ -34,7 +33,7 @@ def two_by_two():
 class TestPgdaPreconditioner:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 8)
-        p = build_pgda_preconditioner(GraphFilter.identity(g))
+        p = build_pgda_preconditioner(identity(g))
         assert np.array_equal(p, np.ones(8))
 
     def test_path_laplacian(self):
@@ -48,14 +47,14 @@ class TestPgdaPreconditioner:
         assert np.array_equal(p, np.array([3.0, 3.0]))
 
     def test_all_zero_rejected(self):
-        h = GraphFilter.from_entries(path3(), {})
+        h = filter_of(path3(), {})
         with pytest.raises(ValueError, match="all-zero"):
             build_pgda_preconditioner(h)
 
     def test_locally_empty_neighborhood_rejected(self):
         # width-0 filter supported on one vertex only: other vertices get a
         # zero entry, which would make the preconditioner singular
-        h = GraphFilter.from_entries(path3(), {(0, 0): 2.0})
+        h = filter_of(path3(), {(0, 0): 2.0})
         with pytest.raises(ValueError, match="vertex"):
             build_pgda_preconditioner(h)
 
@@ -68,7 +67,7 @@ class TestSpgdaPreconditioner:
 
     def test_identity(self, rng):
         g = random_connected_graph(rng, 5)
-        p = build_spgda_preconditioner(GraphFilter.identity(g))
+        p = build_spgda_preconditioner(identity(g))
         assert np.array_equal(p, np.ones(5))
 
     def test_two_by_two(self):
@@ -81,18 +80,20 @@ class TestSpgdaPreconditioner:
             build_spgda_preconditioner(h)
 
 
+def normalized(h):
+    """The dense P^{-1/2} H P^{-1/2} of spgda's diagonal P, read off
+    spgda's error operator I - P^{-1/2} H P^{-1/2} column by column."""
+    n, error = iteration_matrix(h, "spgda")
+    return np.eye(n) - np.column_stack([error(e) for e in np.eye(n)])
+
+
 class TestNormalizedFilter:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 6)
-        ident = GraphFilter.identity(g)
-        p = build_spgda_preconditioner(ident)
-        out = normalized_filter(ident, p)
-        assert np.array_equal(dense_of(out), np.eye(6))
+        assert np.array_equal(normalized(identity(g)), np.eye(6))
 
     def test_two_by_two(self):
-        h = two_by_two()
-        out = normalized_filter(h, build_spgda_preconditioner(h))
-        assert np.allclose(dense_of(out), np.array([[2, 1], [1, 2]]) / 3.0,
+        assert np.allclose(normalized(two_by_two()), np.array([[2, 1], [1, 2]]) / 3.0,
                            atol=1e-15)
 
     def test_laplacian_gives_half_normalized_laplacian(self, rng):
@@ -100,26 +101,30 @@ class TestNormalizedFilter:
         # isolated vertices
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(2, 30)))
-            lap = combinatorial_laplacian(g)
-            out = normalized_filter(lap, build_spgda_preconditioner(lap))
-            assert np.allclose(dense_of(out), dense_of(laplacians(g)) / 2.0, atol=1e-13)
+            out = normalized(combinatorial_laplacian(g))
+            assert np.allclose(out, dense_of(laplacians(g)) / 2.0, atol=1e-13)
 
-    def test_same_sparsity_and_width(self, rng):
-        g = random_connected_graph(rng, 20)
-        h = make_spd(rng, g, 2)
-        out = normalized_filter(h, build_spgda_preconditioner(h))
-        assert out.width == h.width
-        assert out.nnz == h.nnz
+    def test_same_sparsity_and_width(self, rng, monkeypatch):
+        # the normalized matrix is taken on H's own index arrays, so its
+        # pattern, and with it the width, is H's
+        bound, real = [], solvers.csr_product
+        monkeypatch.setattr(solvers, "csr_product", lambda m: bound.append(m) or real(m))
+        h = make_spd(rng, random_connected_graph(rng, 20), 2)
+        iteration_matrix(h, "spgda")
+        (m,) = bound
+        assert np.shares_memory(m.indices, h.csr.indices)
+        assert np.shares_memory(m.indptr, h.csr.indptr)
+        assert np.array_equal(m.toarray() != 0, dense_of(h) != 0)
 
     def test_underflowing_entry_leaves_input_intact(self):
-        # 1e-200 / sqrt(1e150 * 1e150) underflows to 0, so the normalized
-        # filter drops that entry; h's own arrays and product must not move
+        # 1e-200 / sqrt(1e150 * 1e150) underflows to 0 in the normalized
+        # matrix, which shares h's index arrays; h's own arrays and
+        # product must not move
         h = from_dense(edge2(), [[1e150, 1e-200], [1e-200, 1e150]])
         arrays = [a.copy() for a in (h.csr.indptr, h.csr.indices, h.csr.data)]
         v = np.array([1.0, 2.0])
         hv = h.matvec(v)
-        out = normalized_filter(h, build_spgda_preconditioner(h))
-        assert out.nnz == 2 and np.array_equal(dense_of(out), np.eye(2))
+        assert np.array_equal(normalized(h), np.eye(2))
         for a, b in zip(arrays, (h.csr.indptr, h.csr.indices, h.csr.data)):
             assert np.array_equal(a, b)
         assert np.array_equal(h.matvec(v), hv)

@@ -8,7 +8,7 @@ from sdnfilt.sdn import RangeViolationError, SdnNetwork
 from sdnfilt.solvers import SolverConfig, solve
 
 from conftest import hop_row, make_invertible, make_spd, random_connected_graph
-from filter_reference import combinatorial_laplacian, entries, from_dense
+from filter_reference import combinatorial_laplacian, entries, filter_of, from_dense, identity
 from graph_reference import geodesic_distance
 from sdn_reference import (
     ReferenceNetwork,
@@ -49,7 +49,7 @@ class TestSharedRowSums:
 class TestDistributedPreconditioner:
     def test_identity_no_messages(self, rng):
         g = random_connected_graph(rng, 10)
-        h = GraphFilter.identity(g)
+        h = identity(g)
         y = Signal(g, np.zeros(10))
         net = SdnNetwork(g, h, y)
         p = net.distributed_preconditioner()
@@ -78,8 +78,7 @@ class TestDistributedPreconditioner:
         # vertex 0 has no nonzero row or column within one hop: p(0) = 0,
         # which build_pgda_preconditioner rejects after the d-round
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        h = GraphFilter.from_entries(g, {(2, 2): 1.0, (2, 3): 0.5, (3, 2): 0.5,
-                                         (3, 3): 1.0})
+        h = filter_of(g, {(2, 2): 1.0, (2, 3): 0.5, (3, 2): 0.5, (3, 3): 1.0})
         with pytest.raises(ValueError, match="entry at vertex 0 is zero") as central:
             build_pgda_preconditioner(h)
         net = SdnNetwork(g, h, Signal(g, np.ones(4)))
@@ -95,7 +94,7 @@ class TestDistributedPreconditioner:
         h = make_invertible(rng, g, 1)
         y = Signal(g, rng.standard_normal(10))
         p = SdnNetwork(g, h, y).distributed_preconditioner()
-        doubled = SdnNetwork(g, h.scaled(2.0), y).distributed_preconditioner()
+        doubled = SdnNetwork(g, GraphFilter(g, h.csr * 2.0), y).distributed_preconditioner()
         assert np.array_equal(2.0 * p, doubled)
 
     def test_range_below_width_rejected_before_messages(self, rng):
@@ -111,7 +110,7 @@ class TestDistributedPgda:
     def test_identity_one_iteration(self, rng):
         g = random_connected_graph(rng, 8)
         y = Signal(g, rng.standard_normal(8))
-        net = SdnNetwork(g, GraphFilter.identity(g), y)
+        net = SdnNetwork(g, identity(g), y)
         net.distributed_preconditioner()
         x = net.run_pgda()
         assert np.array_equal(x.values, y.values)
@@ -176,7 +175,7 @@ class TestDistributedSpgda:
         # pgda's agent i holds column i of H over its ball, scaled by
         # 1/p(i)^2; only a nonsymmetric pattern, the upper triangle here,
         # tells a column from a row
-        upper = GraphFilter.from_entries(g, [(i, j, v) for i, j, v in entries(lap) if j >= i])
+        upper = filter_of(g, [(i, j, v) for i, j, v in entries(lap) if j >= i])
         for h in (lap, upper):
             net = SdnNetwork(g, h, Signal(g, np.zeros(3)))
             p, dense = net.distributed_preconditioner(), h.csr.toarray()
@@ -188,8 +187,8 @@ class TestDistributedSpgda:
     def test_nonsymmetric_filter_rejected_as_centralized(self):
         # the setup is spgda's centralized Method, symmetry check included
         g = path3()
-        h = GraphFilter.from_entries(g, {(0, 0): 2.0, (0, 1): -1.0, (1, 1): 2.0,
-                                         (1, 2): -1.0, (2, 2): 2.0})
+        h = filter_of(g, {(0, 0): 2.0, (0, 1): -1.0, (1, 1): 2.0,
+                          (1, 2): -1.0, (2, 2): 2.0})
         with pytest.raises(ValueError, match="filter is not symmetric") as central:
             build_spgda_preconditioner(h)
         net = SdnNetwork(g, h, Signal(g, np.ones(3)))
@@ -202,7 +201,7 @@ class TestDistributedSpgda:
     def test_identity_one_iteration_no_messages(self, rng):
         g = random_connected_graph(rng, 6)
         y = Signal(g, rng.standard_normal(6))
-        net = SdnNetwork(g, GraphFilter.identity(g), y)
+        net = SdnNetwork(g, identity(g), y)
         x = net.run_spgda()
         assert np.array_equal(x.values, y.values)
         assert net.total_messages() == 0
@@ -222,7 +221,7 @@ class TestDistributedSpgda:
 
     def test_matches_centralized_on_shifted_laplacian(self, rng):
         g = random_connected_graph(rng, 11)
-        h = GraphFilter.identity(g) + combinatorial_laplacian(g)
+        h = GraphFilter(g, identity(g).csr + combinatorial_laplacian(g).csr)
         y = Signal(g, rng.standard_normal(11))
         central, _ = solve(h, y, SolverConfig(method="spgda", max_iter=50))
         net = SdnNetwork(g, h, y)
@@ -426,8 +425,7 @@ class TestCompiledLocality:
 
     def test_filter_entry_outside_ball_rejected_at_deploy(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        wide = GraphFilter.from_entries(g, {(k, k): 4.0 for k in range(4)}
-                                        | {(0, 2): 1.0, (2, 0): 1.0})
+        wide = filter_of(g, {(k, k): 4.0 for k in range(4)} | {(0, 2): 1.0, (2, 0): 1.0})
         lying = GraphFilter(g, wide.csr, _width=1)   # H(0,2) is 2 hops
         net = SdnNetwork.__new__(SdnNetwork)
         with pytest.raises(RangeViolationError, match="no message has been sent") as err:

@@ -36,7 +36,7 @@ from conftest import (
     random_filter,
     weighted_errors,
 )
-from filter_reference import entries, from_dense
+from filter_reference import entries, filter_of, from_dense, identity
 from solver_reference import iteration_matrix
 
 
@@ -57,7 +57,7 @@ class TestSolveBasics:
     def test_identity_one_step(self, method, rng):
         g = random_connected_graph(rng, 7)
         y = Signal(g, rng.standard_normal(7))
-        x, trace = solve(GraphFilter.identity(g), y,
+        x, trace = solve(identity(g), y,
                          SolverConfig(method=method, max_iter=1))
         assert np.array_equal(x.values, y.values)
         assert trace.residuals[-1] == 0.0
@@ -208,6 +208,13 @@ class TestIterationMatrix:
         g = edge2()
         h = from_dense(g, [[-2.0, 1.0], [1.0, -2.0]])
         with pytest.raises(ValueError, match="nonpositive"):
+            iteration_matrix(h, "imia")
+
+    def test_imia_needs_symmetric_filter(self):
+        # D^{1/2} H D^{1/2} is symmetric only when H is; Lanczos on the
+        # form of a nonsymmetric H would not give its radius
+        h = from_dense(edge2(), [[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
             iteration_matrix(h, "imia")
 
 
@@ -385,7 +392,7 @@ class TestSpectralRadius:
 class TestOptimalStep:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 4)
-        assert optimal_step(GraphFilter.identity(g))[0] == pytest.approx(1.0, abs=1e-9)
+        assert optimal_step(identity(g))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_by_two(self):
         assert optimal_step(two_by_two())[0] == pytest.approx(0.2, abs=1e-8)
@@ -403,7 +410,7 @@ class TestOptimalStep:
 class TestImiaDiagonal:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 5)
-        assert np.array_equal(imia_diagonal(GraphFilter.identity(g)), np.ones(5))
+        assert np.array_equal(imia_diagonal(identity(g)), np.ones(5))
 
     def test_two_by_two(self):
         assert np.allclose(imia_diagonal(two_by_two()), [0.4, 0.4], atol=1e-15)
@@ -447,7 +454,7 @@ class TestDirectSolveOracle:
     def test_identity(self, rng):
         g = random_connected_graph(rng, 6)
         y = Signal(g, rng.standard_normal(6))
-        x = direct_solve_oracle(GraphFilter.identity(g), y)
+        x = direct_solve_oracle(identity(g), y)
         assert np.allclose(x.values, y.values, atol=1e-15)
 
     def test_two_by_two_hand_inverse(self):
@@ -604,8 +611,7 @@ class TestSolveBlock:
         # opgd contract it, so only the zero column stops early
         g = random_connected_graph(rng, 150)
         off = random_filter(rng, g, 2, symmetric=True)
-        h = GraphFilter.from_entries(
-            g, {(i, j): 1.0 if i == j else v for i, j, v in entries(off)})
+        h = filter_of(g, {(i, j): 1.0 if i == j else v for i, j, v in entries(off)})
         assert np.linalg.eigvalsh(dense_of(h)).min() < 0.0
         cols = [rng.standard_normal(150) * 10.0 ** rng.uniform(-3, 3)
                 for _ in range(5)]
