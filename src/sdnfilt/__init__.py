@@ -23,7 +23,7 @@ from .preconditioners import (
     build_pgda_preconditioner,
     build_spgda_preconditioner,
 )
-from .sdn import RangeViolationError, Round, SdnNetwork
+from .sdn import MessageLog, RangeViolationError, SdnNetwork
 from .solvers import (
     METHODS,
     NumericError,

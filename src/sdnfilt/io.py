@@ -279,24 +279,6 @@ def _float_texts(values) -> list:
     return texts
 
 
-def _batches(rounds):
-    """Consecutive rounds in lists of at least _DUMPS_VALUES sent values,
-    the last list maybe fewer."""
-    batch, size = [], 0
-    for r in rounds:
-        batch.append(r)
-        size += r.sent.size
-        if size >= _DUMPS_VALUES:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
-
-
-def _same(a, b) -> bool:
-    return a is b or np.array_equal(a, b)
-
-
 def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
     """([s per run], [["s,t," per message] per run]) for each contiguous run
     of equal sender. Every run but the last ends in an empty field, so its
@@ -308,35 +290,33 @@ def _sender_runs(senders: np.ndarray, receivers: np.ndarray):
     return [s for s, _ in runs], [fields for _, fields in runs]
 
 
-def write_roundlog_csv(path: str, rounds) -> None:
-    """One row per logged message, streamed one batch of rounds at a time.
+def write_roundlog_csv(path: str, logs) -> None:
+    """One row per logged message of each network's `sdn.MessageLog`,
+    streamed one batch of rounds at a time.
 
-    The sent values of a batch of rounds (_batches) are formatted
-    together by _float_texts. Message k of a round carries sent[senders[k]],
-    so a run of messages from one sender shares its value: the run is one
-    str.join of its prebuilt "s,t," fields with the separator
-    "kind,value\nepoch,round,", which ends each row and starts the next.
-    The runs are rebuilt only when the (senders, receivers) pattern
-    differs from the previous round's; all rounds of one network share the
-    same arrays. Each round is one chunk; the file's write buffer batches
-    them."""
+    A network's rounds share its (senders, receivers) pattern, so its
+    sender runs are built once. Its rounds are sliced into batches of at
+    least _DUMPS_VALUES sent values, each formatted by one _float_texts
+    call. Message k of a round carries sent[senders[k]], so a run of
+    messages from one sender shares its value: the run is one str.join of
+    its prebuilt "s,t," fields with the separator "kind,value\nepoch,round,",
+    which ends each row and starts the next. Each round is one chunk; the
+    file's write buffer batches them."""
     def chunks():
         yield "epoch,round,from,to,kind,value\n"
-        senders = receivers = None
-        for batch in _batches(rounds):
-            texts = _float_texts(np.concatenate([r.sent for r in batch]))
-            stop = 0
-            for r in batch:
-                start, stop = stop, stop + r.sent.size
-                if not (_same(r.senders, senders) and _same(r.receivers, receivers)):
-                    senders, receivers = r.senders, r.receivers
-                    run_senders, run_fields = _sender_runs(senders, receivers)
-                if not run_senders:
-                    continue
-                head, kind, sent = f"{r.epoch},{r.index},", r.kind, texts[start:stop]
-                seps = [f"{kind},{sent[s]}\n{head}" for s in run_senders]
-                yield "".join([head, *map(str.join, seps, run_fields),
-                               seps[-1][:-len(head)]])
+        for log in logs:
+            run_senders, run_fields = _sender_runs(log.senders, log.receivers)
+            if not run_senders or not log.sent:
+                continue
+            n = log.sent[0].size
+            step = -(-_DUMPS_VALUES // n)
+            for first in range(0, len(log.sent), step):
+                texts = _float_texts(np.concatenate(log.sent[first:first + step]))
+                for i, kind in enumerate(log.kinds[first:first + step]):
+                    head, sent = f"{log.epoch},{first + i},", texts[i * n:(i + 1) * n]
+                    seps = [f"{kind},{sent[s]}\n{head}" for s in run_senders]
+                    yield "".join([head, *map(str.join, seps, run_fields),
+                                   seps[-1][:-len(head)]])
     atomic_write_text(path, chunks())
 
 

@@ -127,7 +127,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        if isinstance(self.methods, str):
+        if not isinstance(self.methods, (list, tuple)):
             raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
         self.methods = tuple(self.methods)
         if not self.methods:
@@ -197,10 +197,7 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg = cls(**raw)
         unread = sorted(k for k in raw if cfg.scenario not in _READERS.get(k, SCENARIOS))
         if unread:
             raise ConfigError(f"the {cfg.scenario} scenario never reads {unread}")
@@ -233,7 +230,7 @@ class TrialAggregate:
     message_totals: dict = field(default_factory=dict)
     curves: dict = field(default_factory=dict)           # curves.csv: method -> mean per m
     epoch_rows: list = field(default_factory=list)       # epochs.csv, time_varying only
-    rounds: list = field(default_factory=list)           # roundlog.csv, empty unless kept
+    message_logs: list = field(default_factory=list)     # roundlog.csv, empty unless kept
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +372,7 @@ class _MethodRuns:
         self.spectra = []       # per filter: ({method: radius}, singular values)
         self.diverged = {m: 0 for m in cfg.methods}
         self.messages = {m: 0 for m in cfg.methods}
-        self.rounds = []
+        self.message_logs = []  # one sdn.MessageLog per network, with --roundlog
         self.epoch_rows = []
 
     def prepare(self, h: GraphFilter) -> dict:
@@ -417,8 +414,8 @@ class _MethodRuns:
     def _solve(self, graph, h, ys, stack, params, reference, epoch):
         """(method, traces) for each method of the stack. For a distributed
         config the stack is one method on one observation, solved on a
-        network that holds it, whose messages, rounds and epoch row are
-        recorded here."""
+        network that holds it, whose message count, message log and epoch
+        row are recorded here."""
         cfg = self.cfg
         if cfg.distributed:
             (method,) = stack
@@ -431,7 +428,7 @@ class _MethodRuns:
         [(_, (trace,))] = solved
         self.messages[method] += net.total_messages()
         if cfg.roundlog:
-            self.rounds.extend(net.rounds)
+            self.message_logs.append(net.message_log())
         if epoch is not None:
             self.epoch_rows.append({"epoch": epoch, "rel_error": trace.relative_errors[-1],
                                     "messages": net.total_messages(),
@@ -455,7 +452,7 @@ class _MethodRuns:
             scenario=scenario, methods=self.cfg.methods, metric=self.metric,
             trials=self.trials, master_seed=self.cfg.master_seed, graph=graph,
             config=config, diverged=self.diverged, message_totals=self.messages,
-            rounds=self.rounds, **fields)
+            message_logs=self.message_logs, **fields)
 
     def aggregate(self, scenario: str, graph: dict, **fields) -> TrialAggregate:
         """The record with cross-trial means, plus iterations to 5% for error
@@ -617,7 +614,7 @@ def emit_outputs(agg: TrialAggregate, out_dir: str) -> list[str]:
     write_curves_csv(curves_path, agg.curves)
     written.append(curves_path)
 
-    payloads = ("curves", "epoch_rows", "rounds")
+    payloads = ("curves", "epoch_rows", "message_logs")
     summary = {k: v for k, v in vars(agg).items() if k not in payloads}
     summary_path = os.path.join(out_dir, "summary.json")
     write_summary_json(summary_path, summary)
@@ -633,9 +630,9 @@ def emit_outputs(agg: TrialAggregate, out_dir: str) -> list[str]:
         atomic_write_text(epochs_path, "\n".join(rows) + "\n")
         written.append(epochs_path)
 
-    if agg.rounds:
+    if agg.message_logs:
         roundlog_path = os.path.join(out_dir, "roundlog.csv")
-        write_roundlog_csv(roundlog_path, agg.rounds)
+        write_roundlog_csv(roundlog_path, agg.message_logs)
         written.append(roundlog_path)
 
     return written

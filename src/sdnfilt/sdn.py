@@ -29,7 +29,7 @@ from .preconditioners import build_pgda_preconditioner
 from .solvers import _pgda, _spgda
 
 __all__ = [
-    "Round",
+    "MessageLog",
     "RangeViolationError",
     "SdnNetwork",
 ]
@@ -40,22 +40,19 @@ class RangeViolationError(RuntimeError):
 
 
 @dataclass
-class Round:
-    """One synchronized exchange of `count` messages, each within the hop
-    range. With logging on, message k goes from senders[k] to receivers[k]
-    carrying sent[senders[k]], sender-major with receivers ascending; with
-    logging off the arrays are empty."""
+class MessageLog:
+    """The messages of one network's rounds. Every round sends the same
+    pattern, each message within the hop range: message k goes from
+    senders[k] to receivers[k], sender-major with receivers ascending, and
+    in round r carries sent[r][senders[k]]. kinds holds each round's kind;
+    sent holds each round's payload, one value per agent, and is empty
+    when logging was off."""
 
     epoch: int
-    index: int
-    kind: str
-    count: int
     senders: np.ndarray
     receivers: np.ndarray
-    sent: np.ndarray                       # the value each agent sent
-
-
-_NO_IDS, _NO_VALUES = np.empty(0, dtype=np.int64), np.empty(0)
+    kinds: list
+    sent: list
 
 
 class SdnNetwork:
@@ -64,8 +61,9 @@ class SdnNetwork:
 
     comm_range must be at least the filter width, otherwise the exchange
     steps are physically impossible; this is checked before anything runs.
-    `epoch` names a time_varying epoch in that error and tags every round;
-    rounds of a network given none carry epoch 0.
+    `epoch` names a time_varying epoch in that error and tags the message
+    log; a network given none logs epoch 0. `rounds` holds the kind of
+    each exchange so far.
     """
 
     def __init__(
@@ -93,8 +91,8 @@ class SdnNetwork:
         self.comm_range = comm_range
         self.log_messages = log_messages
         self.epoch = 0 if epoch is None else epoch
-        self.rounds: list[Round] = []
-        self._sent = 0
+        self.rounds: list[str] = []
+        self._payloads: list[np.ndarray] = []  # each round's payload, when logging
         self._deploy(h, y)
 
     # ---- construction ----------------------------------------------------
@@ -140,17 +138,18 @@ class SdnNetwork:
         member of its width ball. Returns the slot array, in which each
         agent's slots hold the values of its ball members, its own
         included."""
-        log = self.log_messages
-        self.rounds.append(Round(
-            epoch=self.epoch, index=len(self.rounds), kind=kind,
-            count=len(self._senders), senders=self._senders if log else _NO_IDS,
-            receivers=self._receivers if log else _NO_IDS,
-            sent=payload if log else _NO_VALUES))
-        self._sent += len(self._senders)
+        self.rounds.append(kind)
+        if self.log_messages:
+            self._payloads.append(payload)
         return payload[self._gather]
 
     def total_messages(self) -> int:
-        return self._sent
+        return len(self.rounds) * len(self._senders)
+
+    def message_log(self) -> MessageLog:
+        """The messages of the rounds so far, as one record."""
+        return MessageLog(self.epoch, self._senders, self._receivers,
+                          list(self.rounds), list(self._payloads))
 
     # ---- Algorithm: distributed preconditioner ---------------------------
 

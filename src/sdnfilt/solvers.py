@@ -465,22 +465,20 @@ def solve_stack(
     # the iterates and residuals of every method, in place throughout:
     # w[0] = X, w[1] = H X - Y. Their squared norms come from C-contiguous
     # rows, one per method and column, so that one vecdot writes them all,
-    # each a dot over contiguous memory. For one column the residual rows
-    # are w[1] itself and the error rows w[2]; for several they fill a
+    # each a dot over contiguous memory. The residual and error rows fill a
     # buffer of their own, ROW_TILE vertices at a time, so that each tile
     # of the transpose is read while it is still in cache
-    w = np.zeros((1 + parts if k == 1 else 2, M * n, k))
-    x, e = w[0], w[1]
-    rows = w[1:].reshape(parts, K, n) if k == 1 else np.empty((parts, K, n))
+    w = np.zeros((2, M * n, k))
+    x, e = w
+    rows = np.empty((parts, K, n))
     x3 = x.reshape(M, n, k)
     x_rows, e_rows = x3.transpose(0, 2, 1), e.reshape(M, n, k).transpose(0, 2, 1)
     res_rows, err_rows = rows[0].reshape(M, k, n), rows[-1].reshape(M, k, n)
-    tiles = [slice(lo, lo + ROW_TILE) for lo in range(0, n, ROW_TILE)] if k > 1 else []
+    tiles = [slice(lo, lo + ROW_TILE) for lo in range(0, n, ROW_TILE)]
     # per tile: (rows, E) to copy, and (X, reference, rows) to subtract
     res_tiles = [(res_rows[..., t], e_rows[..., t]) for t in tiles]
-    err_tiles = ([] if not track
-                 else [(x, np.tile(reference.reshape(n, 1), (M, 1)), w[2])] if k == 1
-                 else [(x_rows[..., t], ref_rows[..., t], err_rows[..., t]) for t in tiles])
+    err_tiles = [(x_rows[..., t], ref_rows[..., t], err_rows[..., t])
+                 for t in tiles] if track else []
     y_stack = ys if M == 1 else np.tile(ys, (M, 1))
     h_stack = csr_product(h.csr if M == 1 else _block_rows(
         [h.csr] * M, M * n, lambda b, c: c + b * n))

@@ -167,6 +167,7 @@ def messages_per_exchange(net):
 def max_message_distance(net):
     """Largest hop distance traveled by a logged message, or 0 when none
     was logged."""
-    dist = hop_distances(net.graph)
-    return max((int(dist[r.senders, r.receivers].max(initial=0)) for r in net.rounds),
-               default=0)
+    log = net.message_log()
+    if not log.sent:
+        return 0
+    return int(hop_distances(net.graph)[log.senders, log.receivers].max(initial=0))

@@ -12,12 +12,12 @@ MODULES = ("sdnfilt", "sdnfilt.cli", "sdnfilt.filters", "sdnfilt.graphs",
 
 REMOVED = ("AgentState", "_Agents", "DiagonalPreconditioner", "geodesic_width",
            "write_filter_csv", "write_signal_csv", "iteration_matrix", "compose",
-           "normalized_filter")
+           "normalized_filter", "Round")
 
 REMOVED_MEMBERS = {
     "sdnfilt.sdn.SdnNetwork": ("agents", "_agent", "expected_messages_per_exchange",
                                "max_message_distance"),
-    "sdnfilt.sdn.Round": ("values",),
+    "sdnfilt.sdn.MessageLog": ("values", "index", "count", "kind"),
     "sdnfilt.filters.GraphFilter": ("from_dense", "to_dense", "entry", "T", "entries",
                                     "__sub__", "from_entries", "identity", "__add__",
                                     "scaled", "_check_same_graph"),

@@ -128,6 +128,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "'pgda'" in err and "'p'" not in err
 
+    @pytest.mark.parametrize("value", [5, None, {"pgda": 1}])
+    def test_methods_not_a_list_exit_2(self, tmp_path, capsys, value):
+        # a number or null is not iterated, and an object's keys are not
+        # taken for method names
+        cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1, iterations=5,
+                           methods=value)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: methods must be a list of method names, got {value!r}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
     def test_config_error_without_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=1,
                            iterations=5)

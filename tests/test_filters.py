@@ -90,6 +90,15 @@ class TestGraphFilterBasics:
         adj = filter_of(g, {(i, j): 1.0 for i in range(3) for j in g.adjacency[i]})
         assert adj.width == 1
 
+    def test_entry_between_components_rejected(self):
+        # a Graph built directly, not through from_edges, may have two
+        # components; the hop matrix stops growing at radius n - 1, so
+        # without the raise the width search would never end
+        g = Graph(4, np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2]))
+        m = sparse.coo_matrix(([1.0, 2.0], ([0, 0], [0, 3])), shape=(4, 4))
+        with pytest.raises(ValueError, match="different components"):
+            GraphFilter(g, m)
+
     def test_width_of_squared_adjacency(self):
         # A^2 on the path has a corner-to-corner entry two hops apart
         g = path3()

@@ -25,7 +25,7 @@ from sdnfilt.io import (
     write_summary_json,
 )
 from sdnfilt.scenarios import ScenarioConfig, run_fig1, run_time_varying
-from sdnfilt.sdn import Round, SdnNetwork
+from sdnfilt.sdn import MessageLog, SdnNetwork
 
 from conftest import dense_of, make_invertible, random_connected_graph
 from filter_reference import write_filter_csv, write_signal_csv
@@ -257,7 +257,7 @@ class TestExperimentArtifacts:
         net.distributed_preconditioner()
         net.run_pgda()
         path = str(tmp_path / "roundlog.csv")
-        write_roundlog_csv(path, net.rounds)
+        write_roundlog_csv(path, [net.message_log()])
         lines = Path(path).read_text().splitlines()
         assert lines[0] == "epoch,round,from,to,kind,value"
         assert len(lines) == 1 + net.total_messages()
@@ -281,7 +281,7 @@ class TestExperimentArtifacts:
                 f"3,{index},{s},{t},{kind},{repr(float(v))}"
                 for s, t, kind, v in messages)
         path = tmp_path / "roundlog.csv"
-        write_roundlog_csv(str(path), net.rounds)
+        write_roundlog_csv(str(path), [net.message_log()])
         assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_summary_json_deterministic(self, tmp_path):
@@ -297,92 +297,107 @@ def _ids(*ids):
     return np.array(ids, dtype=np.int64)
 
 
+def _log(epoch, senders, receivers, kinds, sent):
+    """One network's message log: its pattern, and each round's kind and
+    payload."""
+    return MessageLog(epoch=epoch, senders=senders, receivers=receivers,
+                      kinds=list(kinds), sent=list(sent))
+
+
 class TestRoundlogWriter:
     """The streamed writer against the per-message reference writer."""
 
     @staticmethod
-    def assert_matches_reference(tmp_path, rounds):
+    def assert_matches_reference(tmp_path, logs):
         path = tmp_path / "roundlog.csv"
-        write_roundlog_csv(str(path), rounds)
-        assert path.read_bytes() == reference_roundlog_text(rounds).encode()
+        write_roundlog_csv(str(path), logs)
+        assert path.read_bytes() == reference_roundlog_text(logs).encode()
 
-    def test_distributed_fig1_two_networks(self, tmp_path):
+    def test_distributed_fig1_two_networks(self, tmp_path, monkeypatch):
         agg = run_fig1(ScenarioConfig(scenario="fig1", n=64, trials=1, iterations=4,
                                       methods=("pgda", "spgda"), distributed=True,
                                       roundlog=True, master_seed=5))
-        # pgda's and spgda's networks: equal patterns in distinct arrays
-        assert len({id(r.senders) for r in agg.rounds}) == 2
-        assert {r.kind for r in agg.rounds} == {"d", "v", "x"}
-        self.assert_matches_reference(tmp_path, agg.rounds)
+        # pgda's and spgda's networks: one log each, on one pattern
+        pgda, spgda = agg.message_logs
+        assert pgda.kinds == ["d"] + ["v", "x"] * 4 and spgda.kinds == ["x"] * 4
+        assert np.array_equal(pgda.senders, spgda.senders)
+        assert np.array_equal(pgda.receivers, spgda.receivers)
+        # each network's sender runs are built once
+        calls, real = [], sdnio._sender_runs
+        monkeypatch.setattr(sdnio, "_sender_runs",
+                            lambda s, t: calls.append(1) or real(s, t))
+        self.assert_matches_reference(tmp_path, agg.message_logs)
+        assert len(calls) == 2
 
     def test_time_varying_three_epochs(self, tmp_path):
         agg = run_time_varying(ScenarioConfig(scenario="time_varying", n=48, epochs=3,
                                               iterations=3, master_seed=31,
                                               roundlog=True))
-        assert {r.epoch for r in agg.rounds} == {0, 1, 2}
-        self.assert_matches_reference(tmp_path, agg.rounds)
+        assert [log.epoch for log in agg.message_logs] == [0, 1, 2]
+        self.assert_matches_reference(tmp_path, agg.message_logs)
 
     def test_hand_built_rounds(self, tmp_path):
-        # senders not contiguous, a zero-message round, and values whose
-        # repr is easy to get wrong
+        # senders not contiguous, a network that sends no message, and
+        # values whose repr is easy to get wrong
         sent = np.array([-0.0, 5e-324, 1.7976931348623157e308])
-        rounds = [
-            Round(epoch=0, index=0, kind="x", count=4, senders=_ids(0, 1, 0, 2),
-                  receivers=_ids(1, 0, 2, 0), sent=sent),
-            Round(epoch=0, index=1, kind="v", count=0, senders=_ids(),
-                  receivers=_ids(), sent=np.empty(0)),
-            Round(epoch=1, index=0, kind="d", count=4, senders=_ids(0, 1, 0, 2),
-                  receivers=_ids(1, 0, 2, 0), sent=-sent),
-            Round(epoch=1, index=1, kind="x", count=3, senders=_ids(2, 2, 1),
-                  receivers=_ids(0, 1, 2), sent=sent[::-1].copy()),
+        logs = [
+            _log(0, _ids(0, 1, 0, 2), _ids(1, 0, 2, 0), "x", [sent]),
+            _log(0, _ids(), _ids(), "v", [np.array([2.5])]),
+            _log(1, _ids(0, 1, 0, 2), _ids(1, 0, 2, 0), "d", [-sent]),
+            _log(1, _ids(2, 2, 1), _ids(0, 1, 2), "xd", [sent[::-1].copy(), sent]),
             # same length as the previous pattern, other pairs
-            Round(epoch=1, index=2, kind="v", count=3, senders=_ids(1, 0, 0),
-                  receivers=_ids(0, 1, 2), sent=sent),
+            _log(1, _ids(1, 0, 0), _ids(0, 1, 2), "v", [sent]),
         ]
-        self.assert_matches_reference(tmp_path, rounds)
+        self.assert_matches_reference(tmp_path, logs)
         text = (tmp_path / "roundlog.csv").read_text().splitlines()
-        assert len(text) == 1 + 4 + 4 + 3 + 3
+        assert len(text) == 1 + 4 + 4 + 3 + 3 + 3
         assert text[1:5] == ["0,0,0,1,x,-0.0", "0,0,1,0,x,5e-324",
                              "0,0,0,2,x,-0.0", "0,0,2,0,x,1.7976931348623157e+308"]
         assert text[5] == "1,0,0,1,d,0.0"
-        assert text[9:] == ["1,1,2,0,x,-0.0", "1,1,2,1,x,-0.0", "1,1,1,2,x,5e-324",
-                            "1,2,1,0,v,5e-324", "1,2,0,1,v,-0.0", "1,2,0,2,v,-0.0"]
+        assert text[9:] == ["1,0,2,0,x,-0.0", "1,0,2,1,x,-0.0", "1,0,1,2,x,5e-324",
+                            "1,1,2,0,d,1.7976931348623157e+308",
+                            "1,1,2,1,d,1.7976931348623157e+308", "1,1,1,2,d,5e-324",
+                            "1,0,1,0,v,5e-324", "1,0,0,1,v,-0.0", "1,0,0,2,v,-0.0"]
 
     def test_nonfinite_values(self, tmp_path):
         sent = np.array([np.nan, np.inf, -np.inf])
-        rounds = [Round(epoch=0, index=0, kind="x", count=4, senders=_ids(0, 0, 1, 2),
-                        receivers=_ids(1, 2, 0, 0), sent=sent)]
-        self.assert_matches_reference(tmp_path, rounds)
+        logs = [_log(0, _ids(0, 0, 1, 2), _ids(1, 2, 0, 0), "x", [sent])]
+        self.assert_matches_reference(tmp_path, logs)
         assert (tmp_path / "roundlog.csv").read_text().splitlines()[1:] == [
             "0,0,0,1,x,nan", "0,0,0,2,x,nan", "0,0,1,0,x,inf", "0,0,2,0,x,-inf"]
 
     def test_round_with_one_message(self, tmp_path):
-        rounds = [Round(epoch=2, index=7, kind="v", count=1, senders=_ids(1),
-                        receivers=_ids(0), sent=np.array([0.5, -1.25]))]
-        self.assert_matches_reference(tmp_path, rounds)
+        logs = [_log(2, _ids(1), _ids(0), "xv",
+                     [np.array([0.5, 3.0]), np.array([0.5, -1.25])])]
+        self.assert_matches_reference(tmp_path, logs)
         assert (tmp_path / "roundlog.csv").read_text() == (
-            "epoch,round,from,to,kind,value\n2,7,1,0,v,-1.25\n")
+            "epoch,round,from,to,kind,value\n2,0,1,0,x,3.0\n2,1,1,0,v,-1.25\n")
 
     def test_last_run_with_one_message(self, tmp_path):
         sent = np.array([0.1, 0.2, 0.3])
-        rounds = [Round(epoch=0, index=i, kind="d", count=4,
-                        senders=_ids(0, 0, 1, 2), receivers=_ids(1, 2, 2, 1),
-                        sent=sent * (i + 1)) for i in range(2)]
-        self.assert_matches_reference(tmp_path, rounds)
+        logs = [_log(0, _ids(0, 0, 1, 2), _ids(1, 2, 2, 1), "dd",
+                     [sent * (i + 1) for i in range(2)])]
+        self.assert_matches_reference(tmp_path, logs)
         assert (tmp_path / "roundlog.csv").read_text().splitlines()[4] == (
             "0,0,2,1,d,0.3")
 
     def test_single_sender(self, tmp_path):
-        rounds = [Round(epoch=1, index=i, kind="x", count=3, senders=_ids(2, 2, 2),
-                        receivers=_ids(0, 1, 3), sent=np.array([9.0, 8.0, 0.1 * i, 6.0]))
-                  for i in range(3)]
-        self.assert_matches_reference(tmp_path, rounds)
+        logs = [_log(1, _ids(2, 2, 2), _ids(0, 1, 3), "xxx",
+                     [np.array([9.0, 8.0, 0.1 * i, 6.0]) for i in range(3)])]
+        self.assert_matches_reference(tmp_path, logs)
         assert (tmp_path / "roundlog.csv").read_text().splitlines()[7:] == [
             "1,2,2,0,x,0.2", "1,2,2,1,x,0.2", "1,2,2,3,x,0.2"]
 
-    def test_every_zone_across_batches(self, tmp_path):
-        # 100 values per round, so the first batch closes after 11 rounds;
-        # the pattern changes inside it and at its boundary
+    def test_logging_off_writes_no_rows(self, tmp_path):
+        # a network that logged no payload keeps its pattern and kinds
+        logs = [_log(0, _ids(0, 1), _ids(1, 0), "dvx", [])]
+        self.assert_matches_reference(tmp_path, logs)
+        assert (tmp_path / "roundlog.csv").read_text() == "epoch,round,from,to,kind,value\n"
+
+    def test_every_zone_across_batches(self, tmp_path, monkeypatch):
+        # 100 values per round, so a batch closes after 11 rounds: the
+        # first network's rounds fill one batch and start a second, and
+        # the next network, on another pattern, starts a batch of its own
         n = 100
         per_batch = -(-sdnio._DUMPS_VALUES // n)
         zones = [0.0, -0.0, 5e-324, -1e-300, 3.3e-10, np.nextafter(1e-9, 0), 1e-9,
@@ -390,33 +405,35 @@ class TestRoundlogWriter:
                  np.nextafter(1e16, 0), 1e16, -2.5e300, np.nan, np.inf, -np.inf]
         everyone = np.arange(n)
 
-        def pattern(*offsets):
-            return (np.repeat(everyone, len(offsets)),
-                    np.sort((everyone[:, None] + offsets) % n, axis=1).ravel())
+        def network(first, rounds, *offsets):
+            return _log(0, np.repeat(everyone, len(offsets)),
+                        np.sort((everyone[:, None] + offsets) % n, axis=1).ravel(),
+                        ["xvd"[i % 3] for i in range(first, first + rounds)],
+                        [np.roll(np.resize(zones, n), i)
+                         for i in range(first, first + rounds)])
 
-        a, b = pattern(1, 2), pattern(3)
-        rounds = [Round(epoch=0, index=i, kind="xvd"[i % 3], count=len(s), senders=s,
-                        receivers=t, sent=np.roll(np.resize(zones, n), i))
-                  for i, (s, t) in enumerate([a] * 5 + [b] * (per_batch - 5) + [a] * 10)]
-        assert [len(batch) for batch in sdnio._batches(rounds)] == [per_batch, 10]
-        self.assert_matches_reference(tmp_path, rounds)
+        logs = [network(0, per_batch + 5, 1, 2), network(per_batch + 5, 10, 3)]
+        sizes, real = [], sdnio._float_texts
+        monkeypatch.setattr(sdnio, "_float_texts",
+                            lambda values: sizes.append(len(values)) or real(values))
+        self.assert_matches_reference(tmp_path, logs)
+        assert sizes == [per_batch * n, 5 * n, 10 * n]
         values = {line.rsplit(",", 1)[1] for line in
                   (tmp_path / "roundlog.csv").read_text().splitlines()[1:]}
         assert values == {repr(float(x)) for x in zones}
 
     def test_alternating_patterns(self, tmp_path):
-        # patterns A, B, A, A: the cached runs are rebuilt at each change
-        # and reused while the pattern repeats, by identity and by value
+        # networks on patterns A, B and A again, the last in copied arrays:
+        # each network's rows come from its own pattern
         a = (_ids(0, 0, 1, 2, 2), _ids(1, 2, 0, 0, 1))
         b = (_ids(2, 1, 1), _ids(0, 0, 2))
-        patterns = [a, b, a, (a[0].copy(), a[1].copy())]
-        rounds = [Round(epoch=0, index=i, kind="xvdx"[i], count=len(s), senders=s,
-                        receivers=t, sent=np.array([1.5, -2.0, 1e-300]) * (i + 1))
-                  for i, (s, t) in enumerate(patterns)]
-        self.assert_matches_reference(tmp_path, rounds)
+        sent = [np.array([1.5, -2.0, 1e-300]) * (i + 1) for i in range(4)]
+        logs = [_log(0, *a, "xv", sent[:2]), _log(0, *b, "d", sent[2:3]),
+                _log(0, a[0].copy(), a[1].copy(), "x", sent[3:])]
+        self.assert_matches_reference(tmp_path, logs)
         lines = (tmp_path / "roundlog.csv").read_text().splitlines()
-        assert len(lines) == 1 + 5 + 3 + 5 + 5
-        assert lines[6:9] == ["0,1,2,0,v,2e-300", "0,1,1,0,v,-4.0", "0,1,1,2,v,-4.0"]
+        assert len(lines) == 1 + 5 + 5 + 3 + 5
+        assert lines[11:14] == ["0,0,2,0,d,3e-300", "0,0,1,0,d,-6.0", "0,0,1,2,d,-6.0"]
 
 
 class TestFloatTexts:

@@ -126,6 +126,11 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="methods"):
             ScenarioConfig(methods=())
 
+    @pytest.mark.parametrize("methods", [5, None, {"pgda": 1}, "pgda"])
+    def test_methods_not_a_list_rejected(self, methods):
+        with pytest.raises(ConfigError, match="methods must be a list of method names"):
+            ScenarioConfig(methods=methods)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError, match="unknown method"):
             ScenarioConfig(methods=("pgda", "cg"))
@@ -448,8 +453,8 @@ class TestRunTimeVarying:
         rows = [{k: v for k, v in r.items() if k != "epoch"}
                 for r in agg.epoch_rows]
         assert rows[0] == rows[1] == rows[2]
-        sent = [[r.sent.tolist() for r in agg.rounds if r.epoch == t]
-                for t in range(3)]
+        assert [log.epoch for log in agg.message_logs] == [0, 1, 2]
+        sent = [[s.tolist() for s in log.sent] for log in agg.message_logs]
         assert sent[0] == sent[1] == sent[2]
 
     def test_roundlog_order(self):
@@ -458,7 +463,8 @@ class TestRunTimeVarying:
         # per epoch: the preconditioner exchange, then v and x per iteration
         expected = [(t, i, kind) for t in range(2)
                     for i, kind in enumerate(["d"] + ["v", "x"] * 3)]
-        assert [(r.epoch, r.index, r.kind) for r in agg.rounds] == expected
+        assert [(log.epoch, i, kind) for log in agg.message_logs
+                for i, kind in enumerate(log.kinds)] == expected
 
     def test_diverged_epoch_is_kept_and_counted(self, monkeypatch, tmp_path):
         # a residual that must shrink a thousandfold at once: every solve
@@ -645,7 +651,8 @@ class TestDistributedScenarioRouting:
         assert routed.residuals == central.residuals
         assert routed.relative_errors == central.relative_errors
         assert routed.status == central.status
-        assert len(runs.rounds) == 1 + 2 * 20
+        [log] = runs.message_logs
+        assert len(log.kinds) == len(log.sent) == 1 + 2 * 20
 
 
 class TestMethodStacks:

@@ -85,7 +85,7 @@ class TestDistributedPreconditioner:
         with pytest.raises(ValueError) as err:
             net.distributed_preconditioner()
         assert str(err.value) == str(central.value)
-        assert [r.kind for r in net.rounds] == ["d"]
+        assert net.rounds == ["d"]
         with pytest.raises(RuntimeError, match="preconditioner values missing"):
             net.run_pgda()
 
@@ -331,7 +331,7 @@ class TestTimeVarying:
             x = run_rounds(net.run_pgda, 20)
             central, _ = solve(h, y, SolverConfig(method="pgda", max_iter=20))
             assert np.array_equal(x.values, central.values)
-            assert {r.epoch for r in net.rounds} == {t}
+            assert net.message_log().epoch == t
 
     def test_width_beyond_range_rejected_at_epoch(self, rng):
         g = random_connected_graph(rng, 20)
@@ -344,7 +344,7 @@ class TestTimeVarying:
 
     def test_width_beyond_range_without_epoch_names_none(self, rng):
         # a network deployed outside time_varying has no epoch to name;
-        # its rounds carry epoch 0
+        # its message log carries epoch 0
         g = random_connected_graph(rng, 20)
         h2 = make_invertible(rng, g, 2)
         if h2.width < 2:
@@ -355,7 +355,7 @@ class TestTimeVarying:
         assert str(err.value).startswith("communication range 1 is below")
         net = SdnNetwork(g, h2, y)
         net.distributed_preconditioner()
-        assert net.epoch == 0 and {r.epoch for r in net.rounds} == {0}
+        assert net.epoch == 0 and net.message_log().epoch == 0
 
 
 class TestNetworkSummary:
@@ -365,8 +365,12 @@ class TestNetworkSummary:
         net = SdnNetwork(g, h, Signal(g, rng.standard_normal(9)))
         net.distributed_preconditioner()
         run_rounds(net.run_pgda, 2)
-        assert len(net.rounds) == 5  # one d-exchange plus 2 x (v, x)
-        assert sum(r.count for r in net.rounds) == net.total_messages()
+        # one d-exchange plus 2 x (v, x)
+        assert net.rounds == ["d", "v", "x", "v", "x"]
+        log = net.message_log()
+        assert (log.epoch, log.kinds, len(log.sent)) == (0, net.rounds, 5)
+        assert len(log.senders) == len(log.receivers) == messages_per_exchange(net)
+        assert net.total_messages() == 5 * messages_per_exchange(net)
         assert len(agents(net)) == 9
 
 
@@ -440,16 +444,18 @@ class TestMatchesReference:
 
     @staticmethod
     def rows(net):
-        return [[(int(s), int(t), r.kind, float(v))
-                 for s, t, v in zip(r.senders, r.receivers, r.sent[r.senders])]
-                for r in net.rounds]
+        log = net.message_log()
+        return [[(int(s), int(t), kind, float(v))
+                 for s, t, v in zip(log.senders, log.receivers, sent[log.senders])]
+                for kind, sent in zip(log.kinds, log.sent)]
 
     def check(self, net, ref, x, x_ref):
         assert np.array_equal(x.values, x_ref)
-        assert [(r.kind, r.count) for r in net.rounds] == \
+        # every round sends the network's one pattern
+        assert [(kind, len(net.message_log().senders)) for kind in net.rounds] == \
             [(kind, count) for kind, count, _ in ref.rounds]
+        assert net.total_messages() == sum(count for _, count, _ in ref.rounds)
         assert self.rows(net) == [messages for _, _, messages in ref.rounds]
-        assert [r.index for r in net.rounds] == list(range(len(ref.rounds)))
         hops = [geodesic_distance(net.graph, s, t)
                 for _, _, messages in ref.rounds for s, t, _, _ in messages]
         assert max_message_distance(net) == max(hops, default=0)
@@ -469,7 +475,7 @@ class TestMatchesReference:
             assert np.array_equal(net.distributed_preconditioner(),
                                   ref.distributed_preconditioner())
             self.check(net, ref, run_rounds(net.run_pgda, M), ref.run_pgda(M))
-            assert {r.epoch for r in net.rounds} == {k}
+            assert net.message_log().epoch == k
 
             hs = make_spd(rng, g, width)
             net_s = SdnNetwork(g, hs, y, comm_range=comm)
@@ -506,6 +512,10 @@ class TestMatchesReference:
         for net in (quiet, loud):
             net.distributed_preconditioner()
             run_rounds(net.run_pgda, 3)
-        assert [r.count for r in quiet.rounds] == [r.count for r in loud.rounds]
-        assert all(len(r.sent[r.senders]) == 0 for r in quiet.rounds)
+        assert quiet.rounds == loud.rounds
+        assert quiet.total_messages() == loud.total_messages() > 0
+        quiet_log, loud_log = quiet.message_log(), loud.message_log()
+        assert np.array_equal(quiet_log.senders, loud_log.senders)
+        assert quiet_log.kinds == loud_log.kinds
+        assert quiet_log.sent == [] and len(loud_log.sent) == len(loud.rounds)
         assert np.array_equal(quiet.gather().values, loud.gather().values)
