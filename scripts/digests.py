@@ -5,6 +5,8 @@
     PYTHONPATH=OTHER/src python3 scripts/digests.py > base.txt
     diff base.txt head.txt
 
+    python3 scripts/digests.py --base REV
+
 Imports the sdnfilt that PYTHONPATH names, or else this tree's src/, runs
 the matrix below through `cli.main` in one process, inside a temporary
 directory with paths relative to it (a summary.json echoes them), and
@@ -45,19 +47,30 @@ whose lines match wrote the same bytes. The matrix:
 
 The exit code of every run is printed as an `exit` line of its scenario,
 so a run that fails shows in the diff too.
+
+With --base REV, REV is exported by `git archive` as scripts/bench.py
+does, and this matrix runs twice, each time in a fresh process: once with
+the exported src/ and once with this tree's. The lines that differ are
+printed, `-` for REV's and `+` for this tree's, and the exit code is 1
+if any line differs, else 0.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.append(os.path.join(ROOT, "src"))  # after PYTHONPATH's entries
+sys.path.append(os.path.join(ROOT, "scripts"))  # bench.py, also when loaded by path
 
+from bench import export_base  # noqa: E402
 from sdnfilt import cli, scenarios  # noqa: E402
 from sdnfilt.filters import apply, build_fig1_filter  # noqa: E402
 from sdnfilt.io import atomic_write_text, write_edges_csv, write_points_csv  # noqa: E402
@@ -150,7 +163,7 @@ def digest(path):
     return sha.hexdigest(), size
 
 
-def main():
+def print_digests():
     print(f"sdnfilt from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="sdnfilt-digests-") as work:
         os.chdir(work)
@@ -165,5 +178,34 @@ def main():
         os.chdir(ROOT)
 
 
+def tree_lines(src):
+    """This script's output lines with the sdnfilt of `src`, from a fresh
+    process."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=ROOT,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def differences(base, head):
+    """The lines only one side printed: `- ` for base's, `+ ` for head's."""
+    return [line for line in difflib.ndiff(base, head) if line[:1] in "-+"]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="git revision whose src/ to compare with")
+    args = parser.parse_args(argv)
+    if args.base is None:
+        print_digests()
+        return 0
+    with tempfile.TemporaryDirectory(prefix="sdnfilt-digests-base-") as work:
+        export_base(args.base, os.path.join(work, "base"))
+        base = tree_lines(os.path.join(work, "base", "src"))
+    diff = differences(base, tree_lines(os.path.join(ROOT, "src")))
+    print("\n".join(diff) if diff else f"all {len(base)} lines identical")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

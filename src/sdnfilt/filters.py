@@ -17,7 +17,7 @@ import scipy.sparse as sparse
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .graphs import Graph, hop_matrix
+from .graphs import Graph, ball_positions, hop_matrix
 
 __all__ = [
     "Signal",
@@ -63,22 +63,18 @@ class Signal:
 class GraphFilter:
     """Sparse vertex-indexed matrix carrying its geodesic width.
 
-    Entries equal to exactly zero are never stored, and the cached width
-    always equals the maximum hop distance over stored entries. It is read
-    off the graph's cached hop matrix of radius `_within`, or of a larger
-    one where an entry lies beyond that; a caller that knows a bound on
-    the width passes it.
+    Entries equal to exactly zero are never stored, and the width is the
+    largest hop distance over the stored entries (`_entries_width`).
     """
 
-    def __init__(self, graph: Graph, matrix, *, _width: int | None = None,
-                 _within: int = 1):
+    def __init__(self, graph: Graph, matrix):
         self.graph = graph
         m = sparse.csr_matrix(matrix, shape=(graph.n, graph.n), dtype=np.float64)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
         self.csr = m
-        self.width = _width if _width is not None else _entries_width(graph, m, _within)
+        self.width = _entries_width(graph, m)
         self._product = csr_product(m)
         self._transpose: GraphFilter | None = None
         self._asymmetry = None
@@ -172,8 +168,7 @@ class GraphFilter:
 
     def transpose(self) -> "GraphFilter":
         if self._transpose is None:
-            # hop distance is symmetric, so the width carries over exactly
-            t = GraphFilter(self.graph, self.csr.T.tocsr(), _width=self.width)
+            t = GraphFilter(self.graph, self.csr.T.tocsr())
             t._transpose = self
             self._transpose = t
         return self._transpose
@@ -273,24 +268,22 @@ def apply(h: GraphFilter, x: Signal) -> Signal:
 
 
 def laplacians(g: Graph) -> GraphFilter:
-    """Symmetrically normalized Laplacian D^{-1/2} (D - A) D^{-1/2}.
+    """Symmetrically normalized Laplacian D^{-1/2} (D - A) D^{-1/2}."""
+    return GraphFilter(g, _normalized_laplacian(g))
 
-    Requires every vertex to have degree >= 1.
-    """
+
+def _normalized_laplacian(g: Graph) -> sparse.csr_matrix:
+    """`laplacians`' matrix in sorted CSR form, for the filters built from
+    it. Requires every vertex to have degree >= 1."""
     deg = g.degrees()
     if deg.min() < 1:
         raise ValueError(
             f"vertex {int(np.argmin(deg))} is isolated; Laplacian normalization "
             "requires positive degrees"
         )
-    tails = np.repeat(np.arange(g.n), deg)
-    heads = g.indices
-    rows = np.concatenate([np.arange(g.n), tails])
-    cols = np.concatenate([np.arange(g.n), heads])
-    vals = np.concatenate([np.ones(g.n),
-                           -1.0 / np.sqrt((deg[tails] * deg[heads]).astype(np.float64))])
-    return GraphFilter(g, sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)),
-                       _width=1)
+    weights = 1.0 / np.sqrt((np.repeat(deg, deg) * deg[g.indices]).astype(np.float64))
+    return (sparse.identity(g.n, format="csr")
+            - sparse.csr_matrix((weights, g.indices, g.indptr), shape=(g.n, g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +411,10 @@ def build_fig1_filter(g: Graph, gamma: float, rng_seed: int) -> GraphFilter:
         positions = sparse.csr_matrix((np.arange(len(pi)), pj, two_hop.indptr), shape)
         mirror = positions.T.tocsr().data
         vals = vals + (noise + noise[mirror]) / 2.0
-    # the Laplacian term lies on the two-hop pattern too; when the sum keeps
-    # every pair of it, the width is the pattern's largest hop count
+    # on the two-hop pattern, unless an entry cancels: no width search
     m = sparse.csr_matrix((vals, pj, two_hop.indptr), shape) \
         + _squared_normalized_laplacian(g).csr
-    return GraphFilter(g, m, _within=2,
-                       _width=int(two_hop.data.max()) if m.nnz == two_hop.nnz else None)
+    return GraphFilter(g, m)
 
 
 def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
@@ -433,10 +424,10 @@ def _squared_normalized_laplacian(g: Graph) -> GraphFilter:
     modify it."""
     square = g._cache.get("lap_sym_squared")
     if square is None:
-        lap_sym = laplacians(g).csr
+        lap_sym = _normalized_laplacian(g)
         m = lap_sym @ lap_sym
         m.data[np.abs(m.data) < COMPOSE_DROP_TOL] = 0.0
-        square = g._cache["lap_sym_squared"] = GraphFilter(g, m, _within=2)
+        square = g._cache["lap_sym_squared"] = GraphFilter(g, m)
     return square
 
 
@@ -446,7 +437,7 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     return GraphFilter(g, sparse.identity(g.n, format="csr")
-                       + laplacians(g).csr * float(alpha))
+                       + _normalized_laplacian(g) * float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +445,15 @@ def build_denoise_filter(g: Graph, alpha: float) -> GraphFilter:
 # ---------------------------------------------------------------------------
 
 
-def _entries_width(g: Graph, csr: sparse.csr_matrix, within: int) -> int:
-    """Largest hop distance between the endpoints of a stored entry, read
-    off the graph's cached hop matrix: of radius `within` when that holds
-    every entry, else of radius 2, 4, 8, ... times it until one does."""
-    n = g.n
-    keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
-    radius = within
+def _entries_width(g: Graph, csr: sparse.csr_matrix) -> int:
+    """Largest hop distance over the stored entries, read off the largest
+    hop matrix the graph has cached (radius 1 if none), or off one of
+    radius 2, 4, 8, ... times it, the first that holds every entry."""
+    radius = max((key for key in g._cache if isinstance(key, int)), default=1)
     while True:
-        hops = hop_matrix(g, radius)
-        ball = np.repeat(np.arange(n), np.diff(hops.indptr)) * n + hops.indices
-        pos = np.minimum(np.searchsorted(ball, keys), len(ball) - 1)
-        if np.array_equal(ball[pos], keys):
-            return int(hops.data[pos].max(initial=0))
-        if radius >= n - 1:
+        pos, beyond = ball_positions(g, csr, radius)
+        if not beyond.any():
+            return int(hop_matrix(g, radius).data[pos].max(initial=0))
+        if radius >= g.n - 1:
             raise ValueError("filter entry connects vertices in different components")
         radius = max(2 * radius, 1)

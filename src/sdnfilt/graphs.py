@@ -18,6 +18,7 @@ import scipy.sparse as sparse
 __all__ = [
     "Graph",
     "GenerationError",
+    "ball_positions",
     "hop_levels",
     "hop_matrix",
     "random_geometric_graph",
@@ -55,8 +56,8 @@ class Graph:
     coordinates: np.ndarray | None = None
     generator_seed: tuple[int, int] | None = None
     # products of the graph alone, built once and shared: hop matrices by
-    # radius, the adjacency view, and the squared normalized Laplacian of
-    # the fig1 filter
+    # radius and their sorted pair keys, the adjacency view, and the
+    # squared normalized Laplacian of the fig1 filter
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -162,6 +163,27 @@ def hop_matrix(g: Graph, radius: int) -> sparse.csr_matrix:
         cached.data = radius + 1 - cached.data
         g._cache[radius] = cached
     return cached
+
+
+def ball_positions(g: Graph, m: sparse.csr_matrix, radius: int):
+    """The positions of the n x n CSR matrix m's stored entries among the
+    pairs of hop_matrix(g, radius), in m's order, and a mask of the entries
+    beyond the radius, whose positions mean nothing. A matrix on the ball's
+    own pattern takes 0..nnz-1 without a search; any other is searched in
+    the ball's sorted pair keys, built once per radius and cached."""
+    ball = hop_matrix(g, radius)
+    if np.array_equal(m.indptr, ball.indptr) and np.array_equal(m.indices, ball.indices):
+        return np.arange(m.nnz), np.zeros(m.nnz, dtype=bool)
+    if ("keys", radius) not in g._cache:
+        g._cache["keys", radius] = _pair_keys(ball)
+    keys, wanted = g._cache["keys", radius], _pair_keys(m)
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return pos, keys[pos] != wanted
+
+
+def _pair_keys(m: sparse.csr_matrix) -> np.ndarray:
+    """i * n + j of every stored entry (i, j) of an n x n CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) * m.shape[0] + m.indices
 
 
 def _close_pairs(pts: np.ndarray, radius: float, box=(0.0, 1.0)):

@@ -187,7 +187,7 @@ def read_edges_csv(path: str):
 def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("# n="):
+    if not lines or not lines[0].startswith("# n="):
         raise IngestError(f"{path}:1: expected metadata header '# n=... width=...'")
     try:
         meta = dict(tok.split("=") for tok in lines[0][2:].split())
@@ -196,8 +196,8 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
     except (ValueError, KeyError) as exc:
         raise IngestError(f"{path}:1: bad metadata header: {exc}") from None
     if n != graph.n:
-        raise IngestError(f"{path}: filter is for n={n}, graph has n={graph.n}")
-    if lines[1].strip() != "i,j,value":
+        raise IngestError(f"{path}:1: filter is for n={n}, graph has n={graph.n}")
+    if len(lines) < 2 or lines[1].strip() != "i,j,value":
         raise IngestError(f"{path}:2: expected header 'i,j,value'")
     entries = {}
     for lineno, (i, j, v) in _records(path, lines[2:], 3, 3, lambda i, j, v: (
@@ -209,7 +209,7 @@ def read_filter_csv(path: str, graph: Graph) -> GraphFilter:
     h = GraphFilter(graph, sparse.coo_matrix((list(entries.values()), ij.T), shape=(n, n)))
     if h.width != width:
         raise IngestError(
-            f"{path}: recorded width {width} does not match entries "
+            f"{path}:1: recorded width {width} does not match entries "
             f"(actual {h.width})"
         )
     return h

@@ -76,7 +76,8 @@ _READERS = {"points_csv": ("denoise", "custom"), "edges_csv": ("custom",),
             "filter_csv": ("custom",), "signal_csv": ("custom",), "k": ("denoise",),
             "alpha": ("denoise",), "epochs": ("time_varying",),
             **dict.fromkeys(("n", "radius", "gamma"), ("fig1", "time_varying")),
-            "eta": ("fig1", "denoise", "time_varying")}
+            "eta": ("fig1", "denoise", "time_varying"),
+            "trials": ("fig1", "denoise", "custom")}
 
 # spawn-key stream tags so graph, filter noise and signal noise never share
 # a random stream

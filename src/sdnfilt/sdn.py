@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .filters import GraphFilter, Signal, csr_product
-from .graphs import Graph, hop_levels, hop_matrix
+from .graphs import Graph, ball_positions, hop_matrix
 from .preconditioners import build_pgda_preconditioner
 from .solvers import _pgda, _spgda
 
@@ -99,11 +99,9 @@ class SdnNetwork:
 
     def _deploy(self, h: GraphFilter, y: Signal) -> None:
         """Compile the exchanges and H's residual product on the slots."""
-        n = self.graph.n
         ball = hop_matrix(self.graph, self.width)
-        owner = np.repeat(np.arange(n), np.diff(ball.indptr))
+        owner = np.repeat(np.arange(self.graph.n), np.diff(ball.indptr))
         self._ball, self._gather = ball, ball.indices.astype(np.intp)
-        self._keys = owner * n + ball.indices
         sent = ball.indices != owner
         self._senders, self._receivers = owner[sent], ball.indices[sent]
         self._own = np.flatnonzero(~sent)      # agent i's slot for x(i)
@@ -116,20 +114,10 @@ class SdnNetwork:
     def _on_slots(self, m: sparse.csr_matrix):
         """The product of a vertex CSR matrix m over the slots: row i is
         agent i's, each stored entry (i, j) reading its own copy of x(j).
-        An entry outside the width ball raises before any message is sent."""
-        n = self.graph.n
-        keys = np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        missing = np.flatnonzero(self._keys[pos] != keys)
-        if missing.size:
-            i, j = divmod(int(keys[missing[0]]), n)
-            hops = next(s for s, reach in enumerate(hop_levels(self.graph))
-                        if reach[i, j])
-            raise RangeViolationError(
-                f"agent {i} needs vertex {j}, {hops} hops away, outside its "
-                f"width-{self.width} ball; no message has been sent")
+        m is H, Hᵀ or a row scaling of one, whose entries lie within H's width."""
+        pos, _ = ball_positions(self.graph, m, self.width)
         return csr_product(sparse.csr_matrix((m.data, pos, m.indptr),
-                                             shape=(n, len(self._keys))))
+                                             shape=(self.graph.n, self._ball.nnz)))
 
     # ---- messaging -------------------------------------------------------
 

@@ -109,3 +109,39 @@ def test_traced_runs_follow_each_untraced_one(bench, monkeypatch, trace):
         assert calls == [c + (0,) for c in untraced]
         assert "layers" not in pairs[0]["base"]
     assert pairs[0]["base"]["metrics"] == {"run_s": 2.0}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    path = os.path.join(os.path.dirname(SCRIPT), "digests.py")
+    spec = importlib.util.spec_from_file_location("digests_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("head, code, printed", [
+    (["fig1 exit 0", "fig1 summary.json aa 10", "tv exit 0"], 0,
+     ["all 3 lines identical"]),
+    (["fig1 exit 0", "fig1 summary.json bb 11", "tv exit 0"], 1,
+     ["- fig1 summary.json aa 10", "+ fig1 summary.json bb 11"]),
+    (["fig1 exit 0", "fig1 summary.json aa 10", "tv exit 2"], 1,
+     ["- tv exit 0", "+ tv exit 2"]),
+])
+def test_digests_base_prints_the_differing_lines(digests, monkeypatch, capsys,
+                                                 head, code, printed):
+    # the exported base tree and the head tree each print their lines; the
+    # matrix itself never runs
+    base = ["fig1 exit 0", "fig1 summary.json aa 10", "tv exit 0"]
+    exported, trees = [], []
+    monkeypatch.setattr(digests, "export_base", lambda rev, dst: exported.append(rev))
+
+    def tree_lines(src):
+        trees.append(src)
+        return base if len(trees) == 1 else head
+
+    monkeypatch.setattr(digests, "tree_lines", tree_lines)
+    assert digests.main(["--base", "abc123"]) == code
+    assert exported == ["abc123"]
+    assert trees[1] == os.path.join(digests.ROOT, "src") != trees[0]
+    assert capsys.readouterr().out.splitlines() == printed

@@ -1,6 +1,9 @@
 import json
 import os
+import runpy
+import sys
 
+import numpy as np
 import pytest
 
 from sdnfilt.cli import main
@@ -109,6 +112,18 @@ class TestIngest:
                    "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ("", ":1: empty points file"),
+        ("id,x,y\n", ":2: no data rows"),
+    ])
+    def test_points_without_rows_exit_4(self, tmp_path, capsys, text, message):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        rc = main(["ingest", "--points", str(pts), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"{pts}{message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
 
 class TestRun:
     def test_config_error_unknown_key(self, tmp_path, capsys):
@@ -211,6 +226,75 @@ class TestRun:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text('[{"scenario": "fig1"}]')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: {path}: config must be a flat JSON object"
+                in capsys.readouterr().err)
+
+    def test_unknown_scenario_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="fig2")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: unknown scenario 'fig2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_cli", [False, True])
+    def test_time_varying_trials_rejected_exit_2(self, tmp_path, capsys, from_cli):
+        # time_varying runs one trial of `epochs` epochs; a trials key, in
+        # the config or from --trials, is never read
+        raw = dict(scenario="time_varying", n=32, epochs=1, iterations=5)
+        cfg = write_config(tmp_path, **raw, **({} if from_cli else {"trials": 7}))
+        extra = ["--trials", "7"] if from_cli else []
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *extra]) == 2
+        assert ("config error: the time_varying scenario never reads ['trials']"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_unconnectable_radius_exit_2(self, tmp_path, capsys):
+        # three points within 0.001 of each other: no draw of 32 rounds of
+        # 64 attempts connects them
+        cfg = write_config(tmp_path, scenario="fig1", n=3, radius=0.001, trials=1,
+                           iterations=5)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "generation error: no connected geometric graph with n=3" in err
+        assert "in 32 rounds" in err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("e.csv", "a,b\n0,1\n", ":1: expected header 'i,j'"),
+        ("f.csv", "i,j,value\n0,0,1.0\n", ":1: expected metadata header"),
+        ("f.csv", "# n=2 wide=1\ni,j,value\n0,0,1.0\n",
+         ":1: bad metadata header: 'width'"),
+        ("f.csv", "# n=two width=1\ni,j,value\n0,0,1.0\n", ":1: bad metadata header"),
+        ("f.csv", "# n=3 width=0\ni,j,value\n0,0,1.0\n", ":1: filter is for n=3, graph has n=2"),
+        ("f.csv", "# n=2 width=1\na,b,c\n0,0,1.0\n", ":2: expected header 'i,j,value'"),
+        ("f.csv", "# n=2 width=1\n", ":2: expected header 'i,j,value'"),
+        ("f.csv", "# n=2 width=2\ni,j,value\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n",
+         ":1: recorded width 2 does not match entries (actual 1)"),
+        ("s.csv", "vertex,value\n0,1.0\n1,0.5\n", ":1: expected header 'id,value'"),
+    ])
+    def test_custom_input_error_exit_4(self, tmp_path, capsys, name, text, message):
+        raw = write_two_vertex_custom(tmp_path)
+        (tmp_path / name).write_text(text)
+        cfg = write_config(tmp_path, **raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert f"{tmp_path / name}{message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_nonfinite_iterate_exit_3(self, tmp_path, capsys):
+        # pgda's P^-2 underflows to zero on a filter of 1e-300 entries, so
+        # its first step is infinite with both signs and H x is NaN
+        raw = write_two_vertex_custom(tmp_path)
+        (tmp_path / "f.csv").write_text("# n=2 width=1\ni,j,value\n0,0,1e-300\n"
+                                        "0,1,1e-300\n1,0,1e-300\n1,1,-1e-300\n")
+        (tmp_path / "s.csv").write_text("id,value\n0,0.0\n1,1e10\n")
+        cfg = write_config(tmp_path, **{**raw, "methods": ["pgda"]})
+        with np.errstate(divide="ignore"):
+            rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert ("numeric error: pgda: nonfinite values at iteration 1"
+                in capsys.readouterr().err)
 
     def test_small_fig1_run(self, tmp_path):
         cfg = write_config(tmp_path, scenario="fig1", n=64, trials=2,
@@ -417,6 +501,32 @@ class TestReport:
 
     def test_report_missing_dir_exit_4(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 4
+
+    def test_report_summary_not_an_object_exit_4(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text("[1, 2]\n")
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        assert (f"{tmp_path / 'summary.json'}: expected a JSON object"
+                in capsys.readouterr().err)
+
+    def test_report_denoise_prints_limit_snr(self, tmp_path, capsys):
+        pts = str(tmp_path / "pts.csv")
+        write_points_csv(pts, *synthetic_points(30, rng_seed=3))
+        cfg = write_config(tmp_path, scenario="denoise", points_csv=pts, trials=2,
+                           iterations=10, master_seed=5)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == 0
+        limit = json.loads(open(os.path.join(out, "summary.json")).read())["limit_snr"]
+        assert f"limit snr: {limit:.4f} dB" in capsys.readouterr().out.splitlines()
+
+    def test_module_entry_point_exits_with_the_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["sdnfilt", "report", "--out",
+                                          str(tmp_path / "missing")])
+        monkeypatch.delitem(sys.modules, "sdnfilt.cli")  # run afresh as __main__
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("sdnfilt.cli", run_name="__main__", alter_sys=True)
+        assert exc.value.code == 4
 
     def test_report_time_varying_prints_table(self, tmp_path, capsys):
         # time_varying records no spectral radius; its column reads None

@@ -19,7 +19,7 @@ from sdnfilt.filters import (
     laplacians,
     power_spectral_radius,
 )
-from sdnfilt.graphs import Graph, random_geometric_graph
+from sdnfilt.graphs import Graph, hop_matrix, random_geometric_graph
 from sdnfilt.scenarios import _STREAM_FILTER, _stream_seed, generate_run_graph
 
 from conftest import (
@@ -124,14 +124,17 @@ class TestGraphFilterBasics:
         assert scaled.nnz == 1 and scaled.width == 0
 
     def test_width_matches_level_reference(self, rng):
-        # the width read off the cached hop matrix equals the level-by-level
-        # search, whether or not the first hop radius holds every entry
+        # the width read off the cached hop matrices equals the
+        # level-by-level search, whether or not the largest one cached holds
+        # every entry
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(1, 30)))
             a = random_filter(rng, g, int(rng.integers(0, 4)), keep_prob=0.3).csr
             b = random_filter(rng, g, int(rng.integers(0, 3)), keep_prob=0.3).csr
             for m in (a, b, a + b, a - a, a * float(rng.uniform(-2, 2)), a @ b, a.T):
-                h = GraphFilter(g, m, _within=int(rng.integers(0, 4)))
+                g._cache.clear()
+                hop_matrix(g, int(rng.integers(0, 4)))
+                h = GraphFilter(g, m)
                 assert h.width == entries_width_by_levels(g, h.csr)
 
     def test_entries_sorted_row_major(self):
@@ -169,8 +172,7 @@ class TestGraphFilterBasics:
                 rows += [i] * k
                 cols += sorted(rng.choice(g.n, size=k, replace=False).tolist())
                 vals += (rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)).tolist()
-            h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))),
-                            _width=1)
+            h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))))
             indptr, data = h.csr.indptr, h.csr.data
             expected = np.array([np.abs(data[indptr[i]:indptr[i + 1]]).sum()
                                  for i in range(g.n)])
@@ -196,7 +198,7 @@ class TestGraphFilterBasics:
             rows += [i] * k
             cols += sorted(rng.choice(g.n, size=k, replace=False).tolist())
             vals += (rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)).tolist()
-        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))), _width=1)
+        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))))
         indptr, data = h.csr.indptr, h.csr.data
         squares = data * data
         rows_of = [data[indptr[i]:indptr[i + 1]] for i in range(g.n)]
@@ -228,6 +230,11 @@ class TestApply:
         other = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="share the same graph"):
             apply(h, Signal(other, np.zeros(2)))
+
+    def test_signal_length_checked(self):
+        with pytest.raises(ValueError, match=r"signal length \(3,\) does not match "
+                                             "vertex count 2"):
+            Signal(two_by_two().graph, np.zeros(3))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 50), width=st.integers(0, 2))
@@ -735,8 +742,8 @@ class TestFig1Filter:
         import sdnfilt.filters as filters
 
         calls = []
-        real = filters.laplacians
-        monkeypatch.setattr(filters, "laplacians",
+        real = filters._normalized_laplacian
+        monkeypatch.setattr(filters, "_normalized_laplacian",
                             lambda g: calls.append(1) or real(g))
         g, _ = self.build()
         cached = [build_fig1_filter(g, 0.05, rng_seed=s) for s in (11, 12)]
@@ -764,7 +771,6 @@ class TestFig1Filter:
         # a Laplacian term that cancels every kernel entry two hops apart
         # leaves a filter of width 1, found by the rescan
         import sdnfilt.filters as filters
-        from sdnfilt.graphs import hop_matrix
 
         g, _ = self.build()
         monkeypatch.setattr(filters, "_squared_normalized_laplacian",
@@ -772,7 +778,7 @@ class TestFig1Filter:
         kernel = build_fig1_filter(g, 0.0, 0).csr
         far = kernel.multiply(hop_matrix(g, 2) == 2)
         monkeypatch.setattr(filters, "_squared_normalized_laplacian",
-                            lambda g: GraphFilter(g, -far, _width=2))
+                            lambda g: GraphFilter(g, -far))
         h = build_fig1_filter(g, 0.0, 0)
         assert h.nnz < hop_matrix(g, 2).nnz
         assert h.width == entries_width_by_levels(g, h.csr) == 1

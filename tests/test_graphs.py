@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 from sdnfilt.graphs import (
@@ -7,6 +8,7 @@ from sdnfilt.graphs import (
     Graph,
     _close_pairs,
     _is_connected,
+    ball_positions,
     hop_matrix,
     knn_graph,
     random_geometric_graph,
@@ -110,6 +112,14 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Graph.from_edges(3, edges)
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got 0"):
+            Graph.from_edges(0, [])
+
+    def test_coordinates_shape_checked(self):
+        with pytest.raises(ValueError, match=r"coordinates must have shape \(3, 2\)"):
+            Graph.from_edges(3, [(0, 1), (1, 2)], coordinates=np.zeros((2, 2)))
+
     def test_edges_must_be_pairs(self):
         with pytest.raises(ValueError, match=r"edges must be \(i, j\) pairs"):
             Graph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
@@ -184,6 +194,45 @@ class TestBall:
         assert set(members) <= set(hop_row(g, i, s + 1))
         m = hop_matrix(g, s)
         assert m.data[m.indptr[i]:m.indptr[i + 1]].tolist() == d[i, members].tolist()
+
+
+class TestBallPositions:
+    """ball_positions against the pair lists of hop_matrix and Floyd–Warshall."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 30), s=st.integers(0, 4))
+    def test_positions_and_beyond_match_bruteforce(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n)
+        d = floyd_warshall(g)
+        m = sparse.random(n, n, density=0.3, format="csr", random_state=seed)
+        m.sort_indices()
+        ball = hop_matrix(g, s)
+        rows = np.repeat(np.arange(n), np.diff(ball.indptr))
+        pairs = list(zip(rows.tolist(), ball.indices.tolist()))
+        pos, beyond = ball_positions(g, m, s)
+        mrows = np.repeat(np.arange(n), np.diff(m.indptr))
+        for k, (i, j) in enumerate(zip(mrows.tolist(), m.indices.tolist())):
+            assert beyond[k] == (d[i, j] > s)
+            if not beyond[k]:
+                assert pairs[pos[k]] == (i, j)
+
+    def test_ball_pattern_takes_positions_without_search(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(4), 20)
+        ball = hop_matrix(g, 2)
+        m = sparse.csr_matrix((np.ones(ball.nnz), ball.indices, ball.indptr), ball.shape)
+        monkeypatch.setattr(np, "searchsorted", None)
+        pos, beyond = ball_positions(g, m, 2)
+        assert pos.tolist() == list(range(ball.nnz)) and not beyond.any()
+        assert ("keys", 2) not in g._cache
+
+    def test_pair_keys_built_once_per_radius(self):
+        g = random_connected_graph(np.random.default_rng(5), 20)
+        m = sparse.identity(20, format="csr")
+        ball_positions(g, m, 2)
+        keys = g._cache[("keys", 2)]
+        ball_positions(g, m * 2.0, 2)
+        assert g._cache[("keys", 2)] is keys
 
 
 class TestRandomGeometricGraph:
@@ -420,6 +469,14 @@ class TestKnnGraph:
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         g = knn_graph(pts, k=2)
         assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    def test_points_must_be_planar(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(m, 2\)"):
+            knn_graph(np.zeros((5, 3)), 2)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            knn_graph(np.random.default_rng(0).random((5, 2)), 0)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="k"):

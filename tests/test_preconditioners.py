@@ -79,6 +79,15 @@ class TestSpgdaPreconditioner:
         with pytest.raises(ValueError, match=r"H\(0,1\)|H\(1,0\)"):
             build_spgda_preconditioner(h)
 
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            build_spgda_preconditioner(filter_of(path3(), {}))
+
+    def test_zero_row_rejected(self):
+        h = filter_of(path3(), {(0, 0): 2.0, (2, 2): 1.0})
+        with pytest.raises(ValueError, match="row 1 of the filter is all zero"):
+            build_spgda_preconditioner(h)
+
 
 def normalized(h):
     """The dense P^{-1/2} H P^{-1/2} of spgda's diagonal P, read off

@@ -103,16 +103,17 @@ class TestScenarioConfig:
                    "filter_csv": "custom", "signal_csv": "custom", "k": "denoise",
                    "alpha": "denoise", "epochs": "time_varying",
                    "n": "fig1 time_varying", "radius": "fig1 time_varying",
-                   "gamma": "fig1 time_varying", "eta": "fig1 denoise time_varying"}
+                   "gamma": "fig1 time_varying", "eta": "fig1 denoise time_varying",
+                   "trials": "fig1 denoise custom"}
         values = {"points_csv": "q.csv", "edges_csv": "d.csv", "filter_csv": "g.csv",
                   "signal_csv": "t.csv", "k": 3, "alpha": 0.5, "epochs": 2, "n": 16,
-                  "radius": 0.5, "gamma": 0.1, "eta": 0.3}
-        shared = {"trials": 2, "master_seed": 3, "iterations": 4, "methods": ["pgda"],
+                  "radius": 0.5, "gamma": 0.1, "eta": 0.3, "trials": 2}
+        shared = {"master_seed": 3, "iterations": 4, "methods": ["pgda"],
                   "output_dir": "o", "distributed": True, "roundlog": True,
                   "comm_range": 2}
         for scenario, base in required.items():
             cfg = ScenarioConfig.from_dict({**base, "scenario": scenario, **shared})
-            assert (cfg.trials, cfg.comm_range) == (2, 2)
+            assert (cfg.master_seed, cfg.comm_range) == (3, 2)
             for key, value in values.items():
                 raw = {**base, "scenario": scenario, key: value}
                 if scenario in readers[key].split():

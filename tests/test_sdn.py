@@ -97,6 +97,14 @@ class TestDistributedPreconditioner:
         doubled = SdnNetwork(g, GraphFilter(g, h.csr * 2.0), y).distributed_preconditioner()
         assert np.array_equal(2.0 * p, doubled)
 
+    def test_filter_and_observation_on_the_network_graph(self):
+        h = from_dense(edge2(), [[2.0, 1.0], [1.0, 2.0]])
+        other = edge2()
+        with pytest.raises(ValueError, match="filter built on a different graph"):
+            SdnNetwork(other, h, Signal(other, np.zeros(2)))
+        with pytest.raises(ValueError, match="observation on a different graph"):
+            SdnNetwork(h.graph, h, Signal(other, np.zeros(2)))
+
     def test_range_below_width_rejected_before_messages(self, rng):
         g = random_connected_graph(rng, 15)
         h = make_invertible(rng, g, 2)
@@ -426,17 +434,6 @@ class TestCompiledLocality:
         a, b = (net.run_pgda().values for net in nets)
         assert a[i] == b[i]
         assert a[j] != b[j]
-
-    def test_filter_entry_outside_ball_rejected_at_deploy(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        wide = filter_of(g, {(k, k): 4.0 for k in range(4)} | {(0, 2): 1.0, (2, 0): 1.0})
-        lying = GraphFilter(g, wide.csr, _width=1)   # H(0,2) is 2 hops
-        net = SdnNetwork.__new__(SdnNetwork)
-        with pytest.raises(RangeViolationError, match="no message has been sent") as err:
-            net.__init__(g, lying, Signal(g, np.ones(4)))
-        assert "agent 0 needs vertex 2, 2 hops away" in str(err.value)
-        assert net.total_messages() == 0
-        assert net.rounds == []
 
 
 class TestMatchesReference:

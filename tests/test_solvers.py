@@ -78,6 +78,10 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="unknown method"):
             SolverConfig(method="cg")
 
+    def test_no_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+            SolverConfig(method="pgda", max_iter=0)
+
     def test_spgda_asymmetric_rejected(self):
         h = from_dense(edge2(), [[1.0, 0.7], [0.1, 1.0]])
         y = Signal(h.graph, np.ones(2))
@@ -89,6 +93,8 @@ class TestSolveBasics:
         other = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="share the same graph"):
             solve(h, Signal(other, np.ones(2)), SolverConfig(method="pgda"))
+        with pytest.raises(ValueError, match="share the same graph"):
+            direct_solve_oracle(h, Signal(other, np.ones(2)))
 
     def test_trace_shapes(self, rng):
         g = random_connected_graph(rng, 9)
@@ -434,7 +440,7 @@ class TestImiaDiagonal:
             cols += row_cols
             vals += (rng.uniform(0.5, 1.0, len(row_cols))
                      * 10.0 ** rng.uniform(-8, 8, len(row_cols))).tolist()
-        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))), _width=1)
+        h = GraphFilter(g, (np.array(vals), (np.array(rows), np.array(cols))))
         indptr, data = h.csr.indptr, h.csr.data
         denom = np.zeros(g.n)
         for i in range(g.n):
